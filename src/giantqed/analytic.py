@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialState, SystemConfig, delay_table
+from .model import InitialState, SystemConfig, delay_table, write_csv
 
 SQRT2 = np.sqrt(2.0)
 
@@ -240,13 +240,14 @@ def markovian_effective_rate(config: SystemConfig, state: InitialState) -> compl
 
 def coefficients_to_csv(solution: ExpPolySolution, path) -> None:
     """Write branch polynomial coefficients as rows (l, j, re_p, im_p)."""
-    lines = ["# branch polynomial coefficients, ascending powers per branch",
-             f"# decay = {solution.decay!r}",
-             f"# delay = {solution.delay!r}",
-             f"# parity = {solution.parity:+d}",
-             "l,j,re_p,im_p"]
-    for l, poly in enumerate(solution.branches):
-        for j, p in enumerate(poly.tolist()):
-            lines.append(f"{l},{j},{p.real!r},{p.imag!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    sizes = [poly.size for poly in solution.branches]
+    coeffs = np.concatenate(solution.branches)
+    write_csv(path,
+              ["branch polynomial coefficients, ascending powers per branch",
+               f"decay = {solution.decay!r}",
+               f"delay = {solution.delay!r}",
+               f"parity = {solution.parity:+d}"],
+              "l,j,re_p,im_p",
+              [np.repeat(np.arange(len(sizes)), sizes),
+               np.concatenate([np.arange(n) for n in sizes]),
+               coeffs.real, coeffs.imag])

@@ -6,14 +6,15 @@ trapped as a standing field between the legs.  This module builds that
 normalized dark eigenstate, its overlap with atomic initial states, and the
 momentum-space profile of the trapped field.
 
-Existence requires the profile numerator g(k) = sin(3kd/2) -+ sin(kd/2)
-(upper sign: separate topology, lower: braided) to vanish at the resonant
-wavenumber AND the atomic dark condition to hold.  For separate atoms that
-happens at phi = n*pi for any integer n; for braided atoms only phi = 2n*pi
-qualifies (the cosine roots of the braided sine condition do not satisfy
-the dark condition and are rejected).  Only antisymmetric-atomic-sector
-bound states are constructed here; symmetric-sector dark states show up in
-``analytic.steady_state`` but come with no closed-form field profile.
+The state exists where the antisymmetric Laplace denominator vanishes at
+the origin, D_-(0) = 0 (``analytic.steady_state`` calls that sector dark),
+and its atomic weight is the residue 1/D_-'(0) there.  For two legs that
+is phi = n*pi for separate atoms and phi = 2n*pi for braided ones.  The
+trapped field's momentum profile is proportional to g(k)/(k - k0) with
+g(k) = sin(3kd/2) -+ sin(kd/2) (upper sign: separate topology, lower:
+braided).  Only antisymmetric-atomic-sector bound states are constructed
+here; symmetric-sector dark states show up in ``analytic.steady_state``
+but come with no closed-form field profile.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialState, SystemConfig
+from . import analytic
+from .model import InitialState, SystemConfig, write_csv
 
 #: |k - k0| below this (in units of 1/d) switches to the series limit of
 #: g(k)/(k-k0), removing the 0/0 at the resonant wavenumber.
@@ -45,11 +47,11 @@ class BicState:
     """Normalized antisymmetric bound state in the continuum.
 
     ``epsilon1``/``epsilon2`` are the atomic amplitudes (epsilon2 =
-    -epsilon1); 2|epsilon1|^2 is the atomic weight of the state and
-    ``field_weight`` the complementary trapped-field weight, so the state
-    is normalized to one.  ``phase_class`` is 0 when phi is an even
-    multiple of pi and 1 when odd (the latter exists only for the separate
-    topology).
+    -epsilon1); 2|epsilon1|^2 = Re(1/D_-'(0)) is the atomic weight of the
+    state and ``field_weight`` the complementary trapped-field weight, so
+    the state is normalized to one.  ``phase_class`` is 0 when phi is an
+    even multiple of pi and 1 when odd (the latter exists only for the
+    separate topology).
     """
 
     config: SystemConfig
@@ -66,11 +68,8 @@ class BicState:
 
     @property
     def field_weight(self) -> float:
-        """Closed-form trapped-field norm (atomic_weight + this = 1)."""
-        eta = self.config.eta
-        if self.config.topology == "separate" and self.phase_class == 0:
-            return 3.0 * eta / (1.0 + 3.0 * eta)
-        return eta / (1.0 + eta)
+        """Trapped-field norm, 1 - atomic_weight."""
+        return 1.0 - self.atomic_weight
 
     @property
     def k0(self) -> float:
@@ -109,23 +108,23 @@ class BicState:
 def bic_state(config: SystemConfig) -> BicState | NoBic:
     """The antisymmetric bound state of ``config``, or NoBic.
 
-    |epsilon1|^2 = 1/(2(1+3*eta)) for separate atoms at phi = 2n*pi and
-    1/(2(1+eta)) for the other existing classes (separate odd, braided
-    even), with eta = gamma*delay.
+    The state exists when ``analytic.steady_state`` finds the
+    antisymmetric sector dark (D_-(0) = 0) at a phase on a multiple of pi.
+    Its atomic weight 2|epsilon1|^2 is the real part of the surviving
+    amplitude of the normalized antisymmetric state, the final-value
+    residue 1/D_-'(0).  With eta = gamma*delay that gives |epsilon1|^2 =
+    1/(2(1+3*eta)) for separate atoms at phi = 2n*pi and 1/(2(1+eta)) at
+    the other dark phases (separate odd, braided even).
     """
     if config.n_legs != 2:
         raise ValueError("bound-state construction requires n_legs=2")
     phase_class = config.phase_class()
     if phase_class is None:
         return NoBic(phi=config.phi)
-    if config.topology == "braided" and phase_class == 1:
+    steady = analytic.steady_state(config, InitialState.antisymmetric())
+    if steady.kind != "dark":
         return NoBic(phi=config.phi)
-    eta = config.eta
-    if config.topology == "separate" and phase_class == 0:
-        eps_sq = 1.0 / (2.0 * (1.0 + 3.0 * eta))
-    else:
-        eps_sq = 1.0 / (2.0 * (1.0 + eta))
-    eps = math.sqrt(eps_sq)
+    eps = math.sqrt(0.5 * steady.amplitude.real)
     return BicState(config=config, epsilon1=eps, epsilon2=-eps,
                     phase_class=phase_class)
 
@@ -182,12 +181,8 @@ class FieldProfile:
     cumulative_norm: np.ndarray
 
     def to_csv(self, path) -> None:
-        lines = ["k,intensity,cumulative_norm"]
-        for k_i, v_i, c_i in zip(self.k.tolist(), self.intensity.tolist(),
-                                 self.cumulative_norm.tolist()):
-            lines.append(f"{k_i!r},{v_i!r},{c_i!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, [], "k,intensity,cumulative_norm",
+                  [self.k, self.intensity, self.cumulative_norm])
 
 
 def bic_field_profile(bic: BicState, k_grid=None) -> FieldProfile:

@@ -38,7 +38,7 @@ from .analytic import OutOfHorizon, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
 from .dde import DriveSchedule, integrate_with_drive, to_csv as traj_to_csv
 from .field import detector_signal, fdd as compute_fdd, released_energy
-from .model import InitialState, SystemConfig
+from .model import InitialState, SystemConfig, write_csv
 from .spectral import NonConvergence, scan_decay_rates
 
 ENV_PREFIX = "GIANTQED_"
@@ -259,30 +259,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ts = np.linspace(0.0, t_max, n + 1)
         c_a, c_b = sol.atomic(np.minimum(ts, sol.horizon - 1e-9 * config.delay))
         name = os.path.join(out_dir, "trajectory_analytic.csv")
-        lines = ["# giantqed amplitude trajectory (exact series)"]
-        lines += [f"# {s}" for s in config.summary_lines()]
-        lines.append("t,re_ca,im_ca,re_cb,im_cb,pop_a,pop_b")
-        for k in range(len(ts)):
-            lines.append(f"{ts[k]!r},{c_a[k].real!r},{c_a[k].imag!r},"
-                         f"{c_b[k].real!r},{c_b[k].imag!r},"
-                         f"{abs(c_a[k]) ** 2!r},{abs(c_b[k]) ** 2!r}")
-        with open(name, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(name,
+                  ["giantqed amplitude trajectory (exact series)",
+                   *config.summary_lines()],
+                  "t,re_ca,im_ca,re_cb,im_cb,pop_a,pop_b",
+                  [ts, c_a.real, c_a.imag, c_b.real, c_b.imag,
+                   [abs(a) ** 2 for a in c_a.tolist()],
+                   [abs(b) ** 2 for b in c_b.tolist()]])
         print(f"wrote {name}")
         if traj is not None:
             diff = float(np.max(np.abs(np.abs(c_a) ** 2 - traj.pop_a)))
             print(f"max_abs_diff = {diff!r}")
 
-    record = traj if traj is not None else None
-    if record is not None:
-        rate = _fit_rate(record.t, record.excited_population)
+    if traj is not None:
+        rate = _fit_rate(traj.t, traj.excited_population)
     else:
         rate = _fit_rate(ts, np.abs(c_a) ** 2 + np.abs(c_b) ** 2)
     if rate is not None:
         print(f"fit_rate = {rate!r}")
 
     if args.svg:
-        _plot_trajectory(record, ts if record is None else record.t,
+        _plot_trajectory(traj, ts if traj is None else traj.t,
                          out_dir, config)
     RunManifest("simulate", config, out_dir).write()
     return EXIT_OK

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import InitialState, SystemConfig, delay_table
+from .model import InitialState, SystemConfig, delay_table, write_csv
 
 
 @dataclass(frozen=True)
@@ -451,18 +451,12 @@ def excitation_balance(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t) -> 
 
 def to_csv(traj: AmplitudeTrajectory, path) -> None:
     """Write the trajectory as CSV with a config-echo comment header."""
-    lines = ["# giantqed amplitude trajectory"]
-    lines += [f"# {s}" for s in traj.config.summary_lines()]
-    lines.append(f"# steps_per_delay = {traj.steps_per_delay}")
+    comments = ["giantqed amplitude trajectory", *traj.config.summary_lines(),
+                f"steps_per_delay = {traj.steps_per_delay}"]
     if len(traj.schedule.omegas) > 1:
         seg = ", ".join(f"({float(s)!r}, {float(w)!r})" for s, w in
                         zip(traj.schedule.starts, traj.schedule.omegas))
-        lines.append(f"# schedule = [{seg}]")
-    lines.append("t,re_ca,im_ca,re_cb,im_cb,pop_a,pop_b")
-    rows = zip(traj.t.tolist(), traj.c_a.tolist(), traj.c_b.tolist(),
-               traj.pop_a.tolist(), traj.pop_b.tolist())
-    for t_k, a_k, b_k, pa_k, pb_k in rows:
-        lines.append(f"{t_k!r},{a_k.real!r},{a_k.imag!r},"
-                     f"{b_k.real!r},{b_k.imag!r},{pa_k!r},{pb_k!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        comments.append(f"schedule = [{seg}]")
+    write_csv(path, comments, "t,re_ca,im_ca,re_cb,im_cb,pop_a,pop_b",
+              [traj.t, traj.c_a.real, traj.c_a.imag, traj.c_b.real,
+               traj.c_b.imag, traj.pop_a, traj.pop_b])

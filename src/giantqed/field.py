@@ -34,7 +34,7 @@ import numpy as np
 
 from .analytic import ExpPolySolution
 from .dde import AmplitudeTrajectory, DriveSchedule
-from .model import SystemConfig
+from .model import SystemConfig, write_csv
 
 __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
            "released_energy"]
@@ -139,16 +139,12 @@ class FieldGrid:
 
     def to_csv(self, path) -> None:
         """Long-format CSV (x, t, intensity) with a config-echo header."""
-        lines = ["# giantqed emitted field map"]
-        lines += [f"# {s}" for s in self.config.summary_lines()]
-        lines.append(f"# parity = {self.parity:+d}")
-        lines.append("x,t,intensity")
-        xs = self.x.tolist()
-        for ti, row in zip(self.t.tolist(), self.intensity):
-            for xj, vj in zip(xs, row.tolist()):
-                lines.append(f"{xj!r},{ti!r},{vj!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path,
+                  ["giantqed emitted field map", *self.config.summary_lines(),
+                   f"parity = {self.parity:+d}"],
+                  "x,t,intensity",
+                  [np.tile(self.x, self.t.size),
+                   np.repeat(self.t, self.x.size), self.intensity.ravel()])
 
     def to_svg(self, path) -> None:
         """Rasterised heat map of I(x, t); needs matplotlib."""
@@ -236,15 +232,12 @@ class DetectorRecord:
         return np.abs(self.amplitude) ** 2
 
     def to_csv(self, path) -> None:
-        lines = ["# giantqed detector record"]
-        lines += [f"# {s}" for s in self.config.summary_lines()]
-        lines.append(f"# x0_beyond_last_leg = {float(self.x0)!r}")
-        lines.append("t_bar,re_amp,im_amp,intensity")
-        for tb, a, v in zip(self.t_bar.tolist(), self.amplitude.tolist(),
-                            self.intensity.tolist()):
-            lines.append(f"{tb!r},{a.real!r},{a.imag!r},{v!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path,
+                  ["giantqed detector record", *self.config.summary_lines(),
+                   f"x0_beyond_last_leg = {float(self.x0)!r}"],
+                  "t_bar,re_amp,im_amp,intensity",
+                  [self.t_bar, self.amplitude.real, self.amplitude.imag,
+                   self.intensity])
 
 
 def detector_signal(amplitude_source, config: SystemConfig, x0: float,

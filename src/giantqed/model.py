@@ -21,6 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TOPOLOGIES = ("separate", "braided")
 
 #: Error budget for "is this phase an exact multiple of pi" decisions.
@@ -240,3 +242,24 @@ def delay_table(config: SystemConfig) -> DelayTable:
                 for n in sorted(counts)}
 
     return DelayTable(self_terms=tally(slots_a), cross_terms=tally(slots_b))
+
+
+#: Rows formatted per write in ``write_csv``; bounds the memory a large
+#: field map takes while it is written.
+_CSV_CHUNK = 4096
+
+
+def write_csv(path, comments, header: str, columns) -> None:
+    """Write a CSV file: '# '-prefixed comment lines, a header, then rows.
+
+    ``columns`` are equal-length sequences of real numbers, one per header
+    field.  Values are written with repr, so floats read back exactly.
+    """
+    cols = [np.asarray(col) for col in columns]
+    fmt = ",".join(["%r"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        for start in range(0, len(cols[0]), _CSV_CHUNK):
+            rows = zip(*(col[start:start + _CSV_CHUNK].tolist()
+                         for col in cols))
+            fh.write("".join([fmt % row for row in rows]))

@@ -1,29 +1,28 @@
 """Single-photon scattering and collective decay poles (two legs per atom).
 
-A photon with detuning Delta_k from the atomic resonance scatters off the
-four coupling legs; the transmission/reflection amplitudes share one
-denominator whose complex zeros (in Delta_k, continued off the real axis)
-are the collective decay poles.  With Gamma = 2i Delta_k each pole gives a
-collective rate whose real part is the population decay rate.  Everything
-here uses the exchange coupling J0 = gamma/2; the conversion is fixed at
-this module boundary and never leaks out.
+Everything here derives from one coupling kernel: the parity-reduced
+Laplace denominators D_p(s) = s + sum_n A_n^p exp(-s n delay) of
+:mod:`giantqed.analytic`, built from the retarded coupling table.  A
+photon with detuning delta_k sees the two atoms through their leg sums
+L_m(k) = sum_l exp(i k x_l); splitting the 2x2 Green's function into the
+symmetric and antisymmetric channels gives t and r as sums over p of leg
+sums divided by D_p(-i delta_k).
 
-Frozen retardation (exp(i k Delta_x) -> exp(i phi)) makes the denominator a
-quadratic in Delta_k whose roots are the Markovian rates; they seed a damped
-complex Newton iteration on the full transcendental denominator for the
-non-Markovian poles.
+The zeros of D_p are the collective decay poles, rate = -2s: the real part
+is the population decay rate, the imaginary part the frequency shift.
+Frozen retardation (exp(-s n delay) -> 1) gives the Markovian rates
+2 sum_n A_n^p, which seed a damped complex Newton iteration on D_p.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
-from .model import SystemConfig, delay_table
+from .model import SystemConfig, delay_table, write_csv
 
 
 class NonConvergence(Exception):
@@ -39,35 +38,38 @@ def scattering(config: SystemConfig, delta_k):
     """Transmission and reflection amplitudes (t, r) at detuning delta_k.
 
     ``delta_k`` is the detuning (omega - omega0) of the incoming photon;
-    scalars or arrays work.  |t|^2 + |r|^2 = 1 on the real axis.
+    scalars or arrays work.  |t|^2 + |r|^2 = 1 on the real axis.  With
+    k = (omega0 + delta_k)/v_g, L_m = sum_l exp(i k x_l) over the legs of
+    atom m and Lbar_m the same sum with exp(-i k x_l),
+
+        t = 1 - (gamma/4) sum_p (Lbar_a + p Lbar_b)(L_a + p L_b) / D_p,
+        r =   - (gamma/4) sum_p (L_a + p L_b)^2 / D_p,
+
+    with D_p = D_p(-i delta_k).  The legs are centred on x = 0, which is
+    where the reflection phase is referenced; t is reference independent.
 
     Exactly on a trapping resonance (phi on its dark multiple of pi AND
     delta_k = 0) numerator and denominator share a zero and the entry is
     nan; the limit is smooth, so any neighbouring detuning gives it.
     """
     _check_two_legs(config)
-    j0 = 0.5 * config.gamma
     dk = np.asarray(delta_k, dtype=complex)
-    # k Delta_x = phi + delta_k * delay (linear dispersion)
-    kdx = config.phi + dk * config.delay
-    z = np.exp(1j * kdx)
-    z2 = z * z
-    # reflection phase is referenced to the array centre (legs span
-    # +-3 dx/2 about x=0), hence the z**-3 relative to a first-leg-at-origin
-    # convention; transmission is reference independent.
+    k = (config.omega0 + dk) / config.v_g
+
+    def leg_sum(atom: int, sign: int):
+        return sum(np.exp(sign * 1j * k * x)
+                   for x in config.leg_positions(atom))
+
+    l_a, l_b = leg_sum(0, +1), leg_sum(1, +1)
+    lbar_a, lbar_b = leg_sum(0, -1), leg_sum(1, -1)
+    t = np.ones(dk.shape, dtype=complex)
+    r = np.zeros(dk.shape, dtype=complex)
     with np.errstate(invalid="ignore", divide="ignore"):
-        if config.topology == "separate":
-            den = ((1 + z) ** 2 * (-4 + z2 + 2 * z ** 3 + z ** 4) * j0 ** 2
-                   + 4j * (1 + z) * j0 * dk + dk ** 2)
-            t = (dk + 1j * j0 * (z - 1 / z)) ** 2 / den
-            r = -(1 + z) ** 2 * j0 * (2 * j0 * (-1 - z + z ** 3 + z ** 4)
-                                      + 1j * dk * (1 + z ** 4)) / (z ** 3 * den)
-        else:
-            den = ((-4 + z2 + 2 * z2 ** 2 + z2 ** 3) * j0 ** 2
-                   + 4j * (1 + z2) * j0 * dk + dk ** 2)
-            t = np.exp(-2j * kdx) * ((-1 + z2) ** 2 * j0 ** 2
-                                     + 2j * (-1 + z2 ** 2) * j0 * dk + z2 * dk ** 2) / den
-            r = -(1 + z2) ** 2 * j0 * (2 * j0 * (-1 + z2) + 1j * dk * (1 + z2)) / (z ** 3 * den)
+        for p in (+1, -1):
+            den = analytic.laplace_denominator(config, p, -1j * dk)
+            drive = l_a + p * l_b
+            t -= 0.25 * config.gamma * (lbar_a + p * lbar_b) * drive / den
+            r -= 0.25 * config.gamma * drive * drive / den
     if t.shape:
         return t, r
     return complex(t), complex(r)
@@ -76,8 +78,8 @@ def scattering(config: SystemConfig, delta_k):
 def markovian_rates(config: SystemConfig) -> tuple[complex, complex]:
     """Frozen-retardation collective rates (Gamma_plus, Gamma_minus).
 
-    These are 2*sum(A_n) over the parity-reduced delay coefficients -- the
-    quadratic-denominator roots with exp(i k Delta_x) pinned at exp(i phi).
+    These are 2*sum(A_n) over the parity-reduced delay coefficients, i.e.
+    -2 times the root of D_p with exp(-s n delay) pinned at 1.
     """
     _check_two_legs(config)
     table = delay_table(config)
@@ -85,54 +87,14 @@ def markovian_rates(config: SystemConfig) -> tuple[complex, complex]:
             2.0 * sum(table.collective(-1).values()))
 
 
-def characteristic(config: SystemConfig, delta):
-    """Dimensionless scattering denominator chi(delta); zeros = decay poles.
-
-    ``delta`` is the complex detuning in units of gamma=1 carried by the
-    config (pass rate-unit values; internally everything is scaled by gamma
-    so residuals are comparable across configs).
-    """
-    _check_two_legs(config)
-    g = config.gamma
-    j0 = 0.5
-    dk = np.asarray(delta, dtype=complex) / g
-    z = np.exp(1j * (config.phi + dk * (config.delay * g)))
-    if config.topology == "separate":
-        out = ((1 + z) ** 2 * (-4 + z ** 2 + 2 * z ** 3 + z ** 4) * j0 ** 2
-               + 4j * (1 + z) * j0 * dk + dk ** 2)
-    else:
-        z2 = z * z
-        out = ((-4 + z2 + 2 * z2 ** 2 + z2 ** 3) * j0 ** 2
-               + 4j * (1 + z2) * j0 * dk + dk ** 2)
-    return out if out.shape else complex(out)
-
-
-def characteristic_derivative(config: SystemConfig, delta):
-    """d chi / d delta (same dimensionless scaling as ``characteristic``)."""
-    _check_two_legs(config)
-    g = config.gamma
-    j0 = 0.5
-    eta = config.delay * g
-    dk = complex(delta) / g
-    z = cmath.exp(1j * (config.phi + dk * eta))
-    dz = 1j * eta * z
-    if config.topology == "separate":
-        dpoly = (2 * (1 + z) * (-4 + z ** 2 + 2 * z ** 3 + z ** 4)
-                 + (1 + z) ** 2 * (2 * z + 6 * z ** 2 + 4 * z ** 3)) * dz
-        return (j0 ** 2 * dpoly + 4j * j0 * (dk * dz + (1 + z)) + 2 * dk) / g
-    z2 = z * z
-    dz2 = 2 * z * dz
-    dpoly = dz2 + 4 * z2 * dz2 + 3 * z2 ** 2 * dz2
-    return (j0 ** 2 * dpoly + 4j * j0 * (dk * dz2 + (1 + z2)) + 2 * dk) / g
-
-
 @dataclass(frozen=True)
 class Pole:
     """One converged decay pole.
 
-    ``rate`` = 2i*delta is the collective rate: Re is the population decay
-    rate, Im the collective frequency shift.  ``parity`` records which
-    parity-reduced Laplace denominator is (numerically) zero at the root.
+    ``rate`` = 2i*delta = -2s is the collective rate: Re is the population
+    decay rate, Im the collective frequency shift.  ``parity`` names the
+    Laplace denominator D_p whose root this is, and ``residual`` is
+    |D_p(s)|/gamma there.
     """
 
     delta: complex
@@ -142,133 +104,19 @@ class Pole:
     iterations: int
 
 
-def _newton(config: SystemConfig, seed: complex, tol: float,
-            max_iter: int) -> tuple[complex, float, int]:
-    x = complex(seed)
-    fx = characteristic(config, x)
-    for it in range(1, max_iter + 1):
-        if abs(fx) < tol:
-            return x, abs(fx), it - 1
-        dfx = characteristic_derivative(config, x)
-        if dfx == 0:
-            raise NonConvergence(f"vanishing derivative at {x}")
-        step = -fx / dfx
-        # halve the step while it fails to reduce the residual
-        for _ in range(60):
-            x_new = x + step
-            f_new = characteristic(config, x_new)
-            if abs(f_new) <= abs(fx) or abs(step) < 1e-16 * max(1.0, abs(x)):
-                break
-            step *= 0.5
-        x, fx = x_new, f_new
-    if abs(fx) < tol:
-        return x, abs(fx), max_iter
-    raise NonConvergence(
-        f"no root from seed {seed} after {max_iter} iterations (|chi|={abs(fx):.2e})")
+def _newton(config: SystemConfig, parity: int, s: complex, tol: float,
+            max_iter: int) -> tuple[complex, float, int] | None:
+    """Damped complex Newton on D_p from ``s``.
 
-
-def _classify(config: SystemConfig, delta: complex) -> int:
-    s = -1j * delta
-    dp = abs(analytic.laplace_denominator(config, +1, s))
-    dm = abs(analytic.laplace_denominator(config, -1, s))
-    return +1 if dp <= dm else -1
-
-
-def nonmarkovian_poles(config: SystemConfig, seeds=None, tol: float = 1e-10,
-                       max_iter: int = 200,
-                       search_grid: bool = False) -> list[Pole]:
-    """Find decay poles of the full retarded problem by damped Newton.
-
-    Args:
-        config: two-leg system.
-        seeds: complex detuning seeds; defaults to the two Markovian poles
-            delta = Gamma_M/(2i).
-        tol: residual target on |characteristic|.
-        max_iter: Newton iteration cap (damped steps count once).
-        search_grid: additionally seed a coarse grid over
-            Im(delta)/gamma in [-10, 0] to pick up further roots.
-
-    Returns:
-        Poles with duplicates (|delta_i - delta_j| < 1e-8*gamma) collapsed,
-        in seed order.
+    Returns (root, |D_p(root)|, iterations), or None when the derivative
+    vanishes or ``max_iter`` steps leave |D_p| >= tol.  A step that fails to
+    reduce |D_p| is halved, up to 60 times, before it is taken.
     """
-    if seeds is None:
-        gp, gm = markovian_rates(config)
-        seeds = [gp / 2j, gm / 2j]
-    seeds = list(seeds)
-    if search_grid:
-        g = config.gamma
-        seeds += [complex(re, im) * g
-                  for im in np.linspace(-10.0, 0.0, 11)
-                  for re in np.linspace(-8.0, 8.0, 9)]
-    poles: list[Pole] = []
-    for seed in seeds:
-        try:
-            root, res, its = _newton(config, seed, tol, max_iter)
-        except NonConvergence:
-            if search_grid:
-                continue
-            raise
-        if any(abs(root - p.delta) < 1e-8 * config.gamma for p in poles):
-            continue  # duplicate root, keep the first
-        poles.append(Pole(delta=root, rate=2j * root,
-                          parity=_classify(config, root),
-                          residual=res, iterations=its))
-    return poles
-
-
-@dataclass(frozen=True)
-class DecayRateScan:
-    """Collective rates versus the leg separation phase omega0*dx/pi."""
-
-    omega0_dx_over_pi: np.ndarray
-    rate_plus: np.ndarray        # complex non-Markovian Gamma_+
-    rate_minus: np.ndarray
-    markov_plus: np.ndarray      # complex Markovian Gamma_+,M
-    markov_minus: np.ndarray
-    residual_plus: np.ndarray
-    residual_minus: np.ndarray
-    topology: str
-    omega0: float
-    gamma: float
-
-    def peak(self) -> tuple[float, float]:
-        """(omega0_dx/pi at peak, peak Re rate) over both parity branches."""
-        re_all = np.maximum(self.rate_plus.real, self.rate_minus.real)
-        i = int(np.argmax(re_all))
-        return float(self.omega0_dx_over_pi[i]), float(re_all[i])
-
-    def to_csv(self, path) -> None:
-        lines = ["# giantqed collective decay rate scan",
-                 f"# topology = {self.topology}",
-                 f"# omega0 = {self.omega0!r}",
-                 f"# gamma = {self.gamma!r}",
-                 "omega0_dx_over_pi,re_g_plus_nm,im_g_plus_nm,re_g_minus_nm,"
-                 "im_g_minus_nm,re_g_plus_m,re_g_minus_m,residual_plus,residual_minus"]
-        cols = zip(self.omega0_dx_over_pi.tolist(), self.rate_plus.tolist(),
-                   self.rate_minus.tolist(), self.markov_plus.tolist(),
-                   self.markov_minus.tolist(), self.residual_plus.tolist(),
-                   self.residual_minus.tolist())
-        for x, gp, gm, mp, mm, rp, rm in cols:
-            lines.append(
-                f"{x!r},{gp.real!r},{gp.imag!r},{gm.real!r},{gm.imag!r},"
-                f"{mp.real!r},{mm.real!r},{rp!r},{rm!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def _newton_reduced(config: SystemConfig, parity: int, seed_s: complex,
-                    tol: float, max_iter: int = 100) -> complex | None:
-    """Newton root of the parity-reduced Laplace denominator D_p(s).
-
-    Working per parity keeps a continuation tracker from hopping onto the
-    other parity family.  Returns None instead of raising on failure.
-    """
-    s = complex(seed_s)
+    s = complex(s)
     f = analytic.laplace_denominator(config, parity, s)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if abs(f) < tol:
-            return s
+            return s, abs(f), it
         df = analytic.laplace_denominator_derivative(config, parity, s)
         if df == 0:
             return None
@@ -280,7 +128,82 @@ def _newton_reduced(config: SystemConfig, parity: int, seed_s: complex,
                 break
             step *= 0.5
         s, f = s_new, f_new
-    return s if abs(f) < tol else None
+    return (s, abs(f), max_iter) if abs(f) < tol else None
+
+
+def nonmarkovian_poles(config: SystemConfig, tol: float = 1e-10,
+                       max_iter: int = 200) -> list[Pole]:
+    """One decay pole per parity of the full retarded problem.
+
+    Damped Newton on each D_p starts from that parity's Markovian pole
+    s = -Gamma_M/2.
+
+    Args:
+        config: two-leg system.
+        tol: target on the residual |D_p(s)|/gamma.
+        max_iter: Newton iteration cap (damped steps count once).
+
+    Returns:
+        The symmetric (parity +1) and antisymmetric (-1) poles, in that
+        order.
+
+    Raises:
+        NonConvergence: when a parity's iteration misses the target.
+    """
+    poles = []
+    for parity, markov in zip((+1, -1), markovian_rates(config)):
+        seed = -markov / 2.0
+        found = _newton(config, parity, seed, tol * config.gamma, max_iter)
+        if found is None:
+            raise NonConvergence(
+                f"no parity {parity:+d} root from seed {seed} after "
+                f"{max_iter} iterations")
+        s, res, its = found
+        poles.append(Pole(delta=1j * s, rate=-2.0 * s, parity=parity,
+                          residual=res / config.gamma, iterations=its))
+    return poles
+
+
+@dataclass(frozen=True)
+class DecayRateScan:
+    """Collective rates versus the leg separation phase omega0*dx/pi.
+
+    ``residual_plus``/``residual_minus`` hold |D_p(s)|/gamma at each
+    point's pole s, with D_p built from that point's own config: a root
+    check on the continuation's result, independent of its ramp.
+    """
+
+    omega0_dx_over_pi: np.ndarray
+    rate_plus: np.ndarray        # complex non-Markovian Gamma_+
+    rate_minus: np.ndarray
+    markov_plus: np.ndarray      # complex Markovian Gamma_+,M
+    markov_minus: np.ndarray
+    residual_plus: np.ndarray    # |D_+(s)|/gamma at the Gamma_+ pole
+    residual_minus: np.ndarray   # |D_-(s)|/gamma at the Gamma_- pole
+    topology: str
+    omega0: float
+    gamma: float
+
+    def peak(self) -> tuple[float, float]:
+        """(omega0_dx/pi at peak, peak Re rate) over both parity branches."""
+        re_all = np.maximum(self.rate_plus.real, self.rate_minus.real)
+        i = int(np.argmax(re_all))
+        return float(self.omega0_dx_over_pi[i]), float(re_all[i])
+
+    def to_csv(self, path) -> None:
+        write_csv(path,
+                  ["giantqed collective decay rate scan",
+                   f"topology = {self.topology}",
+                   f"omega0 = {self.omega0!r}",
+                   f"gamma = {self.gamma!r}"],
+                  "omega0_dx_over_pi,re_g_plus_nm,im_g_plus_nm,re_g_minus_nm,"
+                  "im_g_minus_nm,re_g_plus_m,re_g_minus_m,residual_plus,"
+                  "residual_minus",
+                  [self.omega0_dx_over_pi,
+                   self.rate_plus.real, self.rate_plus.imag,
+                   self.rate_minus.real, self.rate_minus.imag,
+                   self.markov_plus.real, self.markov_minus.real,
+                   self.residual_plus, self.residual_minus])
 
 
 def connected_pole(config: SystemConfig, parity: int,
@@ -290,9 +213,11 @@ def connected_pole(config: SystemConfig, parity: int,
     Ramps the retardation up from zero at fixed phase phi: at each ramp
     step Newton re-converges the root of the parity-reduced Laplace
     denominator from the previous one, subdividing the ramp adaptively
-    when the root moves fast.  Returns the pole position s (rate = -2s).
-    Continuation along other parameter paths can land on a different
-    sheet, so the ramp in retardation *is* the definition used here.
+    when the root moves fast.  Working per parity keeps the tracker from
+    hopping onto the other parity family.  Returns the pole position s
+    (rate = -2s).  Continuation along other parameter paths can land on a
+    different sheet, so the ramp in retardation *is* the definition used
+    here.
     """
     phi = config.phi
     eta_t = config.delay * config.gamma
@@ -308,7 +233,8 @@ def connected_pole(config: SystemConfig, parity: int,
                             n_legs=config.n_legs)
 
     def advance(eta0: float, s0: complex, eta1: float, depth: int = 0) -> complex:
-        root = _newton_reduced(cfg_at(eta1), parity, s0, tol)
+        found = _newton(cfg_at(eta1), parity, s0, tol, 100)
+        root = None if found is None else found[0]
         if root is not None and abs(root - s0) <= 0.3 * (config.gamma + abs(s0)):
             return root
         if depth >= 24:
@@ -334,14 +260,14 @@ def connected_pole(config: SystemConfig, parity: int,
 def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
                      omega0: float = 50.0, gamma: float = 1.0,
                      v_g: float = 1.0, x_min: float | None = None) -> DecayRateScan:
-    """Both parity poles over x = omega0*dx/pi in (0, x_max].
+    """Both parity poles over x = omega0*dx/pi in [x_min, x_max].
 
     omega0 is held fixed (default 50*gamma) while the leg spacing dx
     varies, so the retardation eta = pi*x*gamma/omega0 grows along the
     scan.  Each point reports the pole connected to the Markovian one
-    (see ``connected_pole``); the previous point's root primes the ramp's
-    final Newton solve as a cheap consistency cross-check via the
-    characteristic residual column.  ``x_min`` defaults to one grid step.
+    (see ``connected_pole``) and, in the residual columns, |D_p(s)|/gamma
+    at that pole for the point's own config.  ``x_min`` defaults to one
+    grid step.
     """
     if x_min is None:
         x_min = x_max / n_points
@@ -360,7 +286,8 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
         for parity, key in ((+1, "rate_plus"), (-1, "rate_minus")):
             root = connected_pole(cfg, parity)
             out[key][i] = -2.0 * root            # Gamma = -2 s
-            res[parity][i] = abs(characteristic(cfg, 1j * root))
+            res[parity][i] = abs(
+                analytic.laplace_denominator(cfg, parity, root)) / gamma
     return DecayRateScan(omega0_dx_over_pi=xs,
                          rate_plus=out["rate_plus"], rate_minus=out["rate_minus"],
                          markov_plus=out["markov_plus"], markov_minus=out["markov_minus"],

@@ -197,3 +197,34 @@ def test_version_banner(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("giantqed ")
+
+
+README_COMMANDS = (
+    ["simulate", "--topology", "braided", "--eta", "0.15", "--phi", "0.5pi",
+     "--state", "antisymmetric", "--engine", "both", "--t-max", "8"],
+    ["decay-rates", "--topology", "braided", "--omega0", "50",
+     "--scan", "0.005:3.0:0.005"],
+    ["fdd", "--topology", "separate", "--eta", "0.2", "--phi", "2pi",
+     "--state", "antisymmetric", "--t-max", "8"],
+    ["bic", "--topology", "braided", "--eta", "0.2", "--phi", "2pi"],
+    ["detect", "--topology", "separate", "--eta", "0.2", "--phi", "2pi",
+     "--state", "antisymmetric", "--t-max", "85", "--switch-at", "20",
+     "--phi-after", "2.5pi"],
+)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
+def test_readme_csv_rows_are_numeric(tmp_path, argv):
+    """Every data row of every CSV a README command writes parses as
+    floats, one per header field."""
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert paths
+    for path in paths:
+        header, *rows = [line for line in path.read_text().splitlines()
+                         if not line.startswith("#")]
+        n_fields = len(header.split(","))
+        assert rows, path.name
+        for row in rows:
+            values = [float(v) for v in row.split(",")]
+            assert len(values) == n_fields, (path.name, row)

@@ -12,8 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from giantqed.analytic import (exact_solution, laplace_denominator,
                                laplace_denominator_derivative)
 from giantqed.model import InitialState, SystemConfig
-from giantqed.spectral import (characteristic, characteristic_derivative,
-                               connected_pole, markovian_rates,
+from giantqed.spectral import (connected_pole, markovian_rates,
                                nonmarkovian_poles, scan_decay_rates,
                                scattering)
 
@@ -117,33 +116,6 @@ def test_exact_trapping_resonance_is_removable():
         assert r == pytest.approx(-1.0, abs=1e-6)  # full reflection, pi shift
 
 
-def test_characteristic_factorizes_into_parity_denominators():
-    """chi(delta) = -D_+(-i delta) D_-(-i delta) / gamma^2: one scattering
-    denominator, two parity-reduced decay channels."""
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        topology = ("separate", "braided")[rng.integers(2)]
-        cfg = SystemConfig.from_phase(topology,
-                                      eta=float(rng.uniform(0.05, 1.0)),
-                                      phi=float(rng.uniform(0.0, 2 * math.pi)),
-                                      gamma=float(rng.uniform(0.5, 2.0)))
-        delta = complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) * cfg.gamma
-        lhs = characteristic(cfg, delta)
-        rhs = -(laplace_denominator(cfg, +1, -1j * delta)
-                * laplace_denominator(cfg, -1, -1j * delta)) / cfg.gamma ** 2
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
-
-
-def test_characteristic_derivative_matches_finite_difference():
-    cfg = SystemConfig.from_phase("separate", eta=0.4, phi=2.1)
-    for delta in (0.3 + 0.2j, -1.5 - 0.8j):
-        h = 1e-6
-        fd = (characteristic(cfg, delta + h)
-              - characteristic(cfg, delta - h)) / (2 * h)
-        assert characteristic_derivative(cfg, delta) == pytest.approx(
-            fd, rel=1e-7)
-
-
 def test_markovian_rates_known_phases():
     sep0 = SystemConfig.from_phase("separate", eta=0.1, phi=0.0)
     gp, gm = markovian_rates(sep0)
@@ -166,6 +138,23 @@ def test_poles_near_markovian_limit():
         assert p.residual < 1e-10
     plus = next(p for p in poles if p.parity == +1)
     assert abs(plus.rate - gp) < 0.01 * abs(gp)
+
+
+def test_poles_are_roots_of_their_own_parity_denominator():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        topology = ("separate", "braided")[rng.integers(2)]
+        cfg = SystemConfig.from_phase(topology,
+                                      eta=float(rng.uniform(0.01, 0.3)),
+                                      phi=float(rng.uniform(0.0, 2 * math.pi)),
+                                      gamma=float(rng.uniform(0.5, 2.0)))
+        poles = nonmarkovian_poles(cfg)
+        assert [p.parity for p in poles] == [+1, -1]
+        for p in poles:
+            den = laplace_denominator(cfg, p.parity, -1j * p.delta)
+            assert abs(den) < 1e-10 * cfg.gamma
+            assert p.residual == pytest.approx(abs(den) / cfg.gamma, abs=1e-15)
+            assert p.rate == pytest.approx(2j * p.delta, abs=1e-12)
 
 
 def test_single_pole_reconstructs_late_time_decay():
