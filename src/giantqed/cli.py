@@ -36,7 +36,8 @@ import numpy as np
 from . import __version__
 from .analytic import OutOfHorizon, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
-from .dde import DriveSchedule, integrate_with_drive, to_csv as traj_to_csv
+from .dde import (DriveSchedule, integrate, integrate_with_drive,
+                  to_csv as traj_to_csv)
 from .field import detector_signal, fdd as compute_fdd, released_energy
 from .model import InitialState, SystemConfig, write_csv
 from .spectral import NonConvergence, scan_decay_rates
@@ -353,8 +354,12 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     x_grid = np.linspace(-span, span, args.nx)
     t_grid = np.linspace(0.0, t_max, args.nt)
 
-    sol = exact_solution(config, state, t_max=t_max * (1 + 1e-9) + config.delay)
-    grid = compute_fdd(sol, config, state.parity, x_grid, t_grid)
+    # the integrator at its step floor (K >= 50*eta) stays accurate at late
+    # times, where the branch series loses its digits to cancellation
+    eta = config.gamma * config.delay
+    traj = integrate(config, state, t_max + config.delay,
+                     steps_per_delay=max(100, math.ceil(50 * eta)))
+    grid = compute_fdd(traj, config, state.parity, x_grid, t_grid)
     path = os.path.join(out_dir, "fdd.csv")
     grid.to_csv(path)
     print(f"wrote {path}")

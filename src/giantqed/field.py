@@ -44,16 +44,6 @@ __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
 # amplitude sources
 # ---------------------------------------------------------------------------
 
-def _accumulated_phase(schedule: DriveSchedule, t: np.ndarray) -> np.ndarray:
-    """Vectorised Int_0^t omega0(s) ds for a piecewise-constant schedule."""
-    starts = np.asarray(schedule.starts, dtype=float)
-    omegas = np.asarray(schedule.omegas, dtype=float)
-    base = np.concatenate(([0.0], np.cumsum(omegas[:-1] * np.diff(starts))))
-    idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0,
-                  len(starts) - 1)
-    return base[idx] + omegas[idx] * (t - starts[idx])
-
-
 class _Source:
     """Uniform view of a branch series or an integrated trajectory.
 
@@ -97,7 +87,7 @@ class _Source:
         return self._source.interpolate(t)
 
     def phase(self, t: np.ndarray) -> np.ndarray:
-        return _accumulated_phase(self._schedule, t)
+        return self._schedule.accumulated_array(t)
 
 
 def _half_step(u: np.ndarray) -> np.ndarray:

@@ -136,7 +136,12 @@ def nonmarkovian_poles(config: SystemConfig, tol: float = 1e-10,
     """One decay pole per parity of the full retarded problem.
 
     Damped Newton on each D_p starts from that parity's Markovian pole
-    s = -Gamma_M/2.
+    s = -Gamma_M/2 and returns whichever root it reaches.  D_p has
+    infinitely many roots, and once retardation matters (eta >~ 0.3) this
+    is often not the root continuously connected to the Markovian pole:
+    e.g. separate, eta = 0.832, phi = 5.855, parity +1 gives rate
+    1.872 - 5.156i here but 0.019 - 2.481i from the eta ramp.  Use
+    :func:`connected_pole` for the continuously connected pole.
 
     Args:
         config: two-leg system.

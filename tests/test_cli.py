@@ -8,10 +8,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from giantqed.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                           main, parse_angle)
+from giantqed.dde import integrate
+from giantqed.field import fdd
+from giantqed.model import InitialState, SystemConfig
 
 
 @pytest.fixture(autouse=True)
@@ -168,6 +172,24 @@ def test_fdd_map_and_trapping_metric(tmp_path, capsys):
     body = [line for line in (tmp_path / "fdd.csv").read_text().splitlines()
             if line and not line.startswith("#")]
     assert len(body) == 1 + 81 * 13
+
+
+def test_late_fdd_map_matches_trajectory_fed_map(tmp_path):
+    """At t = 40/gamma the braided dark state's branch series has lost its
+    digits (its map peaked at ~4.6e3); the command must match a map built
+    from an integrator run instead."""
+    assert main(["fdd", "--topology", "braided", "--eta", "0.2", "--phi",
+                 "2pi", "--state", "antisymmetric", "--t-max", "40",
+                 "--nx", "241", "--nt", "61", "--out", str(tmp_path)]) == EXIT_OK
+    rows = [line for line in (tmp_path / "fdd.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    peak = max(float(row.split(",")[2]) for row in rows)
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi)
+    traj = integrate(cfg, InitialState.antisymmetric(), 40.0 + cfg.delay)
+    span = 1.5 * cfg.spacing + cfg.v_g * 40.0
+    ref = fdd(traj, cfg, -1, np.linspace(-span, span, 241),
+              np.linspace(0.0, 40.0, 61)).intensity.max()
+    assert peak == pytest.approx(ref, rel=1e-3)
 
 
 def test_detect_switch_flags_must_pair(tmp_path, capsys):

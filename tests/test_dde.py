@@ -199,6 +199,28 @@ def test_interpolate_nodes_and_midpoints():
         traj.interpolate(-0.5)
 
 
+def test_interpolate_equals_plain_hermite_expression():
+    """The in-place Hermite sum gives the very values of the textbook
+    expression, so field maps built on it are unchanged bit for bit."""
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi)
+    traj = integrate(cfg, InitialState.antisymmetric(), t_max=2.0)
+    tq = np.random.default_rng(3).uniform(0.0, traj.t[-1], 2000)
+    h = traj.t[1] - traj.t[0]
+    idx = np.clip((tq / h).astype(int), 0, len(traj.t) - 2)
+    u = tq / h - idx
+    h00 = (1 + 2 * u) * (1 - u) ** 2
+    h10 = u * (1 - u) ** 2
+    h01 = u * u * (3 - 2 * u)
+    h11 = u * u * (u - 1)
+    got = traj.interpolate(tq)
+    for c, (y, dr, dl) in zip(got, (
+            (traj.c_a, traj.deriv_a_right, traj.deriv_a_left),
+            (traj.c_b, traj.deriv_b_right, traj.deriv_b_left))):
+        want = (h00 * y[idx] + h * h10 * dr[idx] + h01 * y[idx + 1]
+                + h * h11 * dl[idx + 1])
+        assert np.array_equal(c, want)
+
+
 # ---------------------------------------------------------------------------
 # emitted spectrum
 # ---------------------------------------------------------------------------
@@ -246,6 +268,70 @@ def test_field_amplitudes_amortised_sweep_matches_single_calls():
         assert np.max(np.abs(swept_l[i] - one_l)) < 1e-14
     with pytest.raises(ValueError):
         field_amplitudes(traj, grid, [2.0, 1.0])
+
+
+def _max_rel_diff(got, want) -> float:
+    return max(float(np.max(np.abs(g - w)) / np.max(np.abs(w)))
+               for g, w in zip(got, want))
+
+
+@pytest.fixture(scope="module")
+def switched_run():
+    """Antisymmetric run with a drive switch in the middle of a step."""
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
+    sched = DriveSchedule.switch_at(1.2345, cfg.omega0, 1.3 * cfg.omega0)
+    traj = integrate_with_drive(cfg, InitialState.antisymmetric(), 3.0,
+                                sched, steps_per_delay=100)
+    return cfg, traj
+
+
+def test_uniform_grid_sum_matches_dense_sum_on_irregular_subset(switched_run):
+    """A uniform grid takes the chirp-z node sums, an irregular subset of it
+    the direct ones; on the shared frequencies they agree, across both
+    drive segments and in a multi-time sweep."""
+    cfg, traj = switched_run
+    grid = frequency_grid(cfg, half_width=600.0, n_points=6001)
+    subset = np.sort(np.random.default_rng(5).choice(grid.size, 1501,
+                                                     replace=False))
+    times = [0.8, 1.7, 2.9]
+    fast = field_amplitudes(traj, grid, times)
+    dense = field_amplitudes(traj, grid[subset], times)
+    assert _max_rel_diff([f[:, subset] for f in fast], dense) < 1e-9
+
+
+def test_descending_and_tiny_uniform_grids_match_dense_sum(switched_run):
+    cfg, traj = switched_run
+    desc = frequency_grid(cfg, half_width=300.0, n_points=2001)[::-1]
+    subset = np.sort(np.random.default_rng(6).choice(desc.size, 501,
+                                                     replace=False))
+    fast = field_amplitudes(traj, desc, 2.9)
+    dense = field_amplitudes(traj, desc[subset], 2.9)
+    assert _max_rel_diff([f[subset] for f in fast], dense) < 1e-9
+    for n in (1, 2, 3):
+        grid = np.linspace(cfg.omega0 - 7.0, cfg.omega0 + 5.0, n)
+        # two extra, unevenly spaced points force the direct sum
+        irregular = np.append(grid, grid[-1] + np.array([1.0, 2.7]))
+        fast = field_amplitudes(traj, grid, [1.1, 2.9])
+        dense = field_amplitudes(traj, irregular, [1.1, 2.9])
+        assert fast[0].shape == (2, n)
+        assert _max_rel_diff(fast, [d[:, :n] for d in dense]) < 1e-9
+
+
+@pytest.mark.parametrize("grid", [np.array([]), np.zeros((2, 3)),
+                                  np.array([1.0, np.nan, 3.0]),
+                                  np.array([1.0, 2.0, np.inf])],
+                         ids=["empty", "2-D", "nan", "inf"])
+def test_field_amplitudes_rejects_bad_grids(switched_run, grid):
+    _, traj = switched_run
+    with pytest.raises(ValueError, match="omega_grid"):
+        field_amplitudes(traj, grid, 1.0)
+
+
+def test_accumulated_array_matches_scalar_accumulated():
+    sched = DriveSchedule((0.0, 1.2345, 2.5), (3.1, 4.7, -0.3))
+    t = np.array([-0.5, 0.0, 0.7, 1.2345, 2.0, 2.5, 9.0])
+    want = [sched.accumulated(float(tv)) for tv in t]
+    assert sched.accumulated_array(t).tolist() == want
 
 
 def test_frequency_grid_defaults():

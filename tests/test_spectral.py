@@ -157,6 +157,18 @@ def test_poles_are_roots_of_their_own_parity_denominator():
             assert p.rate == pytest.approx(2j * p.delta, abs=1e-12)
 
 
+def test_newton_pole_and_connected_pole_are_different_roots():
+    """Past eta ~ 0.3 Newton from the Markovian seed may land on another
+    root of D_+ than the eta ramp does; both are genuine roots."""
+    cfg = SystemConfig.from_phase("separate", eta=0.832, phi=5.855)
+    newton = nonmarkovian_poles(cfg)[0]
+    s_ramp = connected_pole(cfg, +1)
+    s_newton = -1j * newton.delta
+    for s in (s_newton, s_ramp):
+        assert abs(laplace_denominator(cfg, +1, s)) / cfg.gamma < 1e-10
+    assert abs(s_newton - s_ramp) > 0.1 * cfg.gamma
+
+
 def test_single_pole_reconstructs_late_time_decay():
     """Away from trapping points one pole per parity dominates: its residue
     term 1/D'(s) exp(s t) must converge onto the exact series as the faster
