@@ -31,8 +31,17 @@ from .model import InitialState, SystemConfig, delay_table, write_csv
 SQRT2 = np.sqrt(2.0)
 
 
+#: Largest rounding-error bound on c(t) (normalised to c(0) = 1) that
+#: ``ExpPolySolution.evaluate`` returns; the criterion-1 tolerance.
+ROUNDING_TOL = 1e-6
+
+
 class OutOfHorizon(Exception):
     """Raised when the series is evaluated past its last computed branch."""
+
+
+class IllConditioned(Exception):
+    """Raised when cancellation between branches has eaten the series' digits."""
 
 
 def _collective_projection(state: InitialState) -> complex:
@@ -54,8 +63,10 @@ class ExpPolySolution:
     The representation is exact but not uniformly well conditioned: when the
     delay-table coefficients alternate in sign (e.g. braided antisymmetric
     near even multiples of pi) the individual branches grow large and cancel,
-    and round-off takes over past roughly t ~ 30/gamma at eta ~ 0.2.  For
-    very late times prefer the integrator in :mod:`giantqed.dde`.
+    and round-off takes over past roughly t ~ 30/gamma at eta ~ 0.2.
+    :meth:`evaluate` bounds that round-off and refuses to answer once it
+    could exceed ``ROUNDING_TOL``; for such times use the integrator in
+    :mod:`giantqed.dde`.
     """
 
     branches: tuple[np.ndarray, ...]
@@ -77,24 +88,36 @@ class ExpPolySolution:
 
         Negative times give 0; times at or past the horizon raise
         OutOfHorizon (branch l = horizon/delay would already contribute).
+
+        Alongside the sum it keeps the rounding bound (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 3)
+        eps * sum_l exp(-A_0 tau_l) * sum_k |p_lk| tau_l^k, tau_l = t - l*delay,
+        and raises IllConditioned where it exceeds ``ROUNDING_TOL``.
         """
+        polyval = np.polynomial.polynomial.polyval
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr >= self.horizon - 1e-12 * self.delay):
             raise OutOfHorizon(
                 f"series with {len(self.branches)} branches is valid for "
                 f"t < {self.horizon!r}")
         out = np.zeros(t_arr.shape, dtype=complex)
+        bound = np.zeros(t_arr.shape)
         for l, poly in enumerate(self.branches):
             tau = t_arr - l * self.delay
             live = tau >= 0.0
             if not np.any(live):
                 break
             tl = np.where(live, tau, 0.0)
-            out += np.where(
-                live,
-                np.exp(-self.decay * tl) * np.polynomial.polynomial.polyval(tl, poly),
-                0.0,
-            )
+            envelope = np.exp(-self.decay * tl)
+            out += np.where(live, envelope * polyval(tl, poly), 0.0)
+            bound += np.where(live, envelope * polyval(tl, np.abs(poly)), 0.0)
+        bound *= np.finfo(float).eps
+        if np.any(bound > ROUNDING_TOL):
+            worst = np.unravel_index(np.argmax(bound), bound.shape)
+            raise IllConditioned(
+                f"branch series rounding bound {float(bound[worst]):.1e} at "
+                f"t = {float(t_arr[worst])!r} exceeds {ROUNDING_TOL:g}; use "
+                "the integrator for these times")
         return out if out.shape else complex(out)
 
     def atomic(self, t):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analytic import OutOfHorizon, exact_solution
+from .analytic import IllConditioned, OutOfHorizon, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
 from .dde import (DriveSchedule, integrate, integrate_with_drive,
                   to_csv as traj_to_csv)
@@ -364,9 +364,12 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     grid.to_csv(path)
     print(f"wrote {path}")
 
-    interior = np.abs(x_grid) <= 1.5 * config.spacing
-    late = grid.intensity[-1, interior].max() if interior.any() else 0.0
-    metric = float(late / max(grid.intensity.max(), 1e-300))
+    # interior |x| <= 1.5*spacing at the last time, on its own grid: the
+    # map's x step can be wider than the leg spacing
+    edge = 1.5 * config.spacing
+    late = compute_fdd(traj, config, state.parity,
+                       np.linspace(-edge, edge, 301), t_grid[-1:])
+    metric = float(late.intensity.max() / max(grid.intensity.max(), 1e-300))
     print(f"interior_trapping = {metric!r}")
 
     if args.svg:
@@ -551,8 +554,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonConvergence, OutOfHorizon, FloatingPointError,
-            ValueError) as exc:
+    except (NonConvergence, OutOfHorizon, IllConditioned,
+            FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

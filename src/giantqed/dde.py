@@ -7,8 +7,19 @@ propagation phases live in the delay coefficients.  It steps with classical
 RK4 on a grid aligned with the delay (h = delay/K), so every delayed node
 value is read exactly from storage and only the half-step stage values need
 interpolation (cubic Hermite from stored values and one-sided derivatives).
-Multiples of the delay are breakpoints: derivative jumps there are kept on
-interval boundaries and never interpolated across.
+
+Multiples of the delay are breakpoints: a new lag switches on there, so the
+derivative jumps, and each breakpoint node stores a left and a right
+derivative that interpolation never mixes.  Between breakpoints the method
+of steps applies (Bellen & Zennaro, Numerical Methods for Delay
+Differential Equations, 2003): on [m*delay, (m+1)*delay) every delayed
+input comes from nodes <= m*K, which are already stored.  With those inputs
+fixed, one RK4 step is the affine map y_{j+1} = R y_j + F_j per atom, with
+R = 1 + z + z^2/2 + z^3/6 + z^4/24 (z = -gamma0*h) and F_j built from the
+delayed sums at both nodes and the Hermite midpoint.  The K steps of an
+interval are solved together by a Hillis-Steele doubling scan of that
+recurrence, ceil(log2(K+1)) array passes; |R| < 1 keeps it stable, where
+the closed form through R^-j would overflow.
 
 A piecewise-constant frequency schedule ("drive") is supported by replacing
 the static phase exp(i n phi) of each delayed term with the phase actually
@@ -18,7 +29,6 @@ With a single segment this reproduces the undriven integrator bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -42,6 +52,8 @@ class DriveSchedule:
     def __post_init__(self):
         if len(self.starts) != len(self.omegas) or not self.starts:
             raise ValueError("schedule needs matching, non-empty starts/omegas")
+        if not all(math.isfinite(v) for v in (*self.starts, *self.omegas)):
+            raise ValueError("schedule times and frequencies must be finite")
         if self.starts[0] != 0.0:
             raise ValueError("first schedule segment must start at t=0")
         if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
@@ -68,10 +80,6 @@ class DriveSchedule:
         for k in range(i):
             acc += self.omegas[k] * (self.starts[k + 1] - self.starts[k])
         return acc + self.omegas[i] * (t - self.starts[i])
-
-    def window_phase(self, t: float, span: float) -> float:
-        """Phase accumulated over the retardation window [t-span, t]."""
-        return self.accumulated(t) - self.accumulated(t - span)
 
     def accumulated_array(self, t) -> np.ndarray:
         """:meth:`accumulated` over an array of times, same arithmetic."""
@@ -115,8 +123,12 @@ class AmplitudeTrajectory:
     def excited_population(self) -> np.ndarray:
         return self.pop_a + self.pop_b
 
-    def interpolate(self, t):
-        """(c_a, c_b) at arbitrary times via piecewise cubic Hermite."""
+    def interpolate(self, t, atom: int | None = None):
+        """(c_a, c_b) at arbitrary times via piecewise cubic Hermite.
+
+        With ``atom`` (0 for a, 1 for b) only that atom's amplitude is
+        interpolated and returned.
+        """
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         if tq.size and (tq.min() < -1e-12 or tq.max() > self.t[-1] + 1e-12):
             raise ValueError("interpolation time outside the stored run")
@@ -128,20 +140,18 @@ class AmplitudeTrajectory:
         h10 = h * (u * (1 - u) ** 2)
         h01 = u * u * (3 - 2 * u)
         h11 = h * (u * u * (u - 1))
+        rows = ((self.c_a, self.deriv_a_right, self.deriv_a_left),
+                (self.c_b, self.deriv_b_right, self.deriv_b_left))
         out = []
-        for y, dr, dl in ((self.c_a, self.deriv_a_right, self.deriv_a_left),
-                          (self.c_b, self.deriv_b_right, self.deriv_b_left)):
+        for y, dr, dl in rows if atom is None else (rows[atom],):
             # h00*y0 + h10*d0 + h01*y1 + h11*d1 summed in place in that
             # order: the same values with one live temporary
             c = h00 * y[idx]
             c += h10 * dr[idx]
             c += h01 * y[nxt]
             c += h11 * dl[nxt]
-            out.append(c)
-        ca, cb = out
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return complex(ca[0]), complex(cb[0])
-        return ca, cb
+            out.append(complex(c[0]) if np.ndim(t) == 0 else c)
+        return out[0] if atom is not None else tuple(out)
 
     def nearest_index(self, t: float) -> int:
         i = int(round(t / (self.t[1] - self.t[0])))
@@ -194,93 +204,80 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     # magnitude-only coefficients (phases applied per evaluation time)
     table0 = delay_table(replace(config, omega0=0.0))
     gamma0 = table0.self_terms[0].real
-    lags = sorted(n for n in set(table0.self_terms) | set(table0.cross_terms) if n > 0)
-    s_self = [table0.self_terms.get(n, 0.0 + 0j).real for n in lags]
-    s_cross = [table0.cross_terms.get(n, 0.0 + 0j).real for n in lags]
+    lags = np.array(sorted(n for n in set(table0.self_terms) |
+                           set(table0.cross_terms) if n > 0))
+    s_self = np.array([table0.self_terms.get(n, 0j).real for n in lags])
+    s_cross = np.array([table0.cross_terms.get(n, 0j).real for n in lags])
+    # (receiving atom, emitting atom, lag)
+    coupling = np.array([[s_self, s_cross], [s_cross, s_self]])
 
     K = steps_per_delay
-    h = config.delay / K
-    n_steps = max(1, int(math.ceil(t_max / h - 1e-9)))
     delay = config.delay
+    h = delay / K
+    n_steps = max(1, int(math.ceil(t_max / h - 1e-9)))
+    # one RK4 step with the delayed inputs fixed: y1 = amp*y0 + F with
+    # F = w_node*P(t0) + w_mid*M + w_end*P(t1), where P is the delayed sum
+    # at a node and M the one at the midpoint
+    z = -gamma0 * h
+    amp = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    w_node = -(h / 6.0) * (1.0 + z + z * z / 2.0 + z ** 3 / 4.0)
+    w_mid = -(h / 6.0) * (4.0 + 2.0 * z + z * z / 2.0)
+    w_end = -h / 6.0
 
     static = len(schedule.omegas) == 1
     if static:
-        phi1 = schedule.omegas[0] * delay
-        static_phase = [cmath.exp(1j * n * phi1) for n in lags]
+        static_phase = np.exp(1j * lags * (schedule.omegas[0] * delay))[:, None]
 
-    def phases(t: float) -> list[complex]:
+    c = np.empty((2, n_steps + 1), dtype=complex)     # rows: atom a, atom b
+    c[:, 0] = complex(state.c_a), complex(state.c_b)
+    d_right = np.empty_like(c)
+    d_left = np.empty_like(c)
+    d_right[:, 0] = d_left[:, 0] = -gamma0 * c[:, 0]
+
+    # one pass per interval [m*delay, (m+1)*delay), first node lo = m*K; a
+    # last node on a breakpoint is a pass of no steps that only sets its
+    # right derivative
+    for lo in range(0, n_steps + 1, K):
+        n = min(K, n_steps - lo)
+        live = int(np.searchsorted(lags, lo // K, side="right"))
+        lag = lags[:live]
+        # history nodes lo - lag*K .. lo - lag*K + n of every live lag as
+        # (atom, lag, node), and their Hermite midpoints
+        idx = (lo - lag * K)[:, None] + np.arange(n + 1)
+        hist = c[:, idx]
+        mid = 0.5 * (hist[..., :-1] + hist[..., 1:]) + 0.125 * h * (
+            d_right[:, idx[:, :-1]] - d_left[:, idx[:, 1:]])
         if static:
-            return static_phase
-        return [cmath.exp(1j * schedule.window_phase(t, n * delay)) for n in lags]
-
-    ca = np.empty(n_steps + 1, dtype=complex)
-    cb = np.empty(n_steps + 1, dtype=complex)
-    dra = np.empty(n_steps + 1, dtype=complex)
-    drb = np.empty(n_steps + 1, dtype=complex)
-    dla = np.empty(n_steps + 1, dtype=complex)
-    dlb = np.empty(n_steps + 1, dtype=complex)
-
-    ca[0] = complex(state.c_a)
-    cb[0] = complex(state.c_b)
-    dra[0] = -gamma0 * ca[0]
-    drb[0] = -gamma0 * cb[0]
-    dla[0] = dra[0]
-    dlb[0] = drb[0]
-
-    active: list[int] = []           # indices into lags live on this interval
-
-    def deriv(t: float, ya: complex, yb: complex, delayed) -> tuple[complex, complex]:
-        fa = -gamma0 * ya
-        fb = -gamma0 * yb
-        for i, va, vb, ph in delayed:
-            fa -= ph * (s_self[i] * va + s_cross[i] * vb)
-            fb -= ph * (s_cross[i] * va + s_self[i] * vb)
-        return fa, fb
-
-    for j in range(n_steps):
-        t0 = j * h
-        tm = t0 + 0.5 * h
-        t1 = t0 + h
-        ph_m = phases(tm)
-        ph_e = phases(t1)
-        # delayed inputs for the half-step stages: Hermite midpoint of the
-        # history interval [j-nK, j-nK+1], and for the endpoint stage the
-        # stored node j+1-nK.
-        mids = []
-        ends = []
-        for i in active:
-            base = j - lags[i] * K
-            mids.append((i,
-                         0.5 * (ca[base] + ca[base + 1]) + 0.125 * h * (dra[base] - dla[base + 1]),
-                         0.5 * (cb[base] + cb[base + 1]) + 0.125 * h * (drb[base] - dlb[base + 1]),
-                         ph_m[i]))
-            ends.append((i, ca[base + 1], cb[base + 1], ph_e[i]))
-
-        k1a, k1b = dra[j], drb[j]
-        k2a, k2b = deriv(tm, ca[j] + 0.5 * h * k1a, cb[j] + 0.5 * h * k1b, mids)
-        k3a, k3b = deriv(tm, ca[j] + 0.5 * h * k2a, cb[j] + 0.5 * h * k2b, mids)
-        k4a, k4b = deriv(t1, ca[j] + h * k3a, cb[j] + h * k3b, ends)
-        ca[j + 1] = ca[j] + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
-        cb[j + 1] = cb[j] + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
-
-        # node derivatives: left sense (terms live on the closing interval),
-        # then right sense after switching on any lag activating at t1.
-        ends_node = [(i, ca[j + 1 - lags[i] * K], cb[j + 1 - lags[i] * K], ph_e[i])
-                     for i in active]
-        fla, flb = deriv(t1, ca[j + 1], cb[j + 1], ends_node)
-        dla[j + 1], dlb[j + 1] = fla, flb
-        if (j + 1) % K == 0 and (j + 1) // K in lags:
-            active.append(lags.index((j + 1) // K))
-            ends_node = [(i, ca[j + 1 - lags[i] * K], cb[j + 1 - lags[i] * K], ph_e[i])
-                         for i in active]
-            dra[j + 1], drb[j + 1] = deriv(t1, ca[j + 1], cb[j + 1], ends_node)
+            ph_node = ph_mid = static_phase[:live]
         else:
-            dra[j + 1], drb[j + 1] = fla, flb
+            t_node = (lo + np.arange(n + 1)) * h
+            times = np.concatenate((t_node, t_node[:-1] + 0.5 * h))
+            acc = schedule.accumulated_array(
+                times - np.concatenate(([0.0], lag * delay))[:, None])
+            ph = np.exp(1j * (acc[0] - acc[1:]))
+            ph_node, ph_mid = ph[:, :n + 1], ph[:, n + 1:]
+        cpl = coupling[:, :, :live].reshape(2, 2 * live)
+        p = cpl @ (hist * ph_node).reshape(2 * live, n + 1)
+        m = cpl @ (mid * ph_mid).reshape(2 * live, n)
+
+        y = c[:, lo:lo + n + 1]
+        y[:, 1:] = w_node * p[:, :-1] + w_mid * m + w_end * p[:, 1:]
+        # Hillis-Steele doubling scan of y[j+1] = amp*y[j] + F[j]: after
+        # the pass with shift s each entry sums its last 2s terms
+        power, s = amp, 1
+        while s <= n:
+            y[:, s:] += power * y[:, :-s]
+            power *= power
+            s *= 2
+        d_left[:, lo + 1:lo + n + 1] = -gamma0 * y[:, 1:] - p[:, 1:]
+        d_right[:, lo + 1:lo + n + 1] = d_left[:, lo + 1:lo + n + 1]
+        # right sense at the breakpoint: the lag that switches on included
+        d_right[:, lo] = -gamma0 * y[:, 0] - p[:, 0]
 
     t_grid = np.arange(n_steps + 1) * h
-    return AmplitudeTrajectory(t=t_grid, c_a=ca, c_b=cb,
-                               deriv_a_right=dra, deriv_b_right=drb,
-                               deriv_a_left=dla, deriv_b_left=dlb,
+    return AmplitudeTrajectory(t=t_grid, c_a=c[0], c_b=c[1],
+                               deriv_a_right=d_right[0], deriv_b_right=d_right[1],
+                               deriv_a_left=d_left[0], deriv_b_left=d_left[1],
                                config=config, schedule=schedule,
                                steps_per_delay=steps_per_delay)
 

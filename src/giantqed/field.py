@@ -47,8 +47,8 @@ __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
 class _Source:
     """Uniform view of a branch series or an integrated trajectory.
 
-    Exposes the two atomic amplitudes on arbitrary (already windowed)
-    time arrays, the accumulated drive phase, and the horizon up to which
+    Exposes each atom's amplitude on arbitrary (already windowed) time
+    arrays, the accumulated drive phase, and the horizon up to which
     queries are legal.
     """
 
@@ -81,10 +81,11 @@ class _Source:
                             "or an AmplitudeTrajectory")
         self._source = source
 
-    def atomic(self, t: np.ndarray):
+    def amplitude(self, atom: int, t: np.ndarray) -> np.ndarray:
+        """Amplitude of one atom (0 for a, 1 for b) at the times ``t``."""
         if self._kind == "series":
-            return self._source.atomic(t)
-        return self._source.interpolate(t)
+            return self._source.atomic(t)[atom]
+        return self._source.interpolate(t, atom)
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         return self._schedule.accumulated_array(t)
@@ -188,8 +189,7 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
                 if not mask.any():
                     continue
                 safe = np.where(mask, tau, 0.0)
-                c_a, c_b = src.atomic(safe.ravel())
-                c = (c_a if atom == 0 else c_b).reshape(tau.shape)
+                c = src.amplitude(atom, safe.ravel()).reshape(tau.shape)
                 phase = np.exp(-1j * src.phase(safe.ravel())).reshape(tau.shape)
                 total += window * c * phase
     intensity = (config.gamma * math.pi / v ** 2) * np.abs(total) ** 2
@@ -260,8 +260,7 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
             if not mask.any():
                 continue
             safe = np.where(mask, tau, 0.0)
-            c_a, c_b = src.atomic(safe)
-            c = c_a if atom == 0 else c_b
+            c = src.amplitude(atom, safe)
             window = src.phase(tb) - src.phase(safe)
             amp += gate * config.gamma * np.exp(1j * window) * c
     amp *= 2.0 / math.sqrt(config.gamma * config.v_g)

@@ -52,6 +52,9 @@ class SystemConfig:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
+        for name in ("gamma", "delay", "omega0", "v_g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.delay < 0:
@@ -157,6 +160,8 @@ class InitialState:
     c_b: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.c_a) and cmath.isfinite(self.c_b)):
+            raise ValueError("initial amplitudes must be finite")
         if self.norm() > 1.0 + 1e-9:
             raise ValueError("initial amplitudes exceed unit norm")
 

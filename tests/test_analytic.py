@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from giantqed.analytic import (ExpPolySolution, OutOfHorizon,
-                               coefficients_to_csv, exact_solution,
+from giantqed.analytic import (ExpPolySolution, IllConditioned,
+                               OutOfHorizon, coefficients_to_csv,
+                               exact_solution,
                                laplace_denominator,
                                laplace_denominator_derivative,
                                markovian_effective_rate, steady_state)
@@ -105,6 +106,18 @@ def test_evaluate_guards_horizon_and_negative_times():
         sol(3.0 * cfg.delay)
     with pytest.raises(OutOfHorizon):
         sol(np.array([0.0, 10.0 * cfg.delay]))
+
+
+def test_evaluate_refuses_cancelled_digits():
+    """Braided antisymmetric at phi = 2pi: the branches grow and cancel, so
+    past t ~ 30 the rounding bound passes 1e-6 and the series refuses."""
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi)
+    sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=40.5)
+    sol(np.linspace(0.0, 15.0, 151))                 # still well conditioned
+    with pytest.raises(IllConditioned, match="rounding bound"):
+        sol(np.linspace(0.0, 40.0, 401))
+    with pytest.raises(IllConditioned):
+        sol.atomic(30.0)
 
 
 def test_exact_solution_input_validation():

@@ -174,6 +174,31 @@ def test_fdd_map_and_trapping_metric(tmp_path, capsys):
     assert len(body) == 1 + 81 * 13
 
 
+def test_late_fdd_reports_the_trapped_interior(tmp_path, capsys):
+    """The README late map's x step (0.34) is wider than the leg spacing
+    (0.2); the interior is sampled on its own grid, where the trapped
+    standing wave is, not only at the map's single interior point x = 0
+    (a node of the antisymmetric field, which gave 0.0)."""
+    assert main(["fdd", "--topology", "braided", "--eta", "0.2", "--phi",
+                 "2pi", "--state", "antisymmetric", "--t-max", "40",
+                 "--nx", "241", "--nt", "61", "--out", str(tmp_path)]) == EXIT_OK
+    metric = float(_line_value(capsys.readouterr().out,
+                               "interior_trapping = "))
+    assert metric == pytest.approx(2.3157, rel=1e-3)
+
+
+def test_simulate_refuses_an_ill_conditioned_series(tmp_path, capsys):
+    """Braided antisymmetric at phi = 2pi: by t = 40 the branch series has
+    cancelled away its digits, so ``--engine both`` fails with exit 3
+    instead of writing it."""
+    rc = main(["simulate", "--topology", "braided", "--eta", "0.2", "--phi",
+               "2pi", "--state", "antisymmetric", "--engine", "both",
+               "--t-max", "40", "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "rounding bound" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory_analytic.csv").exists()
+
+
 def test_late_fdd_map_matches_trajectory_fed_map(tmp_path):
     """At t = 40/gamma the braided dark state's branch series has lost its
     digits (its map peaked at ~4.6e3); the command must match a map built

@@ -1,6 +1,8 @@
 """Delay integrator: convergence, invariants, spectra and the CSV dump."""
 
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +108,129 @@ def test_early_window_is_single_atom_decay():
         assert np.max(np.abs(np.abs(traj.c_a) - expect)) < 1e-10
 
 
+def _rk4_oracle(config, state, t_max, schedule, steps_per_delay):
+    """One classical RK4 step at a time, in plain Python.
+
+    The method of steps without the per-interval scan: the same grid, the
+    same Hermite midpoints and the same breakpoint derivatives, stepped
+    node by node.  Returns (c, d_right, d_left), each of shape (2, nodes).
+    """
+    table0 = delay_table(replace(config, omega0=0.0))
+    gamma0 = table0.self_terms[0].real
+    lags = sorted(n for n in set(table0.self_terms) | set(table0.cross_terms)
+                  if n > 0)
+    s_self = [table0.self_terms.get(n, 0j).real for n in lags]
+    s_cross = [table0.cross_terms.get(n, 0j).real for n in lags]
+    K = steps_per_delay
+    h = config.delay / K
+    n_steps = max(1, int(math.ceil(t_max / h - 1e-9)))
+
+    def phases(t):
+        return [cmath.exp(1j * (schedule.accumulated(t)
+                                - schedule.accumulated(t - n * config.delay)))
+                for n in lags]
+
+    ca, cb, dra, drb, dla, dlb = (np.empty(n_steps + 1, dtype=complex)
+                                  for _ in range(6))
+    ca[0], cb[0] = complex(state.c_a), complex(state.c_b)
+    dra[0] = dla[0] = -gamma0 * ca[0]
+    drb[0] = dlb[0] = -gamma0 * cb[0]
+    active = []
+
+    def deriv(ya, yb, delayed):
+        fa, fb = -gamma0 * ya, -gamma0 * yb
+        for i, va, vb, ph in delayed:
+            fa -= ph * (s_self[i] * va + s_cross[i] * vb)
+            fb -= ph * (s_cross[i] * va + s_self[i] * vb)
+        return fa, fb
+
+    def node_terms(j, ph):
+        return [(i, ca[j - lags[i] * K], cb[j - lags[i] * K], ph[i])
+                for i in active]
+
+    for j in range(n_steps):
+        ph_m = phases(j * h + 0.5 * h)
+        ph_e = phases(j * h + h)
+        mids = []
+        for i in active:
+            b = j - lags[i] * K
+            mids.append((i,
+                         0.5 * (ca[b] + ca[b + 1]) + 0.125 * h * (dra[b] - dla[b + 1]),
+                         0.5 * (cb[b] + cb[b + 1]) + 0.125 * h * (drb[b] - dlb[b + 1]),
+                         ph_m[i]))
+        k1a, k1b = dra[j], drb[j]
+        k2a, k2b = deriv(ca[j] + 0.5 * h * k1a, cb[j] + 0.5 * h * k1b, mids)
+        k3a, k3b = deriv(ca[j] + 0.5 * h * k2a, cb[j] + 0.5 * h * k2b, mids)
+        k4a, k4b = deriv(ca[j] + h * k3a, cb[j] + h * k3b, node_terms(j + 1, ph_e))
+        ca[j + 1] = ca[j] + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
+        cb[j + 1] = cb[j] + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
+        dla[j + 1], dlb[j + 1] = deriv(ca[j + 1], cb[j + 1], node_terms(j + 1, ph_e))
+        if (j + 1) % K == 0 and (j + 1) // K in lags:
+            active.append(lags.index((j + 1) // K))
+        dra[j + 1], drb[j + 1] = deriv(ca[j + 1], cb[j + 1], node_terms(j + 1, ph_e))
+    return (np.array([ca, cb]), np.array([dra, drb]), np.array([dla, dlb]))
+
+
+def _oracle_case(name):
+    sep = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
+    brd = SystemConfig.from_phase("braided", eta=0.3, phi=0.7 * math.pi)
+    anti, sym = InitialState.antisymmetric(), InitialState.symmetric()
+    mixed = InitialState(0.8, 0.3 - 0.4j)
+    const = DriveSchedule.constant
+    return {
+        # t_max 3.7 delays: a partial last interval
+        "separate": (sep, anti, 3.7 * sep.delay, const(sep.omega0), 40),
+        # t_max exactly 3 delays: the last node is the breakpoint where
+        # the longest lag switches on
+        "braided-breakpoint": (brd, mixed, 3 * brd.delay, const(brd.omega0), 30),
+        # the switch at t = 0.4567 falls inside step 114 (h = 0.004)
+        "switch-mid-step": (sep, mixed, 5.1 * sep.delay,
+                            DriveSchedule.switch_at(0.4567, sep.omega0,
+                                                    1.3 * sep.omega0), 50),
+        "K=1": (SystemConfig.from_phase("braided", eta=0.02, phi=0.4 * math.pi),
+                sym, 37.5 * 0.02, const(0.4 * math.pi / 0.02), 1),
+        "K=3": (SystemConfig.from_phase("separate", eta=0.05, phi=1.1 * math.pi),
+                mixed, 11.2 * 0.05, const(1.1 * math.pi / 0.05), 3),
+        "n_legs=3": (SystemConfig.from_phase("braided", eta=0.25, phi=0.3,
+                                             n_legs=3),
+                     mixed, 6.5 * 0.25, const(0.3 / 0.25), 25),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["separate", "braided-breakpoint",
+                                  "switch-mid-step", "K=1", "K=3", "n_legs=3"])
+def test_interval_scan_matches_step_by_step_oracle(name):
+    cfg, state, t_max, sched, K = _oracle_case(name)
+    traj = integrate_with_drive(cfg, state, t_max, sched, steps_per_delay=K)
+    c, d_right, d_left = _rk4_oracle(cfg, state, t_max, sched, K)
+    assert traj.t.size == c.shape[1]
+    tol = 1e-12 * np.max(np.abs(c))
+    for got, want in ((np.array([traj.c_a, traj.c_b]), c),
+                      (np.array([traj.deriv_a_right, traj.deriv_b_right]), d_right),
+                      (np.array([traj.deriv_a_left, traj.deriv_b_left]), d_left)):
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def test_last_breakpoint_node_has_its_right_derivative():
+    """A run ending on a breakpoint stores the derivative with the lag that
+    switches on there, not a copy of the left one."""
+    cfg, state, t_max, sched, K = _oracle_case("braided-breakpoint")
+    traj = integrate_with_drive(cfg, state, t_max, sched, steps_per_delay=K)
+    assert abs(traj.deriv_a_right[-1] - traj.deriv_a_left[-1]) > 1e-3
+
+
+def test_stiff_run_matches_exact_series():
+    """eta = 20 at K = 1000: the scan stays stable where a closed form
+    through R^-j would overflow."""
+    cfg = SystemConfig.from_phase("braided", eta=20.0, phi=0.3 * math.pi)
+    state = InitialState.symmetric()
+    traj = integrate(cfg, state, t_max=5 * cfg.delay, steps_per_delay=1000)
+    sol = exact_solution(cfg, state, t_max=5 * cfg.delay * (1 + 1e-9))
+    c_a, c_b = sol.atomic(traj.t)
+    assert max(np.max(np.abs(c_a - traj.c_a)),
+               np.max(np.abs(c_b - traj.c_b))) < 1e-8
+
+
 def test_drive_single_segment_is_bit_identical():
     cfg = SystemConfig.from_phase("separate", eta=0.3, phi=0.9 * math.pi)
     state = InitialState.antisymmetric()
@@ -141,6 +266,10 @@ def test_schedule_validation():
         DriveSchedule((0.0, 0.0), (1.0, 2.0))  # strictly increasing
     with pytest.raises(ValueError):
         DriveSchedule((0.0,), ())
+    with pytest.raises(ValueError, match="finite"):
+        DriveSchedule((0.0, math.nan), (1.0, 2.0))
+    with pytest.raises(ValueError, match="finite"):
+        DriveSchedule((0.0,), (math.inf,))
     sched = DriveSchedule.switch_at(2.0, 10.0, 12.0)
     assert sched.omega_at(1.9) == 10.0
     assert sched.omega_at(2.0) == 12.0
@@ -213,6 +342,8 @@ def test_interpolate_equals_plain_hermite_expression():
     h01 = u * u * (3 - 2 * u)
     h11 = u * u * (u - 1)
     got = traj.interpolate(tq)
+    for atom in (0, 1):
+        assert np.array_equal(traj.interpolate(tq, atom), got[atom])
     for c, (y, dr, dl) in zip(got, (
             (traj.c_a, traj.deriv_a_right, traj.deriv_a_left),
             (traj.c_b, traj.deriv_b_right, traj.deriv_b_left))):

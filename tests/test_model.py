@@ -27,6 +27,20 @@ def test_config_rejects_bad_values():
         SystemConfig(topology="separate", v_g=0.0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "delay", "omega0", "v_g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SystemConfig(topology="separate", **{field: value})
+
+
+@pytest.mark.parametrize("c_a, c_b", [(math.nan, 0.0), (0.0, math.inf),
+                                      (complex(0.1, math.nan), 0.0)])
+def test_initial_state_rejects_non_finite_amplitudes(c_a, c_b):
+    with pytest.raises(ValueError, match="finite"):
+        InitialState(c_a, c_b)
+
+
 def test_from_phase_round_trip():
     cfg = SystemConfig.from_phase("braided", eta=0.25, phi=1.7, gamma=2.0)
     assert cfg.eta == pytest.approx(0.25, rel=1e-15)
