@@ -17,7 +17,8 @@ lower branches once per delayed term:
 
 This module builds the branch polynomials, evaluates the series, applies the
 final-value theorem for t->infinity, and provides the Laplace-domain
-denominators shared with the pole finder.
+denominators shared with the pole finder: one ``ParityKernel`` per
+(config, parity) evaluates D_p and D_p' together.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InitialState, SystemConfig, delay_table, write_csv
-
-SQRT2 = np.sqrt(2.0)
-
 
 #: Largest rounding-error bound on c(t) (normalised to c(0) = 1) that
 #: ``ExpPolySolution.evaluate`` returns; the criterion-1 tolerance.
@@ -42,14 +40,6 @@ class OutOfHorizon(Exception):
 
 class IllConditioned(Exception):
     """Raised when cancellation between branches has eaten the series' digits."""
-
-
-def _collective_projection(state: InitialState) -> complex:
-    """Collective amplitude <parity|state> = sqrt(2)*c_a for c_b = +/-c_a."""
-    if state.parity is None:
-        raise ValueError(
-            "exact series requires a symmetric or antisymmetric initial state")
-    return SQRT2 * state.c_a
 
 
 @dataclass(frozen=True)
@@ -177,28 +167,46 @@ def exact_solution(config: SystemConfig, state: InitialState,
 
 # -- Laplace domain ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class ParityKernel:
+    """D_p(s) = s + sum_n A_n exp(-s n delay) of one (config, parity).
+
+    ``steps`` are the delays n in units of ``delay`` and ``coeffs`` the
+    A_n = self_n + parity*cross_n, which depend on phi and gamma only.
+    """
+
+    steps: np.ndarray
+    coeffs: np.ndarray
+    delay: float
+
+    def evaluate(self, s):
+        """(D_p(s), D_p'(s)) from one exp(-s n delay); scalars or arrays."""
+        s = np.asarray(s, dtype=complex)
+        lags = self.steps * self.delay
+        # far in the left half plane the exponentials overflow to inf, which
+        # is the honest saturating value for a root finder probing out there
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(-s[..., None] * lags)
+            out = s + e @ self.coeffs, 1.0 - e @ (lags * self.coeffs)
+        return out if s.shape else (complex(out[0]), complex(out[1]))
+
+
+def parity_kernel(config: SystemConfig, parity: int) -> ParityKernel:
+    """The kernel of D_p for ``config``, built from its delay table."""
+    coeffs = delay_table(config).collective(parity)
+    return ParityKernel(np.array(list(coeffs), dtype=float),
+                        np.array(list(coeffs.values()), dtype=complex),
+                        config.delay)
+
+
 def laplace_denominator(config: SystemConfig, parity: int, s):
     """D_p(s) = s + sum_n A_n exp(-s n delay); zeros are the decay poles."""
-    coeffs = delay_table(config).collective(parity)
-    s = np.asarray(s, dtype=complex)
-    out = s.astype(complex).copy()
-    # far in the left half plane the exponentials overflow to inf, which is
-    # the honest saturating value for a root finder probing out there
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, a_n in coeffs.items():
-            out += a_n * np.exp(-s * (n * config.delay))
-    return out if out.shape else complex(out)
+    return parity_kernel(config, parity).evaluate(s)[0]
 
 
 def laplace_denominator_derivative(config: SystemConfig, parity: int, s):
-    """dD_p/ds, used for Newton steps and pole residues (residue = 1/D')."""
-    coeffs = delay_table(config).collective(parity)
-    s = np.asarray(s, dtype=complex)
-    out = np.ones(s.shape, dtype=complex)
-    for n, a_n in coeffs.items():
-        if n:
-            out -= (n * config.delay) * a_n * np.exp(-s * (n * config.delay))
-    return out if out.shape else complex(out)
+    """dD_p/ds; a pole's residue is 1/D' there."""
+    return parity_kernel(config, parity).evaluate(s)[1]
 
 
 @dataclass(frozen=True)
@@ -231,12 +239,12 @@ def steady_state(config: SystemConfig, state: InitialState,
     parity = state.parity
     if parity is None:
         raise ValueError("steady state analysis requires a parity eigenstate")
-    c0 = _collective_projection(state)
-    d0 = laplace_denominator(config, parity, 0.0)
+    c0 = np.sqrt(2.0) * state.c_a      # <parity|state>, c_b = parity*c_a
+    d0, slope = parity_kernel(config, parity).evaluate(0.0)
     cls = config.phase_class()
     if abs(d0) > tol * config.gamma:
         return SteadyState("radiant", 0.0j, 0.0, cls)
-    amp = c0 / laplace_denominator_derivative(config, parity, 0.0)
+    amp = c0 / slope
     return SteadyState("dark", amp, abs(amp) ** 2, cls)
 
 
@@ -246,7 +254,7 @@ def markovian_effective_rate(config: SystemConfig, state: InitialState) -> compl
     Expanding exp(-s n delay) = 1 - s n delay in the Laplace denominator
     turns the dynamics into a single exponential with complex rate
 
-        rate = 2 * sum_n A_n / (1 - delay * sum_n n A_n),
+        rate = 2 * sum_n A_n / (1 - delay * sum_n n A_n) = 2 D_p(0) / D_p'(0),
 
     whose real part is the population decay rate; the imaginary part is a
     collective frequency shift.  Valid for any number of legs and both
@@ -255,10 +263,8 @@ def markovian_effective_rate(config: SystemConfig, state: InitialState) -> compl
     parity = state.parity
     if parity is None:
         raise ValueError("effective rate requires a parity eigenstate")
-    coeffs = delay_table(config).collective(parity)
-    total = sum(coeffs.values())
-    drag = sum(n * a_n for n, a_n in coeffs.items())
-    return 2.0 * total / (1.0 - config.delay * drag)
+    d0, slope = parity_kernel(config, parity).evaluate(0.0)
+    return 2.0 * d0 / slope
 
 
 def coefficients_to_csv(solution: ExpPolySolution, path) -> None:

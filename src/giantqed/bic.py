@@ -8,13 +8,16 @@ momentum-space profile of the trapped field.
 
 The state exists where the antisymmetric Laplace denominator vanishes at
 the origin, D_-(0) = 0 (``analytic.steady_state`` calls that sector dark),
-and its atomic weight is the residue 1/D_-'(0) there.  For two legs that
-is phi = n*pi for separate atoms and phi = 2n*pi for braided ones.  The
-trapped field's momentum profile is proportional to g(k)/(k - k0) with
-g(k) = sin(3kd/2) -+ sin(kd/2) (upper sign: separate topology, lower:
-braided).  Only antisymmetric-atomic-sector bound states are constructed
-here; symmetric-sector dark states show up in ``analytic.steady_state``
-but come with no closed-form field profile.
+at a phase phi on a multiple of pi, and its atomic weight is the residue
+1/D_-'(0) there.  For two legs that is phi = n*pi for separate atoms and
+phi = 2n*pi for braided ones.  Atom b's legs mirror atom a's about x = 0
+in both topologies, so the trapped field's momentum profile is
+proportional to g(k)/(k - k0) with atom a's leg sum
+g(k) = -sum_l sin(k x_l) over its N legs (for two legs,
+sin(3kd/2) -+ sin(kd/2); upper sign separate, lower braided).  Only
+antisymmetric-atomic-sector bound states are constructed here;
+symmetric-sector dark states show up in ``analytic.steady_state`` but come
+with no closed-form field profile.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .model import InitialState, SystemConfig, write_csv
 #: |k - k0| below this (in units of 1/d) switches to the series limit of
 #: g(k)/(k-k0), removing the 0/0 at the resonant wavenumber.
 _LIMIT_WINDOW = 1e-8
+
+#: Midpoint cells per window of ``field_norm``.
+_NORM_CELLS = 200_001
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,8 @@ class BicState:
     -epsilon1); 2|epsilon1|^2 = Re(1/D_-'(0)) is the atomic weight of the
     state and ``field_weight`` the complementary trapped-field weight, so
     the state is normalized to one.  ``phase_class`` is 0 when phi is an
-    even multiple of pi and 1 when odd (the latter exists only for the
-    separate topology).
+    even multiple of pi and 1 when odd (for two legs the odd class exists
+    only for the separate topology).
     """
 
     config: SystemConfig
@@ -76,14 +82,11 @@ class BicState:
         return self.config.k0
 
     def _g(self, k):
-        d = self.config.spacing
-        sign = 1.0 if self.config.topology == "separate" else -1.0
-        return np.sin(1.5 * k * d) + sign * np.sin(0.5 * k * d)
+        """Atom a's leg sum g(k) = -sum_l sin(k x_l)."""
+        return -sum(np.sin(k * x) for x in self.config.leg_positions(0))
 
     def _g_prime(self, k):
-        d = self.config.spacing
-        sign = 1.0 if self.config.topology == "separate" else -1.0
-        return 1.5 * d * np.cos(1.5 * k * d) + sign * 0.5 * d * np.cos(0.5 * k * d)
+        return -sum(x * np.cos(k * x) for x in self.config.leg_positions(0))
 
     def amplitude(self, k):
         """Trapped-field amplitude phi_k; the k0 point is the series limit."""
@@ -112,12 +115,10 @@ def bic_state(config: SystemConfig) -> BicState | NoBic:
     antisymmetric sector dark (D_-(0) = 0) at a phase on a multiple of pi.
     Its atomic weight 2|epsilon1|^2 is the real part of the surviving
     amplitude of the normalized antisymmetric state, the final-value
-    residue 1/D_-'(0).  With eta = gamma*delay that gives |epsilon1|^2 =
-    1/(2(1+3*eta)) for separate atoms at phi = 2n*pi and 1/(2(1+eta)) at
-    the other dark phases (separate odd, braided even).
+    residue 1/D_-'(0).  For two legs, with eta = gamma*delay, that gives
+    |epsilon1|^2 = 1/(2(1+3*eta)) for separate atoms at phi = 2n*pi and
+    1/(2(1+eta)) at the other dark phases (separate odd, braided even).
     """
-    if config.n_legs != 2:
-        raise ValueError("bound-state construction requires n_legs=2")
     phase_class = config.phase_class()
     if phase_class is None:
         return NoBic(phi=config.phi)
@@ -141,24 +142,24 @@ def overlap_with_initial(bic: BicState, state: InitialState) -> float:
 
 
 def field_norm(bic: BicState, half_width: float | None = None,
-               n_cells: int = 200_001, extrapolate: bool = True) -> float:
+               extrapolate: bool = True) -> float:
     """Quadrature norm of the trapped field, int |phi_k|^2 dk.
 
-    Midpoint rule on the symmetric window k in [k0 - L, k0 + L] (L default
-    200/d).  The truncated sin^2/u^2 tail makes the plain result converge
-    at O(1/L); with ``extrapolate`` a Richardson step per window (widths L
-    and 2L) removes the mean tail, and averaging the extrapolants over one
-    oscillation period of the window edge suppresses the oscillatory
-    boundary terms, leaving errors well under 1e-6.  Converges to
-    ``bic.field_weight``.
+    Midpoint rule (``_NORM_CELLS`` cells) on the symmetric window k in
+    [k0 - L, k0 + L] (L default 200/d).  The truncated sin^2/u^2 tail makes
+    the plain result converge at O(1/L); with ``extrapolate`` a Richardson
+    step per window (widths L and 2L) removes the mean tail, and averaging
+    the extrapolants over one oscillation period of the window edge
+    suppresses the oscillatory boundary terms, leaving errors well under
+    1e-6.  Converges to ``bic.field_weight``.
     """
     d = bic.config.spacing
     if half_width is None:
         half_width = 200.0 / d
 
     def midpoint(lam: float) -> float:
-        dk = 2.0 * lam / n_cells
-        k = bic.k0 - lam + dk * (np.arange(n_cells) + 0.5)
+        dk = 2.0 * lam / _NORM_CELLS
+        k = bic.k0 - lam + dk * (np.arange(_NORM_CELLS) + 0.5)
         return float(np.sum(bic.intensity(k)) * dk)
 
     if not extrapolate:

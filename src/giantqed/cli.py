@@ -18,7 +18,8 @@ error.  Angles accept multiples of pi ("2pi", "0.5pi").
 All artifacts are plain CSV (and NDJSON for the bic report) with
 config-echo comment headers; identical parameters produce byte-identical
 files.  SVG plots are optional conveniences behind ``--svg``.  Exit codes:
-0 success, 2 usage/config error, 3 numerical failure.
+0 success, 2 usage/config error (including a ``ConfigError``), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
 from .dde import (DriveSchedule, integrate, integrate_with_drive,
                   to_csv as traj_to_csv)
 from .field import detector_signal, fdd as compute_fdd, released_energy
-from .model import InitialState, SystemConfig, write_csv
+from .model import ConfigError, InitialState, SystemConfig, write_csv
 from .spectral import NonConvergence, scan_decay_rates
 
 ENV_PREFIX = "GIANTQED_"
@@ -59,16 +60,11 @@ class UsageError(Exception):
 def parse_angle(text: str) -> float:
     """Float parser that also accepts '2pi', '-pi', '0.5pi'."""
     s = str(text).strip().lower().replace(" ", "").replace("*", "")
-    if s.endswith("pi"):
-        head = s[:-2]
-        if head in ("", "+", "-"):
-            head += "1"
-        try:
-            return float(head) * math.pi
-        except ValueError:
-            raise UsageError(f"cannot parse angle {text!r}") from None
+    head, unit = (s[:-2], math.pi) if s.endswith("pi") else (s, 1.0)
+    if unit != 1.0 and head in ("", "+", "-"):
+        head += "1"
     try:
-        return float(s)
+        return float(head) * unit
     except ValueError:
         raise UsageError(f"cannot parse angle {text!r}") from None
 
@@ -124,53 +120,57 @@ def resolve_params(args: argparse.Namespace) -> dict:
     return merged
 
 
-def build_config(params: dict, default_omega0: float | None = None) -> SystemConfig:
-    """Typed SystemConfig from the merged parameter dict.
+def _parse_number(key: str, value) -> float:
+    """Finite float of parameter ``key``; angles accept multiples of pi."""
+    flag = "--" + key.replace("_", "-")
+    try:
+        number = parse_angle(value) if key in _ANGLE_KEYS else float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"cannot parse {flag} value {value!r}") from None
+    if not math.isfinite(number):
+        raise UsageError(f"{flag} must be finite, got {value!r}")
+    return number
 
-    The (eta, phi) and (omega0, dx) parameterizations are mutually
-    exclusive.  ``default_omega0`` lets scan-style commands default the
-    frequency without tripping the conflict rule.
-    """
-    def as_float(key):
-        value = params[key]
-        if key in _ANGLE_KEYS:
-            return parse_angle(value)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"cannot parse --{key} value {value!r}") from None
 
+def _topology_gamma_vg(params: dict) -> tuple[str, float, float]:
+    """(topology, gamma, v_g) from the merged parameter dict."""
     topology = str(params.get("topology", "separate"))
     if topology not in ("separate", "braided"):
         raise UsageError(f"unknown topology {topology!r}")
-    gamma = as_float("gamma") if "gamma" in params else 1.0
-    v_g = as_float("v_g") if "v_g" in params else 1.0
+    return (topology, _parse_number("gamma", params.get("gamma", 1.0)),
+            _parse_number("v_g", params.get("v_g", 1.0)))
 
+
+def build_config(params: dict) -> SystemConfig:
+    """Typed SystemConfig from the merged parameter dict.
+
+    The (eta, phi) and (omega0, dx) parameterizations are mutually
+    exclusive.  Unparsable or non-finite values raise UsageError; values
+    the model rejects (gamma <= 0, eta < 0 ...) raise its ConfigError.
+    """
+    topology, gamma, v_g = _topology_gamma_vg(params)
     has_phase = "eta" in params or "phi" in params
     has_physical = "omega0" in params or "dx" in params
     if has_phase and has_physical:
         raise UsageError("give either (--eta, --phi) or (--omega0, --dx), "
                          "not a mix")
-    try:
-        if has_physical:
-            if not ("omega0" in params and "dx" in params):
-                raise UsageError("--omega0 and --dx must be given together")
-            dx = as_float("dx")
-            return SystemConfig(topology=topology, gamma=gamma,
-                                delay=dx / v_g, omega0=as_float("omega0"),
-                                v_g=v_g)
-        eta = as_float("eta") if "eta" in params else 0.2
-        phi = as_float("phi") if "phi" in params else 0.0
-        if eta == 0.0:
-            if phi != 0.0:
-                raise UsageError("eta = 0 (no retardation) requires phi = 0")
-            omega0 = default_omega0 if default_omega0 is not None else 0.0
-            return SystemConfig(topology=topology, gamma=gamma, delay=0.0,
-                                omega0=omega0, v_g=v_g)
-        return SystemConfig.from_phase(topology, eta, phi, gamma=gamma,
-                                       v_g=v_g)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if has_physical:
+        if not ("omega0" in params and "dx" in params):
+            raise UsageError("--omega0 and --dx must be given together")
+        if v_g <= 0:
+            raise UsageError("--v-g must be positive")
+        return SystemConfig(topology=topology, gamma=gamma,
+                            delay=_parse_number("dx", params["dx"]) / v_g,
+                            omega0=_parse_number("omega0", params["omega0"]),
+                            v_g=v_g)
+    eta = _parse_number("eta", params.get("eta", 0.2))
+    phi = _parse_number("phi", params.get("phi", 0.0))
+    if eta == 0.0:
+        if phi != 0.0:
+            raise UsageError("eta = 0 (no retardation) requires phi = 0")
+        return SystemConfig(topology=topology, gamma=gamma, delay=0.0,
+                            omega0=0.0, v_g=v_g)
+    return SystemConfig.from_phase(topology, eta, phi, gamma=gamma, v_g=v_g)
 
 
 def build_state(params: dict) -> InitialState:
@@ -189,22 +189,19 @@ def build_state(params: dict) -> InitialState:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What a run was: subcommand, resolved config, destination, version."""
+    """What a run was: subcommand, resolved config, destination."""
 
     command: str
     config: SystemConfig
     out_dir: str
-    deterministic: bool = True
-    version: str = __version__
 
     def lines(self) -> list[str]:
-        out = ["# giantqed run manifest",
-               f"command = {self.command}",
-               f"version = {self.version}",
-               f"deterministic = {str(self.deterministic).lower()}",
-               f"out_dir = {self.out_dir}"]
-        out += self.config.summary_lines()
-        return out
+        return ["# giantqed run manifest",
+                f"command = {self.command}",
+                f"version = {__version__}",
+                "deterministic = true",
+                f"out_dir = {self.out_dir}",
+                *self.config.summary_lines()]
 
     def write(self) -> None:
         name = f"{self.command.replace('-', '_')}_manifest.txt"
@@ -319,12 +316,10 @@ def _parse_scan(text: str) -> tuple[float, float, int]:
 
 def cmd_decay_rates(args: argparse.Namespace) -> int:
     params = resolve_params(args)
-    topology = str(params.get("topology", "separate"))
-    if topology not in ("separate", "braided"):
-        raise UsageError(f"unknown topology {topology!r}")
-    gamma = float(params.get("gamma", 1.0))
-    v_g = float(params.get("v_g", 1.0))
-    omega0 = float(params.get("omega0", 50.0))
+    topology, gamma, v_g = _topology_gamma_vg(params)
+    omega0 = _parse_number("omega0", params.get("omega0", 50.0))
+    if omega0 <= 0:
+        raise UsageError("--omega0 must be positive")
     lo, hi, n = _parse_scan(args.scan)
     out_dir = _prepare_out(params)
 
@@ -364,12 +359,12 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     grid.to_csv(path)
     print(f"wrote {path}")
 
-    # interior |x| <= 1.5*spacing at the last time, on its own grid: the
-    # map's x step can be wider than the leg spacing
+    # photonic excitation (v_g/2pi) * int I dx inside |x| <= 1.5*spacing at
+    # the last time, on its own grid: the map's x step can exceed the spacing
     edge = 1.5 * config.spacing
     late = compute_fdd(traj, config, state.parity,
                        np.linspace(-edge, edge, 301), t_grid[-1:])
-    metric = float(late.intensity.max() / max(grid.intensity.max(), 1e-300))
+    metric = config.v_g / (2.0 * math.pi) * float(late.spatial_integral()[0])
     print(f"interior_trapping = {metric!r}")
 
     if args.svg:
@@ -442,7 +437,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         t_s = args.switch_at / config.gamma
         if not 0.0 < t_s < t_max:
             raise UsageError("--switch-at must fall inside (0, t_max)")
-        omega_after = parse_angle(args.phi_after) / config.delay
+        omega_after = _parse_number("phi_after", args.phi_after) / config.delay
         schedule = DriveSchedule((0.0, t_s), (config.omega0, omega_after))
     else:
         schedule = DriveSchedule((0.0,), (config.omega0,))
@@ -470,6 +465,20 @@ def cmd_detect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+def _positive(kind):
+    """argparse type: a finite ``kind`` (int or float) above zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a positive "
+                                             f"{kind.__name__}, got {text!r}")
+        return value
+    return parse
+
 
 def _add_common(sub: argparse.ArgumentParser, geometry: bool = True) -> None:
     sub.add_argument("--config", help="INI config file ([system]/[run])")
@@ -500,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.add_argument("--state", help="symmetric | antisymmetric")
     sim.add_argument("--engine", help="dde | analytic | both")
-    sim.add_argument("--t-max", type=float, default=10.0,
+    sim.add_argument("--t-max", type=_positive(float), default=10.0,
                      help="run length in units of 1/gamma (default 10)")
-    sim.add_argument("--steps-per-delay", type=int, default=100)
+    sim.add_argument("--steps-per-delay", type=_positive(int), default=100)
     sim.add_argument("--svg", action="store_true")
     sim.set_defaults(func=cmd_simulate)
 
@@ -517,11 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     fd = subs.add_parser("fdd", help="emitted intensity map I(x, t)")
     _add_common(fd)
     fd.add_argument("--state", help="symmetric | antisymmetric")
-    fd.add_argument("--t-max", type=float, default=8.0,
+    fd.add_argument("--t-max", type=_positive(float), default=8.0,
                     help="map length in units of 1/gamma (default 8)")
-    fd.add_argument("--nx", type=int, default=481)
-    fd.add_argument("--nt", type=int, default=121)
-    fd.add_argument("--x-span", type=float,
+    fd.add_argument("--nx", type=_positive(int), default=481)
+    fd.add_argument("--nt", type=_positive(int), default=121)
+    fd.add_argument("--x-span", type=_positive(float),
                     help="half-width of the x grid (default: light cone)")
     fd.add_argument("--svg", action="store_true")
     fd.set_defaults(func=cmd_fdd)
@@ -533,15 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
     det = subs.add_parser("detect", help="detector signal / re-release")
     _add_common(det)
     det.add_argument("--state", help="symmetric | antisymmetric")
-    det.add_argument("--x0", type=float,
+    det.add_argument("--x0", type=_positive(float),
                      help="detector offset past the last leg (default d)")
-    det.add_argument("--t-max", type=float, default=85.0,
+    det.add_argument("--t-max", type=_positive(float), default=85.0,
                      help="record length in units of 1/gamma (default 85)")
     det.add_argument("--switch-at", type=float,
                      help="drive switch time in units of 1/gamma")
     det.add_argument("--phi-after", help="inter-leg phase after the switch")
-    det.add_argument("--n-points", type=int, default=8501)
-    det.add_argument("--steps-per-delay", type=int, default=100)
+    det.add_argument("--n-points", type=_positive(int), default=8501)
+    det.add_argument("--steps-per-delay", type=_positive(int), default=100)
     det.set_defaults(func=cmd_detect)
     return parser
 
@@ -551,7 +560,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonConvergence, OutOfHorizon, IllConditioned,

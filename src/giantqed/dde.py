@@ -35,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import InitialState, SystemConfig, delay_table, write_csv
+from .model import (ConfigError, InitialState, SystemConfig, delay_table,
+                    write_csv)
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,13 @@ class DriveSchedule:
 
     def __post_init__(self):
         if len(self.starts) != len(self.omegas) or not self.starts:
-            raise ValueError("schedule needs matching, non-empty starts/omegas")
+            raise ConfigError("schedule needs matching, non-empty starts/omegas")
         if not all(math.isfinite(v) for v in (*self.starts, *self.omegas)):
-            raise ValueError("schedule times and frequencies must be finite")
+            raise ConfigError("schedule times and frequencies must be finite")
         if self.starts[0] != 0.0:
-            raise ValueError("first schedule segment must start at t=0")
+            raise ConfigError("first schedule segment must start at t=0")
         if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
-            raise ValueError("schedule start times must strictly increase")
+            raise ConfigError("schedule start times must strictly increase")
 
     @classmethod
     def constant(cls, omega0: float) -> "DriveSchedule":

@@ -29,6 +29,10 @@ TOPOLOGIES = ("separate", "braided")
 PHASE_TOL = 1e-9
 
 
+class ConfigError(ValueError):
+    """An invalid system, initial state or drive schedule: the caller's input."""
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of the two-atom/waveguide system.
@@ -51,18 +55,18 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
+            raise ConfigError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
         for name in ("gamma", "delay", "omega0", "v_g"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+            raise ConfigError("gamma must be positive")
         if self.delay < 0:
-            raise ValueError("delay must be non-negative")
+            raise ConfigError("delay must be non-negative")
         if self.n_legs < 1:
-            raise ValueError("n_legs must be at least 1")
+            raise ConfigError("n_legs must be at least 1")
         if self.v_g <= 0:
-            raise ValueError("v_g must be positive")
+            raise ConfigError("v_g must be positive")
 
     # -- derived quantities -------------------------------------------------
 
@@ -86,11 +90,6 @@ class SystemConfig:
         """Distance d = v_g*delay between adjacent legs."""
         return self.v_g * self.delay
 
-    @property
-    def max_delay_steps(self) -> int:
-        """Largest leg-to-leg separation in units of ``delay``."""
-        return 2 * self.n_legs - 1
-
     @classmethod
     def from_phase(cls, topology: str, eta: float, phi: float, *,
                    gamma: float = 1.0, v_g: float = 1.0,
@@ -100,8 +99,12 @@ class SystemConfig:
         ``delay = eta/gamma`` and ``omega0 = phi/delay``; handy when a target
         phase (e.g. exactly 2*pi) matters more than the raw frequency.
         """
-        if eta <= 0:
-            raise ValueError("from_phase requires eta > 0 (use delay=0 directly otherwise)")
+        for name, value in (("eta", eta), ("phi", phi), ("gamma", gamma)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
+        if eta <= 0 or gamma <= 0:
+            raise ConfigError("from_phase requires eta > 0 and gamma > 0 "
+                              "(use delay=0 directly for eta = 0)")
         delay = eta / gamma
         return cls(topology=topology, gamma=gamma, delay=delay,
                    omega0=phi / delay, n_legs=n_legs, v_g=v_g)
@@ -161,9 +164,9 @@ class InitialState:
 
     def __post_init__(self):
         if not (cmath.isfinite(self.c_a) and cmath.isfinite(self.c_b)):
-            raise ValueError("initial amplitudes must be finite")
+            raise ConfigError("initial amplitudes must be finite")
         if self.norm() > 1.0 + 1e-9:
-            raise ValueError("initial amplitudes exceed unit norm")
+            raise ConfigError("initial amplitudes exceed unit norm")
 
     def norm(self) -> float:
         return abs(self.c_a) ** 2 + abs(self.c_b) ** 2

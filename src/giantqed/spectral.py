@@ -1,12 +1,12 @@
-"""Single-photon scattering and collective decay poles (two legs per atom).
+"""Single-photon scattering and collective decay poles, any number of legs.
 
-Everything here derives from one coupling kernel: the parity-reduced
-Laplace denominators D_p(s) = s + sum_n A_n^p exp(-s n delay) of
-:mod:`giantqed.analytic`, built from the retarded coupling table.  A
-photon with detuning delta_k sees the two atoms through their leg sums
-L_m(k) = sum_l exp(i k x_l); splitting the 2x2 Green's function into the
-symmetric and antisymmetric channels gives t and r as sums over p of leg
-sums divided by D_p(-i delta_k).
+Everything here derives from one coupling kernel per parity: the
+parity-reduced Laplace denominators D_p(s) = s + sum_n A_n^p exp(-s n delay)
+of :mod:`giantqed.analytic` (``analytic.parity_kernel``), built from the
+retarded coupling table.  A photon with detuning delta_k sees the two atoms
+through their leg sums L_m(k) = sum_l exp(i k x_l) over each atom's N legs;
+splitting the 2x2 Green's function into the symmetric and antisymmetric
+channels gives t and r as sums over p of leg sums divided by D_p(-i delta_k).
 
 The zeros of D_p are the collective decay poles, rate = -2s: the real part
 is the population decay rate, the imaginary part the frequency shift.
@@ -17,7 +17,7 @@ Frozen retardation (exp(-s n delay) -> 1) gives the Markovian rates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,13 +25,14 @@ from . import analytic
 from .model import SystemConfig, delay_table, write_csv
 
 
+#: Residual targets |D_p(s)|/gamma and Newton iteration caps of
+#: ``nonmarkovian_poles`` and of each ``connected_pole`` ramp step.
+POLE_TOL, POLE_MAX_ITER = 1e-10, 200
+RAMP_TOL, RAMP_MAX_ITER = 1e-12, 100
+
+
 class NonConvergence(Exception):
     """Newton iteration failed to reach the residual target."""
-
-
-def _check_two_legs(config: SystemConfig) -> None:
-    if config.n_legs != 2:
-        raise ValueError("scattering formulas are available for n_legs=2 only")
 
 
 def scattering(config: SystemConfig, delta_k):
@@ -52,7 +53,6 @@ def scattering(config: SystemConfig, delta_k):
     delta_k = 0) numerator and denominator share a zero and the entry is
     nan; the limit is smooth, so any neighbouring detuning gives it.
     """
-    _check_two_legs(config)
     dk = np.asarray(delta_k, dtype=complex)
     k = (config.omega0 + dk) / config.v_g
 
@@ -81,7 +81,6 @@ def markovian_rates(config: SystemConfig) -> tuple[complex, complex]:
     These are 2*sum(A_n) over the parity-reduced delay coefficients, i.e.
     -2 times the root of D_p with exp(-s n delay) pinned at 1.
     """
-    _check_two_legs(config)
     table = delay_table(config)
     return (2.0 * sum(table.collective(+1).values()),
             2.0 * sum(table.collective(-1).values()))
@@ -104,35 +103,33 @@ class Pole:
     iterations: int
 
 
-def _newton(config: SystemConfig, parity: int, s: complex, tol: float,
+def _newton(kernel: analytic.ParityKernel, s: complex, tol: float,
             max_iter: int) -> tuple[complex, float, int] | None:
-    """Damped complex Newton on D_p from ``s``.
+    """Damped complex Newton on the kernel's D_p from ``s``.
 
     Returns (root, |D_p(root)|, iterations), or None when the derivative
     vanishes or ``max_iter`` steps leave |D_p| >= tol.  A step that fails to
     reduce |D_p| is halved, up to 60 times, before it is taken.
     """
     s = complex(s)
-    f = analytic.laplace_denominator(config, parity, s)
+    f, df = kernel.evaluate(s)
     for it in range(max_iter):
         if abs(f) < tol:
             return s, abs(f), it
-        df = analytic.laplace_denominator_derivative(config, parity, s)
         if df == 0:
             return None
         step = -f / df
         for _ in range(60):
             s_new = s + step
-            f_new = analytic.laplace_denominator(config, parity, s_new)
+            f_new, df_new = kernel.evaluate(s_new)
             if abs(f_new) <= abs(f) or abs(step) < 1e-16 * max(1.0, abs(s)):
                 break
             step *= 0.5
-        s, f = s_new, f_new
+        s, f, df = s_new, f_new, df_new
     return (s, abs(f), max_iter) if abs(f) < tol else None
 
 
-def nonmarkovian_poles(config: SystemConfig, tol: float = 1e-10,
-                       max_iter: int = 200) -> list[Pole]:
+def nonmarkovian_poles(config: SystemConfig) -> list[Pole]:
     """One decay pole per parity of the full retarded problem.
 
     Damped Newton on each D_p starts from that parity's Markovian pole
@@ -143,10 +140,8 @@ def nonmarkovian_poles(config: SystemConfig, tol: float = 1e-10,
     1.872 - 5.156i here but 0.019 - 2.481i from the eta ramp.  Use
     :func:`connected_pole` for the continuously connected pole.
 
-    Args:
-        config: two-leg system.
-        tol: target on the residual |D_p(s)|/gamma.
-        max_iter: Newton iteration cap (damped steps count once).
+    Newton stops at the residual |D_p(s)|/gamma < ``POLE_TOL`` and gives up
+    after ``POLE_MAX_ITER`` iterations (damped steps count once).
 
     Returns:
         The symmetric (parity +1) and antisymmetric (-1) poles, in that
@@ -156,13 +151,14 @@ def nonmarkovian_poles(config: SystemConfig, tol: float = 1e-10,
         NonConvergence: when a parity's iteration misses the target.
     """
     poles = []
-    for parity, markov in zip((+1, -1), markovian_rates(config)):
-        seed = -markov / 2.0
-        found = _newton(config, parity, seed, tol * config.gamma, max_iter)
+    for parity in (+1, -1):
+        kernel = analytic.parity_kernel(config, parity)
+        seed = -complex(kernel.coeffs.sum())
+        found = _newton(kernel, seed, POLE_TOL * config.gamma, POLE_MAX_ITER)
         if found is None:
             raise NonConvergence(
                 f"no parity {parity:+d} root from seed {seed} after "
-                f"{max_iter} iterations")
+                f"{POLE_MAX_ITER} iterations")
         s, res, its = found
         poles.append(Pole(delta=1j * s, rate=-2.0 * s, parity=parity,
                           residual=res / config.gamma, iterations=its))
@@ -211,34 +207,30 @@ class DecayRateScan:
                    self.residual_plus, self.residual_minus])
 
 
-def connected_pole(config: SystemConfig, parity: int,
-                   tol: float = 1e-12) -> complex:
+def connected_pole(config: SystemConfig, parity: int) -> complex:
     """The decay pole continuously connected to the Markovian one.
 
     Ramps the retardation up from zero at fixed phase phi: at each ramp
-    step Newton re-converges the root of the parity-reduced Laplace
-    denominator from the previous one, subdividing the ramp adaptively
-    when the root moves fast.  Working per parity keeps the tracker from
-    hopping onto the other parity family.  Returns the pole position s
+    step eta the lags of the parity kernel become n*eta/gamma (its A_n
+    depend on phi and gamma only), and Newton re-converges the root of
+    D_p from the previous one, to |D_p|/gamma < ``RAMP_TOL``, subdividing
+    the ramp adaptively when the root moves fast.  The ramp starts from the
+    Markovian pole s = -sum_n A_n.  Working per parity keeps the tracker
+    from hopping onto the other parity family.  Returns the pole position s
     (rate = -2s).  Continuation along other parameter paths can land on a
     different sheet, so the ramp in retardation *is* the definition used
     here.
     """
-    phi = config.phi
+    kernel = analytic.parity_kernel(config, parity)
+    s = -complex(kernel.coeffs.sum())
     eta_t = config.delay * config.gamma
     if eta_t == 0:
-        parity_idx = 0 if parity > 0 else 1
-        return -markovian_rates(config)[parity_idx] / 2.0
-    tol = tol * config.gamma
-
-    def cfg_at(eta: float) -> SystemConfig:
-        delay = eta / config.gamma
-        return SystemConfig(topology=config.topology, gamma=config.gamma,
-                            delay=delay, omega0=phi / delay, v_g=config.v_g,
-                            n_legs=config.n_legs)
+        return s
+    tol = RAMP_TOL * config.gamma
 
     def advance(eta0: float, s0: complex, eta1: float, depth: int = 0) -> complex:
-        found = _newton(cfg_at(eta1), parity, s0, tol, 100)
+        found = _newton(replace(kernel, delay=eta1 / config.gamma), s0, tol,
+                        RAMP_MAX_ITER)
         root = None if found is None else found[0]
         if root is not None and abs(root - s0) <= 0.3 * (config.gamma + abs(s0)):
             return root
@@ -248,17 +240,10 @@ def connected_pole(config: SystemConfig, parity: int,
             raise NonConvergence(
                 f"lost parity {parity:+d} branch at eta={eta1:.6f}")
         mid = 0.5 * (eta0 + eta1)
-        s_mid = advance(eta0, s0, mid, depth + 1)
-        return advance(mid, s_mid, eta1, depth + 1)
+        return advance(mid, advance(eta0, s0, mid, depth + 1), eta1, depth + 1)
 
-    gp, gm = markovian_rates(cfg_at(eta_t))  # phi-dependent only, eta-free
-    s = -(gp if parity > 0 else gm) / 2.0
-    n_coarse = 16
-    eta_prev = 0.0
-    for k in range(1, n_coarse + 1):
-        eta_next = eta_t * k / n_coarse
-        s = advance(eta_prev, s, eta_next)
-        eta_prev = eta_next
+    for k in range(1, 17):                      # 16 coarse ramp steps
+        s = advance(eta_t * (k - 1) / 16, s, eta_t * k / 16)
     return s
 
 
@@ -279,22 +264,16 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
     if not 0 < x_min <= x_max:
         raise ValueError("need 0 < x_min <= x_max")
     xs = np.linspace(x_min, x_max, n_points)
-    out = {name: np.empty(n_points, dtype=complex) for name in
-           ("rate_plus", "rate_minus", "markov_plus", "markov_minus")}
-    res = {+1: np.empty(n_points), -1: np.empty(n_points)}
+    # rows: rate +/-, Markovian rate +/-, residual +/-
+    cols = np.empty((6, n_points), dtype=complex)
     for i, x in enumerate(xs):
         cfg = SystemConfig(topology=topology, gamma=gamma,
                            delay=x * math.pi / omega0, omega0=omega0, v_g=v_g)
-        gp, gm = markovian_rates(cfg)
-        out["markov_plus"][i] = gp
-        out["markov_minus"][i] = gm
-        for parity, key in ((+1, "rate_plus"), (-1, "rate_minus")):
+        cols[2:4, i] = markovian_rates(cfg)
+        for j, parity in enumerate((+1, -1)):
             root = connected_pole(cfg, parity)
-            out[key][i] = -2.0 * root            # Gamma = -2 s
-            res[parity][i] = abs(
+            cols[j, i] = -2.0 * root            # Gamma = -2 s
+            cols[4 + j, i] = abs(
                 analytic.laplace_denominator(cfg, parity, root)) / gamma
-    return DecayRateScan(omega0_dx_over_pi=xs,
-                         rate_plus=out["rate_plus"], rate_minus=out["rate_minus"],
-                         markov_plus=out["markov_plus"], markov_minus=out["markov_minus"],
-                         residual_plus=res[+1], residual_minus=res[-1],
-                         topology=topology, omega0=omega0, gamma=gamma)
+    return DecayRateScan(xs, *cols[:4], *cols[4:].real, topology=topology,
+                         omega0=omega0, gamma=gamma)

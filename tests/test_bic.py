@@ -10,8 +10,8 @@ from giantqed.bic import (BicState, NoBic, bic_field_profile, bic_state,
 from giantqed.model import InitialState, SystemConfig
 
 
-def _cfg(topology, phi, eta=0.2):
-    return SystemConfig.from_phase(topology, eta=eta, phi=phi)
+def _cfg(topology, phi, eta=0.2, n_legs=2):
+    return SystemConfig.from_phase(topology, eta=eta, phi=phi, n_legs=n_legs)
 
 
 def test_existence_classes():
@@ -86,10 +86,12 @@ def test_profile_is_finite_and_peaked_at_resonance():
 
 
 def test_field_norm_converges_to_field_weight():
-    for topology, phi, eta in (("separate", 2 * math.pi, 0.2),
-                               ("separate", 3 * math.pi, 0.35),
-                               ("braided", 2 * math.pi, 0.15)):
-        state = bic_state(_cfg(topology, phi, eta))
+    for topology, phi, eta, n_legs in (("separate", 2 * math.pi, 0.2, 2),
+                                       ("separate", 3 * math.pi, 0.35, 2),
+                                       ("braided", 2 * math.pi, 0.15, 2),
+                                       ("separate", 2 * math.pi, 0.2, 3),
+                                       ("braided", 2 * math.pi, 0.2, 3)):
+        state = bic_state(_cfg(topology, phi, eta, n_legs))
         norm = field_norm(state)
         assert norm == pytest.approx(state.field_weight, abs=1e-6)
 
@@ -123,9 +125,3 @@ def test_field_profile_csv_and_running_norm(tmp_path):
     with pytest.raises(ValueError):
         bic_field_profile(state, k_grid=np.array([1.0]))
 
-
-def test_bic_state_rejects_other_leg_counts():
-    cfg = SystemConfig(topology="separate", n_legs=3, delay=0.2,
-                       omega0=10 * math.pi)
-    with pytest.raises(ValueError):
-        bic_state(cfg)

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from giantqed.bic import bic_state, overlap_with_initial
 from giantqed.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                           main, parse_angle)
 from giantqed.dde import integrate
@@ -166,8 +167,8 @@ def test_fdd_map_and_trapping_metric(tmp_path, capsys):
     assert rc == EXIT_OK
     metric = float(_line_value(capsys.readouterr().out,
                                "interior_trapping = "))
-    # dark configuration: the late interior still holds an O(1) fraction
-    # of the brightest transient
+    # dark configuration: the interior still holds a share of the
+    # excitation as trapped field
     assert metric > 0.01
     body = [line for line in (tmp_path / "fdd.csv").read_text().splitlines()
             if line and not line.startswith("#")]
@@ -176,15 +177,18 @@ def test_fdd_map_and_trapping_metric(tmp_path, capsys):
 
 def test_late_fdd_reports_the_trapped_interior(tmp_path, capsys):
     """The README late map's x step (0.34) is wider than the leg spacing
-    (0.2); the interior is sampled on its own grid, where the trapped
-    standing wave is, not only at the map's single interior point x = 0
-    (a node of the antisymmetric field, which gave 0.0)."""
+    (0.2); the interior is integrated on its own grid, where the trapped
+    standing wave is.  By t = 40 the transient has left, and what stays
+    between the legs is the BIC's field share of the initial state."""
     assert main(["fdd", "--topology", "braided", "--eta", "0.2", "--phi",
                  "2pi", "--state", "antisymmetric", "--t-max", "40",
                  "--nx", "241", "--nt", "61", "--out", str(tmp_path)]) == EXIT_OK
     metric = float(_line_value(capsys.readouterr().out,
                                "interior_trapping = "))
-    assert metric == pytest.approx(2.3157, rel=1e-3)
+    bic = bic_state(SystemConfig.from_phase("braided", eta=0.2,
+                                            phi=2 * math.pi))
+    trapped = overlap_with_initial(bic, InitialState.antisymmetric())
+    assert metric == pytest.approx(trapped * bic.field_weight, rel=1e-6)
 
 
 def test_simulate_refuses_an_ill_conditioned_series(tmp_path, capsys):
@@ -237,6 +241,52 @@ def test_detect_with_drive_switch(tmp_path, capsys):
     assert released > 1e-3            # the stored excitation leaks out
     assert quiet < 1e-6               # ... and nothing leaked before
     assert (tmp_path / "detector.csv").exists()
+
+
+INVALID_VALUES = (
+    (["decay-rates", "--gamma", "nan"], {}, "--gamma"),
+    (["decay-rates", "--gamma", "-1"], {}, "gamma"),
+    (["decay-rates"], {"GIANTQED_GAMMA": "abc"}, "--gamma"),
+    (["decay-rates", "--omega0", "nan"], {}, "--omega0"),
+    (["decay-rates", "--omega0", "0"], {}, "--omega0"),
+    (["detect", "--eta", "0.2", "--phi", "2pi", "--t-max", "4",
+      "--switch-at", "2", "--phi-after", "nan"], {}, "--phi-after"),
+    (["simulate", "--eta", "nan"], {}, "--eta"),
+    (["simulate", "--eta", "-0.2"], {}, "eta"),
+    (["simulate", "--gamma", "0"], {}, "gamma"),
+    (["simulate", "--omega0", "1", "--dx", "1", "--v-g", "0"], {}, "--v-g"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, env, flag", INVALID_VALUES,
+    ids=[" ".join([*(f"{k}={v}" for k, v in env.items()), *argv])
+         for argv, env, _ in INVALID_VALUES])
+def test_invalid_values_exit_2_and_name_the_flag(tmp_path, capsys,
+                                                 monkeypatch, argv, env, flag):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+NON_POSITIVE = (
+    (["simulate", "--steps-per-delay", "0"], "--steps-per-delay"),
+    (["simulate", "--t-max", "0"], "--t-max"),
+    (["fdd", "--nx", "0"], "--nx"),
+    (["fdd", "--x-span", "nan"], "--x-span"),
+    (["detect", "--n-points", "0"], "--n-points"),
+    (["detect", "--x0", "-1"], "--x0"),
+)
+
+
+@pytest.mark.parametrize("argv, flag", NON_POSITIVE,
+                         ids=[" ".join(argv) for argv, _ in NON_POSITIVE])
+def test_non_positive_counts_and_lengths_exit_2(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_version_banner(capsys):

@@ -6,8 +6,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from giantqed.model import (InitialState, SystemConfig, TOPOLOGIES,
-                            delay_table)
+from giantqed.dde import DriveSchedule
+from giantqed.model import (ConfigError, InitialState, SystemConfig,
+                            TOPOLOGIES, delay_table)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,29 @@ def test_from_phase_round_trip():
     assert cfg.gamma == 2.0
     with pytest.raises(ValueError):
         SystemConfig.from_phase("braided", eta=0.0, phi=0.0)
+
+
+@pytest.mark.parametrize("field", ["eta", "phi", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_from_phase_names_its_non_finite_input(field, value):
+    args = {"eta": 0.2, "phi": 1.0, "gamma": 1.0, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        SystemConfig.from_phase("separate", args["eta"], args["phi"],
+                                gamma=args["gamma"])
+
+
+def test_validators_raise_config_errors():
+    """Every rejected system, state or schedule is the caller's input."""
+    for make in (lambda: SystemConfig(topology="ring"),
+                 lambda: SystemConfig(topology="separate", gamma=-1.0),
+                 lambda: SystemConfig.from_phase("separate", 0.2, 1.0,
+                                                 gamma=0.0),
+                 lambda: SystemConfig.from_phase("separate", -0.2, 1.0),
+                 lambda: InitialState(1.0, 1.0),
+                 lambda: DriveSchedule((0.0, 1.0), (1.0, math.nan)),
+                 lambda: DriveSchedule((0.5,), (1.0,))):
+        with pytest.raises(ConfigError):
+            make()
 
 
 def test_leg_slots_and_positions():

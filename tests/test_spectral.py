@@ -18,7 +18,7 @@ from giantqed.spectral import (connected_pole, markovian_rates,
 
 
 def _matching_solver(cfg, delta):
-    """Scattering by explicit plane-wave matching at the four legs.
+    """Scattering by explicit plane-wave matching at the 2N legs.
 
     Right/left movers are piecewise plane waves; each leg j of atom m
     imposes the jump rho_j - rho_{j-1} = -(i g / v) e_m exp(-i k x_j) (and
@@ -68,12 +68,13 @@ def test_frozen_scattering_spot_values(topology):
 
 def test_scattering_matches_matching_solver():
     rng = np.random.default_rng(20240817)
-    for _ in range(25):
+    for n_legs in np.repeat([2, 1, 3, 4], 25):
         topology = ("separate", "braided")[rng.integers(2)]
         cfg = SystemConfig.from_phase(topology,
                                       eta=float(rng.uniform(0.05, 1.5)),
                                       phi=float(rng.uniform(0.0, 4 * math.pi)),
-                                      gamma=float(rng.uniform(0.5, 2.0)))
+                                      gamma=float(rng.uniform(0.5, 2.0)),
+                                      n_legs=int(n_legs))
         delta = float(rng.uniform(-8.0, 8.0)) * cfg.gamma
         t, r = scattering(cfg, delta)
         t_ref, r_ref = _matching_solver(cfg, delta)
@@ -239,10 +240,3 @@ def test_scan_input_validation():
     with pytest.raises(ValueError):
         scan_decay_rates("ring", n_points=4)
 
-
-def test_scattering_rejects_other_leg_counts():
-    cfg = SystemConfig(topology="separate", n_legs=3, delay=0.1, omega0=1.0)
-    with pytest.raises(ValueError):
-        scattering(cfg, 0.1)
-    with pytest.raises(ValueError):
-        markovian_rates(cfg)
