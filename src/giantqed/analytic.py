@@ -23,11 +23,13 @@ denominators shared with the pole finder: one ``ParityKernel`` per
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialState, SystemConfig, delay_table, write_csv
+from .model import (ConfigError, InitialState, SystemConfig, delay_table,
+                    write_csv)
 
 #: Largest rounding-error bound on c(t) (normalised to c(0) = 1) that
 #: ``ExpPolySolution.evaluate`` returns; the criterion-1 tolerance.
@@ -132,17 +134,19 @@ def exact_solution(config: SystemConfig, state: InitialState,
         ExpPolySolution valid on [0, n_branches*delay).
     """
     if config.delay <= 0:
-        raise ValueError("the branch series needs a positive delay")
+        raise ConfigError("the branch series needs a positive delay")
     parity = state.parity
     if parity is None:
-        raise ValueError(
+        raise ConfigError(
             "exact series requires a symmetric or antisymmetric initial state")
     if n_branches is None:
         if t_max is None:
-            raise ValueError("give either n_branches or t_max")
+            raise ConfigError("give either n_branches or t_max")
+        if not math.isfinite(t_max):
+            raise ConfigError(f"t_max must be finite, got {t_max!r}")
         n_branches = int(np.floor(t_max / config.delay + 1e-12)) + 1
     if n_branches < 1:
-        raise ValueError("need at least one branch")
+        raise ConfigError("need at least one branch")
 
     coeffs = delay_table(config).collective(parity)
     decay = coeffs.pop(0).real

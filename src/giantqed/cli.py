@@ -19,7 +19,8 @@ All artifacts are plain CSV (and NDJSON for the bic report) with
 config-echo comment headers; identical parameters produce byte-identical
 files.  SVG plots are optional conveniences behind ``--svg``.  Exit codes:
 0 success, 2 usage/config error (including a ``ConfigError``), 3 numerical
-failure.
+failure (a pole that does not converge, a series queried past its horizon
+or too ill-conditioned to evaluate, a floating-point error).
 """
 
 from __future__ import annotations
@@ -159,8 +160,10 @@ def build_config(params: dict) -> SystemConfig:
             raise UsageError("--omega0 and --dx must be given together")
         if v_g <= 0:
             raise UsageError("--v-g must be positive")
-        return SystemConfig(topology=topology, gamma=gamma,
-                            delay=_parse_number("dx", params["dx"]) / v_g,
+        dx = _parse_number("dx", params["dx"])
+        if dx <= 0:
+            raise UsageError(f"--dx must be positive, got {params['dx']!r}")
+        return SystemConfig(topology=topology, gamma=gamma, delay=dx / v_g,
                             omega0=_parse_number("omega0", params["omega0"]),
                             v_g=v_g)
     eta = _parse_number("eta", params.get("eta", 0.2))
@@ -444,7 +447,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     traj = integrate_with_drive(config, state, t_max, schedule,
                                 steps_per_delay=args.steps_per_delay)
-    t_bar = np.linspace(0.0, t_max, args.n_points)
+    # the run ends on a whole step, which rounding can put an ulp short of
+    # t_max
+    t_bar = np.linspace(0.0, min(t_max, float(traj.t[-1])), args.n_points)
     x0 = args.x0 if args.x0 is not None else config.spacing
     record = detector_signal(traj, config, x0, t_bar)
     path = os.path.join(out_dir, "detector.csv")
@@ -466,16 +471,19 @@ def cmd_detect(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` (int or float) above zero."""
+def _positive(kind, least=0):
+    """argparse type: a finite ``kind`` (int or float) above zero and not
+    below ``least``."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = 0
-        if not 0 < value < math.inf:
+        if not (0 < value < math.inf and value >= least):
+            bound = f" >= {least}" if least else ""
             raise argparse.ArgumentTypeError(f"expected a positive "
-                                             f"{kind.__name__}, got {text!r}")
+                                             f"{kind.__name__}{bound}, "
+                                             f"got {text!r}")
         return value
     return parse
 
@@ -549,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--switch-at", type=float,
                      help="drive switch time in units of 1/gamma")
     det.add_argument("--phi-after", help="inter-leg phase after the switch")
-    det.add_argument("--n-points", type=_positive(int), default=8501)
+    # released_energy integrates over at least two detector times
+    det.add_argument("--n-points", type=_positive(int, least=2), default=8501)
     det.add_argument("--steps-per-delay", type=_positive(int), default=100)
     det.set_defaults(func=cmd_detect)
     return parser
@@ -564,7 +573,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonConvergence, OutOfHorizon, IllConditioned,
-            FloatingPointError, ValueError) as exc:
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .analytic import ExpPolySolution
 from .dde import AmplitudeTrajectory, DriveSchedule
-from .model import SystemConfig, write_csv
+from .model import ConfigError, SystemConfig, write_csv
 
 __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
            "released_energy"]
@@ -169,11 +169,11 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     cone ``|x| <= max(leg) + v_g * t`` and on the ``t <= 0`` slices.
     """
     if parity not in (1, -1):
-        raise ValueError("parity must be +1 or -1")
+        raise ConfigError("parity must be +1 or -1")
     x = np.asarray(x_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     if x.ndim != 1 or t.ndim != 1 or x.size == 0 or t.size == 0:
-        raise ValueError("x_grid and t_grid must be non-empty 1-D arrays")
+        raise ConfigError("x_grid and t_grid must be non-empty 1-D arrays")
     src = _Source(amplitude_source, config, parity)
     _require_horizon(src, float(t.max()), "the requested time grid")
 
@@ -240,11 +240,12 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
     for a constant frequency); the sum carries an overall ``2/sqrt(gamma
     v_g)``.  The signal vanishes identically for ``t_bar < 0``.
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be positive (detector beyond the array)")
+    if not 0 < x0 < math.inf:
+        raise ConfigError("x0 must be positive and finite (detector beyond "
+                          "the array)")
     tb = np.asarray(t_bar_grid, dtype=float)
     if tb.ndim != 1 or tb.size == 0:
-        raise ValueError("t_bar_grid must be a non-empty 1-D array")
+        raise ConfigError("t_bar_grid must be a non-empty 1-D array")
     src = _Source(amplitude_source, config, None)
     _require_horizon(src, float(tb.max()), "the requested detector window")
 
@@ -284,9 +285,9 @@ def released_energy(record: DetectorRecord,
     else:
         lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
+        raise ConfigError("window must satisfy lo < hi")
     if lo < tb[0] - 1e-12 or hi > tb[-1] + 1e-12:
-        raise ValueError("window exceeds the recorded time range")
+        raise ConfigError("window exceeds the recorded time range")
     inner = (tb > lo) & (tb < hi)
     ts = np.concatenate(([lo], tb[inner], [hi]))
     ys = np.concatenate(([np.interp(lo, tb, inten)], inten[inner],

@@ -11,7 +11,7 @@ from giantqed.analytic import (ExpPolySolution, IllConditioned,
                                laplace_denominator,
                                laplace_denominator_derivative,
                                markovian_effective_rate, steady_state)
-from giantqed.model import InitialState, SystemConfig
+from giantqed.model import ConfigError, InitialState, SystemConfig
 
 
 def _series(topology, parity, *, eta=0.3, phi=0.0, n_branches=4):
@@ -122,14 +122,16 @@ def test_evaluate_refuses_cancelled_digits():
 
 def test_exact_solution_input_validation():
     cfg = SystemConfig.from_phase("separate", eta=0.1, phi=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         exact_solution(cfg, InitialState(c_a=1.0, c_b=0.0), n_branches=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         exact_solution(cfg, InitialState.symmetric())        # no extent given
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         exact_solution(cfg, InitialState.symmetric(), n_branches=0)
+    with pytest.raises(ConfigError):
+        exact_solution(cfg, InitialState.symmetric(), t_max=math.inf)
     zero_delay = SystemConfig(topology="separate", delay=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         exact_solution(zero_delay, InitialState.symmetric(), n_branches=2)
     # t_max chooses just enough branches
     sol = exact_solution(cfg, InitialState.symmetric(), t_max=2.5 * cfg.delay)

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from giantqed import cli
 from giantqed.bic import bic_state, overlap_with_initial
 from giantqed.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                           main, parse_angle)
@@ -221,6 +222,24 @@ def test_late_fdd_map_matches_trajectory_fed_map(tmp_path):
     assert peak == pytest.approx(ref, rel=1e-3)
 
 
+def test_detect_window_ending_an_ulp_past_the_run(tmp_path):
+    """At eta = 1.3, K = 150 the run's last node sits 1.4e-14 short of
+    t_max = 81.9; the record ends on that node instead of failing."""
+    assert main(["detect", "--eta", "1.3", "--phi", "0", "--t-max", "81.9",
+                 "--steps-per-delay", "150", "--n-points", "50",
+                 "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    """Exit 3 means the numerics failed; any other ValueError is a defect
+    and propagates instead of posing as one."""
+    def broken(args):
+        raise ValueError("defect")
+    monkeypatch.setattr(cli, "cmd_bic", broken)
+    with pytest.raises(ValueError, match="defect"):
+        main(["bic", "--out", str(tmp_path)])
+
+
 def test_detect_switch_flags_must_pair(tmp_path, capsys):
     rc = main(["detect", "--eta", "0.2", "--phi", "2pi",
                "--switch-at", "5", "--out", str(tmp_path)])
@@ -255,6 +274,9 @@ INVALID_VALUES = (
     (["simulate", "--eta", "-0.2"], {}, "eta"),
     (["simulate", "--gamma", "0"], {}, "gamma"),
     (["simulate", "--omega0", "1", "--dx", "1", "--v-g", "0"], {}, "--v-g"),
+    (["simulate", "--omega0", "1", "--dx", "-1"], {}, "--dx"),
+    # the default K = 100 is below the 50*eta floor
+    (["simulate", "--eta", "5", "--phi", "0"], {}, "eta = "),
 )
 
 
@@ -276,6 +298,7 @@ NON_POSITIVE = (
     (["fdd", "--nx", "0"], "--nx"),
     (["fdd", "--x-span", "nan"], "--x-span"),
     (["detect", "--n-points", "0"], "--n-points"),
+    (["detect", "--n-points", "1", "--t-max", "2"], "--n-points"),
     (["detect", "--x0", "-1"], "--x0"),
 )
 

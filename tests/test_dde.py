@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from giantqed.analytic import exact_solution
-from giantqed.dde import (AmplitudeTrajectory, DriveSchedule,
+from giantqed.dde import (AmplitudeTrajectory, DriveSchedule, _filon_weights,
                           excitation_balance, field_amplitudes,
                           frequency_grid, integrate, integrate_with_drive,
                           to_csv)
-from giantqed.model import InitialState, SystemConfig, delay_table
+from giantqed.model import (ConfigError, InitialState, SystemConfig,
+                            delay_table)
 
 
 def _implicit_euler_population(config, parity, t_end, steps_per_delay):
@@ -281,12 +283,14 @@ def test_schedule_validation():
 
 def test_step_floor_validation():
     cfg = SystemConfig.from_phase("separate", eta=0.2, phi=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         integrate(cfg, InitialState.symmetric(), t_max=1.0, steps_per_delay=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         integrate(cfg, InitialState.symmetric(), t_max=-1.0)
+    with pytest.raises(ConfigError):
+        integrate(cfg, InitialState.symmetric(), t_max=math.inf)
     big = SystemConfig.from_phase("separate", eta=20.0, phi=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         integrate(big, InitialState.symmetric(), t_max=1.0,
                   steps_per_delay=100)
     # a tiny delay is allowed to use a single step per delay
@@ -397,8 +401,54 @@ def test_field_amplitudes_amortised_sweep_matches_single_calls():
         one_r, one_l = field_amplitudes(traj, grid, t_probe)
         assert np.max(np.abs(swept_r[i] - one_r)) < 1e-14
         assert np.max(np.abs(swept_l[i] - one_l)) < 1e-14
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         field_amplitudes(traj, grid, [2.0, 1.0])
+    with pytest.raises(ConfigError):
+        field_amplitudes(traj, grid, [1.0, math.nan])
+
+
+def _dense_oracle(traj, omega_grid, times):
+    """The Filon mode integral of :func:`field_amplitudes` by direct sums.
+
+    Interval by interval in plain numpy, one exp(i omega tau) per node:
+    c linear on each node interval, exp(i (omega - omega_s) tau) exact,
+    with omega_s the drive of the segment that holds the interval's left
+    node (so an interval holding a mid-step switch keeps the pre-switch
+    drive).  Returns (phi_R, phi_L), each of shape (len(times), N_omega).
+    """
+    cfg, sched = traj.config, traj.schedule
+    omega = np.asarray(omega_grid, dtype=float)
+    tau = traj.t
+    h = tau[1] - tau[0]
+    rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
+        -1j * sched.accumulated_array(tau))
+    seg_first = [math.ceil(s / h - 1e-9) for s in sched.starts]
+    weights = []
+    for w_s in sched.omegas:
+        theta = (omega - w_s) * h
+        w0, w1 = _filon_weights(theta)
+        weights.append((w0, w1 * np.exp(-1j * theta)))
+    legs = [[np.exp(sign * 1j * np.outer(omega, cfg.leg_positions(atom))
+                    / cfg.v_g).sum(axis=1) for atom in (0, 1)]
+            for sign in (-1, +1)]
+    g0 = math.sqrt(cfg.gamma / (4.0 * math.pi))
+    stops = [traj.nearest_index(t) for t in times]
+    out = np.zeros((2, len(stops), omega.size), dtype=complex)
+    integral = np.zeros((2, omega.size), dtype=complex)
+    term = rot[:, :1] * np.exp(1j * tau[0] * omega)
+    for i in range(max(stops) + 1):
+        for k, stop in enumerate(stops):
+            if stop == i:
+                for d, (leg_a, leg_b) in enumerate(legs):
+                    out[d, k] = -1j * g0 * (leg_a * integral[0]
+                                            + leg_b * integral[1])
+        if i == max(stops):
+            break
+        nxt = rot[:, i + 1, None] * np.exp(1j * tau[i + 1] * omega)
+        w0, w1s = weights[bisect_right(seg_first, i) - 1]
+        integral += h * (w0 * term + w1s * nxt)
+        term = nxt
+    return out[0], out[1]
 
 
 def _max_rel_diff(got, want) -> float:
@@ -417,35 +467,59 @@ def switched_run():
 
 
 def test_uniform_grid_sum_matches_dense_sum_on_irregular_subset(switched_run):
-    """A uniform grid takes the chirp-z node sums, an irregular subset of it
-    the direct ones; on the shared frequencies they agree, across both
-    drive segments and in a multi-time sweep."""
+    """A uniform grid and an irregular subset of it both match the direct
+    sum on the subset, across both drive segments and in a multi-time
+    sweep."""
     cfg, traj = switched_run
     grid = frequency_grid(cfg, half_width=600.0, n_points=6001)
     subset = np.sort(np.random.default_rng(5).choice(grid.size, 1501,
                                                      replace=False))
     times = [0.8, 1.7, 2.9]
-    fast = field_amplitudes(traj, grid, times)
-    dense = field_amplitudes(traj, grid[subset], times)
-    assert _max_rel_diff([f[:, subset] for f in fast], dense) < 1e-9
+    dense = _dense_oracle(traj, grid[subset], times)
+    full = field_amplitudes(traj, grid, times)
+    assert _max_rel_diff([f[:, subset] for f in full], dense) < 1e-9
+    assert _max_rel_diff(field_amplitudes(traj, grid[subset], times),
+                         dense) < 1e-9
 
 
 def test_descending_and_tiny_uniform_grids_match_dense_sum(switched_run):
     cfg, traj = switched_run
     desc = frequency_grid(cfg, half_width=300.0, n_points=2001)[::-1]
-    subset = np.sort(np.random.default_rng(6).choice(desc.size, 501,
-                                                     replace=False))
-    fast = field_amplitudes(traj, desc, 2.9)
-    dense = field_amplitudes(traj, desc[subset], 2.9)
-    assert _max_rel_diff([f[subset] for f in fast], dense) < 1e-9
+    dense = _dense_oracle(traj, desc, [2.9])
+    assert _max_rel_diff(field_amplitudes(traj, desc, 2.9),
+                         [d[0] for d in dense]) < 1e-9
     for n in (1, 2, 3):
         grid = np.linspace(cfg.omega0 - 7.0, cfg.omega0 + 5.0, n)
-        # two extra, unevenly spaced points force the direct sum
-        irregular = np.append(grid, grid[-1] + np.array([1.0, 2.7]))
-        fast = field_amplitudes(traj, grid, [1.1, 2.9])
-        dense = field_amplitudes(traj, irregular, [1.1, 2.9])
-        assert fast[0].shape == (2, n)
-        assert _max_rel_diff(fast, [d[:, :n] for d in dense]) < 1e-9
+        got = field_amplitudes(traj, grid, [1.1, 2.9])
+        assert got[0].shape == (2, n)
+        assert _max_rel_diff(got, _dense_oracle(traj, grid, [1.1, 2.9])) < 1e-9
+
+
+def test_many_wrap_unsorted_grid_matches_dense_sum(switched_run):
+    """Random frequencies in random order with |omega*h| up to ~30*2pi: the
+    node sums wrap many times around the oversampled grid."""
+    cfg, traj = switched_run
+    h = traj.t[1] - traj.t[0]
+    omega = np.random.default_rng(7).uniform(-60.0 * math.pi / h,
+                                             60.0 * math.pi / h, 701)
+    assert np.max(np.abs(omega * h)) > 25 * 2 * math.pi
+    times = [0.5, 1.7, 2.9]
+    assert _max_rel_diff(field_amplitudes(traj, omega, times),
+                         _dense_oracle(traj, omega, times)) < 1e-9
+
+
+def test_snapshot_at_zero_and_three_legs_match_dense_sum():
+    """A snapshot at t = 0 is a run of one node (zero field); a three-leg
+    braided pair checks the leg factors against the direct sum."""
+    cfg = SystemConfig.from_phase("braided", eta=0.25, phi=0.3, n_legs=3)
+    traj = integrate(cfg, InitialState(0.8, 0.3 - 0.4j), t_max=2.0,
+                     steps_per_delay=50)
+    grid = frequency_grid(cfg, half_width=400.0, n_points=1201)
+    times = [0.0, 0.0, 1.1, 2.0]
+    got = field_amplitudes(traj, grid, times)
+    for phi in got:
+        assert np.max(np.abs(phi[:2])) < 1e-12 * np.max(np.abs(phi))
+    assert _max_rel_diff(got, _dense_oracle(traj, grid, times)) < 1e-9
 
 
 @pytest.mark.parametrize("grid", [np.array([]), np.zeros((2, 3)),
@@ -454,7 +528,7 @@ def test_descending_and_tiny_uniform_grids_match_dense_sum(switched_run):
                          ids=["empty", "2-D", "nan", "inf"])
 def test_field_amplitudes_rejects_bad_grids(switched_run, grid):
     _, traj = switched_run
-    with pytest.raises(ValueError, match="omega_grid"):
+    with pytest.raises(ConfigError, match="omega_grid"):
         field_amplitudes(traj, grid, 1.0)
 
 

@@ -16,7 +16,7 @@ from giantqed.dde import (DriveSchedule, field_amplitudes, integrate,
                           integrate_with_drive)
 from giantqed.field import (DetectorRecord, FieldGrid, detector_signal, fdd,
                             released_energy)
-from giantqed.model import InitialState, SystemConfig
+from giantqed.model import ConfigError, InitialState, SystemConfig
 
 
 def _dark_config(eta=0.2):
@@ -165,13 +165,13 @@ def test_fdd_input_validation():
     state = InitialState.antisymmetric()
     sol = exact_solution(cfg, state, n_branches=3)
     x, t = np.array([0.0]), np.array([1.0 * cfg.delay])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         fdd(sol, cfg, 0, x, t)
     with pytest.raises(ValueError):
         fdd(sol, cfg, +1, x, t)                 # parity mismatch
     with pytest.raises(ValueError):
         fdd(sol, cfg, -1, x, np.array([5.0 * cfg.delay]))  # past horizon
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         fdd(sol, cfg, -1, np.array([]), t)
     with pytest.raises(TypeError):
         fdd(np.zeros(4), cfg, -1, x, t)
@@ -254,12 +254,14 @@ def test_detector_input_validation():
     cfg = _dark_config()
     sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=3)
     tb = np.linspace(0.0, 0.5, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         detector_signal(sol, cfg, x0=0.0, t_bar_grid=tb)
+    with pytest.raises(ConfigError):
+        detector_signal(sol, cfg, x0=math.nan, t_bar_grid=tb)
     with pytest.raises(ValueError):
         detector_signal(sol, cfg, x0=1.0,
                         t_bar_grid=np.linspace(0, 10 * cfg.delay, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         detector_signal(sol, cfg, x0=1.0, t_bar_grid=np.array([]))
 
 
@@ -272,9 +274,9 @@ def test_released_energy_window_additivity():
     split = released_energy(rec, (0.0, 3.7)) + released_energy(rec, (3.7, 12.0))
     assert split == pytest.approx(total, abs=1e-9)
     assert total > 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         released_energy(rec, (5.0, 4.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         released_energy(rec, (0.0, 20.0))
 
 
