@@ -177,22 +177,42 @@ class ParityKernel:
 
     ``steps`` are the delays n in units of ``delay`` and ``coeffs`` the
     A_n = self_n + parity*cross_n, which depend on phi and gamma only.
+
+    A row kernel stacks one such system per row: ``coeffs`` of shape
+    (rows, lags) and ``delay`` of shape (rows,), evaluated at one s per row.
     """
 
     steps: np.ndarray
     coeffs: np.ndarray
-    delay: float
+    delay: float | np.ndarray
 
     def evaluate(self, s):
-        """(D_p(s), D_p'(s)) from one exp(-s n delay); scalars or arrays."""
+        """(D_p(s), D_p'(s)) from one exp(-s n delay); scalars or arrays.
+
+        A row kernel takes s of shape (rows,) and returns one value per row.
+        """
         s = np.asarray(s, dtype=complex)
-        lags = self.steps * self.delay
+        rows = self.coeffs.ndim == 2
+        lags = self.steps * (self.delay[:, None] if rows else self.delay)
         # far in the left half plane the exponentials overflow to inf, which
         # is the honest saturating value for a root finder probing out there
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.exp(-s[..., None] * lags)
+            if rows:
+                return (s + (e * self.coeffs).sum(axis=-1),
+                        1.0 - (e * (lags * self.coeffs)).sum(axis=-1))
             out = s + e @ self.coeffs, 1.0 - e @ (lags * self.coeffs)
         return out if s.shape else (complex(out[0]), complex(out[1]))
+
+    def rows(self, index, delay=None) -> "ParityKernel":
+        """Row kernel of the selected rows, at ``delay`` (default: their own).
+
+        A single-system kernel counts as one row, index 0.
+        """
+        coeffs = np.atleast_2d(self.coeffs)[index]
+        if delay is None:
+            delay = np.atleast_1d(self.delay)[index]
+        return ParityKernel(self.steps, coeffs, np.full(len(coeffs), delay))
 
 
 def parity_kernel(config: SystemConfig, parity: int) -> ParityKernel:

@@ -326,8 +326,12 @@ def cmd_decay_rates(args: argparse.Namespace) -> int:
     lo, hi, n = _parse_scan(args.scan)
     out_dir = _prepare_out(params)
 
-    scan = scan_decay_rates(topology, n_points=n, x_max=hi, x_min=lo,
-                            omega0=omega0, gamma=gamma, v_g=v_g)
+    try:
+        scan = scan_decay_rates(topology, n_points=n, x_max=hi, x_min=lo,
+                                omega0=omega0, gamma=gamma, v_g=v_g)
+    except ConfigError as exc:
+        raise UsageError(f"--omega0 {omega0!r} with --scan {args.scan}: "
+                         f"{exc}") from None
     path = os.path.join(out_dir, "decay_rates.csv")
     scan.to_csv(path)
     print(f"wrote {path}")
@@ -447,9 +451,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     traj = integrate_with_drive(config, state, t_max, schedule,
                                 steps_per_delay=args.steps_per_delay)
-    # the run ends on a whole step, which rounding can put an ulp short of
-    # t_max
-    t_bar = np.linspace(0.0, min(t_max, float(traj.t[-1])), args.n_points)
+    t_bar = np.linspace(0.0, t_max, args.n_points)
     x0 = args.x0 if args.x0 is not None else config.spacing
     record = detector_signal(traj, config, x0, t_bar)
     path = os.path.join(out_dir, "detector.csv")

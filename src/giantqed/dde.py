@@ -38,6 +38,11 @@ import numpy as np
 from .model import (ConfigError, InitialState, SystemConfig, delay_table,
                     write_csv)
 
+#: Fraction of a step by which a run may end short of its t_max: the last
+#: node is the first one past t_max - GRID_END_SLACK*h.  Queries up to that
+#: far beyond the last node are legal and clamp to it.
+GRID_END_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class DriveSchedule:
@@ -124,16 +129,26 @@ class AmplitudeTrajectory:
     def excited_population(self) -> np.ndarray:
         return self.pop_a + self.pop_b
 
+    @property
+    def horizon(self) -> float:
+        """Last legal query time: the last node plus the grid-end slack."""
+        return float(self.t[-1] + GRID_END_SLACK * (self.t[1] - self.t[0]))
+
     def interpolate(self, t, atom: int | None = None):
         """(c_a, c_b) at arbitrary times via piecewise cubic Hermite.
 
         With ``atom`` (0 for a, 1 for b) only that atom's amplitude is
-        interpolated and returned.
+        interpolated and returned.  Times up to ``GRID_END_SLACK`` of a step
+        outside [0, t[-1]] clamp to the end node; anything further raises
+        ValueError.
         """
         tq = np.atleast_1d(np.asarray(t, dtype=float))
-        if tq.size and (tq.min() < -1e-12 or tq.max() > self.t[-1] + 1e-12):
-            raise ValueError("interpolation time outside the stored run")
         h = self.t[1] - self.t[0]
+        lo, hi = (tq.min(), tq.max()) if tq.size else (0.0, 0.0)
+        if lo < -GRID_END_SLACK * h or hi > self.horizon:
+            raise ValueError("interpolation time outside the stored run")
+        if lo < 0.0 or hi > self.t[-1]:
+            tq = np.clip(tq, 0.0, self.t[-1])
         idx = np.clip((tq / h).astype(int), 0, len(self.t) - 2)
         nxt = idx + 1
         u = tq / h - idx
@@ -216,7 +231,7 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     K = steps_per_delay
     delay = config.delay
     h = delay / K
-    n_steps = max(1, int(math.ceil(t_max / h - 1e-9)))
+    n_steps = max(1, int(math.ceil(t_max / h - GRID_END_SLACK)))
     # one RK4 step with the delayed inputs fixed: y1 = amp*y0 + F with
     # F = w_node*P(t0) + w_mid*M + w_end*P(t1), where P is the delayed sum
     # at a node and M the one at the midpoint

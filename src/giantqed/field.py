@@ -74,7 +74,7 @@ class _Source:
                         "trajectory initial state does not have the "
                         f"requested exchange parity {parity:+d}")
             self._kind = "trajectory"
-            self.horizon = float(source.t[-1])
+            self.horizon = source.horizon
             self._schedule = source.schedule
         else:
             raise TypeError("amplitude source must be an ExpPolySolution "
@@ -97,7 +97,7 @@ def _half_step(u: np.ndarray) -> np.ndarray:
 
 
 def _require_horizon(src: _Source, needed: float, what: str) -> None:
-    if needed > src.horizon + 1e-15:
+    if needed > src.horizon:
         raise ValueError(
             f"{what} needs amplitudes up to t = {needed!r} but the source "
             f"only covers t <= {src.horizon!r}; build it with a longer run")

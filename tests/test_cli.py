@@ -224,7 +224,8 @@ def test_late_fdd_map_matches_trajectory_fed_map(tmp_path):
 
 def test_detect_window_ending_an_ulp_past_the_run(tmp_path):
     """At eta = 1.3, K = 150 the run's last node sits 1.4e-14 short of
-    t_max = 81.9; the record ends on that node instead of failing."""
+    t_max = 81.9; the record's last time reads that node instead of
+    failing."""
     assert main(["detect", "--eta", "1.3", "--phi", "0", "--t-max", "81.9",
                  "--steps-per-delay", "150", "--n-points", "50",
                  "--out", str(tmp_path)]) == EXIT_OK
@@ -268,6 +269,8 @@ INVALID_VALUES = (
     (["decay-rates"], {"GIANTQED_GAMMA": "abc"}, "--gamma"),
     (["decay-rates", "--omega0", "nan"], {}, "--omega0"),
     (["decay-rates", "--omega0", "0"], {}, "--omega0"),
+    # eta = pi*3/1e-300 would overflow exp(-s n delay); trips before the scan
+    (["decay-rates", "--omega0", "1e-300"], {}, "--omega0"),
     (["detect", "--eta", "0.2", "--phi", "2pi", "--t-max", "4",
       "--switch-at", "2", "--phi-after", "nan"], {}, "--phi-after"),
     (["simulate", "--eta", "nan"], {}, "--eta"),

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from giantqed.analytic import exact_solution
-from giantqed.dde import (AmplitudeTrajectory, DriveSchedule, _filon_weights,
+from giantqed.dde import (GRID_END_SLACK, AmplitudeTrajectory, DriveSchedule,
+                          _filon_weights,
                           excitation_balance, field_amplitudes,
                           frequency_grid, integrate, integrate_with_drive,
                           to_csv)
@@ -330,6 +331,23 @@ def test_interpolate_nodes_and_midpoints():
         traj.interpolate(traj.t[-1] + 1.0)
     with pytest.raises(ValueError):
         traj.interpolate(-0.5)
+
+
+def test_interpolate_clamps_inside_the_grid_end_slack():
+    """At eta = 1.3, K = 150 the run ends an ulp short of t_max = 81.9;
+    queries up to GRID_END_SLACK of a step past the last node answer with
+    its value, and one just beyond that is refused."""
+    cfg = SystemConfig.from_phase("separate", eta=1.3, phi=0.0)
+    traj = integrate(cfg, InitialState.antisymmetric(), 81.9, 150)
+    assert traj.t[-1] < 81.9
+    h = traj.t[1] - traj.t[0]
+    assert traj.horizon == traj.t[-1] + GRID_END_SLACK * h
+    last = (traj.c_a[-1], traj.c_b[-1])
+    assert traj.interpolate(81.9) == last
+    assert traj.interpolate(traj.horizon) == last
+    assert traj.interpolate(-GRID_END_SLACK * h) == (traj.c_a[0], traj.c_b[0])
+    with pytest.raises(ValueError):
+        traj.interpolate(traj.t[-1] + 2 * GRID_END_SLACK * h)
 
 
 def test_interpolate_equals_plain_hermite_expression():

@@ -265,6 +265,19 @@ def test_detector_input_validation():
         detector_signal(sol, cfg, x0=1.0, t_bar_grid=np.array([]))
 
 
+def test_detector_window_ending_an_ulp_past_the_run():
+    """The run's last node sits an ulp short of t_max = 81.9; a detector
+    window ending at t_max reads that node instead of being refused."""
+    cfg = SystemConfig.from_phase("separate", eta=1.3, phi=0.0)
+    traj = integrate(cfg, InitialState.antisymmetric(), 81.9, 150)
+    assert traj.t[-1] < 81.9
+    record = detector_signal(traj, cfg, 2.0, np.linspace(0.0, 81.9, 200))
+    assert np.all(np.isfinite(record.amplitude))
+    at_node = detector_signal(traj, cfg, 2.0, np.array([traj.t[-1]]))
+    assert record.amplitude[-1] == pytest.approx(at_node.amplitude[0],
+                                                 abs=1e-12)
+
+
 def test_released_energy_window_additivity():
     cfg = _dark_config(eta=0.2)
     sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=13.0)

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from giantqed.analytic import (exact_solution, laplace_denominator,
-                               laplace_denominator_derivative)
-from giantqed.model import InitialState, SystemConfig
-from giantqed.spectral import (connected_pole, markovian_rates,
-                               nonmarkovian_poles, scan_decay_rates,
-                               scattering)
+from giantqed.analytic import (ParityKernel, exact_solution,
+                               laplace_denominator,
+                               laplace_denominator_derivative, parity_kernel)
+from giantqed import spectral
+from giantqed.model import ConfigError, InitialState, SystemConfig
+from giantqed.spectral import (NonConvergence, _ramp, connected_pole,
+                               markovian_rates, nonmarkovian_poles,
+                               scan_decay_rates, scattering)
 
 
 def _matching_solver(cfg, delta):
@@ -232,11 +234,60 @@ def test_scan_is_smooth_away_from_branch_collisions():
     assert np.max(np.abs(np.diff(scan.rate_minus))) < 1.0
 
 
+def _check_against_connected_pole(scan, topology):
+    """Every scan point's poles against ``connected_pole`` of its own config."""
+    for i, x in enumerate(scan.omega0_dx_over_pi):
+        cfg = SystemConfig(topology=topology, gamma=scan.gamma,
+                           delay=x * math.pi / scan.omega0, omega0=scan.omega0)
+        for parity, rates in ((+1, scan.rate_plus), (-1, scan.rate_minus)):
+            assert abs(-2.0 * connected_pole(cfg, parity) - rates[i]) < 1e-12
+
+
+def test_readme_scan_matches_connected_pole_point_by_point():
+    """The batched ramp of the README braided scan gives each point's own
+    connected pole; some rows fall back to subdividing their ramp step."""
+    scan = scan_decay_rates("braided", n_points=600, x_max=3.0, omega0=50.0,
+                            x_min=0.005)
+    _check_against_connected_pole(scan, "braided")
+    subdivided = scan.subdivisions_plus + scan.subdivisions_minus
+    assert np.count_nonzero(subdivided) >= 1
+    for its in (scan.iterations_plus, scan.iterations_minus):
+        assert its.shape == (600,) and its.dtype.kind == "i"
+
+
+def test_short_separate_scan_matches_connected_pole_point_by_point():
+    scan = scan_decay_rates("separate", n_points=40, x_min=0.1, x_max=2.9,
+                            omega0=20.0, gamma=1.3)
+    _check_against_connected_pole(scan, "separate")
+    assert scan.residual_plus.max() < 1e-10
+    assert scan.residual_minus.max() < 1e-10
+
+
 def test_scan_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         scan_decay_rates("separate", n_points=10, x_max=1.0, x_min=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         scan_decay_rates("separate", n_points=10, x_max=1.0, x_min=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         scan_decay_rates("ring", n_points=4)
+    with pytest.raises(ConfigError):
+        scan_decay_rates("separate", n_points=0)
+    # eta = pi*x*gamma/omega0 past the range where exp(-s n delay) is finite
+    for omega0 in (1e-300, 1e-310, 0.0, math.nan):
+        with pytest.raises(ConfigError, match="omega0"):
+            scan_decay_rates("braided", omega0=omega0)
+    with pytest.raises(ConfigError, match=r"= 3\.14159e\+300 at x = 1 "):
+        scan_decay_rates("braided", n_points=4, x_max=1.0, omega0=1e-300)
+
+
+def test_nonconvergence_names_a_short_eta(monkeypatch):
+    """A branch lost deep in the ramp is reported with eta in %.6g: a nan
+    kernel fails every step down to the 24th halving of the first one."""
+    monkeypatch.setattr(spectral, "RAMP_MAX_ITER", 1)
+    kernel = parity_kernel(SystemConfig.from_phase("braided", eta=0.2,
+                                                   phi=math.pi), -1)
+    broken = ParityKernel(kernel.steps, np.full_like(kernel.coeffs, math.nan),
+                          kernel.delay)
+    with pytest.raises(NonConvergence, match=r"eta=7\.45058e-10$"):
+        _ramp(broken, np.array([0.2]), 1.0, -1)
 
