@@ -252,9 +252,23 @@ def delay_table(config: SystemConfig) -> DelayTable:
     return DelayTable(self_terms=tally(slots_a), cross_terms=tally(slots_b))
 
 
-#: Rows formatted per write in ``write_csv``; bounds the memory a large
-#: field map takes while it is written.
+#: Values (rows x columns) formatted per write in ``write_csv``; bounds the
+#: memory a large field map or trajectory takes while it is written: a chunk
+#: holds at most this many value strings, whatever the column count.
 _CSV_CHUNK = 4096
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of every entry of a 1-D array, formatting each distinct value once.
+
+    Values are told apart by their bit pattern, so -0.0 and 0.0 (and NaN
+    payloads) stay distinct, and they are converted back to the array's own
+    dtype, so an integer column still reads ``0``.
+    """
+    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"),
+                                  return_inverse=True)
+    text = repr(distinct.view(values.dtype).tolist())[1:-1].split(", ")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def write_csv(path, comments, header: str, columns) -> None:
@@ -262,12 +276,15 @@ def write_csv(path, comments, header: str, columns) -> None:
 
     ``columns`` are equal-length sequences of real numbers, one per header
     field.  Values are written with repr, so floats read back exactly.
+    Rows go out in chunks of at most ``_CSV_CHUNK`` values (rows x
+    columns).  Within a chunk each column's distinct values are formatted
+    once, in one repr of their list, and scattered back to their rows; the
+    bytes are the same as from a repr per cell.
     """
     cols = [np.asarray(col) for col in columns]
-    fmt = ",".join(["%r"] * len(cols)) + "\n"
+    rows = max(1, _CSV_CHUNK // len(cols))
     with open(path, "w") as fh:
         fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
-        for start in range(0, len(cols[0]), _CSV_CHUNK):
-            rows = zip(*(col[start:start + _CSV_CHUNK].tolist()
-                         for col in cols))
-            fh.write("".join([fmt % row for row in rows]))
+        for start in range(0, len(cols[0]), rows):
+            fields = [_reprs(col[start:start + rows]) for col in cols]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

@@ -58,7 +58,10 @@ def scattering(config: SystemConfig, delta_k):
 
     Exactly on a trapping resonance (phi on its dark multiple of pi AND
     delta_k = 0) numerator and denominator share a zero and the entry is
-    nan; the limit is smooth, so any neighbouring detuning gives it.
+    nan; the limit is smooth, so any neighbouring detuning gives it.  Every
+    entry whose |D_p| is below the smallest normal float (a detuning of
+    about 1e-308 or less next to the resonance) is that same nan, without
+    a warning: its subnormal D_p no longer resolves the shared zero.
     """
     dk = np.asarray(delta_k, dtype=complex)
     k = (config.omega0 + dk) / config.v_g
@@ -71,9 +74,10 @@ def scattering(config: SystemConfig, delta_k):
     lbar_a, lbar_b = leg_sum(0, -1), leg_sum(1, -1)
     t = np.ones(dk.shape, dtype=complex)
     r = np.zeros(dk.shape, dtype=complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore"):
         for p in (+1, -1):
             den = analytic.laplace_denominator(config, p, -1j * dk)
+            den = np.where(np.abs(den) < np.finfo(float).tiny, np.nan, den)
             drive = l_a + p * l_b
             t -= 0.25 * config.gamma * (lbar_a + p * lbar_b) * drive / den
             r -= 0.25 * config.gamma * drive * drive / den

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from giantqed import bic
 from giantqed.bic import (BicState, NoBic, bic_field_profile, bic_state,
                           field_norm, overlap_with_initial)
 from giantqed.model import InitialState, SystemConfig
@@ -94,6 +95,24 @@ def test_field_norm_converges_to_field_weight():
         state = bic_state(_cfg(topology, phi, eta, n_legs))
         norm = field_norm(state)
         assert norm == pytest.approx(state.field_weight, abs=1e-6)
+
+
+def test_field_norm_cells_resolve_the_integrand(monkeypatch):
+    """The default cell count is converged far below the window error."""
+    configs = [("separate", 2 * math.pi, 0.2, 2),
+               ("separate", 3 * math.pi, 0.35, 2),
+               ("braided", 2 * math.pi, 0.15, 2),
+               ("separate", 2 * math.pi, 0.2, 3),
+               ("braided", 2 * math.pi, 0.2, 3),
+               ("braided", 2 * math.pi, 0.2, 2),
+               ("separate", 2 * math.pi, 0.2, 4),
+               ("braided", 2 * math.pi, 0.2, 4),
+               ("separate", 2 * math.pi, 5.0, 2)]
+    states = [bic_state(_cfg(*c)) for c in configs]
+    default = [field_norm(state) for state in states]
+    monkeypatch.setattr(bic, "_NORM_CELLS", 10 * bic._NORM_CELLS)
+    for state, norm in zip(states, default):
+        assert norm == pytest.approx(field_norm(state), abs=1e-8)
 
 
 def test_field_norm_plain_window_converges_like_one_over_width():

@@ -3,12 +3,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from giantqed import model
 from giantqed.dde import DriveSchedule
 from giantqed.model import (ConfigError, InitialState, SystemConfig,
-                            TOPOLOGIES, delay_table)
+                            TOPOLOGIES, delay_table, write_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +213,57 @@ def test_table_phases_carry_propagation_phase():
     for n, v in {**tab.self_terms, **tab.cross_terms}.items():
         assert cmath.phase(v * cmath.exp(-1j * n * cfg.phi)) == \
             pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# write_csv
+# ---------------------------------------------------------------------------
+
+def _csv_oracle(path, comments, header, columns):
+    """The per-row writer ``write_csv`` replaced: one "%r" per cell."""
+    cols = [np.asarray(col) for col in columns]
+    fmt = ",".join(["%r"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        for start in range(0, len(cols[0]), 4096):
+            rows = zip(*(col[start:start + 4096].tolist() for col in cols))
+            fh.write("".join([fmt % row for row in rows]))
+
+
+#: Signed zeros, NaNs with two payloads, infinities, subnormals, the
+#: smallest normal, and both sides of repr's switches to exponent notation.
+_ADVERSARIAL = np.array(
+    [-0.0, 0.0, np.nan, np.array(0x7FF8000000000001).view(float), np.inf,
+     -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308, 1e16,
+     9999999999999998.0, 1e-5, 0.0001, 9.999999999999999e-05, 0.1, 1 / 3,
+     -2.5, 1e300])
+
+_N_COLS = 6
+_CHUNK_ROWS = model._CSV_CHUNK // _N_COLS
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                               _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3])
+def test_write_csv_matches_a_repr_per_cell(tmp_path, n):
+    rng = np.random.default_rng(n)
+    sizes = rng.integers(1, 9, size=n)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)[:n]
+    columns = [
+        np.resize(_ADVERSARIAL, n),
+        rng.permutation(np.resize(_ADVERSARIAL, n)),
+        # a short cycle, so values repeat across every chunk boundary
+        0.5 * (np.arange(n) % 7) - 1.0,
+        # int64 like coefficients_to_csv's (l, j): must stay "0", not "0.0"
+        np.repeat(np.arange(n), sizes)[:n],
+        np.arange(n) - starts,
+        # a Python list, like the exact-series population columns
+        [abs(v) ** 2 for v in rng.standard_normal(n).tolist()],
+    ]
+    assert len(columns) == _N_COLS
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    comments = ["writer check", f"n = {n}"]
+    write_csv(got, comments, "a,b,c,l,j,pop", columns)
+    _csv_oracle(want, comments, "a,b,c,l,j,pop", columns)
+    assert got.read_bytes() == want.read_bytes()
+    if n:
+        assert got.read_text().splitlines()[3].split(",")[3] == "0"
