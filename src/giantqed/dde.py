@@ -21,10 +21,18 @@ interval are solved together by a Hillis-Steele doubling scan of that
 recurrence, ceil(log2(K+1)) array passes; |R| < 1 keeps it stable, where
 the closed form through R^-j would overflow.
 
-A piecewise-constant frequency schedule ("drive") is supported by replacing
-the static phase exp(i n phi) of each delayed term with the phase actually
-accumulated over the retardation window, exp(i Int_{t-n*delay}^t omega0(s) ds).
-With a single segment this reproduces the undriven integrator bit for bit.
+A piecewise-constant frequency schedule ("drive") gives each delayed term
+the phase accumulated over its retardation window,
+exp(i Int_{t-n*delay}^t omega0(s) ds).  A window inside one segment k
+accumulates the static phase n*omega_k*delay, so an interval whose windows
+all lie inside one segment (every interval of an undriven run, all but
+L + 1 per switch with lags up to L) gathers the stored values and both
+derivatives of its history in one index and takes one product with the
+segment's complex coupling.  The Hermite midpoint is then linear in the
+delayed sums P, Q, R of values, right and left derivatives and is folded
+into F.  Only intervals whose windows hold a switch build explicit
+midpoints and per-node accumulated phases.  A switched run therefore
+matches the undriven one bit for bit until a window reaches the switch.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ from .model import (ConfigError, InitialState, SystemConfig, delay_table,
 #: node is the first one past t_max - GRID_END_SLACK*h.  Queries up to that
 #: far beyond the last node are legal and clamp to it.
 GRID_END_SLACK = 1e-9
+
+#: Most grid nodes one run may store, checked before anything is allocated:
+#: 10^7 nodes hold the three (2, nodes) complex arrays in 960 MB.
+_NODE_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,9 @@ class AmplitudeTrajectory:
     ``deriv_*`` are the stored node derivatives used for Hermite
     interpolation; the ``_left`` variants differ from the ``_right`` ones
     only at breakpoint nodes (delayed terms switch on there).
+    ``intervals`` counts the delay-interval passes of the run and
+    ``switch_intervals`` those whose retardation windows held a drive
+    switch, so they took per-node phases (both 0 for delay = 0).
     """
 
     t: np.ndarray
@@ -116,6 +131,8 @@ class AmplitudeTrajectory:
     config: SystemConfig
     schedule: DriveSchedule
     steps_per_delay: int
+    intervals: int
+    switch_intervals: int
 
     @property
     def pop_a(self) -> np.ndarray:
@@ -202,7 +219,13 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     The delayed term at lag n*delay picks up the phase accumulated over its
     own retardation window, exp(i [Omega(t) - Omega(t - n*delay)]) with
     Omega the integral of omega0(s).  For a single-segment schedule this is
-    bit-identical to :func:`integrate`.
+    bit-identical to :func:`integrate`, and so is a switched run until its
+    first retardation window reaches the switch.
+
+    Raises:
+        ConfigError: for a non-positive or non-finite ``t_max``, a step
+            above the 0.02/gamma floor, or a run of more grid nodes than
+            the 10^7-node budget (checked before anything is allocated).
     """
     if not 0 < t_max < math.inf:
         raise ConfigError(f"t_max must be positive and finite, got {t_max!r}")
@@ -231,7 +254,7 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     K = steps_per_delay
     delay = config.delay
     h = delay / K
-    n_steps = max(1, int(math.ceil(t_max / h - GRID_END_SLACK)))
+    n_steps = max(1, _check_node_budget(t_max / h - GRID_END_SLACK))
     # one RK4 step with the delayed inputs fixed: y1 = amp*y0 + F with
     # F = w_node*P(t0) + w_mid*M + w_end*P(t1), where P is the delayed sum
     # at a node and M the one at the midpoint
@@ -240,45 +263,64 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     w_node = -(h / 6.0) * (1.0 + z + z * z / 2.0 + z ** 3 / 4.0)
     w_mid = -(h / 6.0) * (4.0 + 2.0 * z + z * z / 2.0)
     w_end = -h / 6.0
+    # with one phase per lag, M is linear in the delayed sums Q and R of
+    # the right and left derivatives: M_j = (P_j + P_{j+1})/2 + (h/8)(Q_j -
+    # R_{j+1}), so F_j = a_node*P_j + a_end*P_{j+1} + a_slope*(Q_j - R_{j+1})
+    a_node = w_node + 0.5 * w_mid
+    a_end = w_end + 0.5 * w_mid
+    a_slope = 0.125 * h * w_mid
+    # a window inside segment k accumulates the static phase n*omega_k*delay
+    seg_coupling = [coupling * np.exp(1j * lags * (w * delay))
+                    for w in schedule.omegas]
 
-    static = len(schedule.omegas) == 1
-    if static:
-        static_phase = np.exp(1j * lags * (schedule.omegas[0] * delay))[:, None]
-
-    c = np.empty((2, n_steps + 1), dtype=complex)     # rows: atom a, atom b
+    # values, right and left derivatives as (kind, atom, node); zeroed, so
+    # the right derivative of node lo, gathered below before this pass sets
+    # it, is a finite value that only feeds an unused column
+    store = np.zeros((3, 2, n_steps + 1), dtype=complex)
+    c, d_right, d_left = store
     c[:, 0] = complex(state.c_a), complex(state.c_b)
-    d_right = np.empty_like(c)
-    d_left = np.empty_like(c)
     d_right[:, 0] = d_left[:, 0] = -gamma0 * c[:, 0]
 
     # one pass per interval [m*delay, (m+1)*delay), first node lo = m*K; a
     # last node on a breakpoint is a pass of no steps that only sets its
     # right derivative
+    switch_passes = 0
     for lo in range(0, n_steps + 1, K):
         n = min(K, n_steps - lo)
         live = int(np.searchsorted(lags, lo // K, side="right"))
         lag = lags[:live]
         # history nodes lo - lag*K .. lo - lag*K + n of every live lag as
-        # (atom, lag, node), and their Hermite midpoints
+        # (kind, atom, lag, node)
         idx = (lo - lag * K)[:, None] + np.arange(n + 1)
-        hist = c[:, idx]
-        mid = 0.5 * (hist[..., :-1] + hist[..., 1:]) + 0.125 * h * (
-            d_right[:, idx[:, :-1]] - d_left[:, idx[:, 1:]])
-        if static:
-            ph_node = ph_mid = static_phase[:live]
+        hist = store.take(idx, axis=2)
+        # the windows [t - lag*delay, t] of the pass span [first, last]; a
+        # switch on either end node lies outside
+        first = (lo - (K * lag[-1] if live else 0) + GRID_END_SLACK) * h
+        seg = bisect_right(schedule.starts, first)
+        if seg == bisect_right(schedule.starts, (lo + n - GRID_END_SLACK) * h):
+            cpl = seg_coupling[seg - 1][:, :, :live].reshape(2, 2 * live)
+            p, q, r = cpl @ hist.reshape(3, 2 * live, n + 1)
+            f = a_node * p[:, :-1] + a_end * p[:, 1:] + a_slope * (
+                q[:, :-1] - r[:, 1:])
         else:
+            # a switch inside the windows: per-node accumulated phases,
+            # so explicit Hermite midpoints
+            switch_passes += 1
+            val, right, left = hist
+            mid = 0.5 * (val[..., :-1] + val[..., 1:]) + 0.125 * h * (
+                right[..., :-1] - left[..., 1:])
             t_node = (lo + np.arange(n + 1)) * h
             times = np.concatenate((t_node, t_node[:-1] + 0.5 * h))
             acc = schedule.accumulated_array(
                 times - np.concatenate(([0.0], lag * delay))[:, None])
             ph = np.exp(1j * (acc[0] - acc[1:]))
-            ph_node, ph_mid = ph[:, :n + 1], ph[:, n + 1:]
-        cpl = coupling[:, :, :live].reshape(2, 2 * live)
-        p = cpl @ (hist * ph_node).reshape(2 * live, n + 1)
-        m = cpl @ (mid * ph_mid).reshape(2 * live, n)
+            cpl = coupling[:, :, :live].reshape(2, 2 * live)
+            p = cpl @ (val * ph[:, :n + 1]).reshape(2 * live, n + 1)
+            m = cpl @ (mid * ph[:, n + 1:]).reshape(2 * live, n)
+            f = w_node * p[:, :-1] + w_mid * m + w_end * p[:, 1:]
 
         y = c[:, lo:lo + n + 1]
-        y[:, 1:] = w_node * p[:, :-1] + w_mid * m + w_end * p[:, 1:]
+        y[:, 1:] = f
         # Hillis-Steele doubling scan of y[j+1] = amp*y[j] + F[j]: after
         # the pass with shift s each entry sums its last 2s terms
         power, s = amp, 1
@@ -296,7 +338,18 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
                                deriv_a_right=d_right[0], deriv_b_right=d_right[1],
                                deriv_a_left=d_left[0], deriv_b_left=d_left[1],
                                config=config, schedule=schedule,
-                               steps_per_delay=steps_per_delay)
+                               steps_per_delay=steps_per_delay,
+                               intervals=n_steps // K + 1,
+                               switch_intervals=switch_passes)
+
+
+def _check_node_budget(steps: float) -> int:
+    """ceil(steps), once steps + 1 nodes (or more) fit the node budget."""
+    if not steps <= _NODE_BUDGET - 1:         # also catches inf
+        raise ConfigError(f"the run needs {steps + 1:.3g} grid nodes, above "
+                          f"the budget of {_NODE_BUDGET:.0e}; lower --t-max "
+                          f"or --steps-per-delay")
+    return int(math.ceil(steps))
 
 
 def _integrate_instantaneous(config: SystemConfig, state: InitialState,
@@ -306,7 +359,8 @@ def _integrate_instantaneous(config: SystemConfig, state: InitialState,
     table = delay_table(config)           # phi = omega0*0 = 0, real table
     plus = sum(table.collective(+1).values()).real
     minus = sum(table.collective(-1).values()).real
-    n = max(steps_per_delay, 50) * max(1, int(math.ceil(t_max * config.gamma)))
+    n = _check_node_budget(max(steps_per_delay, 50)
+                           * max(1.0, np.ceil(t_max * config.gamma)))
     t = np.linspace(0.0, t_max, n + 1)
     cp0 = state.c_a + state.c_b
     cm0 = state.c_a - state.c_b
@@ -320,7 +374,8 @@ def _integrate_instantaneous(config: SystemConfig, state: InitialState,
                                deriv_a_right=da, deriv_b_right=db,
                                deriv_a_left=da.copy(), deriv_b_left=db.copy(),
                                config=config, schedule=schedule,
-                               steps_per_delay=steps_per_delay)
+                               steps_per_delay=steps_per_delay,
+                               intervals=0, switch_intervals=0)
 
 
 # -- emitted spectrum ---------------------------------------------------------

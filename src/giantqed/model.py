@@ -258,17 +258,22 @@ def delay_table(config: SystemConfig) -> DelayTable:
 _CSV_CHUNK = 4096
 
 
-def _reprs(values: np.ndarray) -> list[str]:
+def _reprs(values: np.ndarray, previous=None):
     """repr of every entry of a 1-D array, formatting each distinct value once.
 
     Values are told apart by their bit pattern, so -0.0 and 0.0 (and NaN
     payloads) stay distinct, and they are converted back to the array's own
-    dtype, so an integer column still reads ``0``.
+    dtype, so an integer column still reads ``0``.  Returns the strings and
+    the chunk's (distinct bits, their reprs); passed back as ``previous``
+    with the next chunk of the same column, the reprs are reused when that
+    chunk holds exactly the same distinct values (a tiled map axis).
     """
     distinct, inverse = np.unique(values.view(f"u{values.itemsize}"),
                                   return_inverse=True)
-    text = repr(distinct.view(values.dtype).tolist())[1:-1].split(", ")
-    return np.array(text, dtype=object)[inverse].tolist()
+    if previous is None or not np.array_equal(previous[0], distinct):
+        text = repr(distinct.view(values.dtype).tolist())[1:-1].split(", ")
+        previous = distinct, np.array(text, dtype=object)
+    return previous[1][inverse].tolist(), previous
 
 
 def write_csv(path, comments, header: str, columns) -> None:
@@ -278,13 +283,18 @@ def write_csv(path, comments, header: str, columns) -> None:
     field.  Values are written with repr, so floats read back exactly.
     Rows go out in chunks of at most ``_CSV_CHUNK`` values (rows x
     columns).  Within a chunk each column's distinct values are formatted
-    once, in one repr of their list, and scattered back to their rows; the
-    bytes are the same as from a repr per cell.
+    once, in one repr of their list, and scattered back to their rows; a
+    column whose distinct values repeat those of its previous chunk reuses
+    their strings.  The bytes are the same as from a repr per cell.
     """
     cols = [np.asarray(col) for col in columns]
     rows = max(1, _CSV_CHUNK // len(cols))
+    last = [None] * len(cols)
     with open(path, "w") as fh:
         fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
         for start in range(0, len(cols[0]), rows):
-            fields = [_reprs(col[start:start + rows]) for col in cols]
+            fields = []
+            for i, col in enumerate(cols):
+                strings, last[i] = _reprs(col[start:start + rows], last[i])
+                fields.append(strings)
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

@@ -315,6 +315,16 @@ def test_non_positive_counts_and_lengths_exit_2(tmp_path, capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "detect", "fdd"])
+def test_runs_past_the_node_budget_exit_2(tmp_path, capsys, command):
+    """1e12/gamma at the default eta and K needs far more than the 1e7-node
+    budget; the run stops before its store is allocated."""
+    assert main([command, "--t-max", "1e12", "--out", str(tmp_path)]) == \
+        EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--t-max" in err and "--steps-per-delay" in err
+
+
 def test_version_banner(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

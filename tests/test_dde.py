@@ -179,6 +179,7 @@ def _oracle_case(name):
     brd = SystemConfig.from_phase("braided", eta=0.3, phi=0.7 * math.pi)
     anti, sym = InitialState.antisymmetric(), InitialState.symmetric()
     mixed = InitialState(0.8, 0.3 - 0.4j)
+    legs3 = SystemConfig.from_phase("braided", eta=0.25, phi=0.3, n_legs=3)
     const = DriveSchedule.constant
     return {
         # t_max 3.7 delays: a partial last interval
@@ -194,14 +195,26 @@ def _oracle_case(name):
                 sym, 37.5 * 0.02, const(0.4 * math.pi / 0.02), 1),
         "K=3": (SystemConfig.from_phase("separate", eta=0.05, phi=1.1 * math.pi),
                 mixed, 11.2 * 0.05, const(1.1 * math.pi / 0.05), 3),
-        "n_legs=3": (SystemConfig.from_phase("braided", eta=0.25, phi=0.3,
-                                             n_legs=3),
-                     mixed, 6.5 * 0.25, const(0.3 / 0.25), 25),
+        "n_legs=3": (legs3, mixed, 6.5 * 0.25, const(legs3.omega0), 25),
+        # the switch sits on the breakpoint node 80: the passes before it
+        # take the segment phases, the three whose windows hold it do not
+        "switch-on-breakpoint": (sep, mixed, 5.3 * sep.delay,
+                                 DriveSchedule.switch_at(2 * sep.delay,
+                                                         sep.omega0,
+                                                         1.3 * sep.omega0), 40),
+        # a middle segment shorter than one delay: no window lies inside it
+        "short-middle-segment": (
+            legs3, mixed, 9.5 * legs3.delay,
+            DriveSchedule((0.0, 3.05 * legs3.delay, 3.7 * legs3.delay),
+                          tuple(f * legs3.omega0 for f in (1.0, 0.6, 1.4))),
+            20),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["separate", "braided-breakpoint",
-                                  "switch-mid-step", "K=1", "K=3", "n_legs=3"])
+                                  "switch-mid-step", "K=1", "K=3", "n_legs=3",
+                                  "switch-on-breakpoint",
+                                  "short-middle-segment"])
 def test_interval_scan_matches_step_by_step_oracle(name):
     cfg, state, t_max, sched, K = _oracle_case(name)
     traj = integrate_with_drive(cfg, state, t_max, sched, steps_per_delay=K)
@@ -254,12 +267,48 @@ def test_drive_switch_changes_late_dynamics_only():
     kicked = integrate_with_drive(cfg, state, t_max=6.0, schedule=sched,
                                   steps_per_delay=50)
     before = base.t <= t_s + 1e-12
-    # same dynamics before the switch (only the phase bookkeeping differs
-    # by float rounding between the static and windowed code paths)
-    assert np.max(np.abs(base.c_a[before] - kicked.c_a[before])) < 1e-13
+    # same dynamics before the switch, bit for bit: until a retardation
+    # window holds the switch, both runs take the segment phases of omega0
+    assert np.array_equal(base.c_a[before], kicked.c_a[before])
     # the dark state is phase-matched to the old drive, so the kick releases it
     k_end = len(base.t) - 1
     assert kicked.pop_a[k_end] < base.pop_a[k_end] - 1e-3
+
+
+def test_only_passes_whose_windows_hold_a_switch_take_node_phases():
+    """Health figures of a run: every pass of a static run takes the
+    segment phases; the criterion-10 run (switch at t = 20 on a breakpoint,
+    lags up to 3) takes per-node phases in exactly three passes."""
+    for name in ("separate", "braided-breakpoint", "K=1", "K=3", "n_legs=3"):
+        cfg, state, t_max, sched, K = _oracle_case(name)
+        traj = integrate_with_drive(cfg, state, t_max, sched, steps_per_delay=K)
+        assert traj.switch_intervals == 0
+        assert traj.intervals == (traj.t.size - 1) // K + 1
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
+    sched = DriveSchedule.switch_at(20.0, cfg.omega0, 2.5 * math.pi / cfg.delay)
+    traj = integrate_with_drive(cfg, InitialState.antisymmetric(), 85.0,
+                                sched, steps_per_delay=100)
+    assert (traj.intervals, traj.switch_intervals) == (426, 3)
+    static = integrate(cfg, InitialState.antisymmetric(), 85.0, 100)
+    assert (static.intervals, static.switch_intervals) == (426, 0)
+    dicke = integrate(SystemConfig(topology="braided", delay=0.0, omega0=3.0),
+                      InitialState.symmetric(), t_max=1.0)
+    assert (dicke.intervals, dicke.switch_intervals) == (0, 0)
+
+
+def test_node_budget_is_checked_before_allocation():
+    """Runs past the node budget raise ConfigError naming the flags before
+    any array is allocated; t_max / h overflowing to inf is caught too."""
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=0.0)
+    state = InitialState.symmetric()
+    # 1e5 delays at K = 100: 1e7 + 1 nodes, one over the budget
+    with pytest.raises(ConfigError, match="--t-max.*--steps-per-delay"):
+        integrate(cfg, state, t_max=1e5 * cfg.delay, steps_per_delay=100)
+    with pytest.raises(ConfigError, match="grid nodes"):
+        integrate(cfg, state, t_max=1e300, steps_per_delay=10 ** 9)
+    with pytest.raises(ConfigError, match="grid nodes"):
+        integrate(SystemConfig(topology="braided", delay=0.0, omega0=3.0),
+                  state, t_max=1e300)
 
 
 def test_schedule_validation():

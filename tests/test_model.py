@@ -240,6 +240,8 @@ _ADVERSARIAL = np.array(
 
 _N_COLS = 6
 _CHUNK_ROWS = model._CSV_CHUNK // _N_COLS
+#: chunk rows with the two reuse columns added
+_WIDE_ROWS = model._CSV_CHUNK // (_N_COLS + 2)
 
 
 @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
@@ -260,10 +262,20 @@ def test_write_csv_matches_a_repr_per_cell(tmp_path, n):
         [abs(v) ** 2 for v in rng.standard_normal(n).tolist()],
     ]
     assert len(columns) == _N_COLS
+    reuse = [
+        # the fdd map's x column: one axis tiled, so every full chunk holds
+        # the same distinct values and reuses their strings
+        np.tile(np.linspace(-1.7, 1.7, 41), n // 41 + 1)[:n],
+        # four distinct values per chunk, different in every chunk: reuse
+        # keyed on the count alone would repeat the first chunk's strings
+        np.arange(n) // _WIDE_ROWS + 0.25 * (np.arange(n) % 4),
+    ]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     comments = ["writer check", f"n = {n}"]
-    write_csv(got, comments, "a,b,c,l,j,pop", columns)
-    _csv_oracle(want, comments, "a,b,c,l,j,pop", columns)
-    assert got.read_bytes() == want.read_bytes()
-    if n:
-        assert got.read_text().splitlines()[3].split(",")[3] == "0"
+    for cols, header in ((columns, "a,b,c,l,j,pop"),
+                         (columns + reuse, "a,b,c,l,j,pop,x,k")):
+        write_csv(got, comments, header, cols)
+        _csv_oracle(want, comments, header, cols)
+        assert got.read_bytes() == want.read_bytes()
+        if n:
+            assert got.read_text().splitlines()[3].split(",")[3] == "0"
