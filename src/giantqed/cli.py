@@ -38,8 +38,8 @@ import numpy as np
 from . import __version__
 from .analytic import IllConditioned, OutOfHorizon, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
-from .dde import (DriveSchedule, integrate, integrate_with_drive,
-                  to_csv as traj_to_csv)
+from .dde import (GRID_END_SLACK, DriveSchedule, _check_node_budget,
+                  integrate, integrate_with_drive, to_csv as traj_to_csv)
 from .field import detector_signal, fdd as compute_fdd, released_energy
 from .model import ConfigError, InitialState, SystemConfig, write_csv
 from .spectral import NonConvergence, scan_decay_rates
@@ -52,6 +52,10 @@ EXIT_NUMERICAL = 3
 _SYSTEM_KEYS = ("topology", "eta", "phi", "omega0", "dx", "gamma", "v_g")
 _RUN_KEYS = ("state", "engine", "out")
 _ANGLE_KEYS = {"phi", "phi_after"}
+
+#: Most cells nx * nt * legs * 2 directions one fdd map may take, checked
+#: before any grid is built: 43 times the README map's 465 608.
+_FDD_CELL_BUDGET = 2 * 10 ** 7
 
 
 class UsageError(Exception):
@@ -349,18 +353,29 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     if config.delay == 0.0:
         raise UsageError("fdd needs eta > 0 (finite leg spacing)")
     state = build_state(params)
-    out_dir = _prepare_out(params)
     t_max = args.t_max / config.gamma
+    # the integrator at its step floor (K >= 50*eta) stays accurate at late
+    # times, where the branch series loses its digits to cancellation
+    eta = config.gamma * config.delay
+    steps_per_delay = max(100, math.ceil(50 * eta))
+    # both budgets before any grid is built; eta sets K, so it and --t-max
+    # set the run's node count
+    cells = args.nx * args.nt * 2 * config.n_legs * 2
+    if cells > _FDD_CELL_BUDGET:
+        raise UsageError(f"the map needs {cells:.3g} cells (nx * nt * legs "
+                         f"* 2), above the budget of {_FDD_CELL_BUDGET:.0e}; "
+                         f"lower --nx or --nt")
+    h = config.delay / steps_per_delay
+    _check_node_budget((t_max + config.delay) / h - GRID_END_SLACK,
+                       "lower --t-max or change --eta (fdd takes "
+                       "max(100, ceil(50*eta)) steps per delay)")
+    out_dir = _prepare_out(params)
     span = args.x_span if args.x_span is not None else \
         1.5 * config.spacing + config.v_g * t_max
     x_grid = np.linspace(-span, span, args.nx)
     t_grid = np.linspace(0.0, t_max, args.nt)
-
-    # the integrator at its step floor (K >= 50*eta) stays accurate at late
-    # times, where the branch series loses its digits to cancellation
-    eta = config.gamma * config.delay
     traj = integrate(config, state, t_max + config.delay,
-                     steps_per_delay=max(100, math.ceil(50 * eta)))
+                     steps_per_delay=steps_per_delay)
     grid = compute_fdd(traj, config, state.parity, x_grid, t_grid)
     path = os.path.join(out_dir, "fdd.csv")
     grid.to_csv(path)

@@ -38,7 +38,7 @@ matches the undriven one bit for bit until a window reaches the switch.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -343,12 +343,16 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
                                switch_intervals=switch_passes)
 
 
-def _check_node_budget(steps: float) -> int:
-    """ceil(steps), once steps + 1 nodes (or more) fit the node budget."""
+def _check_node_budget(
+        steps: float, levers: str = "lower --t-max or --steps-per-delay"
+) -> int:
+    """ceil(steps), once steps + 1 nodes (or more) fit the node budget.
+
+    ``levers`` ends the error message: the flags that shrink the run.
+    """
     if not steps <= _NODE_BUDGET - 1:         # also catches inf
         raise ConfigError(f"the run needs {steps + 1:.3g} grid nodes, above "
-                          f"the budget of {_NODE_BUDGET:.0e}; lower --t-max "
-                          f"or --steps-per-delay")
+                          f"the budget of {_NODE_BUDGET:.0e}; {levers}")
     return int(math.ceil(steps))
 
 
@@ -401,16 +405,21 @@ def _filon_weights(theta):
     Returns (w0, w1) with the integral = w0*f(0) + w1*f(1); both reduce to
     the trapezoid 1/2 as theta -> 0 (a short series avoids the 0/0 there).
     """
+    return _filon_terms(theta)[:2]
+
+
+def _filon_terms(theta):
+    """(w0, w1, exp(i theta)): :func:`_filon_weights` and the exp it shares."""
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < 1e-4
     th = np.where(small, 1.0, theta)
-    e = np.exp(1j * th)
+    e = np.exp(1j * theta)
     w1 = (e * (1.0 - 1j * th) - 1.0) / th ** 2
     w0 = (e - 1.0) / (1j * th) - w1
     ts = np.where(small, theta, 0.0)
     w0 = np.where(small, 0.5 + 1j * ts / 6.0 - ts ** 2 / 24.0, w0)
     w1 = np.where(small, 0.5 + 1j * ts / 3.0 - ts ** 2 / 8.0, w1)
-    return w0, w1
+    return w0, w1, e
 
 
 # width in grid points and shape of the "exponential of semicircle" kernel
@@ -419,61 +428,80 @@ def _filon_weights(theta):
 _NUFFT_WIDTH = 13
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 
+#: Frequencies per block of the mode sum's omega pass: a block's spread
+#: indices, kernel weights and interpolated rows stay in cache.
+_OMEGA_BLOCK = 2048
 
-def _nufft_sums(rows: np.ndarray, omega: np.ndarray, h: float):
-    """Node sums sum_j rows[:, j] exp(i omega j h) over runs of nodes.
+#: Most values one group of node ranges may hold, in the stacked NUFFT grid
+#: (rows x oversampled length) and in a block's gathered kernel windows
+#: (rows x width x block); ranges past it go in further groups, each with
+#: its own omega pass.  A group holds at least one range.
+_GRID_CAP = 1 << 20
 
-    With x = omega*h and c = n//2 for n nodes, the sum over a run is the
+
+def _kernel(z):
+    root = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.exp(_NUFFT_BETA * (root - 1.0))
+
+
+def _grid_size(n: int) -> int:
+    """Oversampled NUFFT grid length for n nodes: a power of two >= 2n."""
+    return 1 << (2 * n - 1).bit_length()
+
+
+def _nufft_sums(rows: np.ndarray, ranges, h: float):
+    """Node sums sum_{j=a}^{b} rows[:, j] exp(i omega j h) over node ranges.
+
+    With x = omega*h and c = n//2 for n nodes, the sum over a range is the
     trigonometric polynomial exp(i c x) sum_j rows_j exp(i (j - c) x), so
     one type-2 nonuniform FFT evaluates it at any frequencies (Dutt &
-    Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)): the coefficients,
-    divided by the kernel's Fourier transform, fill an oversampled grid of
-    M >= 2n points, one inverse FFT spreads them over it, and w
-    kernel-weighted grid values interpolate each frequency.  Returns
-    ``node_sum(lo, hi)``, the sums over nodes lo..hi-1.
+    Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)).  Each range (a, b)
+    puts its coefficients, divided by the kernel's Fourier transform, in
+    its own rows of one stacked grid of M >= 2n points, and one inverse
+    FFT spreads them all.  Returns ``sums_at(omega)``, where w
+    kernel-weighted grid values interpolate each frequency; its result has
+    shape (len(ranges), len(rows), len(omega)).
     """
     fft = np.fft
     w = _NUFFT_WIDTH
-
-    def kernel(z):
-        root = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.exp(_NUFFT_BETA * (root - 1.0))
-
-    n = rows.shape[1]
+    n_rows, n = rows.shape
     c = n // 2
-    size = 1 << (2 * n - 1).bit_length()              # >= 2n
+    size = _grid_size(n)
     # deconvolution 2 pi/(M phi_hat(m)) for the kernel spread over w grid
     # points, = 2/(w I(m)) with I(m) = Int_-1^1 psi(z) cos(pi w m z/M) dz
     z, zw = np.polynomial.legendre.leggauss(4 * w)
     ft = np.cos(np.outer(np.arange(c + 1) * (np.pi * w / size), z)) @ (
-        zw * kernel(z))
+        zw * _kernel(z))
     modes = np.arange(n) - c
     coeffs = rows * (2.0 / (w * ft[np.abs(modes)]))
     slot = modes % size
-    # x reduced to [0, 2 pi) in grid units; w grid points and weights per x
-    x = np.remainder(omega * h, 2.0 * np.pi)
-    grid_x = x * (size / (2.0 * np.pi))
-    first = np.ceil(grid_x - 0.5 * w)
-    offs = np.arange(w)[:, None]
-    idx = (first.astype(np.int64) + offs) % size
-    wts = kernel((grid_x - first - offs) * (2.0 / w))
-    phase = np.exp(1j * c * x)
+    stacked = np.zeros((len(ranges), n_rows, size), dtype=complex)
+    for grid, (a, b) in zip(stacked, ranges):
+        grid[:, slot[a:b + 1]] = coeffs[:, a:b + 1]
+    spread = stacked.reshape(-1, size)
+    fft.ifft(spread, axis=1, norm="forward", out=spread)
+    # grid points as rows of real and imaginary parts, extended
+    # periodically so that the w points of a frequency never wrap: window
+    # k is points k - w//2 .. k - w//2 + w - 1, one contiguous run
+    ext = spread.T.take(np.arange(-(w // 2), size + w - w // 2) % size,
+                        axis=0).view(float)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        ext, w, axis=0).transpose(0, 2, 1)
+    del stacked, spread
+    offs = np.arange(w)
 
-    def node_sum(lo: int, hi: int) -> np.ndarray:
-        buf = np.zeros((rows.shape[0], size), dtype=complex)
-        buf[:, slot[lo:hi]] = coeffs[:, lo:hi]
-        u = fft.ifft(buf, axis=1, norm="forward")
-        # take() in place: 3x faster than u[:, idx[o]] * wts[o]
-        out = u.take(idx[0], axis=1)
-        out *= wts[0]
-        for o in range(1, w):
-            part = u.take(idx[o], axis=1)
-            part *= wts[o]
-            out += part
-        out *= phase
-        return out
+    def sums_at(omega: np.ndarray) -> np.ndarray:
+        # x reduced to [0, 2 pi) in grid units; its window and weights
+        x = np.remainder(omega * h, 2.0 * np.pi)
+        grid_x = x * (size / (2.0 * np.pi))
+        first = np.ceil(grid_x - 0.5 * w)
+        wts = _kernel(((grid_x - first)[:, None] - offs) * (2.0 / w))
+        near = windows[first.astype(np.int64) + w // 2]
+        out = np.matmul(wts[:, None, :], near)[:, 0].view(complex)
+        out = np.multiply(out.T, np.exp(1j * c * x), order="C")
+        return out.reshape(len(ranges), n_rows, omega.size)
 
-    return node_sum
+    return sums_at
 
 
 def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
@@ -496,13 +524,21 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     containing a mid-step drive switch is weighted with the pre-switch
     drive, an O(h) slice of a single node.
 
-    The node sums sum_j c_j exp(i omega tau_j) over each run of nodes
-    between snapshots and segment boundaries are one type-2 nonuniform FFT
-    on any ``omega_grid`` (uniform, descending, irregular or a few points):
-    O(N_tau log N_tau + w N_omega) per run with a kernel of w = 13 grid
-    points.  Against the direct sum on the criterion-8 run (4161 nodes) the
-    amplitudes agree to 2.3e-13 of the peak on every 40th point of the
-    80 001-point grid, and to 7.3e-13 on a random 20 001-point subset.
+    The integral is a sum over node ranges: each closed drive segment in
+    full, and each snapshot from its segment's first node (a boundary node
+    belongs to both segments).  The node sums sum_j c_j exp(i omega tau_j)
+    of all ranges are one type-2 nonuniform FFT on any ``omega_grid``
+    (uniform, descending, irregular or a few points).  Stage 1 is one
+    stacked inverse FFT, two rows per range on M >= 2 N_tau points:
+    O(R M log M) for R ranges.  Stage 2 is one pass over ``omega_grid`` in
+    blocks of 2048 frequencies; per frequency it takes w = 13 kernel
+    weights, 13 grid values per row, and one complex exp per range end
+    node, per segment, per leg distance and for the kernel phase.  Ranges
+    that would pass ``_GRID_CAP`` values run in groups, each with its own
+    pass.  Against the direct sum on the criterion-8 runs (4161 nodes,
+    five snapshots) the amplitudes agree to 2.2e-13 of the peak on every
+    40th point of the 80 001-point grid, and to 3.3e-13 on a random
+    20 001-point subset.
 
     Returns (phi_R, phi_L) with shape (len(omega_grid),), or
     (len(t), len(omega_grid)) for a sequence of times.
@@ -515,74 +551,90 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
         raise ConfigError("times must be finite and non-decreasing")
-    idxs = [traj.nearest_index(tv) for tv in times]
+    stops = [traj.nearest_index(tv) for tv in times]
 
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or omega.size == 0 or not np.all(np.isfinite(omega)):
         raise ConfigError("omega_grid must be a non-empty 1-D array of "
                           "finite frequencies")
     cfg = traj.config
+    sched = traj.schedule
     g0 = math.sqrt(cfg.gamma / (4.0 * math.pi))
-    # leg phase factors per atom and direction
-    leg_r = []
-    leg_l = []
-    for atom in (0, 1):
-        x = np.asarray(cfg.leg_positions(atom))
-        leg_r.append(np.exp(-1j * np.outer(omega, x) / cfg.v_g).sum(axis=1))
-        leg_l.append(np.exp(+1j * np.outer(omega, x) / cfg.v_g).sum(axis=1))
+    # one exp(-i omega |x|/v_g) per leg distance from the centre; a leg at
+    # negative x takes its conjugate
+    dist = sorted({abs(x) for atom in (0, 1) for x in cfg.leg_positions(atom)})
+    legs = [[(dist.index(abs(x)), x < 0) for x in cfg.leg_positions(atom)]
+            for atom in (0, 1)]
 
     tau = traj.t
     h = tau[1] - tau[0]
     # rows: atom a, atom b, in the frame rotating with the drive
     rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
-        -1j * traj.schedule.accumulated_array(tau))
-    node_sum = _nufft_sums(rot, omega, h)
+        -1j * sched.accumulated_array(tau))
 
+    # first and last node of each schedule segment; the boundary node
+    # belongs to both the closing and the opening segment
     n_nodes = tau.size
-    # node opening each schedule segment; the boundary node belongs to both
-    # the closing and the opening segment (it ends one interval run and
-    # starts the next)
-    seg_first = [0] + [min(n_nodes - 1, int(math.ceil(s / h - 1e-9)))
-                       for s in traj.schedule.starts[1:]]
-
-    def seg_last(j: int) -> int:
-        return seg_first[j + 1] if j + 1 < len(seg_first) else n_nodes - 1
-
-    def seg_setup(j: int):
-        theta = (omega - traj.schedule.omegas[j]) * h
-        w0, w1 = _filon_weights(theta)
-        return w0, w1 * np.exp(-1j * theta)
-
-    def node_term(i: int) -> np.ndarray:
-        return rot[:, i, None] * np.exp(1j * tau[i] * omega)
+    seg_first = [0] + [min(n_nodes - 1, math.ceil(s / h - GRID_END_SLACK))
+                       for s in sched.starts[1:]]
+    seg_last = seg_first[1:] + [n_nodes - 1]
+    # a snapshot belongs to the first segment whose last node reaches it
+    snap_seg = [bisect_left(seg_last, stop) for stop in stops]
+    # integral terms (segment, first node, last node) by index: every closed
+    # segment before the last snapshot's (one of a single node adds
+    # nothing), then each snapshot's segment up to its node
+    terms: dict[tuple[int, int, int], int] = {}
+    closed = {j: terms.setdefault((j, seg_first[j], seg_last[j]), len(terms))
+              for j in range(max(snap_seg, default=0))
+              if seg_first[j] < seg_last[j]}
+    partial = [terms.setdefault((j, seg_first[j], stop), len(terms))
+               for j, stop in zip(snap_seg, stops)]
+    keys = list(terms)
+    per_group = max(1, _GRID_CAP // (2 * max(_grid_size(n_nodes),
+                                             _NUFFT_WIDTH * _OMEGA_BLOCK)))
 
     out_r = np.zeros((len(times), omega.size), dtype=complex)
     out_l = np.zeros((len(times), omega.size), dtype=complex)
-    done = np.zeros((2, omega.size), dtype=complex)   # closed segments' integral
-    acc = np.zeros((2, omega.size), dtype=complex)    # open segment's node sum
-    seg = 0
-    w0, w1s = seg_setup(0)
-    bot = np.repeat(rot[:, :1], omega.size, axis=1)   # tau[0] = 0
-    pos = 0
-    for which, stop in enumerate(idxs):
-        while True:
-            target = min(stop, seg_last(seg))
-            if pos <= target:
-                acc += node_sum(pos, target + 1)
-                pos = target + 1
-            if stop <= seg_last(seg):
-                break
-            # close the segment at its boundary node, reopen there
-            top = node_term(seg_last(seg))
-            done += h * (w0 * (acc - top) + w1s * (acc - bot))
-            seg += 1
-            w0, w1s = seg_setup(seg)
-            bot = top
-            acc = top.copy()
-        top = node_term(stop)
-        ia, ib = done + h * (w0 * (acc - top) + w1s * (acc - bot))
-        out_r[which] = -1j * g0 * (leg_r[0] * ia + leg_r[1] * ib)
-        out_l[which] = -1j * g0 * (leg_l[0] * ia + leg_l[1] * ib)
+    for g in range(0, len(keys), per_group):
+        group = range(g, min(g + per_group, len(keys)))
+        sums_at = _nufft_sums(rot, [keys[i][1:] for i in group], h)
+        segs = {keys[i][0] for i in group}
+        nodes = {n for i in group for n in keys[i][1:]}
+        for lo in range(0, omega.size, _OMEGA_BLOCK):
+            blk = slice(lo, lo + _OMEGA_BLOCK)
+            om = omega[blk]
+            sums = sums_at(om)
+            weights = {}
+            for j in segs:
+                theta = (om - sched.omegas[j]) * h
+                w0, w1, e = _filon_terms(theta)
+                weights[j] = h * w0, h * w1 * e.conj()
+            # c at a node times exp(i omega tau), exactly c at tau = 0
+            ends = {n: rot[:, n, None] * np.exp(1j * tau[n] * om) if n
+                    else rot[:, :1] for n in nodes}
+            vals = {}
+            for i, acc in zip(group, sums):
+                j, a, b = keys[i]
+                w0, w1s = weights[j]
+                vals[i] = w0 * (acc - ends[b]) + w1s * (acc - ends[a])
+            # leg sums times -i g0; the left-moving legs are the conjugates
+            ph = np.exp(-1j * np.outer(dist, om) / cfg.v_g)
+            leg = [sum(ph[d].conj() if neg else ph[d] for d, neg in sides)
+                   for sides in legs]
+            leg_r = [-1j * g0 * f for f in leg]
+            leg_l = [-1j * g0 * f.conj() for f in leg]
+            # closed segments' integral before each segment
+            before = [0]
+            for j in range(max(snap_seg, default=0)):
+                i = closed.get(j)           # None for a single-node segment
+                before.append(before[-1] + vals.get(i, 0))
+            for k, j in enumerate(snap_seg):
+                total = before[j] + vals.get(partial[k], 0)
+                if np.ndim(total) == 0:      # no range of this group
+                    continue
+                ia, ib = total
+                out_r[k, blk] += leg_r[0] * ia + leg_r[1] * ib
+                out_l[k, blk] += leg_l[0] * ia + leg_l[1] * ib
     if scalar:
         return out_r[0], out_l[0]
     return out_r, out_l

@@ -322,7 +322,23 @@ def test_runs_past_the_node_budget_exit_2(tmp_path, capsys, command):
     assert main([command, "--t-max", "1e12", "--out", str(tmp_path)]) == \
         EXIT_USAGE
     err = capsys.readouterr().err
-    assert "--t-max" in err and "--steps-per-delay" in err
+    assert "--t-max" in err
+    if command == "fdd":
+        # fdd sets its steps per delay from eta and has no such flag
+        assert "--eta" in err and "--steps-per-delay" not in err
+    else:
+        assert "--steps-per-delay" in err
+
+
+def test_fdd_map_past_the_cell_budget_exits_2(tmp_path, capsys):
+    """A 1e6 x 1e6 map is 8e12 cells; the check runs before any grid,
+    trajectory or output directory exists."""
+    out = tmp_path / "out"
+    assert main(["fdd", "--nx", "1000000", "--nt", "1000000",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--nx" in err and "--nt" in err
+    assert not out.exists()
 
 
 def test_version_banner(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from giantqed import dde
 from giantqed.analytic import exact_solution
 from giantqed.dde import (GRID_END_SLACK, AmplitudeTrajectory, DriveSchedule,
                           _filon_weights,
@@ -587,6 +588,58 @@ def test_snapshot_at_zero_and_three_legs_match_dense_sum():
     for phi in got:
         assert np.max(np.abs(phi[:2])) < 1e-12 * np.max(np.abs(phi))
     assert _max_rel_diff(got, _dense_oracle(traj, grid, times)) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def three_segment_run():
+    """Two switches, one on node 60 and one inside the step after node
+    130, so three drive segments on a 201-node run."""
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=0.7 * math.pi)
+    K = 50
+    h = cfg.delay / K
+    sched = DriveSchedule((0.0, 60 * h, 130.37 * h),
+                          (cfg.omega0, 1.2 * cfg.omega0, 0.8 * cfg.omega0))
+    traj = integrate_with_drive(cfg, InitialState(0.8, 0.3 - 0.4j), 200 * h,
+                                sched, steps_per_delay=K)
+    assert traj.t.size == 201
+    # t = 0; inside segment 0; the on-node switch; segment 1 twice; node
+    # 131, the mid-step switch's boundary node; segment 2; the last node
+    times = traj.t[[0, 35, 60, 100, 100, 131, 170, 200]]
+    return cfg, traj, times
+
+
+def _grids(cfg, traj):
+    """A uniform grid of two omega blocks and a part, and an unsorted
+    irregular one wrapping several times around 2 pi/h."""
+    h = traj.t[1] - traj.t[0]
+    n = 2 * dde._OMEGA_BLOCK + 357
+    uniform = frequency_grid(cfg, half_width=900.0, n_points=n)
+    irregular = np.random.default_rng(11).uniform(-8.0 * math.pi / h,
+                                                  8.0 * math.pi / h, 3001)
+    return {"uniform": uniform, "irregular": irregular}
+
+
+@pytest.mark.parametrize("kind", ["uniform", "irregular"])
+def test_segment_ranges_match_dense_sum(three_segment_run, kind):
+    """Snapshots in all three segments, on a boundary node, repeated and at
+    t = 0, in one stacked transform and one blocked omega pass."""
+    cfg, traj, times = three_segment_run
+    omega = _grids(cfg, traj)[kind]
+    assert omega.size % dde._OMEGA_BLOCK
+    assert _max_rel_diff(field_amplitudes(traj, omega, times),
+                         _dense_oracle(traj, omega, times)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["uniform", "irregular"])
+def test_grouped_ranges_match_dense_sum(three_segment_run, kind,
+                                        monkeypatch):
+    """A grid cap below one range puts every node range in its own group,
+    each with its own omega pass adding into the snapshots it reaches."""
+    cfg, traj, times = three_segment_run
+    omega = _grids(cfg, traj)[kind]
+    monkeypatch.setattr(dde, "_GRID_CAP", 1)
+    assert _max_rel_diff(field_amplitudes(traj, omega, times),
+                         _dense_oracle(traj, omega, times)) < 1e-9
 
 
 @pytest.mark.parametrize("grid", [np.array([]), np.zeros((2, 3)),
