@@ -66,9 +66,6 @@ class BicState:
     epsilon2: complex
     phase_class: int
 
-    def __bool__(self) -> bool:
-        return True
-
     @property
     def atomic_weight(self) -> float:
         return 2.0 * abs(self.epsilon1) ** 2

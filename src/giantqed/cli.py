@@ -57,6 +57,13 @@ _ANGLE_KEYS = {"phi", "phi_after"}
 #: before any grid is built: 43 times the README map's 465 608.
 _FDD_CELL_BUDGET = 2 * 10 ** 7
 
+#: Most scan points: 0.8 kB of peak memory each, 80 MB (167 x the README's)
+_SCAN_POINT_BUDGET = 10 ** 5
+#: Most detect times: 0.2 kB of peak memory each, 200 MB (118 x the default)
+_DETECT_POINT_BUDGET = 10 ** 6
+#: Most delays one exact series spans: L branches hold 8 L^2 bytes, 8 MB
+_BRANCH_BUDGET = 1000
+
 
 class UsageError(Exception):
     """Bad flags/config-file input; maps to exit code 2."""
@@ -242,10 +249,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     engine = str(params.get("engine", "dde"))
     if engine not in ("dde", "analytic", "both"):
         raise UsageError(f"unknown engine {engine!r}")
-    if engine in ("analytic", "both") and config.delay == 0.0:
-        raise UsageError("the analytic engine needs eta > 0")
-    out_dir = _prepare_out(params)
     t_max = args.t_max * (1.0 / config.gamma)
+    if engine in ("analytic", "both") and not t_max <= _BRANCH_BUDGET * config.delay:
+        raise UsageError(f"the exact series needs eta > 0 and t_max/delay <= "
+                         f"{_BRANCH_BUDGET}; lower --t-max or raise --eta")
+    out_dir = _prepare_out(params)
 
     schedule = DriveSchedule((0.0,), (config.omega0,))
     traj = None
@@ -259,9 +267,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if traj is not None:
             ts = traj.t
         else:
-            n = max(int(round(t_max * args.steps_per_delay
-                              / max(config.delay, 1.0 / config.gamma))), 200)
-            ts = np.linspace(0.0, t_max, n + 1)
+            steps = t_max * args.steps_per_delay / max(config.delay,
+                                                       1.0 / config.gamma)
+            _check_node_budget(steps)
+            ts = np.linspace(0.0, t_max, max(int(round(steps)), 200) + 1)
         c_a, c_b = sol.atomic(np.minimum(ts, sol.horizon - 1e-9 * config.delay))
         name = os.path.join(out_dir, "trajectory_analytic.csv")
         write_csv(name,
@@ -277,20 +286,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"max_abs_diff = {diff!r}")
 
     if traj is not None:
-        rate = _fit_rate(traj.t, traj.excited_population)
+        ts, population = traj.t, traj.excited_population
     else:
-        rate = _fit_rate(ts, np.abs(c_a) ** 2 + np.abs(c_b) ** 2)
+        population = np.abs(c_a) ** 2 + np.abs(c_b) ** 2
+    rate = _fit_rate(ts, population)
     if rate is not None:
         print(f"fit_rate = {rate!r}")
 
     if args.svg:
-        _plot_trajectory(traj, ts if traj is None else traj.t,
-                         out_dir, config)
+        _plot_trajectory(ts, population, out_dir, config)
     RunManifest("simulate", config, out_dir).write()
     return EXIT_OK
 
 
-def _plot_trajectory(traj, ts, out_dir, config) -> None:
+def _plot_trajectory(ts, population, out_dir, config) -> None:
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -298,8 +307,7 @@ def _plot_trajectory(traj, ts, out_dir, config) -> None:
     except ImportError:
         raise UsageError("--svg requires matplotlib (install the 'svg' extra)")
     fig, ax = plt.subplots()
-    if traj is not None:
-        ax.plot(traj.t, traj.excited_population, label="|c_a|^2 + |c_b|^2")
+    ax.plot(ts, population, label="|c_a|^2 + |c_b|^2")
     ax.set_xlabel("t")
     ax.set_ylabel("excited population")
     ax.set_title(f"{config.topology}, eta={config.eta:g}, phi={config.phi:g}")
@@ -315,10 +323,13 @@ def _parse_scan(text: str) -> tuple[float, float, int]:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise UsageError(f"--scan expects start:stop:step, got {text!r}") from None
-    if not (lo > 0 and hi > lo and step > 0):
-        raise UsageError("--scan needs 0 < start < stop and step > 0")
-    n = int(round((hi - lo) / step)) + 1
-    return lo, hi, n
+    if not (0 < lo < hi < math.inf and 0 < step < math.inf):
+        raise UsageError("--scan needs 0 < start < stop and step > 0, finite")
+    intervals = (hi - lo) / step                # inf past the float range
+    if not intervals + 1 <= _SCAN_POINT_BUDGET:
+        raise UsageError(f"--scan {text} asks for {intervals + 1:.3g} points, "
+                         f"above the budget of {_SCAN_POINT_BUDGET:.0e}")
+    return lo, hi, int(round(intervals)) + 1
 
 
 def cmd_decay_rates(args: argparse.Namespace) -> int:
@@ -365,8 +376,8 @@ def cmd_fdd(args: argparse.Namespace) -> int:
         raise UsageError(f"the map needs {cells:.3g} cells (nx * nt * legs "
                          f"* 2), above the budget of {_FDD_CELL_BUDGET:.0e}; "
                          f"lower --nx or --nt")
-    h = config.delay / steps_per_delay
-    _check_node_budget((t_max + config.delay) / h - GRID_END_SLACK,
+    h = config.delay / steps_per_delay  # 0 when a tiny delay underflows
+    _check_node_budget((t_max + config.delay) / h - GRID_END_SLACK if h else math.inf,
                        "lower --t-max or change --eta (fdd takes "
                        "max(100, ceil(50*eta)) steps per delay)")
     out_dir = _prepare_out(params)
@@ -449,6 +460,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     config = build_config(params)
     if config.delay == 0.0:
         raise UsageError("detect needs eta > 0 (finite leg spacing)")
+    if args.n_points > _DETECT_POINT_BUDGET:
+        raise UsageError(f"--n-points is over the budget of {_DETECT_POINT_BUDGET:.0e}")
     state = build_state(params)
     out_dir = _prepare_out(params)
     t_max = args.t_max / config.gamma
@@ -476,8 +489,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.switch_at is not None:
         released = released_energy(record, (t_s, t_max))
         print(f"released_both_directions = {2 * released!r}")
-        pre = (t_bar >= 0.5 * t_s) & (t_bar <= t_s)
-        print(f"pre_switch_max_intensity = {float(record.intensity[pre].max())!r}")
+        pre = record.intensity[(t_bar >= 0.5 * t_s) & (t_bar <= t_s)]
+        print(f"pre_switch_max_intensity = {float(pre.max(initial=0.0))!r}")
     else:
         print(f"released_both_directions = {2 * released_energy(record)!r}")
     RunManifest("detect", config, out_dir).write()
@@ -496,7 +509,8 @@ def _positive(kind, least=0):
             value = kind(text)
         except ValueError:
             value = 0
-        if not (0 < value < math.inf and value >= least):
+        # float max, not inf: an int past it is out of the float range too
+        if not (0 < value <= sys.float_info.max and value >= least):
             bound = f" >= {least}" if least else ""
             raise argparse.ArgumentTypeError(f"expected a positive "
                                              f"{kind.__name__}{bound}, "
@@ -585,7 +599,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

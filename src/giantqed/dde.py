@@ -86,21 +86,8 @@ class DriveSchedule:
                   omega_after: float) -> "DriveSchedule":
         return cls((0.0, float(t_switch)), (float(omega_before), float(omega_after)))
 
-    def omega_at(self, t: float) -> float:
-        return self.omegas[bisect_right(self.starts, t) - 1]
-
-    def accumulated(self, t: float) -> float:
-        """Phase integral Int_0^t omega0(s) ds (t < 0 extends segment 0)."""
-        i = bisect_right(self.starts, t) - 1
-        if i < 0:
-            return self.omegas[0] * t
-        acc = 0.0
-        for k in range(i):
-            acc += self.omegas[k] * (self.starts[k + 1] - self.starts[k])
-        return acc + self.omegas[i] * (t - self.starts[i])
-
     def accumulated_array(self, t) -> np.ndarray:
-        """:meth:`accumulated` over an array of times, same arithmetic."""
+        """Int_0^t omega0(s) ds at every time of ``t`` (t < 0 extends segment 0)."""
         starts = np.asarray(self.starts, dtype=float)
         omegas = np.asarray(self.omegas, dtype=float)
         base = np.concatenate(([0.0], np.cumsum(omegas[:-1] * np.diff(starts))))
@@ -253,8 +240,8 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
 
     K = steps_per_delay
     delay = config.delay
-    h = delay / K
-    n_steps = max(1, _check_node_budget(t_max / h - GRID_END_SLACK))
+    h = delay / K                       # 0 when a tiny delay underflows
+    n_steps = max(1, _check_node_budget(t_max / h - GRID_END_SLACK if h else math.inf))
     # one RK4 step with the delayed inputs fixed: y1 = amp*y0 + F with
     # F = w_node*P(t0) + w_mid*M + w_end*P(t1), where P is the delayed sum
     # at a node and M the one at the midpoint
@@ -399,17 +386,13 @@ def frequency_grid(config: SystemConfig, half_width: float | None = None,
                        n_points)
 
 
-def _filon_weights(theta):
+def _filon_terms(theta):
     """Endpoint weights of Int_0^1 f(u) exp(i theta u) du for linear f.
 
-    Returns (w0, w1) with the integral = w0*f(0) + w1*f(1); both reduce to
-    the trapezoid 1/2 as theta -> 0 (a short series avoids the 0/0 there).
+    Returns (w0, w1, exp(i theta)) with the integral = w0*f(0) + w1*f(1);
+    both weights reduce to the trapezoid 1/2 as theta -> 0 (a short series
+    avoids the 0/0 there), and the exp is the one they share.
     """
-    return _filon_terms(theta)[:2]
-
-
-def _filon_terms(theta):
-    """(w0, w1, exp(i theta)): :func:`_filon_weights` and the exp it shares."""
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < 1e-4
     th = np.where(small, 1.0, theta)

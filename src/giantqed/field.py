@@ -177,7 +177,7 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     src = _Source(amplitude_source, config, parity)
     _require_horizon(src, float(t.max()), "the requested time grid")
 
-    v = config.v_g
+    v = np.float64(config.v_g)      # so v**2 out of float range follows errstate
     tcol = t[:, None]
     total = np.zeros((t.size, x.size), dtype=complex)
     for atom in (0, 1):

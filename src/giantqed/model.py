@@ -67,6 +67,8 @@ class SystemConfig:
             raise ConfigError("n_legs must be at least 1")
         if self.v_g <= 0:
             raise ConfigError("v_g must be positive")
+        if self.delay > 0 and not 0 < self.spacing < math.inf:
+            raise ConfigError("the leg spacing v_g*delay is out of the float range")
 
     # -- derived quantities -------------------------------------------------
 
@@ -102,9 +104,9 @@ class SystemConfig:
         for name, value in (("eta", eta), ("phi", phi), ("gamma", gamma)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
-        if eta <= 0 or gamma <= 0:
-            raise ConfigError("from_phase requires eta > 0 and gamma > 0 "
-                              "(use delay=0 directly for eta = 0)")
+        if eta <= 0 or gamma <= 0 or eta / gamma == 0:
+            raise ConfigError("from_phase requires eta > 0, gamma > 0 and "
+                              "eta/gamma > 0 (use delay=0 directly for eta = 0)")
         delay = eta / gamma
         return cls(topology=topology, gamma=gamma, delay=delay,
                    omega0=phi / delay, n_legs=n_legs, v_g=v_g)

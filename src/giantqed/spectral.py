@@ -32,9 +32,8 @@ from . import analytic
 from .model import ConfigError, SystemConfig, delay_table, write_csv
 
 
-#: Residual targets |D_p(s)|/gamma and Newton iteration caps of
-#: ``nonmarkovian_poles`` and of each ``connected_pole`` ramp step.
-POLE_TOL, POLE_MAX_ITER = 1e-10, 200
+#: Residual target |D_p(s)|/gamma and Newton iteration cap of each
+#: ``connected_pole`` ramp step.
 RAMP_TOL, RAMP_MAX_ITER = 1e-12, 100
 
 
@@ -97,53 +96,36 @@ def markovian_rates(config: SystemConfig) -> tuple[complex, complex]:
             2.0 * sum(table.collective(-1).values()))
 
 
-@dataclass(frozen=True)
-class Pole:
-    """One converged decay pole.
-
-    ``rate`` = 2i*delta = -2s is the collective rate: Re is the population
-    decay rate, Im the collective frequency shift.  ``parity`` names the
-    Laplace denominator D_p whose root this is, and ``residual`` is
-    |D_p(s)|/gamma there.
-    """
-
-    delta: complex
-    rate: complex
-    parity: int
-    residual: float
-    iterations: int
-
-
-def _newton(kernel: analytic.ParityKernel, s, tol: float, max_iter: int):
+def _newton(kernel: analytic.ParityKernel, s, tol: float):
     """Damped complex Newton on every row of a row kernel's D_p at once.
 
     Each row iterates from its own entry of ``s`` exactly as it would
     alone: it stops once |D_p| < tol, gives up when the derivative
-    vanishes or ``max_iter`` steps leave |D_p| >= tol, and a step that
+    vanishes or ``RAMP_MAX_ITER`` steps leave |D_p| >= tol, and a step that
     fails to reduce |D_p| is halved, up to 60 times, before it is taken.
     Rows that stop drop out of the array work.
 
     Returns:
-        (roots, |D_p(roots)|, iterations, converged), one entry per row.
+        (roots, iterations, converged), one entry per row.
     """
     s = np.array(s, dtype=complex)
     f, df = kernel.evaluate(s)
-    roots, residual = s.copy(), np.abs(f)
-    iterations = np.full(s.size, max_iter)
+    roots = s.copy()
+    iterations = np.full(s.size, RAMP_MAX_ITER)
     converged = np.zeros(s.size, dtype=bool)
     rows = np.arange(s.size)                    # rows still iterating
-    for it in range(max_iter):
+    for it in range(RAMP_MAX_ITER):
         res = np.abs(f)
         stop = (res < tol) | (df == 0)
         if stop.any():
             done = rows[stop]
-            roots[done], residual[done] = s[stop], res[stop]
+            roots[done] = s[stop]
             converged[done], iterations[done] = res[stop] < tol, it
             keep = ~stop
             rows, s, f, df, res = rows[keep], s[keep], f[keep], df[keep], res[keep]
             kernel = kernel.rows(keep)
         if not rows.size:
-            return roots, residual, iterations, converged
+            return roots, iterations, converged
         with np.errstate(invalid="ignore", over="ignore"):
             step = -f / df
         floor = 1e-16 * np.maximum(1.0, np.abs(s))
@@ -159,9 +141,8 @@ def _newton(kernel: analytic.ParityKernel, s, tol: float, max_iter: int):
             f[pending], df[pending] = kernel.rows(pending).evaluate(
                 s_new[pending])
         s = s_new
-    res = np.abs(f)
-    roots[rows], residual[rows], converged[rows] = s, res, res < tol
-    return roots, residual, iterations, converged
+    roots[rows], converged[rows] = s, np.abs(f) < tol
+    return roots, iterations, converged
 
 
 def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
@@ -192,8 +173,7 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
 
     def step(rows, s0, eta1):
         """Newton at eta1 from s0 per row: (root, converged, accepted)."""
-        root, _, its, ok = _newton(kernel.rows(rows, eta1 / gamma), s0, tol,
-                                   RAMP_MAX_ITER)
+        root, its, ok = _newton(kernel.rows(rows, eta1 / gamma), s0, tol)
         iterations[rows] += its
         return root, ok, ok & (np.abs(root - s0) <= 0.3 * (gamma + np.abs(s0)))
 
@@ -225,44 +205,6 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
             s[rows[j]] = split(rows[j], eta0[j], s0[j], eta1[j], root[j],
                                ok[j], 0)
     return s, iterations, subdivisions
-
-
-def nonmarkovian_poles(config: SystemConfig) -> list[Pole]:
-    """One decay pole per parity of the full retarded problem.
-
-    Damped Newton on each D_p starts from that parity's Markovian pole
-    s = -Gamma_M/2 and returns whichever root it reaches.  D_p has
-    infinitely many roots, and once retardation matters (eta >~ 0.3) this
-    is often not the root continuously connected to the Markovian pole:
-    e.g. separate, eta = 0.832, phi = 5.855, parity +1 gives rate
-    1.872 - 5.156i here but 0.019 - 2.481i from the eta ramp.  Use
-    :func:`connected_pole` for the continuously connected pole.
-
-    Newton stops at the residual |D_p(s)|/gamma < ``POLE_TOL`` and gives up
-    after ``POLE_MAX_ITER`` iterations (damped steps count once).
-
-    Returns:
-        The symmetric (parity +1) and antisymmetric (-1) poles, in that
-        order.
-
-    Raises:
-        NonConvergence: when a parity's iteration misses the target.
-    """
-    poles = []
-    for parity in (+1, -1):
-        kernel = analytic.parity_kernel(config, parity)
-        seed = -complex(kernel.coeffs.sum())
-        (s,), (res,), (its,), (ok,) = _newton(
-            kernel.rows([0]), [seed], POLE_TOL * config.gamma, POLE_MAX_ITER)
-        if not ok:
-            raise NonConvergence(
-                f"no parity {parity:+d} root from seed {seed} after "
-                f"{POLE_MAX_ITER} iterations")
-        s = complex(s)
-        poles.append(Pole(delta=1j * s, rate=-2.0 * s, parity=parity,
-                          residual=float(res) / config.gamma,
-                          iterations=int(its)))
-    return poles
 
 
 @dataclass(frozen=True)

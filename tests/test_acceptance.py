@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from giantqed.analytic import exact_solution, markovian_effective_rate
+from giantqed.analytic import (exact_solution, laplace_denominator,
+                               markovian_effective_rate)
 from giantqed.bic import bic_state, overlap_with_initial
 from giantqed.dde import (DriveSchedule, excitation_balance, frequency_grid,
                           integrate, integrate_with_drive)
 from giantqed.field import detector_signal, fdd, released_energy
 from giantqed.model import InitialState, SystemConfig
-from giantqed.spectral import (markovian_rates, nonmarkovian_poles,
+from giantqed.spectral import (connected_pole, markovian_rates,
                                scan_decay_rates, scattering)
 
 GAMMA = 1.0
@@ -122,13 +123,11 @@ def test_criterion_5_markovian_continuity_of_poles(capsys):
     for topology in ("separate", "braided"):
         cfg = SystemConfig(topology=topology, gamma=GAMMA,
                            delay=1e-4 * math.pi / 50.0, omega0=50.0, v_g=1.0)
-        ref_plus, ref_minus = markovian_rates(cfg)
-        poles = nonmarkovian_poles(cfg)
-        ok = ok and sorted(p.parity for p in poles) == [-1, 1]
-        for pole in poles:
-            ref = ref_plus if pole.parity > 0 else ref_minus
-            worst_rel = max(worst_rel, abs(pole.rate - ref) / abs(ref))
-            worst_res = max(worst_res, pole.residual)
+        for parity, ref in zip((+1, -1), markovian_rates(cfg)):
+            s = connected_pole(cfg, parity)
+            worst_rel = max(worst_rel, abs(-2.0 * s - ref) / abs(ref))
+            worst_res = max(worst_res, abs(laplace_denominator(cfg, parity, s))
+                            / cfg.gamma)
     ok = ok and worst_rel < 0.01 and worst_res < 1e-10
     _verdict(capsys, 5, ok,
              f"omega0*dx = 1e-4*pi: pole vs closed-form rate, worst "

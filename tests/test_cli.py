@@ -7,9 +7,14 @@ lines and written artifacts are all visible to assertions.
 import json
 import math
 import os
+import sys
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from giantqed import cli
 from giantqed.bic import bic_state, overlap_with_initial
@@ -25,6 +30,14 @@ def _clean_env(monkeypatch):
     for key in list(os.environ):
         if key.startswith("GIANTQED_"):
             monkeypatch.delenv(key)
+
+
+def _data_rows(path) -> tuple[list[str], list[list[float]]]:
+    """Header fields and float data rows of a CSV the CLI wrote."""
+    header, *rows = [line for line in Path(path).read_text().splitlines()
+                     if not line.startswith("#")]
+    return header.split(","), [[float(v) for v in row.split(",")]
+                               for row in rows]
 
 
 def _line_value(out: str, prefix: str) -> str:
@@ -280,6 +293,21 @@ INVALID_VALUES = (
     (["simulate", "--omega0", "1", "--dx", "-1"], {}, "--dx"),
     # the default K = 100 is below the 50*eta floor
     (["simulate", "--eta", "5", "--phi", "0"], {}, "eta = "),
+    (["decay-rates", "--scan", "0.1:inf:0.1"], {}, "--scan"),
+    # (stop - start)/step overflows to inf: past the scan point budget
+    (["decay-rates", "--scan", "0.1:1e308:1e-308"], {}, "--scan"),
+    (["decay-rates", "--scan", "0.1:3:1e-5"], {}, "--scan"),
+    (["detect", "--n-points", "2000000"], {}, "--n-points"),
+    # 10 001 branches of the exact series, past its budget
+    (["simulate", "--engine", "analytic", "--eta", "1e-3", "--phi", "0"], {},
+     "--t-max"),
+    # 1e10 samples of the exact series, past the node budget
+    (["simulate", "--engine", "analytic", "--steps-per-delay", "1000000000"],
+     {}, "--steps-per-delay"),
+    # the step delay/K of a subnormal delay underflows to 0
+    (["simulate", "--omega0", "31.4", "--dx", "5e-324"], {}, "--t-max"),
+    # the leg spacing v_g*delay underflows to 0
+    (["bic", "--v-g", "5e-324"], {}, "v_g"),
 )
 
 
@@ -303,6 +331,8 @@ NON_POSITIVE = (
     (["detect", "--n-points", "0"], "--n-points"),
     (["detect", "--n-points", "1", "--t-max", "2"], "--n-points"),
     (["detect", "--x0", "-1"], "--x0"),
+    # an int past the float range
+    (["simulate", "--steps-per-delay", "1" + "0" * 400], "--steps-per-delay"),
 )
 
 
@@ -341,6 +371,164 @@ def test_fdd_map_past_the_cell_budget_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+#: Runs whose arithmetic leaves the float range: an invalid inf * 0 in the
+#: integrator, an overflowing matmul, and v_g^2 = 0 under fdd's intensity.
+FLOATING_POINT_FAILURES = (
+    ["simulate", "--gamma", "1e-300"],
+    ["simulate", "--gamma", "1e300"],
+    ["fdd", "--v-g", "1e-300"],
+)
+
+
+@pytest.mark.parametrize("argv", FLOATING_POINT_FAILURES, ids=" ".join)
+def test_floating_point_failures_exit_3(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    for path in tmp_path.glob("*.csv"):
+        assert np.isfinite(_data_rows(path)[1]).all(), path.name
+
+
+def test_detect_switch_before_the_first_detector_time(tmp_path, capsys):
+    """No detector time falls in [t_s/2, t_s] for a switch at 1e-300; the
+    pre-switch maximum over that empty window reads 0."""
+    assert main(["detect", "--eta", "0.2", "--phi", "2pi", "--t-max", "2",
+                 "--n-points", "21", "--steps-per-delay", "20",
+                 "--switch-at", "1e-300", "--phi-after", "2.5pi",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert float(_line_value(out, "pre_switch_max_intensity = ")) == 0.0
+
+
+class _Axes:
+    """Records the curves handed to ``plot``; every other call is a no-op."""
+
+    def __init__(self):
+        self.curves = []
+
+    def plot(self, x, y, **kwargs):
+        self.curves.append((np.asarray(x), np.asarray(y)))
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+@pytest.mark.parametrize("engine, csv", [("dde", "trajectory.csv"),
+                                         ("analytic", "trajectory_analytic.csv")])
+def test_simulate_svg_plots_the_written_population(tmp_path, monkeypatch,
+                                                   engine, csv):
+    """A stand-in matplotlib records what ``--svg`` draws: the times and
+    the excited population of the CSV the run wrote, for either engine."""
+    ax = _Axes()
+    fig = types.SimpleNamespace(
+        savefig=lambda path, **kwargs: Path(path).write_text("<svg/>"))
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda *args, **kwargs: (fig, ax)
+    pyplot.close = lambda figure: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    assert main(["simulate", "--engine", engine, "--eta", "0.2", "--phi",
+                 "0.5pi", "--t-max", "2", "--svg",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "trajectory.svg").exists()
+    fields, rows = _data_rows(tmp_path / csv)
+    rows = np.array(rows)
+    (t, population), = ax.curves
+    assert t.tolist() == rows[:, fields.index("t")].tolist()
+    np.testing.assert_allclose(
+        population, rows[:, fields.index("pop_a")]
+        + rows[:, fields.index("pop_b")], rtol=1e-15, atol=0)
+
+
+SVG_COMMANDS = (
+    ["simulate", "--engine", "dde", "--t-max", "2", "--svg"],
+    ["simulate", "--engine", "analytic", "--t-max", "2", "--svg"],
+    ["fdd", "--t-max", "2", "--nx", "41", "--nt", "11", "--svg"],
+)
+
+
+@pytest.mark.parametrize("argv", SVG_COMMANDS, ids=" ".join)
+def test_svg_paths_with_matplotlib(tmp_path, argv):
+    pytest.importorskip("matplotlib")
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    (svg,) = tmp_path.glob("*.svg")
+    assert "<svg" in svg.read_text()
+
+
+#: Small runs of each command and the numeric flags the fuzz varies in
+#: each; "--scan" varies one of start, stop and step.
+FUZZ_RUNS = {
+    "simulate": (["simulate", "--topology", "braided", "--eta", "0.2",
+                  "--phi", "0.5pi", "--state", "antisymmetric", "--engine",
+                  "both", "--t-max", "1", "--steps-per-delay", "20"],
+                 ("--gamma", "--v-g", "--eta", "--phi", "--t-max",
+                  "--steps-per-delay")),
+    "simulate-physical": (["simulate", "--omega0", "31.4", "--dx", "0.2",
+                           "--t-max", "1", "--steps-per-delay", "20"],
+                          ("--omega0", "--dx", "--v-g")),
+    "decay-rates": (["decay-rates", "--topology", "braided",
+                     "--scan", "0.5:1.5:0.25"],
+                    ("--gamma", "--v-g", "--omega0", "--scan")),
+    "fdd": (["fdd", "--eta", "0.2", "--phi", "2pi", "--state",
+             "antisymmetric", "--t-max", "1", "--nx", "11", "--nt", "5"],
+            ("--gamma", "--v-g", "--eta", "--phi", "--t-max", "--nx", "--nt",
+             "--x-span")),
+    "bic": (["bic", "--topology", "braided", "--eta", "0.2", "--phi", "2pi"],
+            ("--gamma", "--v-g", "--eta", "--phi")),
+    "detect": (["detect", "--eta", "0.2", "--phi", "2pi", "--state",
+                "antisymmetric", "--t-max", "2", "--n-points", "21",
+                "--steps-per-delay", "20", "--switch-at", "1",
+                "--phi-after", "2.5pi"],
+               ("--gamma", "--v-g", "--eta", "--phi", "--x0", "--t-max",
+                "--switch-at", "--phi-after", "--n-points",
+                "--steps-per-delay")),
+}
+
+#: nan, inf, negative, zero, tiny, huge and garbage.  Each huge value
+#: either trips a check before anything is allocated (run lengths, counts,
+#: eta, the scan range) or leaves the work unchanged (gamma, v_g, phases,
+#: x0, x-span, a scan step).
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "5e-324", "1e300",
+               "1" + "0" * 400, "abc", "", "1e")
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    argv, flags = FUZZ_RUNS[draw(st.sampled_from(sorted(FUZZ_RUNS)))]
+    argv = list(argv)
+    for flag in draw(st.lists(st.sampled_from(flags), min_size=1,
+                              max_size=2, unique=True)):
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        if flag == "--scan":
+            parts = argv[argv.index(flag) + 1].split(":")
+            parts[draw(st.integers(0, 2))] = value
+            value = ":".join(parts)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_fuzzed_argv())
+def test_fuzzed_flags_exit_cleanly(argv):
+    """Every run exits 0, 2 or 3 without a traceback, and every CSV an
+    exit-0 run writes is finite."""
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            rc = main(argv + ["--out", out])
+        except SystemExit as exc:               # argparse's usage errors
+            rc = exc.code
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
+        if rc == EXIT_OK:
+            for path in Path(out).glob("*.csv"):
+                assert np.isfinite(_data_rows(path)[1]).all(), path.name
+
+
 def test_version_banner(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -370,10 +558,7 @@ def test_readme_csv_rows_are_numeric(tmp_path, argv):
     paths = sorted(tmp_path.glob("*.csv"))
     assert paths
     for path in paths:
-        header, *rows = [line for line in path.read_text().splitlines()
-                         if not line.startswith("#")]
-        n_fields = len(header.split(","))
+        fields, rows = _data_rows(path)
         assert rows, path.name
         for row in rows:
-            values = [float(v) for v in row.split(",")]
-            assert len(values) == n_fields, (path.name, row)
+            assert len(row) == len(fields), (path.name, row)

@@ -16,8 +16,7 @@ from giantqed.analytic import (ParityKernel, exact_solution,
 from giantqed import spectral
 from giantqed.model import ConfigError, InitialState, SystemConfig
 from giantqed.spectral import (NonConvergence, _ramp, connected_pole,
-                               markovian_rates, nonmarkovian_poles,
-                               scan_decay_rates, scattering)
+                               markovian_rates, scan_decay_rates, scattering)
 
 
 def _matching_solver(cfg, delta):
@@ -136,19 +135,6 @@ def test_markovian_rates_known_phases():
     assert gm == pytest.approx(8.0, abs=1e-12)
 
 
-def test_poles_near_markovian_limit():
-    cfg = SystemConfig(topology="separate", gamma=1.0,
-                       delay=1e-4 * math.pi / 50.0, omega0=50.0)
-    gp, _ = markovian_rates(cfg)
-    poles = nonmarkovian_poles(cfg)
-    assert len(poles) == 2
-    assert {p.parity for p in poles} == {+1, -1}
-    for p in poles:
-        assert p.residual < 1e-10
-    plus = next(p for p in poles if p.parity == +1)
-    assert abs(plus.rate - gp) < 0.01 * abs(gp)
-
-
 def test_poles_are_roots_of_their_own_parity_denominator():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -157,25 +143,9 @@ def test_poles_are_roots_of_their_own_parity_denominator():
                                       eta=float(rng.uniform(0.01, 0.3)),
                                       phi=float(rng.uniform(0.0, 2 * math.pi)),
                                       gamma=float(rng.uniform(0.5, 2.0)))
-        poles = nonmarkovian_poles(cfg)
-        assert [p.parity for p in poles] == [+1, -1]
-        for p in poles:
-            den = laplace_denominator(cfg, p.parity, -1j * p.delta)
-            assert abs(den) < 1e-10 * cfg.gamma
-            assert p.residual == pytest.approx(abs(den) / cfg.gamma, abs=1e-15)
-            assert p.rate == pytest.approx(2j * p.delta, abs=1e-12)
-
-
-def test_newton_pole_and_connected_pole_are_different_roots():
-    """Past eta ~ 0.3 Newton from the Markovian seed may land on another
-    root of D_+ than the eta ramp does; both are genuine roots."""
-    cfg = SystemConfig.from_phase("separate", eta=0.832, phi=5.855)
-    newton = nonmarkovian_poles(cfg)[0]
-    s_ramp = connected_pole(cfg, +1)
-    s_newton = -1j * newton.delta
-    for s in (s_newton, s_ramp):
-        assert abs(laplace_denominator(cfg, +1, s)) / cfg.gamma < 1e-10
-    assert abs(s_newton - s_ramp) > 0.1 * cfg.gamma
+        for parity in (+1, -1):
+            s = connected_pole(cfg, parity)
+            assert abs(laplace_denominator(cfg, parity, s)) < 1e-10 * cfg.gamma
 
 
 def test_single_pole_reconstructs_late_time_decay():
