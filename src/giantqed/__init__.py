@@ -7,7 +7,7 @@ emitted field, for the two standard leg orderings (separate and braided).
 
 Modules
 -------
-model     configs, initial states, delay-coefficient tables
+model     configs, initial states, the phase-free retarded coupling table
 dde       delay-differential integrator and frequency-space field
 analytic  exact branch series and Laplace steady states
 spectral  scattering coefficients and complex decay-rate poles

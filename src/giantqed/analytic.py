@@ -5,7 +5,8 @@ equations collapse to one scalar delay equation
 
     dc/dt = -A_0 c(t) - sum_{n>=1} A_n c(t - n*delay) Theta(t - n*delay),
 
-with A_n = self_n + parity*cross_n from the delay table.  Its exact solution
+with A_n = (self_n + parity*cross_n) exp(i n phi) from the phase-free delay
+table (``DelayTable.collective``).  Its exact solution
 is a sum of delayed exponential branches
 
     c(t) = sum_l Theta(t - l*delay) exp(-A_0 (t - l*delay)) P_l(t - l*delay),
@@ -148,17 +149,15 @@ def exact_solution(config: SystemConfig, state: InitialState,
     if n_branches < 1:
         raise ConfigError("need at least one branch")
 
-    coeffs = delay_table(config).collective(parity)
-    decay = coeffs.pop(0).real
+    coeffs = delay_table(config).collective(parity, config.phi)
+    decay = float(coeffs[0].real)
 
     branches: list[np.ndarray] = [np.array([1.0 + 0.0j])]
     for l in range(1, n_branches):
         # P_l(tau) = -sum_n A_n * Int_0^tau P_{l-n}; the integral of tau^k is
         # tau^(k+1)/(k+1), so every source branch shifts up one degree.
         poly = np.zeros(l + 1, dtype=complex)
-        for n, a_n in coeffs.items():
-            if n > l:
-                continue
+        for n, a_n in enumerate(coeffs[1:l + 1], start=1):
             src = branches[l - n]
             k = np.arange(src.size)
             poly[1:src.size + 1] -= a_n * src / (k + 1)
@@ -175,14 +174,13 @@ def exact_solution(config: SystemConfig, state: InitialState,
 class ParityKernel:
     """D_p(s) = s + sum_n A_n exp(-s n delay) of one (config, parity).
 
-    ``steps`` are the delays n in units of ``delay`` and ``coeffs`` the
-    A_n = self_n + parity*cross_n, which depend on phi and gamma only.
+    ``coeffs`` are the A_n of the lags n = 0..2N-1 (in units of ``delay``),
+    from ``DelayTable.collective``; they depend on phi and gamma only.
 
     A row kernel stacks one such system per row: ``coeffs`` of shape
     (rows, lags) and ``delay`` of shape (rows,), evaluated at one s per row.
     """
 
-    steps: np.ndarray
     coeffs: np.ndarray
     delay: float | np.ndarray
 
@@ -193,7 +191,8 @@ class ParityKernel:
         """
         s = np.asarray(s, dtype=complex)
         rows = self.coeffs.ndim == 2
-        lags = self.steps * (self.delay[:, None] if rows else self.delay)
+        lags = np.arange(self.coeffs.shape[-1]) * (
+            self.delay[:, None] if rows else self.delay)
         # far in the left half plane the exponentials overflow to inf, which
         # is the honest saturating value for a root finder probing out there
         with np.errstate(over="ignore", invalid="ignore"):
@@ -212,14 +211,12 @@ class ParityKernel:
         coeffs = np.atleast_2d(self.coeffs)[index]
         if delay is None:
             delay = np.atleast_1d(self.delay)[index]
-        return ParityKernel(self.steps, coeffs, np.full(len(coeffs), delay))
+        return ParityKernel(coeffs, np.full(len(coeffs), delay))
 
 
 def parity_kernel(config: SystemConfig, parity: int) -> ParityKernel:
     """The kernel of D_p for ``config``, built from its delay table."""
-    coeffs = delay_table(config).collective(parity)
-    return ParityKernel(np.array(list(coeffs), dtype=float),
-                        np.array(list(coeffs.values()), dtype=complex),
+    return ParityKernel(delay_table(config).collective(parity, config.phi),
                         config.delay)
 
 
@@ -262,7 +259,7 @@ def steady_state(config: SystemConfig, state: InitialState,
     """
     parity = state.parity
     if parity is None:
-        raise ValueError("steady state analysis requires a parity eigenstate")
+        raise ConfigError("steady state analysis requires a parity eigenstate")
     c0 = np.sqrt(2.0) * state.c_a      # <parity|state>, c_b = parity*c_a
     d0, slope = parity_kernel(config, parity).evaluate(0.0)
     cls = config.phase_class()
@@ -286,7 +283,7 @@ def markovian_effective_rate(config: SystemConfig, state: InitialState) -> compl
     """
     parity = state.parity
     if parity is None:
-        raise ValueError("effective rate requires a parity eigenstate")
+        raise ConfigError("effective rate requires a parity eigenstate")
     d0, slope = parity_kernel(config, parity).evaluate(0.0)
     return 2.0 * d0 / slope
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .model import InitialState, SystemConfig, write_csv
+from .model import ConfigError, InitialState, SystemConfig, write_csv
 
 #: |k - k0| below this (in units of 1/d) switches to the series limit of
 #: g(k)/(k-k0), removing the 0/0 at the resonant wavenumber.
@@ -199,7 +199,7 @@ def bic_field_profile(bic: BicState, k_grid=None) -> FieldProfile:
         k_grid = np.linspace(bic.k0 - 40.0 / d, bic.k0 + 40.0 / d, 4001)
     k = np.asarray(k_grid, dtype=float)
     if k.ndim != 1 or k.size < 2:
-        raise ValueError("k_grid must be a 1D grid with at least two points")
+        raise ConfigError("k_grid must be a 1D grid with at least two points")
     intensity = bic.intensity(k)
     segments = 0.5 * (intensity[1:] + intensity[:-1]) * np.diff(k)
     cumulative = np.concatenate([[0.0], np.cumsum(segments)])

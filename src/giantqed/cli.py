@@ -18,7 +18,7 @@ error.  Angles accept multiples of pi ("2pi", "0.5pi").
 All artifacts are plain CSV (and NDJSON for the bic report) with
 config-echo comment headers; identical parameters produce byte-identical
 files.  SVG plots are optional conveniences behind ``--svg``.  Exit codes:
-0 success, 2 usage/config error (including a ``ConfigError``), 3 numerical
+0 success, 2 usage/config error (a ``ConfigError``), 3 numerical
 failure (a pole that does not converge, a series queried past its horizon
 or too ill-conditioned to evaluate, a floating-point error).
 """
@@ -65,10 +65,6 @@ _DETECT_POINT_BUDGET = 10 ** 6
 _BRANCH_BUDGET = 1000
 
 
-class UsageError(Exception):
-    """Bad flags/config-file input; maps to exit code 2."""
-
-
 def parse_angle(text: str) -> float:
     """Float parser that also accepts '2pi', '-pi', '0.5pi'."""
     s = str(text).strip().lower().replace(" ", "").replace("*", "")
@@ -78,7 +74,7 @@ def parse_angle(text: str) -> float:
     try:
         return float(head) * unit
     except ValueError:
-        raise UsageError(f"cannot parse angle {text!r}") from None
+        raise ConfigError(f"cannot parse angle {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,20 +83,20 @@ def parse_angle(text: str) -> float:
 
 def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
     except configparser.Error as exc:
-        raise UsageError(f"cannot parse config file {path}: {exc}") from None
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     known = {"system": _SYSTEM_KEYS, "run": _RUN_KEYS}
     out: dict = {}
     for section in parser.sections():
         if section not in known:
-            raise UsageError(f"unknown config section [{section}]")
+            raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
             if key not in known[section]:
-                raise UsageError(f"unknown key '{key}' in [{section}]")
+                raise ConfigError(f"unknown key '{key}' in [{section}]")
             out[key] = value
     return out
 
@@ -138,9 +134,9 @@ def _parse_number(key: str, value) -> float:
     try:
         number = parse_angle(value) if key in _ANGLE_KEYS else float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"cannot parse {flag} value {value!r}") from None
+        raise ConfigError(f"cannot parse {flag} value {value!r}") from None
     if not math.isfinite(number):
-        raise UsageError(f"{flag} must be finite, got {value!r}")
+        raise ConfigError(f"{flag} must be finite, got {value!r}")
     return number
 
 
@@ -148,7 +144,7 @@ def _topology_gamma_vg(params: dict) -> tuple[str, float, float]:
     """(topology, gamma, v_g) from the merged parameter dict."""
     topology = str(params.get("topology", "separate"))
     if topology not in ("separate", "braided"):
-        raise UsageError(f"unknown topology {topology!r}")
+        raise ConfigError(f"unknown topology {topology!r}")
     return (topology, _parse_number("gamma", params.get("gamma", 1.0)),
             _parse_number("v_g", params.get("v_g", 1.0)))
 
@@ -157,23 +153,23 @@ def build_config(params: dict) -> SystemConfig:
     """Typed SystemConfig from the merged parameter dict.
 
     The (eta, phi) and (omega0, dx) parameterizations are mutually
-    exclusive.  Unparsable or non-finite values raise UsageError; values
-    the model rejects (gamma <= 0, eta < 0 ...) raise its ConfigError.
+    exclusive.  Unparsable or non-finite values, and values the model
+    rejects (gamma <= 0, eta < 0 ...), raise ConfigError.
     """
     topology, gamma, v_g = _topology_gamma_vg(params)
     has_phase = "eta" in params or "phi" in params
     has_physical = "omega0" in params or "dx" in params
     if has_phase and has_physical:
-        raise UsageError("give either (--eta, --phi) or (--omega0, --dx), "
-                         "not a mix")
+        raise ConfigError("give either (--eta, --phi) or (--omega0, --dx), "
+                          "not a mix")
     if has_physical:
         if not ("omega0" in params and "dx" in params):
-            raise UsageError("--omega0 and --dx must be given together")
+            raise ConfigError("--omega0 and --dx must be given together")
         if v_g <= 0:
-            raise UsageError("--v-g must be positive")
+            raise ConfigError("--v-g must be positive")
         dx = _parse_number("dx", params["dx"])
         if dx <= 0:
-            raise UsageError(f"--dx must be positive, got {params['dx']!r}")
+            raise ConfigError(f"--dx must be positive, got {params['dx']!r}")
         return SystemConfig(topology=topology, gamma=gamma, delay=dx / v_g,
                             omega0=_parse_number("omega0", params["omega0"]),
                             v_g=v_g)
@@ -181,9 +177,8 @@ def build_config(params: dict) -> SystemConfig:
     phi = _parse_number("phi", params.get("phi", 0.0))
     if eta == 0.0:
         if phi != 0.0:
-            raise UsageError("eta = 0 (no retardation) requires phi = 0")
-        return SystemConfig(topology=topology, gamma=gamma, delay=0.0,
-                            omega0=0.0, v_g=v_g)
+            raise ConfigError("eta = 0 (no retardation) requires phi = 0")
+        return SystemConfig(topology=topology, gamma=gamma, delay=0.0, v_g=v_g)
     return SystemConfig.from_phase(topology, eta, phi, gamma=gamma, v_g=v_g)
 
 
@@ -193,8 +188,8 @@ def build_state(params: dict) -> InitialState:
         return InitialState.symmetric()
     if name in ("antisymmetric", "antisym", "asym", "-"):
         return InitialState.antisymmetric()
-    raise UsageError(f"unknown state {name!r} "
-                     "(use symmetric or antisymmetric)")
+    raise ConfigError(f"unknown state {name!r} "
+                      "(use symmetric or antisymmetric)")
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +243,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     state = build_state(params)
     engine = str(params.get("engine", "dde"))
     if engine not in ("dde", "analytic", "both"):
-        raise UsageError(f"unknown engine {engine!r}")
+        raise ConfigError(f"unknown engine {engine!r}")
     t_max = args.t_max * (1.0 / config.gamma)
     if engine in ("analytic", "both") and not t_max <= _BRANCH_BUDGET * config.delay:
-        raise UsageError(f"the exact series needs eta > 0 and t_max/delay <= "
-                         f"{_BRANCH_BUDGET}; lower --t-max or raise --eta")
+        raise ConfigError(f"the exact series needs eta > 0 and t_max/delay <= "
+                          f"{_BRANCH_BUDGET}; lower --t-max or raise --eta")
     out_dir = _prepare_out(params)
 
     schedule = DriveSchedule((0.0,), (config.omega0,))
@@ -305,7 +300,7 @@ def _plot_trajectory(ts, population, out_dir, config) -> None:
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
-        raise UsageError("--svg requires matplotlib (install the 'svg' extra)")
+        raise ConfigError("--svg requires matplotlib (install the 'svg' extra)")
     fig, ax = plt.subplots()
     ax.plot(ts, population, label="|c_a|^2 + |c_b|^2")
     ax.set_xlabel("t")
@@ -322,13 +317,13 @@ def _parse_scan(text: str) -> tuple[float, float, int]:
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise UsageError(f"--scan expects start:stop:step, got {text!r}") from None
+        raise ConfigError(f"--scan expects start:stop:step, got {text!r}") from None
     if not (0 < lo < hi < math.inf and 0 < step < math.inf):
-        raise UsageError("--scan needs 0 < start < stop and step > 0, finite")
+        raise ConfigError("--scan needs 0 < start < stop and step > 0, finite")
     intervals = (hi - lo) / step                # inf past the float range
     if not intervals + 1 <= _SCAN_POINT_BUDGET:
-        raise UsageError(f"--scan {text} asks for {intervals + 1:.3g} points, "
-                         f"above the budget of {_SCAN_POINT_BUDGET:.0e}")
+        raise ConfigError(f"--scan {text} asks for {intervals + 1:.3g} points, "
+                          f"above the budget of {_SCAN_POINT_BUDGET:.0e}")
     return lo, hi, int(round(intervals)) + 1
 
 
@@ -337,16 +332,12 @@ def cmd_decay_rates(args: argparse.Namespace) -> int:
     topology, gamma, v_g = _topology_gamma_vg(params)
     omega0 = _parse_number("omega0", params.get("omega0", 50.0))
     if omega0 <= 0:
-        raise UsageError("--omega0 must be positive")
+        raise ConfigError("--omega0 must be positive")
     lo, hi, n = _parse_scan(args.scan)
     out_dir = _prepare_out(params)
 
-    try:
-        scan = scan_decay_rates(topology, n_points=n, x_max=hi, x_min=lo,
-                                omega0=omega0, gamma=gamma, v_g=v_g)
-    except ConfigError as exc:
-        raise UsageError(f"--omega0 {omega0!r} with --scan {args.scan}: "
-                         f"{exc}") from None
+    scan = scan_decay_rates(topology, n_points=n, x_max=hi, x_min=lo,
+                            omega0=omega0, gamma=gamma, v_g=v_g)
     path = os.path.join(out_dir, "decay_rates.csv")
     scan.to_csv(path)
     print(f"wrote {path}")
@@ -362,7 +353,7 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     params = resolve_params(args)
     config = build_config(params)
     if config.delay == 0.0:
-        raise UsageError("fdd needs eta > 0 (finite leg spacing)")
+        raise ConfigError("fdd needs eta > 0 (finite leg spacing)")
     state = build_state(params)
     t_max = args.t_max / config.gamma
     # the integrator at its step floor (K >= 50*eta) stays accurate at late
@@ -373,9 +364,9 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     # set the run's node count
     cells = args.nx * args.nt * 2 * config.n_legs * 2
     if cells > _FDD_CELL_BUDGET:
-        raise UsageError(f"the map needs {cells:.3g} cells (nx * nt * legs "
-                         f"* 2), above the budget of {_FDD_CELL_BUDGET:.0e}; "
-                         f"lower --nx or --nt")
+        raise ConfigError(f"the map needs {cells:.3g} cells (nx * nt * legs "
+                          f"* 2), above the budget of {_FDD_CELL_BUDGET:.0e}; "
+                          f"lower --nx or --nt")
     h = config.delay / steps_per_delay  # 0 when a tiny delay underflows
     _check_node_budget((t_max + config.delay) / h - GRID_END_SLACK if h else math.inf,
                        "lower --t-max or change --eta (fdd takes "
@@ -405,7 +396,7 @@ def cmd_fdd(args: argparse.Namespace) -> int:
         try:
             grid.to_svg(spath)
         except RuntimeError as exc:
-            raise UsageError(str(exc))
+            raise ConfigError(str(exc))
         print(f"wrote {spath}")
     RunManifest("fdd", config, out_dir).write()
     return EXIT_OK
@@ -415,7 +406,7 @@ def cmd_bic(args: argparse.Namespace) -> int:
     params = resolve_params(args)
     config = build_config(params)
     if config.delay == 0.0:
-        raise UsageError("bic needs eta > 0 (finite leg spacing)")
+        raise ConfigError("bic needs eta > 0 (finite leg spacing)")
     out_dir = _prepare_out(params)
     bound = bic_state(config)
 
@@ -459,19 +450,19 @@ def cmd_detect(args: argparse.Namespace) -> int:
     params = resolve_params(args)
     config = build_config(params)
     if config.delay == 0.0:
-        raise UsageError("detect needs eta > 0 (finite leg spacing)")
+        raise ConfigError("detect needs eta > 0 (finite leg spacing)")
     if args.n_points > _DETECT_POINT_BUDGET:
-        raise UsageError(f"--n-points is over the budget of {_DETECT_POINT_BUDGET:.0e}")
+        raise ConfigError(f"--n-points is over the budget of {_DETECT_POINT_BUDGET:.0e}")
     state = build_state(params)
     out_dir = _prepare_out(params)
     t_max = args.t_max / config.gamma
 
     if (args.switch_at is None) != (args.phi_after is None):
-        raise UsageError("--switch-at and --phi-after must be given together")
+        raise ConfigError("--switch-at and --phi-after must be given together")
     if args.switch_at is not None:
         t_s = args.switch_at / config.gamma
         if not 0.0 < t_s < t_max:
-            raise UsageError("--switch-at must fall inside (0, t_max)")
+            raise ConfigError("--switch-at must fall inside (0, t_max)")
         omega_after = _parse_number("phi_after", args.phi_after) / config.delay
         schedule = DriveSchedule((0.0, t_s), (config.omega0, omega_after))
     else:
@@ -601,7 +592,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonConvergence, OutOfHorizon, IllConditioned,

@@ -1,9 +1,9 @@
 """Delay-equation integrator for the two-atom amplitudes.
 
 The excited amplitudes obey a pair of linear delay differential equations
-whose delayed coefficients are the DelayTable entries.  The integrator works
-in the rotating (interaction) picture: no free omega0 oscillation, all the
-propagation phases live in the delay coefficients.  It steps with classical
+whose delayed coefficients are the phase-free DelayTable entries times the
+phase of each retardation window.  The integrator works in the rotating
+(interaction) picture: no free omega0 oscillation.  It steps with classical
 RK4 on a grid aligned with the delay (h = delay/K), so every delayed node
 value is read exactly from storage and only the half-step stage values need
 interpolation (cubic Hermite from stored values and one-sided derivatives).
@@ -28,18 +28,19 @@ accumulates the static phase n*omega_k*delay, so an interval whose windows
 all lie inside one segment (every interval of an undriven run, all but
 L + 1 per switch with lags up to L) gathers the stored values and both
 derivatives of its history in one index and takes one product with the
-segment's complex coupling.  The Hermite midpoint is then linear in the
-delayed sums P, Q, R of values, right and left derivatives and is folded
-into F.  Only intervals whose windows hold a switch build explicit
-midpoints and per-node accumulated phases.  A switched run therefore
-matches the undriven one bit for bit until a window reaches the switch.
+segment's complex coupling (the table times ``DelayTable.phases``).  The
+Hermite midpoint is then linear in the delayed sums P, Q, R of values,
+right and left derivatives and is folded into F.  Only intervals whose
+windows hold a switch build explicit midpoints and per-node window phases
+(``DriveSchedule.window_phase``).  A switched run therefore matches the
+undriven one bit for bit until a window reaches the switch.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,6 +96,21 @@ class DriveSchedule:
                       len(starts) - 1)
         return base[idx] + omegas[idx] * (t - starts[idx])
 
+    def window_phase(self, t, width) -> np.ndarray:
+        """Int_{t-width}^t omega0(s) ds: each segment's omega times its overlap
+        with the window, measured back from t.  It rounds to a few ulp of the
+        window phase itself; Omega(t) - Omega(t - width) would carry those of
+        Omega(t).  ``t`` and ``width`` broadcast; t < 0 extends segment 0."""
+        t = np.asarray(t, dtype=float)
+        total = np.zeros(np.broadcast_shapes(t.shape, np.shape(width)))
+        ends = (*self.starts[1:], math.inf)
+        for k, (omega, end) in enumerate(zip(self.omegas, ends)):
+            # the overlap runs from `near` to `far` before t
+            near = np.maximum(t - end, 0.0)
+            far = np.minimum(t - self.starts[k], width) if k else width
+            total += omega * np.maximum(far - near, 0.0)
+        return total
+
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
@@ -144,13 +160,13 @@ class AmplitudeTrajectory:
         With ``atom`` (0 for a, 1 for b) only that atom's amplitude is
         interpolated and returned.  Times up to ``GRID_END_SLACK`` of a step
         outside [0, t[-1]] clamp to the end node; anything further raises
-        ValueError.
+        ConfigError.
         """
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         h = self.t[1] - self.t[0]
         lo, hi = (tq.min(), tq.max()) if tq.size else (0.0, 0.0)
         if lo < -GRID_END_SLACK * h or hi > self.horizon:
-            raise ValueError("interpolation time outside the stored run")
+            raise ConfigError("interpolation time outside the stored run")
         if lo < 0.0 or hi > self.t[-1]:
             tq = np.clip(tq, 0.0, self.t[-1])
         idx = np.clip((tq / h).astype(int), 0, len(self.t) - 2)
@@ -228,13 +244,11 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     if config.delay == 0.0:
         return _integrate_instantaneous(config, state, t_max, steps_per_delay, schedule)
 
-    # magnitude-only coefficients (phases applied per evaluation time)
-    table0 = delay_table(replace(config, omega0=0.0))
-    gamma0 = table0.self_terms[0].real
-    lags = np.array(sorted(n for n in set(table0.self_terms) |
-                           set(table0.cross_terms) if n > 0))
-    s_self = np.array([table0.self_terms.get(n, 0j).real for n in lags])
-    s_cross = np.array([table0.cross_terms.get(n, 0j).real for n in lags])
+    # phase-free coefficients of the lags 1..L (phases applied per window)
+    table = delay_table(config)
+    gamma0 = float(table.self_terms[0])
+    n_lags = table.max_step
+    s_self, s_cross = table.self_terms[1:], table.cross_terms[1:]
     # (receiving atom, emitting atom, lag)
     coupling = np.array([[s_self, s_cross], [s_cross, s_self]])
 
@@ -257,7 +271,7 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     a_end = w_end + 0.5 * w_mid
     a_slope = 0.125 * h * w_mid
     # a window inside segment k accumulates the static phase n*omega_k*delay
-    seg_coupling = [coupling * np.exp(1j * lags * (w * delay))
+    seg_coupling = [coupling * table.phases(w * delay)[1:]
                     for w in schedule.omegas]
 
     # values, right and left derivatives as (kind, atom, node); zeroed, so
@@ -274,15 +288,15 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     switch_passes = 0
     for lo in range(0, n_steps + 1, K):
         n = min(K, n_steps - lo)
-        live = int(np.searchsorted(lags, lo // K, side="right"))
-        lag = lags[:live]
+        live = min(lo // K, n_lags)
+        lag = np.arange(1, live + 1)
         # history nodes lo - lag*K .. lo - lag*K + n of every live lag as
         # (kind, atom, lag, node)
         idx = (lo - lag * K)[:, None] + np.arange(n + 1)
         hist = store.take(idx, axis=2)
         # the windows [t - lag*delay, t] of the pass span [first, last]; a
         # switch on either end node lies outside
-        first = (lo - (K * lag[-1] if live else 0) + GRID_END_SLACK) * h
+        first = (lo - K * live + GRID_END_SLACK) * h
         seg = bisect_right(schedule.starts, first)
         if seg == bisect_right(schedule.starts, (lo + n - GRID_END_SLACK) * h):
             cpl = seg_coupling[seg - 1][:, :, :live].reshape(2, 2 * live)
@@ -298,9 +312,8 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
                 right[..., :-1] - left[..., 1:])
             t_node = (lo + np.arange(n + 1)) * h
             times = np.concatenate((t_node, t_node[:-1] + 0.5 * h))
-            acc = schedule.accumulated_array(
-                times - np.concatenate(([0.0], lag * delay))[:, None])
-            ph = np.exp(1j * (acc[0] - acc[1:]))
+            ph = np.exp(1j * schedule.window_phase(times,
+                                                   (lag * delay)[:, None]))
             cpl = coupling[:, :, :live].reshape(2, 2 * live)
             p = cpl @ (val * ph[:, :n + 1]).reshape(2 * live, n + 1)
             m = cpl @ (mid * ph[:, n + 1:]).reshape(2 * live, n)
@@ -347,9 +360,9 @@ def _integrate_instantaneous(config: SystemConfig, state: InitialState,
                              t_max: float, steps_per_delay: int,
                              schedule: DriveSchedule) -> AmplitudeTrajectory:
     """delay = 0: all retardation windows collapse, closed-form exponentials."""
-    table = delay_table(config)           # phi = omega0*0 = 0, real table
-    plus = sum(table.collective(+1).values()).real
-    minus = sum(table.collective(-1).values()).real
+    table = delay_table(config)           # phi = omega0*0 = 0, real A_n
+    plus, minus = (float(table.collective(p, config.phi).sum().real)
+                   for p in (+1, -1))
     n = _check_node_budget(max(steps_per_delay, 50)
                            * max(1.0, np.ceil(t_max * config.gamma)))
     t = np.linspace(0.0, t_max, n + 1)

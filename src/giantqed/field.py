@@ -48,34 +48,34 @@ class _Source:
     """Uniform view of a branch series or an integrated trajectory.
 
     Exposes each atom's amplitude on arbitrary (already windowed) time
-    arrays, the accumulated drive phase, and the horizon up to which
-    queries are legal.
+    arrays, the drive schedule, and the horizon up to which queries are
+    legal.
     """
 
     def __init__(self, source, config: SystemConfig, parity: int | None):
         if isinstance(source, ExpPolySolution):
             if abs(source.delay - config.delay) > 1e-12 * max(1.0, config.delay):
-                raise ValueError("series was built for a different delay")
+                raise ConfigError("series was built for a different delay")
             if parity is not None and source.parity != parity:
-                raise ValueError(
+                raise ConfigError(
                     f"series has parity {source.parity:+d}, not {parity:+d}")
             self._kind = "series"
             # last legal query time (evaluate refuses the horizon itself)
             self.horizon = source.horizon - 2e-12 * max(source.delay, 1.0)
-            self._schedule = DriveSchedule((0.0,), (config.omega0,))
+            self.schedule = DriveSchedule((0.0,), (config.omega0,))
         elif isinstance(source, AmplitudeTrajectory):
             for field in ("topology", "gamma", "delay", "n_legs", "v_g"):
                 if getattr(source.config, field) != getattr(config, field):
-                    raise ValueError(f"trajectory {field} does not match config")
+                    raise ConfigError(f"trajectory {field} does not match config")
             if parity is not None:
                 ca0, cb0 = complex(source.c_a[0]), complex(source.c_b[0])
                 if abs(cb0 - parity * ca0) > 1e-9 * max(1.0, abs(ca0)):
-                    raise ValueError(
+                    raise ConfigError(
                         "trajectory initial state does not have the "
                         f"requested exchange parity {parity:+d}")
             self._kind = "trajectory"
             self.horizon = source.horizon
-            self._schedule = source.schedule
+            self.schedule = source.schedule
         else:
             raise TypeError("amplitude source must be an ExpPolySolution "
                             "or an AmplitudeTrajectory")
@@ -87,9 +87,6 @@ class _Source:
             return self._source.atomic(t)[atom]
         return self._source.interpolate(t, atom)
 
-    def phase(self, t: np.ndarray) -> np.ndarray:
-        return self._schedule.accumulated_array(t)
-
 
 def _half_step(u: np.ndarray) -> np.ndarray:
     """Unit step with the half-value convention at the edge."""
@@ -98,7 +95,7 @@ def _half_step(u: np.ndarray) -> np.ndarray:
 
 def _require_horizon(src: _Source, needed: float, what: str) -> None:
     if needed > src.horizon:
-        raise ValueError(
+        raise ConfigError(
             f"{what} needs amplitudes up to t = {needed!r} but the source "
             f"only covers t <= {src.horizon!r}; build it with a longer run")
 
@@ -190,7 +187,8 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
                     continue
                 safe = np.where(mask, tau, 0.0)
                 c = src.amplitude(atom, safe.ravel()).reshape(tau.shape)
-                phase = np.exp(-1j * src.phase(safe.ravel())).reshape(tau.shape)
+                phase = np.exp(-1j * src.schedule.accumulated_array(
+                    safe.ravel())).reshape(tau.shape)
                 total += window * c * phase
     intensity = (config.gamma * math.pi / v ** 2) * np.abs(total) ** 2
     intensity[t <= 0, :] = 0.0
@@ -262,7 +260,7 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
                 continue
             safe = np.where(mask, tau, 0.0)
             c = src.amplitude(atom, safe)
-            window = src.phase(tb) - src.phase(safe)
+            window = src.schedule.window_phase(tb, lag)
             amp += gate * config.gamma * np.exp(1j * window) * c
     amp *= 2.0 / math.sqrt(config.gamma * config.v_g)
     amp[tb < 0] = 0.0

@@ -119,7 +119,7 @@ class SystemConfig:
         ``atom`` is 0 for atom a, 1 for atom b.
         """
         if atom not in (0, 1):
-            raise ValueError("atom must be 0 (a) or 1 (b)")
+            raise ConfigError("atom must be 0 (a) or 1 (b)")
         n = self.n_legs
         if self.topology == "separate":
             return tuple(range(atom * n, atom * n + n))
@@ -195,63 +195,57 @@ class InitialState:
 
 @dataclass(frozen=True)
 class DelayTable:
-    """Retarded coupling coefficients of the amplitude equations.
+    """Phase-free retarded coupling coefficients of the amplitude equations.
 
-    The excited amplitudes obey (interaction picture, Theta = unit step)
+    With Theta_n = Theta(t - n*delay) (unit step), in the interaction picture
 
-        dc_a/dt = -sum_n self_terms[n]  * c_a(t - n*delay) * Theta(t - n*delay)
-                  -sum_n cross_terms[n] * c_b(t - n*delay) * Theta(t - n*delay)
+        dc_a/dt = -sum_n e^{i n phi} self_terms[n]  c_a(t - n*delay) Theta_n
+                  -sum_n e^{i n phi} cross_terms[n] c_b(t - n*delay) Theta_n
 
-    and the same with a<->b swapped.  Keys are delays in units of ``delay``;
-    values carry the propagation phase exp(i*n*phi).  The instantaneous term
-    is self_terms[0] = N*gamma/2.
+    and the same with a<->b swapped.  Entry n (lag n*delay, n = 0..2N-1) is
+    gamma/2 times the ordered leg pairs n slots apart, so the table depends
+    on topology, legs and gamma only; exp(i n phi) comes from :meth:`phases`
+    alone.  The instantaneous term is self_terms[0] = N*gamma/2.
     """
 
-    self_terms: dict[int, complex]
-    cross_terms: dict[int, complex]
+    self_terms: np.ndarray
+    cross_terms: np.ndarray
 
     @property
     def max_step(self) -> int:
-        return max([*self.self_terms, *self.cross_terms])
+        return len(self.self_terms) - 1
 
-    def collective(self, parity: int) -> dict[int, complex]:
-        """Coefficients A_n of the parity-reduced scalar equation.
+    def phases(self, phi) -> np.ndarray:
+        """exp(i n phi) for every lag n: shape (2N,) for a scalar phi, one
+        such row per entry of an array phi."""
+        lags = np.arange(len(self.self_terms))
+        return np.exp(1j * np.multiply.outer(phi, lags))
+
+    def collective(self, parity: int, phi) -> np.ndarray:
+        """Coefficients A_n of the parity-reduced scalar equation at phase phi.
 
         For c_b = parity * c_a the pair of equations collapses to
-        dc/dt = -sum_n A_n c(t - n*delay) with A_n = self_n + parity*cross_n.
+        dc/dt = -sum_n A_n c(t - n*delay) with A_n = (self_n +
+        parity*cross_n) exp(i n phi); one row per phase, as in
+        :meth:`phases`.
         """
         if parity not in (+1, -1):
-            raise ValueError("parity must be +1 or -1")
-        out: dict[int, complex] = {}
-        for n, v in self.self_terms.items():
-            out[n] = out.get(n, 0.0) + v
-        for n, v in self.cross_terms.items():
-            out[n] = out.get(n, 0.0) + parity * v
-        return {n: out[n] for n in sorted(out)}
+            raise ConfigError("parity must be +1 or -1")
+        return (self.self_terms + parity * self.cross_terms) * self.phases(phi)
 
 
 def delay_table(config: SystemConfig) -> DelayTable:
     """Count retarded leg pairs to build the DelayTable for ``config``.
 
     Every ordered pair of legs (one on the receiving atom, one on the
-    emitting atom) separated by n slots contributes (gamma/2) exp(i*n*phi)
-    at delay n.  Working with integer slot indices keeps the delays exact.
+    emitting atom) separated by n slots adds gamma/2 at lag n.  Working
+    with integer slot indices keeps the lags exact.
     """
-    slots_a = config.leg_slots(0)
-    slots_b = config.leg_slots(1)
-    phi = config.phi
-    half = 0.5 * config.gamma
-
-    def tally(src: tuple[int, ...]) -> dict[int, complex]:
-        counts: dict[int, int] = {}
-        for i in slots_a:
-            for j in src:
-                n = abs(i - j)
-                counts[n] = counts.get(n, 0) + 1
-        return {n: counts[n] * half * cmath.exp(1j * n * phi)
-                for n in sorted(counts)}
-
-    return DelayTable(self_terms=tally(slots_a), cross_terms=tally(slots_b))
+    slots_a = np.array(config.leg_slots(0))
+    gaps = [np.abs(slots_a[:, None] - config.leg_slots(atom)).ravel()
+            for atom in (0, 1)]
+    return DelayTable(*(np.bincount(g, minlength=2 * config.n_legs)
+                        * (0.5 * config.gamma) for g in gaps))
 
 
 #: Values (rows x columns) formatted per write in ``write_csv``; bounds the

@@ -92,8 +92,8 @@ def markovian_rates(config: SystemConfig) -> tuple[complex, complex]:
     -2 times the root of D_p with exp(-s n delay) pinned at 1.
     """
     table = delay_table(config)
-    return (2.0 * sum(table.collective(+1).values()),
-            2.0 * sum(table.collective(-1).values()))
+    return tuple(2.0 * complex(table.collective(p, config.phi).sum())
+                 for p in (+1, -1))
 
 
 def _newton(kernel: analytic.ParityKernel, s, tol: float):
@@ -321,26 +321,25 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
         raise ConfigError("need 0 < x_min <= x_max")
     if not 0 < omega0 < math.inf:
         raise ConfigError(f"omega0 must be positive and finite, got {omega0!r}")
+    # the table depends on topology, legs and gamma only: the scan's system
+    # at zero spacing, where every ramp starts, gives every point's table
     table = delay_table(SystemConfig(topology=topology, gamma=gamma,
-                                     omega0=0.0, v_g=v_g))
+                                     delay=0.0, omega0=omega0, v_g=v_g))
     eta_max = x_max * math.pi / omega0 * gamma
     if not eta_max * table.max_step <= _LOG_FLOAT_MAX:
         raise ConfigError(
             f"the scan's largest retardation eta = pi*x*gamma/omega0 = "
             f"{eta_max:.6g} at x = {x_max:.6g} is out of range: "
             f"eta*{table.max_step} must stay <= {_LOG_FLOAT_MAX:.6g}; raise "
-            "omega0 or lower the x range")
+            "omega0 (--omega0) or lower the x range (--scan)")
     xs = np.linspace(x_min, x_max, n_points)
     delays = xs * math.pi / omega0
     eta = delays * gamma
     rates, markov, residuals, iterations, subdivisions = [], [], [], [], []
     for parity in (+1, -1):
-        coll = table.collective(parity)
-        steps = np.array(list(coll), dtype=float)
-        coeffs = np.array(list(coll.values())) * np.exp(
-            1j * np.outer(omega0 * delays, steps))
-        s, its, subs = _ramp(analytic.ParityKernel(steps, coeffs, delays),
-                             eta, gamma, parity)
+        coeffs = table.collective(parity, omega0 * delays)
+        s, its, subs = _ramp(analytic.ParityKernel(coeffs, delays), eta,
+                             gamma, parity)
         rates.append(-2.0 * s)                  # Gamma = -2 s
         markov.append(2.0 * coeffs.sum(axis=-1))
         iterations.append(its)

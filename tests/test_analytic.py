@@ -241,7 +241,7 @@ def test_steady_state_long_time_agreement():
 
 def test_steady_state_requires_parity():
     cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         steady_state(cfg, InitialState(c_a=1.0, c_b=0.0))
 
 
@@ -270,7 +270,7 @@ def test_markovian_rate_retardation_correction():
 
 def test_markovian_rate_requires_parity():
     cfg = SystemConfig.from_phase("separate", eta=0.1, phi=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         markovian_effective_rate(cfg, InitialState(c_a=0.8, c_b=0.1))
 
 

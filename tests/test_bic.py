@@ -8,7 +8,7 @@ import pytest
 from giantqed import bic
 from giantqed.bic import (BicState, NoBic, bic_field_profile, bic_state,
                           field_norm, overlap_with_initial)
-from giantqed.model import InitialState, SystemConfig
+from giantqed.model import ConfigError, InitialState, SystemConfig
 
 
 def _cfg(topology, phi, eta=0.2, n_legs=2):
@@ -141,6 +141,6 @@ def test_field_profile_csv_and_running_norm(tmp_path):
     assert len(lines) == 1 + len(profile.k)
     k0_col = np.array([float(line.split(",")[0]) for line in lines[1:]])
     assert np.array_equal(k0_col, profile.k)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         bic_field_profile(state, k_grid=np.array([1.0]))
 

@@ -18,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from giantqed import cli
 from giantqed.bic import bic_state, overlap_with_initial
-from giantqed.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
-                          main, parse_angle)
+from giantqed.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_angle
 from giantqed.dde import integrate
 from giantqed.field import fdd
-from giantqed.model import InitialState, SystemConfig
+from giantqed.model import ConfigError, InitialState, SystemConfig
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +52,7 @@ def test_parse_angle():
     assert parse_angle("0.5pi") == 0.5 * math.pi
     assert parse_angle(" 0.5 * pi ") == 0.5 * math.pi
     assert parse_angle("3.25") == 3.25
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         parse_angle("two pi")
 
 

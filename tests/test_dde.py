@@ -3,7 +3,7 @@
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +26,7 @@ def _implicit_euler_population(config, parity, t_end, steps_per_delay):
     first order vs explicit fourth order) so the two can cross-check each
     other.  Returns |c|^2 at t_end with c(0) = 1.
     """
-    coeffs = delay_table(config).collective(parity)
-    a0 = coeffs.pop(0)
+    a0, *coeffs = delay_table(config).collective(parity, config.phi).tolist()
     K = steps_per_delay
     h = config.delay / K
     n = round(t_end / h)
@@ -35,7 +34,7 @@ def _implicit_euler_population(config, parity, t_end, steps_per_delay):
     c[0] = 1.0 + 0j
     for k in range(n):
         rhs = c[k]
-        for lag, a_n in coeffs.items():
+        for lag, a_n in enumerate(coeffs, start=1):
             j = k + 1 - lag * K
             if j >= 0:
                 rhs -= h * a_n * c[j]
@@ -133,12 +132,11 @@ def _rk4_oracle(config, state, t_max, schedule, steps_per_delay):
     same Hermite midpoints and the same breakpoint derivatives, stepped
     node by node.  Returns (c, d_right, d_left), each of shape (2, nodes).
     """
-    table0 = delay_table(replace(config, omega0=0.0))
-    gamma0 = table0.self_terms[0].real
-    lags = sorted(n for n in set(table0.self_terms) | set(table0.cross_terms)
-                  if n > 0)
-    s_self = [table0.self_terms.get(n, 0j).real for n in lags]
-    s_cross = [table0.cross_terms.get(n, 0j).real for n in lags]
+    table = delay_table(config)
+    gamma0 = float(table.self_terms[0])
+    lags = list(range(1, table.max_step + 1))
+    s_self = table.self_terms[1:].tolist()
+    s_cross = table.cross_terms[1:].tolist()
     K = steps_per_delay
     h = config.delay / K
     n_steps = max(1, int(math.ceil(t_max / h - 1e-9)))
@@ -392,9 +390,9 @@ def test_interpolate_nodes_and_midpoints():
     arr_a, arr_b = traj.interpolate(np.array([0.0, t_mid]))
     assert arr_a.shape == (2,) and arr_b.shape == (2,)
     assert arr_a[0] == traj.c_a[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         traj.interpolate(traj.t[-1] + 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         traj.interpolate(-0.5)
 
 
@@ -411,7 +409,7 @@ def test_interpolate_clamps_inside_the_grid_end_slack():
     assert traj.interpolate(81.9) == last
     assert traj.interpolate(traj.horizon) == last
     assert traj.interpolate(-GRID_END_SLACK * h) == (traj.c_a[0], traj.c_b[0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         traj.interpolate(traj.t[-1] + 2 * GRID_END_SLACK * h)
 
 
@@ -672,6 +670,48 @@ def test_accumulated_array_matches_scalar_accumulated():
     t = np.array([-0.5, 0.0, 0.7, 1.2345, 2.0, 2.5, 9.0])
     want = [_accumulated(sched, float(tv)) for tv in t]
     assert sched.accumulated_array(t).tolist() == want
+
+
+def _exact_window_phase(schedule, t, width):
+    """Int_{t-width}^t omega0(s) ds in exact rationals, segment by segment,
+    for the float inputs as given; segment 0 extends to t < 0."""
+    t, lo = Fraction(t), Fraction(t) - Fraction(width)
+    bounds = [Fraction(s) for s in schedule.starts[1:]]
+    total = Fraction(0)
+    for k, omega in enumerate(schedule.omegas):
+        a = max(lo, bounds[k - 1]) if k else lo
+        b = min(t, bounds[k]) if k < len(bounds) else t
+        total += Fraction(omega) * max(b - a, 0)
+    return total
+
+
+def test_window_phase_is_the_windows_own_segment_sum():
+    """On the README detect schedule (switch at t = 20 from phi = 2 pi to
+    2.5 pi per delay), every window phase that the integrator's switch
+    passes and the detector form is within 4 ulp of the exact sum over the
+    window's segments.  Subtracting two absolute phases instead misses by
+    over 50 ulp."""
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
+    sched = DriveSchedule.switch_at(20.0, cfg.omega0, 2.5 * math.pi / cfg.delay)
+    h = cfg.delay / 100
+    nodes = np.arange(1990, 2070) * h
+    times = np.concatenate((nodes, nodes + 0.5 * h))
+    cases = [(times, lag * cfg.delay) for lag in (1, 2, 3)]
+    t_bar = np.linspace(0.0, 85.0, 8501)[::5]
+    cases += [(t_bar, (3 - slot) * cfg.spacing / cfg.v_g) for slot in (0, 1, 2)]
+    worst_own = worst_difference = 0.0
+    for t, width in cases:
+        own = sched.window_phase(t, width)
+        difference = (sched.accumulated_array(t)
+                      - sched.accumulated_array(t - width))
+        for tv, got, diff in zip(t.tolist(), own.tolist(), difference.tolist()):
+            exact = _exact_window_phase(sched, tv, width)
+            ulp = Fraction(float(np.spacing(float(exact))))
+            worst_own = max(worst_own, abs(Fraction(got) - exact) / ulp)
+            worst_difference = max(worst_difference,
+                                   abs(Fraction(diff) - exact) / ulp)
+    assert worst_own <= 4
+    assert worst_difference > 50
 
 
 def test_frequency_grid_defaults():

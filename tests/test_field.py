@@ -167,24 +167,24 @@ def test_fdd_input_validation():
     x, t = np.array([0.0]), np.array([1.0 * cfg.delay])
     with pytest.raises(ConfigError):
         fdd(sol, cfg, 0, x, t)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         fdd(sol, cfg, +1, x, t)                 # parity mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         fdd(sol, cfg, -1, x, np.array([5.0 * cfg.delay]))  # past horizon
     with pytest.raises(ConfigError):
         fdd(sol, cfg, -1, np.array([]), t)
     with pytest.raises(TypeError):
         fdd(np.zeros(4), cfg, -1, x, t)
     other = SystemConfig.from_phase("separate", eta=0.35, phi=2 * math.pi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         fdd(sol, other, -1, x, t)               # series built at another delay
     braided = SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi)
     traj = integrate(cfg, state, t_max=2 * cfg.delay, steps_per_delay=60)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         fdd(traj, braided, -1, x, t)            # trajectory topology mismatch
     lopsided = integrate(cfg, InitialState(c_a=1.0, c_b=0.0), t_max=1.0,
                          steps_per_delay=60)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         fdd(lopsided, cfg, -1, x, t)            # not a parity eigenstate
 
 
@@ -258,7 +258,7 @@ def test_detector_input_validation():
         detector_signal(sol, cfg, x0=0.0, t_bar_grid=tb)
     with pytest.raises(ConfigError):
         detector_signal(sol, cfg, x0=math.nan, t_bar_grid=tb)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         detector_signal(sol, cfg, x0=1.0,
                         t_bar_grid=np.linspace(0, 10 * cfg.delay, 5))
     with pytest.raises(ConfigError):

@@ -88,7 +88,7 @@ def test_leg_slots_and_positions():
     assert br.leg_slots(0) == (0, 2)
     assert br.leg_slots(1) == (1, 3)
     assert br.leg_positions(0) == (-1.5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         br.leg_slots(2)
 
 
@@ -116,12 +116,26 @@ def test_initial_states():
 # ---------------------------------------------------------------------------
 # DelayTable: frozen two-leg tables
 # ---------------------------------------------------------------------------
-# Ordered leg pairs at slot distance n contribute (gamma/2) e^{i n phi}.
-# For N = 2 legs/atom the expected tables follow by counting pairs on the
-# slot diagrams  a a b b  (separate)  and  a b a b  (braided); the values
-# below were frozen from that count at gamma = 1, phi = 0.7.
+# Ordered leg pairs at slot distance n contribute gamma/2 at lag n, and the
+# propagation phase e^{i n phi} multiplies them.  For N = 2 legs/atom the
+# expected tables follow by counting pairs on the slot diagrams  a a b b
+# (separate)  and  a b a b  (braided); the values below were frozen from
+# that count at gamma = 1, phi = 0.7.
 
 E = cmath.exp
+
+
+def _phased(tab, phi):
+    """(self, cross) coefficients with the propagation phase applied."""
+    return tab.self_terms * tab.phases(phi), tab.cross_terms * tab.phases(phi)
+
+
+def _brute_force_terms(cfg):
+    """(self, cross) by counting ordered leg pairs one at a time."""
+    a, b = cfg.leg_slots(0), cfg.leg_slots(1)
+    return tuple([sum(abs(i - j) == n for i in a for j in src)
+                  * (0.5 * cfg.gamma) for n in range(2 * cfg.n_legs)]
+                 for src in (a, b))
 
 
 def test_separate_table_frozen():
@@ -129,16 +143,17 @@ def test_separate_table_frozen():
     tab = delay_table(cfg)
     p = cfg.phi
     assert p == pytest.approx(0.7)
-    assert set(tab.self_terms) == {0, 1}
-    assert set(tab.cross_terms) == {1, 2, 3}
-    assert tab.self_terms[0] == pytest.approx(1.0)
-    assert tab.self_terms[1] == pytest.approx(E(1j * p))
-    assert tab.cross_terms[1] == pytest.approx(0.5 * E(1j * p))
-    assert tab.cross_terms[2] == pytest.approx(E(2j * p))
-    assert tab.cross_terms[3] == pytest.approx(0.5 * E(3j * p))
+    assert np.flatnonzero(tab.self_terms).tolist() == [0, 1]
+    assert np.flatnonzero(tab.cross_terms).tolist() == [1, 2, 3]
+    self_terms, cross_terms = _phased(tab, p)
+    assert self_terms[0] == pytest.approx(1.0)
+    assert self_terms[1] == pytest.approx(E(1j * p))
+    assert cross_terms[1] == pytest.approx(0.5 * E(1j * p))
+    assert cross_terms[2] == pytest.approx(E(2j * p))
+    assert cross_terms[3] == pytest.approx(0.5 * E(3j * p))
     # spot-frozen numerics
-    assert tab.cross_terms[2] == pytest.approx(0.16996714290024104
-                                               + 0.9854497299884601j)
+    assert cross_terms[2] == pytest.approx(0.16996714290024104
+                                           + 0.9854497299884601j)
     assert tab.max_step == 3
 
 
@@ -146,22 +161,23 @@ def test_braided_table_frozen():
     cfg = SystemConfig(topology="braided", gamma=1.0, delay=0.5, omega0=1.4)
     tab = delay_table(cfg)
     p = cfg.phi
-    assert set(tab.self_terms) == {0, 2}
-    assert set(tab.cross_terms) == {1, 3}
-    assert tab.self_terms[2] == pytest.approx(E(2j * p))
-    assert tab.cross_terms[1] == pytest.approx(1.5 * E(1j * p))
-    assert tab.cross_terms[3] == pytest.approx(0.5 * E(3j * p))
+    assert np.flatnonzero(tab.self_terms).tolist() == [0, 2]
+    assert np.flatnonzero(tab.cross_terms).tolist() == [1, 3]
+    self_terms, cross_terms = _phased(tab, p)
+    assert self_terms[2] == pytest.approx(E(2j * p))
+    assert cross_terms[1] == pytest.approx(1.5 * E(1j * p))
+    assert cross_terms[3] == pytest.approx(0.5 * E(3j * p))
 
 
 def test_collective_split():
     cfg = SystemConfig(topology="separate", gamma=1.0, delay=0.2, omega0=0.0)
     tab = delay_table(cfg)
-    plus = tab.collective(+1)
-    minus = tab.collective(-1)
-    assert plus == {0: 1.0, 1: 1.5, 2: 1.0, 3: 0.5}
-    assert minus == {0: 1.0, 1: 0.5, 2: -1.0, 3: -0.5}
-    with pytest.raises(ValueError):
-        tab.collective(0)
+    plus = tab.collective(+1, cfg.phi)
+    minus = tab.collective(-1, cfg.phi)
+    assert plus.tolist() == [1.0, 1.5, 1.0, 0.5]
+    assert minus.tolist() == [1.0, 0.5, -1.0, -0.5]
+    with pytest.raises(ConfigError):
+        tab.collective(0, cfg.phi)
 
 
 def test_three_leg_table():
@@ -170,8 +186,8 @@ def test_three_leg_table():
     cfg = SystemConfig(topology="separate", gamma=1.0, delay=0.3,
                        omega0=0.0, n_legs=3)
     tab = delay_table(cfg)
-    assert tab.self_terms == {0: 1.5, 1: 2.0, 2: 1.0}
-    assert tab.cross_terms == {1: 0.5, 2: 1.0, 3: 1.5, 4: 1.0, 5: 0.5}
+    assert tab.self_terms.tolist() == [1.5, 2.0, 1.0, 0.0, 0.0, 0.0]
+    assert tab.cross_terms.tolist() == [0.0, 0.5, 1.0, 1.5, 1.0, 0.5]
 
 
 @given(n_legs=st.integers(min_value=1, max_value=6),
@@ -180,11 +196,14 @@ def test_three_leg_table():
 def test_sum_rule(n_legs, topology, gamma):
     """At phi = 0 all 2N legs interfere constructively: the ordered-pair
     count gives sum_n A_n(+1) = (2N)^2 * gamma / 4 regardless of the
-    interleaving (population rate 2*sum = Dicke value)."""
+    interleaving (population rate 2*sum = Dicke value).  The table is that
+    count, pair by pair."""
     cfg = SystemConfig(topology=topology, gamma=gamma, delay=0.1,
                        omega0=0.0, n_legs=n_legs)
     tab = delay_table(cfg)
-    total = sum(tab.collective(+1).values())
+    assert (tab.self_terms.tolist(), tab.cross_terms.tolist()) == \
+        _brute_force_terms(cfg)
+    total = tab.collective(+1, cfg.phi).sum()
     assert total.imag == pytest.approx(0.0, abs=1e-12)
     assert total.real == pytest.approx((2 * n_legs) ** 2 * gamma / 4,
                                        rel=1e-12)
@@ -199,20 +218,27 @@ def test_parity_split_identity(n_legs, topology, phi):
     cfg = SystemConfig(topology=topology, gamma=1.0, delay=delay,
                        omega0=phi / delay, n_legs=n_legs)
     tab = delay_table(cfg)
-    plus = tab.collective(+1)
-    minus = tab.collective(-1)
-    for n in set(plus) | set(minus):
-        s = tab.self_terms.get(n, 0.0)
-        assert plus.get(n, 0.0) + minus.get(n, 0.0) == pytest.approx(2 * s)
+    assert (tab.self_terms.tolist(), tab.cross_terms.tolist()) == \
+        _brute_force_terms(cfg)
+    plus = tab.collective(+1, cfg.phi)
+    minus = tab.collective(-1, cfg.phi)
+    self_terms, _ = _phased(tab, cfg.phi)
+    for n in range(2 * n_legs):
+        assert plus[n] + minus[n] == pytest.approx(2 * self_terms[n])
 
 
 def test_table_phases_carry_propagation_phase():
     # every coefficient at lag n must point along e^{i n phi}
     cfg = SystemConfig.from_phase("braided", eta=0.4, phi=0.9)
     tab = delay_table(cfg)
-    for n, v in {**tab.self_terms, **tab.cross_terms}.items():
-        assert cmath.phase(v * cmath.exp(-1j * n * cfg.phi)) == \
-            pytest.approx(0.0, abs=1e-12)
+    for terms in _phased(tab, cfg.phi):
+        for n, v in enumerate(terms.tolist()):
+            if v:
+                assert cmath.phase(v * cmath.exp(-1j * n * cfg.phi)) == \
+                    pytest.approx(0.0, abs=1e-12)
+    # a row of an array of phases is the scalar phase's, bit for bit
+    rows = tab.collective(-1, np.array([0.3, cfg.phi, -2.0]))
+    assert np.array_equal(rows[1], tab.collective(-1, cfg.phi))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from giantqed.analytic import (ParityKernel, exact_solution,
                                laplace_denominator,
                                laplace_denominator_derivative, parity_kernel)
 from giantqed import spectral
-from giantqed.model import ConfigError, InitialState, SystemConfig
+from giantqed.model import (TOPOLOGIES, ConfigError, InitialState,
+                            SystemConfig, delay_table)
 from giantqed.spectral import (NonConvergence, _ramp, connected_pole,
                                markovian_rates, scan_decay_rates, scattering)
 
@@ -239,6 +240,35 @@ def test_short_separate_scan_matches_connected_pole_point_by_point():
     assert scan.residual_minus.max() < 1e-10
 
 
+@pytest.mark.parametrize("n_legs", [2, 3])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("gamma", [0.7, 1.3])
+def test_scan_poles_are_connected_poles_bit_for_bit(gamma, topology, n_legs):
+    """One formula for the A_n: every point of a batched scan is the very
+    pole ``connected_pole`` finds from that point's own config.  The scan
+    takes two legs per atom; three legs run its batched ramp on the rows
+    of one phase-free table."""
+    xs, omega0 = np.linspace(0.1, 2.9, 14), 20.0
+    if n_legs == 2:
+        scan = scan_decay_rates(topology, n_points=14, x_min=0.1, x_max=2.9,
+                                omega0=omega0, gamma=gamma)
+        assert np.array_equal(scan.omega0_dx_over_pi, xs)
+        poles = {+1: -0.5 * scan.rate_plus, -1: -0.5 * scan.rate_minus}
+    else:
+        delays = xs * math.pi / omega0
+        table = delay_table(SystemConfig(topology=topology, gamma=gamma,
+                                         n_legs=n_legs, delay=0.0,
+                                         omega0=omega0))
+        poles = {p: _ramp(ParityKernel(table.collective(p, omega0 * delays),
+                                       delays), delays * gamma, gamma, p)[0]
+                 for p in (+1, -1)}
+    for i, x in enumerate(xs):
+        cfg = SystemConfig(topology=topology, gamma=gamma, n_legs=n_legs,
+                           delay=x * math.pi / omega0, omega0=omega0)
+        for parity in (+1, -1):
+            assert connected_pole(cfg, parity) == poles[parity][i]
+
+
 def test_scan_input_validation():
     with pytest.raises(ConfigError):
         scan_decay_rates("separate", n_points=10, x_max=1.0, x_min=0.0)
@@ -262,8 +292,7 @@ def test_nonconvergence_names_a_short_eta(monkeypatch):
     monkeypatch.setattr(spectral, "RAMP_MAX_ITER", 1)
     kernel = parity_kernel(SystemConfig.from_phase("braided", eta=0.2,
                                                    phi=math.pi), -1)
-    broken = ParityKernel(kernel.steps, np.full_like(kernel.coeffs, math.nan),
-                          kernel.delay)
+    broken = ParityKernel(np.full_like(kernel.coeffs, math.nan), kernel.delay)
     with pytest.raises(NonConvergence, match=r"eta=7\.45058e-10$"):
         _ramp(broken, np.array([0.2]), 1.0, -1)
 
