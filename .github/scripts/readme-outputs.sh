@@ -31,3 +31,8 @@ run fdd-late fdd --topology braided --eta 0.2 --phi 2pi \
 run decay-rates-separate decay-rates --topology separate
 run simulate-separate simulate --topology separate --eta 0.3 --phi 0.7pi \
     --state symmetric --engine both --t-max 6
+# low omega0: the scans that halve Newton steps and ramp steps the most
+run decay-rates-omega0-5 decay-rates --topology braided --omega0 5 \
+    --scan 0.005:3.0:0.005
+run decay-rates-omega0-2 decay-rates --topology braided --omega0 2 \
+    --scan 0.005:3.0:0.005

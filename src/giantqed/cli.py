@@ -324,7 +324,11 @@ def _parse_scan(text: str) -> tuple[float, float, int]:
     if not intervals + 1 <= _SCAN_POINT_BUDGET:
         raise ConfigError(f"--scan {text} asks for {intervals + 1:.3g} points, "
                           f"above the budget of {_SCAN_POINT_BUDGET:.0e}")
-    return lo, hi, int(round(intervals)) + 1
+    n = round(intervals)
+    if n < 1 or abs(intervals - n) > 1e-9 * n:
+        raise ConfigError(f"--scan {text}: stop - start is {intervals:.6g} "
+                          "steps; it must be a whole number of steps, at least 1")
+    return lo, hi, n + 1
 
 
 def cmd_decay_rates(args: argparse.Namespace) -> int:

@@ -35,6 +35,8 @@ from .model import ConfigError, SystemConfig, delay_table, write_csv
 #: Residual target |D_p(s)|/gamma and Newton iteration cap of each
 #: ``connected_pole`` ramp step.
 RAMP_TOL, RAMP_MAX_ITER = 1e-12, 100
+#: Most trial points one evaluate of ``_newton``'s step-halving search takes.
+_HALVING_BATCH = 2 ** 14
 
 
 class NonConvergence(Exception):
@@ -101,8 +103,10 @@ def _newton(kernel: analytic.ParityKernel, s, tol: float):
 
     Each row iterates from its own entry of ``s`` exactly as it would
     alone: it stops once |D_p| < tol, gives up when the derivative
-    vanishes or ``RAMP_MAX_ITER`` steps leave |D_p| >= tol, and a step that
-    fails to reduce |D_p| is halved, up to 60 times, before it is taken.
+    vanishes or ``RAMP_MAX_ITER`` steps leave |D_p| >= tol.  A step that
+    fails to reduce |D_p| takes its first halving (of 59) that does or that
+    falls below 1e-16*max(1, |s|), else the 59th; the halvings of all such
+    rows go through one evaluate, ``_HALVING_BATCH`` points at a time.
     Rows that stop drop out of the array work.
 
     Returns:
@@ -131,15 +135,22 @@ def _newton(kernel: analytic.ParityKernel, s, tol: float):
         floor = 1e-16 * np.maximum(1.0, np.abs(s))
         s_new = s + step
         f, df = kernel.evaluate(s_new)
-        for _ in range(59):
-            pending = np.flatnonzero(~((np.abs(f) <= res)
-                                       | (np.abs(step) < floor)))
-            if not pending.size:
-                break
-            step[pending] *= 0.5
-            s_new[pending] = s[pending] + step[pending]
-            f[pending], df[pending] = kernel.rows(pending).evaluate(
-                s_new[pending])
+        pending = np.flatnonzero(~((np.abs(f) <= res) | (np.abs(step) < floor)))
+        group = max(1, _HALVING_BATCH // 59)
+        for lo in range(0, pending.size, group):
+            i = pending[lo:lo + group]
+            halved = np.empty((i.size, 59), dtype=complex)
+            h = step[i]
+            for k in range(59):
+                h *= 0.5
+                halved[:, k] = h
+            trial = s[i, None] + halved
+            f_k, df_k = (v.reshape(trial.shape) for v in
+                         kernel.rows(np.repeat(i, 59)).evaluate(trial.ravel()))
+            ok = (np.abs(f_k) <= res[i, None]) | (np.abs(halved) < floor[i, None])
+            ok[:, -1] = True                    # else the 59th halving
+            pick = np.arange(i.size), ok.argmax(axis=1)
+            s_new[i], f[i], df[i] = trial[pick], f_k[pick], df_k[pick]
         s = s_new
     roots[rows], converged[rows] = s, np.abs(f) < tol
     return roots, iterations, converged
@@ -204,6 +215,7 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
         for j in np.flatnonzero(~accepted):
             s[rows[j]] = split(rows[j], eta0[j], s0[j], eta1[j], root[j],
                                ok[j], 0)
+    del advance             # break the split <-> advance cycle: frees the kernel
     return s, iterations, subdivisions
 
 
@@ -212,8 +224,8 @@ class DecayRateScan:
     """Collective rates versus the leg separation phase omega0*dx/pi.
 
     ``residual_plus``/``residual_minus`` hold |D_p(s)|/gamma at each
-    point's pole s, with D_p built from that point's own config: a root
-    check on the continuation's result, independent of its ramp.
+    point's pole s, with D_p from the point's own row of A_n and delay: a
+    root check on the continuation's result, independent of its ramp.
 
     The ramp's health figures are kept per point and parity but not
     written to the CSV: ``iterations_*`` counts the Newton iterations the
@@ -304,9 +316,9 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
     masked Newton over all rows.  Only a point whose batched step is
     rejected continues alone, by halving that step as ``connected_pole``
     does.  The cost is a few array Newton iterations per ramp step plus the
-    rare subdivision: about 0.15 s for 600 points and both parities on a
-    2 vCPU Xeon.  The Markovian columns are 2*sum_n A_n from the same
-    matrix.
+    rare subdivision: 0.06-0.09 s for the README's 600 points and both
+    parities on a 2 vCPU Xeon.  The Markovian columns are 2*sum_n A_n from
+    the same matrix, and each residual evaluates the point's own row.
 
     Raises:
         ConfigError: on an empty or non-positive x range, an unknown
@@ -345,10 +357,8 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
         iterations.append(its)
         subdivisions.append(subs)
         residuals.append(np.array([
-            abs(analytic.laplace_denominator(
-                SystemConfig(topology=topology, gamma=gamma, delay=d,
-                             omega0=omega0, v_g=v_g), parity, root)) / gamma
-            for d, root in zip(delays.tolist(), s.tolist())]))
+            abs(analytic.ParityKernel(c, d).evaluate(root)[0]) / gamma
+            for c, d, root in zip(coeffs, delays.tolist(), s.tolist())]))
     return DecayRateScan(xs, *rates, *markov, *residuals, *iterations,
                          *subdivisions, topology=topology, omega0=omega0,
                          gamma=gamma)

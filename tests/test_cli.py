@@ -296,6 +296,9 @@ INVALID_VALUES = (
     # (stop - start)/step overflows to inf: past the scan point budget
     (["decay-rates", "--scan", "0.1:1e308:1e-308"], {}, "--scan"),
     (["decay-rates", "--scan", "0.1:3:1e-5"], {}, "--scan"),
+    # a step that does not divide stop - start (2.25 and 0.5 intervals)
+    (["decay-rates", "--scan", "0.1:1.0:0.4"], {}, "--scan"),
+    (["decay-rates", "--scan", "0.1:0.3:0.4"], {}, "--scan"),
     (["detect", "--n-points", "2000000"], {}, "--n-points"),
     # 10 001 branches of the exact series, past its budget
     (["simulate", "--engine", "analytic", "--eta", "1e-3", "--phi", "0"], {},
@@ -488,8 +491,8 @@ FUZZ_RUNS = {
 
 #: nan, inf, negative, zero, tiny, huge and garbage.  Each huge value
 #: either trips a check before anything is allocated (run lengths, counts,
-#: eta, the scan range) or leaves the work unchanged (gamma, v_g, phases,
-#: x0, x-span, a scan step).
+#: eta, the scan range, a scan step longer than the range) or leaves the
+#: work unchanged (gamma, v_g, phases, x0, x-span).
 FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "5e-324", "1e300",
                "1" + "0" * 400, "abc", "", "1e")
 

@@ -5,6 +5,7 @@ conditions (no shared code with the module under test)."""
 import cmath
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 from giantqed.analytic import (ParityKernel, exact_solution,
                                laplace_denominator,
                                laplace_denominator_derivative, parity_kernel)
-from giantqed import spectral
+from giantqed import analytic, spectral
 from giantqed.model import (TOPOLOGIES, ConfigError, InitialState,
                             SystemConfig, delay_table)
-from giantqed.spectral import (NonConvergence, _ramp, connected_pole,
+from giantqed.spectral import (NonConvergence, _newton, _ramp, connected_pole,
                                markovian_rates, scan_decay_rates, scattering)
 
 
@@ -212,12 +213,18 @@ def test_scan_is_smooth_away_from_branch_collisions():
 
 
 def _check_against_connected_pole(scan, topology):
-    """Every scan point's poles against ``connected_pole`` of its own config."""
+    """Every scan point's poles against ``connected_pole`` of its own config,
+    and its residuals against ``laplace_denominator`` of that config."""
     for i, x in enumerate(scan.omega0_dx_over_pi):
         cfg = SystemConfig(topology=topology, gamma=scan.gamma,
                            delay=x * math.pi / scan.omega0, omega0=scan.omega0)
-        for parity, rates in ((+1, scan.rate_plus), (-1, scan.rate_minus)):
+        for parity, rates, residuals in (
+                (+1, scan.rate_plus, scan.residual_plus),
+                (-1, scan.rate_minus, scan.residual_minus)):
             assert abs(-2.0 * connected_pole(cfg, parity) - rates[i]) < 1e-12
+            s = -0.5 * rates[i]
+            assert residuals[i] == \
+                abs(laplace_denominator(cfg, parity, s)) / scan.gamma
 
 
 def test_readme_scan_matches_connected_pole_point_by_point():
@@ -267,6 +274,130 @@ def test_scan_poles_are_connected_poles_bit_for_bit(gamma, topology, n_legs):
                            delay=x * math.pi / omega0, omega0=omega0)
         for parity in (+1, -1):
             assert connected_pole(cfg, parity) == poles[parity][i]
+
+
+def test_scan_builds_one_delay_table(monkeypatch):
+    """Every point's coefficients and residuals come from the scan's one
+    phase-free table, not from a table per point."""
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return delay_table(config)
+
+    for module in (spectral, analytic):
+        monkeypatch.setattr(module, "delay_table", counted)
+    scan_decay_rates("braided", n_points=30, x_max=3.0)
+    assert len(calls) == 1
+
+
+def _newton_sequential(kernel, s, tol):
+    """Damped Newton with one evaluate per step halving: the oracle of
+    ``spectral._newton``'s batched halving search.
+
+    Returns (roots, iterations, converged) and, last, the number of step
+    halvings it evaluated and the most rows halving at once.
+    """
+    s = np.array(s, dtype=complex)
+    f, df = kernel.evaluate(s)
+    roots = s.copy()
+    iterations = np.full(s.size, spectral.RAMP_MAX_ITER)
+    converged = np.zeros(s.size, dtype=bool)
+    rows = np.arange(s.size)
+    halvings = most_pending = 0
+    for it in range(spectral.RAMP_MAX_ITER):
+        res = np.abs(f)
+        stop = (res < tol) | (df == 0)
+        if stop.any():
+            done = rows[stop]
+            roots[done] = s[stop]
+            converged[done], iterations[done] = res[stop] < tol, it
+            keep = ~stop
+            rows, s, f, df, res = rows[keep], s[keep], f[keep], df[keep], res[keep]
+            kernel = kernel.rows(keep)
+        if not rows.size:
+            break
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = -f / df
+        floor = 1e-16 * np.maximum(1.0, np.abs(s))
+        s_new = s + step
+        f, df = kernel.evaluate(s_new)
+        for _ in range(59):
+            pending = np.flatnonzero(~((np.abs(f) <= res)
+                                       | (np.abs(step) < floor)))
+            if not pending.size:
+                break
+            halvings += pending.size
+            most_pending = max(most_pending, pending.size)
+            step[pending] *= 0.5
+            s_new[pending] = s[pending] + step[pending]
+            f[pending], df[pending] = kernel.rows(pending).evaluate(
+                s_new[pending])
+        s = s_new
+    else:
+        roots[rows], converged[rows] = s, np.abs(f) < tol
+    return roots, iterations, converged, halvings, most_pending
+
+
+def _newton_checked(kernel, s, tol, stats):
+    """``_newton`` asserted equal to the oracle; appends the oracle's
+    (halvings, most rows halving at once) to ``stats``."""
+    *expected, halvings, most_pending = _newton_sequential(kernel, s, tol)
+    out = _newton(kernel, s, tol)
+    for got, want in zip(out, expected):
+        assert np.array_equal(got, want, equal_nan=True)
+    stats.append((halvings, most_pending))
+    return out
+
+
+@pytest.mark.parametrize("omega0", [50.0, 2.0])
+def test_batched_halving_matches_sequential_newton(monkeypatch, omega0):
+    """Every Newton run of the README braided scan (and of the omega0 = 2
+    one, which subdivides 806 ramp steps) gives the roots, iterations and
+    verdicts of the one-evaluate-per-halving loop."""
+    stats = []
+    monkeypatch.setattr(spectral, "_newton",
+                        lambda kernel, s, tol: _newton_checked(kernel, s, tol,
+                                                               stats))
+    scan_decay_rates("braided", n_points=600, x_max=3.0, omega0=omega0,
+                     x_min=0.005)
+    halvings, most_pending = np.max(stats, axis=0)
+    assert halvings > 59 and most_pending >= 2
+
+
+@dataclass(frozen=True)
+class _UphillKernel:
+    """f = c + 1e20 |s| with f' = -1 per row: from s = 0 every Newton step
+    and every halving of it climbs.  Only the halvings of the first step
+    1e-3 of the row with c = 1e-3 reach the floor 1e-16, from the 44th on."""
+
+    c: np.ndarray
+
+    def evaluate(self, s):
+        return self.c + 1e20 * np.abs(s) + 0j, np.full(s.shape, -1.0 + 0j)
+
+    def rows(self, index):
+        return _UphillKernel(self.c[index])
+
+
+@pytest.mark.parametrize("batch", [spectral._HALVING_BATCH, 1])
+def test_batched_halving_edge_rows(monkeypatch, batch):
+    """Rows whose 59 halvings all fail take the 59th; a floor-sized halving
+    is taken; a row with D_p' = 0 stops at once; one row per evaluate when
+    the batch is capped below 59 points."""
+    monkeypatch.setattr(spectral, "_HALVING_BATCH", batch)
+    uphill, stats = _UphillKernel(np.array([1e3, 1e-3])), []
+    roots, iterations, converged = _newton_checked(uphill, np.zeros(2), 1e-12,
+                                                   stats)
+    # 59 halvings per row and step but the floor row's first 15
+    assert stats == [(2 * 59 * spectral.RAMP_MAX_ITER - 15, 2)]
+    assert roots[0] != 0 and not converged.any()
+    # row 0 has D_p(0) = 1 and D_p'(0) = 1 - delay*A_1 = 0
+    flat = ParityKernel(np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 0.2, 0.1, 0.0]]),
+                        np.array([1.0, 0.3]))
+    roots, iterations, converged = _newton_checked(flat, np.array([0.0, -0.5]),
+                                                   1e-12, stats)
+    assert iterations[0] == 0 and not converged[0] and converged[1]
 
 
 def test_scan_input_validation():
