@@ -36,3 +36,5 @@ run decay-rates-omega0-5 decay-rates --topology braided --omega0 5 \
     --scan 0.005:3.0:0.005
 run decay-rates-omega0-2 decay-rates --topology braided --omega0 2 \
     --scan 0.005:3.0:0.005
+run decay-rates-separate-omega0-2 decay-rates --topology separate --omega0 2 \
+    --scan 0.005:3.0:0.005

@@ -250,7 +250,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                           f"{_BRANCH_BUDGET}; lower --t-max or raise --eta")
     out_dir = _prepare_out(params)
 
-    schedule = DriveSchedule((0.0,), (config.omega0,))
+    schedule = DriveSchedule.constant(config.omega0)
     traj = None
     if engine in ("dde", "both"):
         traj = integrate_with_drive(config, state, t_max, schedule,
@@ -463,14 +463,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     if (args.switch_at is None) != (args.phi_after is None):
         raise ConfigError("--switch-at and --phi-after must be given together")
+    schedule = DriveSchedule.constant(config.omega0)
     if args.switch_at is not None:
         t_s = args.switch_at / config.gamma
         if not 0.0 < t_s < t_max:
             raise ConfigError("--switch-at must fall inside (0, t_max)")
         omega_after = _parse_number("phi_after", args.phi_after) / config.delay
-        schedule = DriveSchedule((0.0, t_s), (config.omega0, omega_after))
-    else:
-        schedule = DriveSchedule((0.0,), (config.omega0,))
+        schedule = DriveSchedule.switch_at(t_s, config.omega0, omega_after)
 
     traj = integrate_with_drive(config, state, t_max, schedule,
                                 steps_per_delay=args.steps_per_delay)

@@ -62,7 +62,7 @@ class _Source:
             self._kind = "series"
             # last legal query time (evaluate refuses the horizon itself)
             self.horizon = source.horizon - 2e-12 * max(source.delay, 1.0)
-            self.schedule = DriveSchedule((0.0,), (config.omega0,))
+            self.schedule = DriveSchedule.constant(config.omega0)
         elif isinstance(source, AmplitudeTrajectory):
             for field in ("topology", "gamma", "delay", "n_legs", "v_g"):
                 if getattr(source.config, field) != getattr(config, field):

@@ -15,10 +15,10 @@ Frozen retardation (exp(-s n delay) -> 1) gives the Markovian rates
 
 The pole continuously connected to the Markovian one is followed by a
 ramp in the retardation eta at fixed phase.  One ramp serves any number of
-systems: each ramp step is one damped Newton run as masked array steps over
-a (systems x lags) coefficient matrix, and only a system whose step is
-rejected halves that step on its own.  ``connected_pole`` runs it on one
-system, ``scan_decay_rates`` on all its points at once.
+systems: every pass of its loop is one damped Newton run as masked array
+steps over a (systems x lags) coefficient matrix, taking each system's next
+ramp step, coarse or halved.  ``connected_pole`` runs it on one system,
+``scan_decay_rates`` on all its points at once.
 """
 
 from __future__ import annotations
@@ -162,17 +162,19 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
 
     Row i of the row kernel holds one system's A_n; its lags are
     n*eta/gamma at ramp position eta.  Every row starts from s = -sum_n A_n
-    and takes 16 equal eta steps up to ``eta[i]``, all rows in one batched
-    Newton per step, each re-converging the root of D_p from the previous
-    one to |D_p|/gamma < ``RAMP_TOL``.  A step is accepted when Newton
-    converges and the root moved at most 0.3*(gamma + |s|); a rejected row
-    halves its interval and retries from its last accepted (eta, s), alone,
-    down to 24 halvings.  Rows with eta = 0 keep the Markovian pole.
+    and steps to the 16 coarse targets eta[i]*k/16, each step re-converging
+    the root of D_p from the last accepted (eta, s) to |D_p|/gamma <
+    ``RAMP_TOL``.  A step is accepted when Newton converges and the root
+    moved at most 0.3*(gamma + |s|); a rejected one is replaced, on the
+    row's stack of pending targets, by its two halves, the nearer first,
+    down to 24 halvings, where a converged root is taken.  Each pass runs
+    one batched Newton over every unfinished row's next target.  Rows with
+    eta = 0 keep the Markovian pole.
 
     Returns:
         (s, iterations, subdivisions) per row: the pole, the Newton
         iterations spent on it, and how many intervals were halved (0 when
-        every batched step was accepted).
+        every coarse step was accepted).
 
     Raises:
         NonConvergence: when a row's step still fails after 24 halvings.
@@ -181,41 +183,42 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
     s = -np.atleast_2d(kernel.coeffs).sum(axis=-1)
     iterations = np.zeros(s.size, dtype=int)
     subdivisions = np.zeros(s.size, dtype=int)
-
-    def step(rows, s0, eta1):
-        """Newton at eta1 from s0 per row: (root, converged, accepted)."""
-        root, its, ok = _newton(kernel.rows(rows, eta1 / gamma), s0, tol)
+    reached = np.zeros(s.size)              # eta of each row's root s
+    coarse = np.where(eta > 0, 1, 17).astype(np.int8)   # next coarse k
+    pending = np.zeros(s.size, dtype=np.int8)   # halved targets per row
+    # all rows' stacks in one list in push order, so a row's last entry is
+    # its top: owner row, eta, depth (int8 keeps a large scan's state small)
+    owner, halves, depths = np.empty(0, int), np.empty(0), np.empty(0, np.int8)
+    rows = np.flatnonzero(coarse <= 16)
+    while rows.size:
+        halved = pending[rows] > 0
+        tops = owner.size - 1 - np.unique(owner[::-1], return_index=True)[1]
+        target = eta[rows] * coarse[rows] / 16
+        depth = np.zeros(rows.size, dtype=np.int8)
+        target[halved], depth[halved] = halves[tops], depths[tops]
+        # s[rows] unnamed: no second copy of the roots is held during Newton
+        root, its, ok = _newton(kernel.rows(rows, target / gamma), s[rows],
+                                tol)
         iterations[rows] += its
-        return root, ok, ok & (np.abs(root - s0) <= 0.3 * (gamma + np.abs(s0)))
-
-    def split(i, eta0, s0, eta1, root, ok, depth):
-        """Row i after a rejected step from (eta0, s0) to eta1."""
-        if depth >= 24:
-            if ok:
-                return root
-            raise NonConvergence(
-                f"lost parity {parity:+d} branch at eta={eta1:.6g}")
-        subdivisions[i] += 1
-        mid = 0.5 * (eta0 + eta1)
-        return advance(i, mid, advance(i, eta0, s0, mid, depth + 1), eta1,
-                       depth + 1)
-
-    def advance(i, eta0, s0, eta1, depth):
-        (root,), (ok,), (accepted,) = step([i], np.array([s0]), eta1)
-        if accepted:
-            return root
-        return split(i, eta0, s0, eta1, root, ok, depth)
-
-    rows = np.flatnonzero(eta > 0)
-    for k in range(1, 17):                      # 16 coarse ramp steps
-        eta0, eta1 = eta[rows] * (k - 1) / 16, eta[rows] * k / 16
-        s0 = s[rows]
-        root, ok, accepted = step(rows, s0, eta1)
-        s[rows] = root
-        for j in np.flatnonzero(~accepted):
-            s[rows[j]] = split(rows[j], eta0[j], s0[j], eta1[j], root[j],
-                               ok[j], 0)
-    del advance             # break the split <-> advance cycle: frees the kernel
+        take = ok & (np.abs(root - s[rows]) <= 0.3 * (gamma + np.abs(s[rows])))
+        lost = ~ok & (depth >= 24)
+        if lost.any():
+            raise NonConvergence(f"lost parity {parity:+d} branch at "
+                                 f"eta={target[lost][0]:.6g}")
+        take |= depth >= 24
+        s[rows[take]], reached[rows[take]] = root[take], target[take]
+        coarse[rows[~halved]] += 1
+        if tops.size or not take.all():
+            # every top is popped; a rejected target is pushed back one
+            # level deeper, under its midpoint from the last accepted eta
+            pending[rows] += 2 * ~take - halved
+            split, target, depth = rows[~take], target[~take], depth[~take] + 1
+            subdivisions[split] += 1
+            mid = 0.5 * (reached[split] + target)
+            owner = np.concatenate([np.delete(owner, tops), split, split])
+            halves = np.concatenate([np.delete(halves, tops), target, mid])
+            depths = np.concatenate([np.delete(depths, tops), depth, depth])
+        rows = rows[(coarse[rows] <= 16) | (pending[rows] > 0)]
     return s, iterations, subdivisions
 
 
@@ -230,7 +233,7 @@ class DecayRateScan:
     The ramp's health figures are kept per point and parity but not
     written to the CSV: ``iterations_*`` counts the Newton iterations the
     point's ramp spent and ``subdivisions_*`` how many ramp intervals were
-    halved (0 when every batched step was accepted).
+    halved (0 when every coarse step was accepted).
     """
 
     omega0_dx_over_pi: np.ndarray
@@ -283,10 +286,8 @@ def connected_pole(config: SystemConfig, parity: int) -> complex:
     onto the other parity family.  Returns the pole position s
     (rate = -2s).  Continuation along other parameter paths can land on a
     different sheet, so the ramp in retardation *is* the definition used
-    here.
-
-    This is the ramp ``scan_decay_rates`` runs for all its points at once,
-    run on one row.
+    here.  It is one row of the ramp ``scan_decay_rates`` runs for all its
+    points at once: each point takes the same steps it would take alone.
     """
     s, _, _ = _ramp(analytic.parity_kernel(config, parity),
                     np.array([config.eta]), config.gamma, parity)
@@ -312,13 +313,12 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
 
     One batched ramp per parity serves every point: the A_n(phi) =
     a_n exp(i n phi) of all points come from one phase-free delay table as
-    one (points x lags) matrix, and each of the 16 ramp steps is one
-    masked Newton over all rows.  Only a point whose batched step is
-    rejected continues alone, by halving that step as ``connected_pole``
-    does.  The cost is a few array Newton iterations per ramp step plus the
-    rare subdivision: 0.06-0.09 s for the README's 600 points and both
-    parities on a 2 vCPU Xeon.  The Markovian columns are 2*sum_n A_n from
-    the same matrix, and each residual evaluates the point's own row.
+    one (points x lags) matrix, and each pass of the ramp is one masked
+    Newton over every point's next step, coarse or halved, as in
+    ``connected_pole``: about 0.04 s for the README's 600 points and both
+    parities, 0.08 s at omega0 = 2, on a 2 vCPU Xeon.  The Markovian
+    columns are 2*sum_n A_n from the same matrix, and each residual
+    evaluates the point's own row.
 
     Raises:
         ConfigError: on an empty or non-positive x range, an unknown
