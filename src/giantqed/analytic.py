@@ -178,7 +178,8 @@ class ParityKernel:
     from ``DelayTable.collective``; they depend on phi and gamma only.
 
     A row kernel stacks one such system per row: ``coeffs`` of shape
-    (rows, lags) and ``delay`` of shape (rows,), evaluated at one s per row.
+    (rows, lags) and ``delay`` of shape (rows,), evaluated at one s per row
+    by the same formula, so a system alone and as a row agree bit for bit.
     """
 
     coeffs: np.ndarray
@@ -190,17 +191,13 @@ class ParityKernel:
         A row kernel takes s of shape (rows,) and returns one value per row.
         """
         s = np.asarray(s, dtype=complex)
-        rows = self.coeffs.ndim == 2
-        lags = np.arange(self.coeffs.shape[-1]) * (
-            self.delay[:, None] if rows else self.delay)
+        lags = np.arange(self.coeffs.shape[-1]) * np.asarray(self.delay)[..., None]
         # far in the left half plane the exponentials overflow to inf, which
         # is the honest saturating value for a root finder probing out there
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.exp(-s[..., None] * lags)
-            if rows:
-                return (s + (e * self.coeffs).sum(axis=-1),
-                        1.0 - (e * (lags * self.coeffs)).sum(axis=-1))
-            out = s + e @ self.coeffs, 1.0 - e @ (lags * self.coeffs)
+            out = (s + (e * self.coeffs).sum(axis=-1),
+                   1.0 - (e * (lags * self.coeffs)).sum(axis=-1))
         return out if s.shape else (complex(out[0]), complex(out[1]))
 
     def rows(self, index, delay=None) -> "ParityKernel":

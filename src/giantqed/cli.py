@@ -600,7 +600,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (NonConvergence, OutOfHorizon, IllConditioned,
             FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -87,20 +87,14 @@ class DriveSchedule:
                   omega_after: float) -> "DriveSchedule":
         return cls((0.0, float(t_switch)), (float(omega_before), float(omega_after)))
 
-    def accumulated_array(self, t) -> np.ndarray:
-        """Int_0^t omega0(s) ds at every time of ``t`` (t < 0 extends segment 0)."""
-        starts = np.asarray(self.starts, dtype=float)
-        omegas = np.asarray(self.omegas, dtype=float)
-        base = np.concatenate(([0.0], np.cumsum(omegas[:-1] * np.diff(starts))))
-        idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0,
-                      len(starts) - 1)
-        return base[idx] + omegas[idx] * (t - starts[idx])
-
     def window_phase(self, t, width) -> np.ndarray:
-        """Int_{t-width}^t omega0(s) ds: each segment's omega times its overlap
-        with the window, measured back from t.  It rounds to a few ulp of the
-        window phase itself; Omega(t) - Omega(t - width) would carry those of
-        Omega(t).  ``t`` and ``width`` broadcast; t < 0 extends segment 0."""
+        """Int_{t-width}^t omega0(s) ds, the schedule's one phase accumulator:
+        each segment's omega times its overlap with the window, measured back
+        from t.  It rounds to a few ulp of the window phase itself;
+        Omega(t) - Omega(t - width) would carry those of Omega(t).  The
+        absolute phase Omega(t) is ``window_phase(t, t)`` (omega*t bit for
+        bit on one segment).  ``t`` and ``width >= 0`` broadcast; a window
+        reaching before 0 extends segment 0."""
         t = np.asarray(t, dtype=float)
         total = np.zeros(np.broadcast_shapes(t.shape, np.shape(width)))
         ends = (*self.starts[1:], math.inf)
@@ -564,9 +558,10 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     tau = traj.t
     h = tau[1] - tau[0]
-    # rows: atom a, atom b, in the frame rotating with the drive
+    # rows: atom a, atom b, in the frame rotating with the drive: the
+    # absolute phase Omega(tau) is the window phase over [0, tau]
     rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
-        -1j * sched.accumulated_array(tau))
+        -1j * sched.window_phase(tau, tau))
 
     # first and last node of each schedule segment; the boundary node
     # belongs to both the closing and the opening segment

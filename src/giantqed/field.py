@@ -187,8 +187,8 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
                     continue
                 safe = np.where(mask, tau, 0.0)
                 c = src.amplitude(atom, safe.ravel()).reshape(tau.shape)
-                phase = np.exp(-1j * src.schedule.accumulated_array(
-                    safe.ravel())).reshape(tau.shape)
+                # drive phase Omega(tau) accumulated since t = 0
+                phase = np.exp(-1j * src.schedule.window_phase(safe, safe))
                 total += window * c * phase
     intensity = (config.gamma * math.pi / v ** 2) * np.abs(total) ** 2
     intensity[t <= 0, :] = 0.0

@@ -166,10 +166,11 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
     the root of D_p from the last accepted (eta, s) to |D_p|/gamma <
     ``RAMP_TOL``.  A step is accepted when Newton converges and the root
     moved at most 0.3*(gamma + |s|); a rejected one is replaced, on the
-    row's stack of pending targets, by its two halves, the nearer first,
-    down to 24 halvings, where a converged root is taken.  Each pass runs
-    one batched Newton over every unfinished row's next target.  Rows with
-    eta = 0 keep the Markovian pole.
+    row's stack of pending targets (its row of one (rows, width) array),
+    by its two halves, the nearer first, down to 24 halvings, where a
+    converged root is taken.  Each pass runs one batched Newton over every
+    unfinished row's next target.  Rows with eta = 0 keep the Markovian
+    pole.
 
     Returns:
         (s, iterations, subdivisions) per row: the pole, the Newton
@@ -186,13 +187,13 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
     reached = np.zeros(s.size)              # eta of each row's root s
     coarse = np.where(eta > 0, 1, 17).astype(np.int8)   # next coarse k
     pending = np.zeros(s.size, dtype=np.int8)   # halved targets per row
-    # all rows' stacks in one list in push order, so a row's last entry is
-    # its top: owner row, eta, depth (int8 keeps a large scan's state small)
-    owner, halves, depths = np.empty(0, int), np.empty(0), np.empty(0, np.int8)
+    # row i's stack of halved targets, eta and depth, with its top at
+    # column pending[i] - 1 (int8 depths keep a large scan's state small)
+    halves, depths = np.empty((s.size, 0)), np.empty((s.size, 0), np.int8)
     rows = np.flatnonzero(coarse <= 16)
     while rows.size:
         halved = pending[rows] > 0
-        tops = owner.size - 1 - np.unique(owner[::-1], return_index=True)[1]
+        tops = rows[halved], pending[rows[halved]] - 1
         target = eta[rows] * coarse[rows] / 16
         depth = np.zeros(rows.size, dtype=np.int8)
         target[halved], depth[halved] = halves[tops], depths[tops]
@@ -208,16 +209,20 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
         take |= depth >= 24
         s[rows[take]], reached[rows[take]] = root[take], target[take]
         coarse[rows[~halved]] += 1
-        if tops.size or not take.all():
-            # every top is popped; a rejected target is pushed back one
-            # level deeper, under its midpoint from the last accepted eta
-            pending[rows] += 2 * ~take - halved
-            split, target, depth = rows[~take], target[~take], depth[~take] + 1
+        # every top is popped; a rejected target is pushed back one level
+        # deeper, under its midpoint from the last accepted eta
+        pending[tops[0]] -= 1
+        split = rows[~take]
+        if split.size:
             subdivisions[split] += 1
-            mid = 0.5 * (reached[split] + target)
-            owner = np.concatenate([np.delete(owner, tops), split, split])
-            halves = np.concatenate([np.delete(halves, tops), target, mid])
-            depths = np.concatenate([np.delete(depths, tops), depth, depth])
+            target, top = target[~take], pending[split].astype(int)
+            if top.max() + 2 > halves.shape[1]:
+                widen = ((0, 0), (0, top.max() + 2 - halves.shape[1]))
+                halves, depths = np.pad(halves, widen), np.pad(depths, widen)
+            push = split[:, None], top[:, None] + [0, 1]
+            halves[push] = np.stack((target, 0.5 * (reached[split] + target)), -1)
+            depths[push] = depth[~take, None] + 1
+            pending[split] += 2
         rows = rows[(coarse[rows] <= 16) | (pending[rows] > 0)]
     return s, iterations, subdivisions
 
@@ -350,15 +355,14 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
     rates, markov, residuals, iterations, subdivisions = [], [], [], [], []
     for parity in (+1, -1):
         coeffs = table.collective(parity, omega0 * delays)
-        s, its, subs = _ramp(analytic.ParityKernel(coeffs, delays), eta,
-                             gamma, parity)
+        kernel = analytic.ParityKernel(coeffs, delays)
+        s, its, subs = _ramp(kernel, eta, gamma, parity)
         rates.append(-2.0 * s)                  # Gamma = -2 s
         markov.append(2.0 * coeffs.sum(axis=-1))
         iterations.append(its)
         subdivisions.append(subs)
-        residuals.append(np.array([
-            abs(analytic.ParityKernel(c, d).evaluate(root)[0]) / gamma
-            for c, d, root in zip(coeffs, delays.tolist(), s.tolist())]))
+        dens = kernel.evaluate(s)[0].tolist()
+        residuals.append(np.array([abs(d) / gamma for d in dens]))
     return DecayRateScan(xs, *rates, *markov, *residuals, *iterations,
                          *subdivisions, topology=topology, omega0=omega0,
                          gamma=gamma)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from giantqed.analytic import (ExpPolySolution, IllConditioned,
-                               OutOfHorizon, coefficients_to_csv,
-                               exact_solution,
+                               OutOfHorizon, ParityKernel,
+                               coefficients_to_csv, exact_solution,
                                laplace_denominator,
                                laplace_denominator_derivative,
-                               markovian_effective_rate, steady_state)
+                               markovian_effective_rate, parity_kernel,
+                               steady_state)
 from giantqed.model import ConfigError, InitialState, SystemConfig
 
 
@@ -176,6 +177,29 @@ def test_denominator_vectorizes():
     assert vec.shape == (3,)
     for si, vi in zip(s, vec):
         assert vi == pytest.approx(laplace_denominator(cfg, -1, si))
+
+
+@pytest.mark.parametrize("n_legs", [2, 3])
+@pytest.mark.parametrize("topology", ["separate", "braided"])
+def test_system_alone_and_as_a_row_evaluate_bit_for_bit(topology, n_legs):
+    """A one-system kernel and the same system as row 0 of a row kernel
+    give the same (D_p, D_p') bit for bit, at a scalar s and at the array
+    s = -i delta_k that ``scattering`` passes."""
+    cfg = SystemConfig.from_phase(topology, eta=0.7, phi=1.3, n_legs=n_legs)
+    other = SystemConfig.from_phase(topology, eta=0.2, phi=2.9, n_legs=n_legs)
+    for parity in (+1, -1):
+        one = parity_kernel(cfg, parity)
+        stack = ParityKernel(np.stack((one.coeffs,
+                                       parity_kernel(other, parity).coeffs)),
+                             np.array([cfg.delay, other.delay]))
+        s = -0.4 + 1.7j
+        rows = stack.evaluate(np.array([s, 0.3j]))
+        assert one.evaluate(s) == (complex(rows[0][0]), complex(rows[1][0]))
+        s = -1j * np.linspace(-3.0, 3.0, 61)
+        rows = stack.rows(np.zeros(s.size, dtype=int)).evaluate(s)
+        alone = one.evaluate(s)
+        assert np.array_equal(alone[0], rows[0])
+        assert np.array_equal(alone[1], rows[1])
 
 
 # ---------------------------------------------------------------------------

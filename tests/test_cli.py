@@ -386,7 +386,8 @@ FLOATING_POINT_FAILURES = (
 def test_floating_point_failures_exit_3(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert err.startswith(f"numerical failure: {argv[0]}: ")
+    assert err.count("\n") == 1
     for path in tmp_path.glob("*.csv"):
         assert np.isfinite(_data_rows(path)[1]).all(), path.name
 

@@ -114,7 +114,7 @@ def _accumulated(schedule, t):
     """Phase integral Int_0^t omega0(s) ds, one segment at a time.
 
     The oracles' own scalar accumulator, independent of
-    ``DriveSchedule.accumulated_array``; t < 0 extends segment 0.
+    ``DriveSchedule.window_phase``; t < 0 extends segment 0.
     """
     i = bisect_right(schedule.starts, t) - 1
     if i < 0:
@@ -341,7 +341,7 @@ def test_schedule_validation():
     assert _accumulated(sched, 2.0 + eps) - _accumulated(sched, 2.0 - eps) == \
         pytest.approx(0.0, abs=1e-6)
     # and grows at each segment's own frequency on either side of it
-    before, at, after = sched.accumulated_array(np.array([1.9, 2.0, 2.1]))
+    before, at, after = (_accumulated(sched, tv) for tv in (1.9, 2.0, 2.1))
     assert (at - before, after - at) == (pytest.approx(1.0), pytest.approx(1.2))
 
 
@@ -502,7 +502,7 @@ def _dense_oracle(traj, omega_grid, times):
     tau = traj.t
     h = tau[1] - tau[0]
     rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
-        -1j * sched.accumulated_array(tau))
+        -1j * np.array([_accumulated(sched, tv) for tv in tau.tolist()]))
     seg_first = [math.ceil(s / h - 1e-9) for s in sched.starts]
     weights = []
     for w_s in sched.omegas:
@@ -665,13 +665,6 @@ def test_field_amplitudes_rejects_bad_grids(switched_run, grid):
         field_amplitudes(traj, grid, 1.0)
 
 
-def test_accumulated_array_matches_scalar_accumulated():
-    sched = DriveSchedule((0.0, 1.2345, 2.5), (3.1, 4.7, -0.3))
-    t = np.array([-0.5, 0.0, 0.7, 1.2345, 2.0, 2.5, 9.0])
-    want = [_accumulated(sched, float(tv)) for tv in t]
-    assert sched.accumulated_array(t).tolist() == want
-
-
 def _exact_window_phase(schedule, t, width):
     """Int_{t-width}^t omega0(s) ds in exact rationals, segment by segment,
     for the float inputs as given; segment 0 extends to t < 0."""
@@ -690,23 +683,30 @@ def test_window_phase_is_the_windows_own_segment_sum():
     2.5 pi per delay), every window phase that the integrator's switch
     passes and the detector form is within 4 ulp of the exact sum over the
     window's segments.  Subtracting two absolute phases instead misses by
-    over 50 ulp."""
+    over 50 ulp.  The absolute phases window_phase(t, t) that ``fdd`` and
+    ``field_amplitudes`` take keep the same bound on a three-segment
+    schedule."""
     cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
     sched = DriveSchedule.switch_at(20.0, cfg.omega0, 2.5 * math.pi / cfg.delay)
     h = cfg.delay / 100
     nodes = np.arange(1990, 2070) * h
     times = np.concatenate((nodes, nodes + 0.5 * h))
-    cases = [(times, lag * cfg.delay) for lag in (1, 2, 3)]
+    cases = [(sched, times, lag * cfg.delay) for lag in (1, 2, 3)]
     t_bar = np.linspace(0.0, 85.0, 8501)[::5]
-    cases += [(t_bar, (3 - slot) * cfg.spacing / cfg.v_g) for slot in (0, 1, 2)]
+    cases += [(sched, t_bar, (3 - slot) * cfg.spacing / cfg.v_g)
+              for slot in (0, 1, 2)]
+    three = DriveSchedule((0.0, 1.2345, 2.5), (3.1, 4.7, -0.3))
+    t_abs = np.concatenate(([0.0, 0.7, 1.2345, 2.0, 2.5, 9.0],
+                            np.linspace(0.0, 20.0, 401)))
+    cases += [(three, t_abs, t_abs)]
     worst_own = worst_difference = 0.0
-    for t, width in cases:
-        own = sched.window_phase(t, width)
-        difference = (sched.accumulated_array(t)
-                      - sched.accumulated_array(t - width))
-        for tv, got, diff in zip(t.tolist(), own.tolist(), difference.tolist()):
-            exact = _exact_window_phase(sched, tv, width)
+    for schedule, t, width in cases:
+        own = schedule.window_phase(t, width)
+        for tv, wv, got in zip(t.tolist(), np.broadcast_to(width, t.shape)
+                               .tolist(), own.tolist()):
+            exact = _exact_window_phase(schedule, tv, wv)
             ulp = Fraction(float(np.spacing(float(exact))))
+            diff = _accumulated(schedule, tv) - _accumulated(schedule, tv - wv)
             worst_own = max(worst_own, abs(Fraction(got) - exact) / ulp)
             worst_difference = max(worst_difference,
                                    abs(Fraction(diff) - exact) / ulp)
