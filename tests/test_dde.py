@@ -665,6 +665,19 @@ def test_field_amplitudes_rejects_bad_grids(switched_run, grid):
         field_amplitudes(traj, grid, 1.0)
 
 
+def test_accumulated_array_matches_scalar_accumulated():
+    """The absolute phase window_phase(t, t), t >= 0, is the scalar
+    accumulator's at segment starts and inside each segment, and omega*t
+    bit for bit on one segment."""
+    sched = DriveSchedule((0.0, 1.2345, 2.5), (3.1, 4.7, -0.3))
+    t = np.array([0.0, 0.7, 1.2345, 2.0, 2.5, 9.0])
+    want = [_accumulated(sched, float(tv)) for tv in t]
+    assert sched.window_phase(t, t).tolist() == want
+    one = DriveSchedule.constant(3.1)
+    t_one = np.linspace(0.0, 20.0, 401)
+    assert one.window_phase(t_one, t_one).tolist() == (3.1 * t_one).tolist()
+
+
 def _exact_window_phase(schedule, t, width):
     """Int_{t-width}^t omega0(s) ds in exact rationals, segment by segment,
     for the float inputs as given; segment 0 extends to t < 0."""
