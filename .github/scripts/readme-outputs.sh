@@ -38,3 +38,6 @@ run decay-rates-omega0-2 decay-rates --topology braided --omega0 2 \
     --scan 0.005:3.0:0.005
 run decay-rates-separate-omega0-2 decay-rates --topology separate --omega0 2 \
     --scan 0.005:3.0:0.005
+# the braided dark state past t ~ 30, where the branch sum loses its digits
+run simulate-late simulate --topology braided --eta 0.2 --phi 2pi \
+    --state antisymmetric --engine both --t-max 40

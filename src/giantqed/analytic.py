@@ -6,31 +6,33 @@ equations collapse to one scalar delay equation
     dc/dt = -A_0 c(t) - sum_{n>=1} A_n c(t - n*delay) Theta(t - n*delay),
 
 with A_n = (self_n + parity*cross_n) exp(i n phi) from the phase-free delay
-table (``DelayTable.collective``).  Its exact solution
-is a sum of delayed exponential branches
+table (``DelayTable.collective``).  Its exact solution is a sum of delayed
+exponential branches, P_0 = c(0) and P_l(tau) = -sum_n A_n Int_0^tau P_{l-n},
 
-    c(t) = sum_l Theta(t - l*delay) exp(-A_0 (t - l*delay)) P_l(t - l*delay),
+    c(t) = sum_l Theta(t - l*delay) exp(-A_0 (t - l*delay)) P_l(t - l*delay).
 
-where each P_l is a polynomial of degree <= l obtained by integrating the
-lower branches once per delayed term:
+On delay interval m it is one polynomial, c(m*delay + u) = exp(-A_0 u)
+R_m(u) with R_m(u) = sum_{l<=m} E^(m-l) P_l(u + (m-l)*delay), E =
+exp(-A_0 delay); so R_0 = c(0) and R_m(u) = E R_{m-1}(delay) - sum_n A_n
+Int_0^u R_{m-n}, the method of steps in exact polynomial arithmetic
+(Bellman & Cooke, Differential-Difference Equations, 1963).  One recursion
+builds both tables, and the series is evaluated from the local one, whose
+rounding does not pass through the large cancelling branches.
 
-    P_0 = c(0),   P_l(tau) = -sum_{n>=1} A_n Int_0^tau P_{l-n}(s) ds.
-
-This module builds the branch polynomials, evaluates the series, applies the
-final-value theorem for t->infinity, and provides the Laplace-domain
-denominators shared with the pole finder: one ``ParityKernel`` per
-(config, parity) evaluates D_p and D_p' together.
+This module also applies the final-value theorem for t->infinity and
+provides the Laplace-domain denominators shared with the pole finder: one
+``ParityKernel`` per (config, parity) evaluates D_p and D_p' together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import (ConfigError, InitialState, SystemConfig, delay_table,
-                    write_csv)
+from .model import ConfigError, InitialState, SystemConfig, delay_table
 
 #: Largest rounding-error bound on c(t) (normalised to c(0) = 1) that
 #: ``ExpPolySolution.evaluate`` returns; the criterion-1 tolerance.
@@ -38,31 +40,30 @@ ROUNDING_TOL = 1e-6
 
 
 class OutOfHorizon(Exception):
-    """Raised when the series is evaluated past its last computed branch."""
+    """Raised when the series is evaluated past its last computed interval."""
 
 
 class IllConditioned(Exception):
-    """Raised when cancellation between branches has eaten the series' digits."""
+    """Raised when the series' rounding bound passes ``ROUNDING_TOL``."""
 
 
 @dataclass(frozen=True)
 class ExpPolySolution:
-    """Exact branch-series solution of the collective amplitude.
+    """Exact solution of the collective amplitude, in both forms.
 
-    ``branches[l]`` holds the coefficients of P_l in ascending powers of
-    (t - l*delay); the stored series is normalised to c(0) = 1 and ``scale``
-    maps it back onto atom a (c_a(t) = scale * c(t), c_b = parity * c_a).
-
-    The representation is exact but not uniformly well conditioned: when the
-    delay-table coefficients alternate in sign (e.g. braided antisymmetric
-    near even multiples of pi) the individual branches grow large and cancel,
-    and round-off takes over past roughly t ~ 30/gamma at eta ~ 0.2.
-    :meth:`evaluate` bounds that round-off and refuses to answer once it
-    could exceed ``ROUNDING_TOL``; for such times use the integrator in
-    :mod:`giantqed.dde`.
+    ``branches[l]`` holds P_l in ascending powers of (t - l*delay); row m of
+    ``local`` holds R_m in ascending powers of u/delay, entry (m, k) being
+    r_mk delay^k.  Both are normalised to c(0) = 1 and ``scale`` maps them
+    back onto atom a (c_a(t) = scale * c(t), c_b = parity * c_a).  When the
+    delay-table coefficients alternate in sign (braided antisymmetric near
+    even multiples of pi) the branches grow and cancel, and by t ~ 30/gamma
+    at eta ~ 0.2 their sum has lost its digits; :meth:`evaluate` reads the
+    local table, which keeps them (over many delays at large eta its rows
+    cancel too, and it refuses).
     """
 
     branches: tuple[np.ndarray, ...]
+    local: np.ndarray
     decay: float                 # A_0 = N*gamma/2, exponent of every branch
     delay: float
     parity: int
@@ -70,47 +71,64 @@ class ExpPolySolution:
 
     @property
     def horizon(self) -> float:
-        """First time not covered by the stored branches."""
-        return (len(self.branches)) * self.delay
+        """First time not covered by the stored intervals."""
+        return len(self.local) * self.delay
 
     def __call__(self, t):
         return self.evaluate(t)
+
+    @cached_property
+    def _horner(self) -> tuple[np.ndarray, ...]:
+        """Kept columns of ``local`` and |local|, and two per-row terms.
+
+        Trailing columns whose every |r_mk| delay^k is below eps times the
+        table's largest are dropped (``dropped``: each row's sum of them);
+        ``carried`` = eps E sum_{j<m} sum_k |r_jk| delay^k is the rounding
+        a row inherits through its start value.
+        """
+        eps = np.finfo(float).eps
+        size = np.abs(self.local)
+        kept = np.flatnonzero(~(size < eps * size.max()).all(axis=0))[-1] + 1
+        carried = eps * math.exp(-self.decay * self.delay) * np.concatenate(
+            [[0.0], np.cumsum(size.sum(axis=1))[:-1]])
+        return (self.local[:, :kept].T.copy(), size[:, :kept].T.copy(),
+                carried, size[:, kept:].sum(axis=1))
 
     def evaluate(self, t):
         """Collective amplitude c(t); accepts scalars or arrays.
 
         Negative times give 0; times at or past the horizon raise
-        OutOfHorizon (branch l = horizon/delay would already contribute).
-
-        Alongside the sum it keeps the rounding bound (Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 3)
-        eps * sum_l exp(-A_0 tau_l) * sum_k |p_lk| tau_l^k, tau_l = t - l*delay,
-        and raises IllConditioned where it exceeds ``ROUNDING_TOL``.
+        OutOfHorizon.  Each time takes one Horner pass over its interval's
+        row, with the rounding bound eps * (1 + x) exp(-x) sum_k |r_mk| u^k
+        (Horner's, Higham, Accuracy and Stability of Numerical Algorithms,
+        ch. 5, and the envelope's argument x = A_0 u) plus ``carried`` and
+        exp(-x) times ``dropped``; IllConditioned is raised where it
+        exceeds ``ROUNDING_TOL``.
         """
-        polyval = np.polynomial.polynomial.polyval
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr >= self.horizon - 1e-12 * self.delay):
             raise OutOfHorizon(
-                f"series with {len(self.branches)} branches is valid for "
+                f"series with {len(self.local)} intervals is valid for "
                 f"t < {self.horizon!r}")
-        out = np.zeros(t_arr.shape, dtype=complex)
-        bound = np.zeros(t_arr.shape)
-        for l, poly in enumerate(self.branches):
-            tau = t_arr - l * self.delay
-            live = tau >= 0.0
-            if not np.any(live):
-                break
-            tl = np.where(live, tau, 0.0)
-            envelope = np.exp(-self.decay * tl)
-            out += np.where(live, envelope * polyval(tl, poly), 0.0)
-            bound += np.where(live, envelope * polyval(tl, np.abs(poly)), 0.0)
-        bound *= np.finfo(float).eps
-        if np.any(bound > ROUNDING_TOL):
+        columns, sizes, carried, dropped = self._horner
+        s = np.maximum(t_arr, 0.0) / self.delay
+        m = np.minimum(np.floor(s), len(self.local) - 1).astype(np.intp)
+        u = s - m
+        out, own = columns[-1][m], sizes[-1][m]
+        for column, size in zip(columns[-2::-1], sizes[-2::-1]):
+            out = out * u + column[m]
+            own = own * u + size[m]
+        x = self.decay * self.delay * u
+        envelope = np.exp(-x)
+        bound = (envelope * (np.finfo(float).eps * (1.0 + x) * own + dropped[m])
+                 + carried[m])
+        if np.any(~(bound <= ROUNDING_TOL)):
             worst = np.unravel_index(np.argmax(bound), bound.shape)
             raise IllConditioned(
-                f"branch series rounding bound {float(bound[worst]):.1e} at "
+                f"series rounding bound {float(bound[worst]):.1e} at "
                 f"t = {float(t_arr[worst])!r} exceeds {ROUNDING_TOL:g}; use "
                 "the integrator for these times")
+        out = np.where(t_arr < 0.0, 0.0, out * envelope)
         return out if out.shape else complex(out)
 
     def atomic(self, t):
@@ -120,16 +138,36 @@ class ExpPolySolution:
         return c_a, self.parity * c_a
 
 
+def _series_tables(coeffs: np.ndarray, rows: int, delay, shrink) -> np.ndarray:
+    """Branch table (index 0) and local table (index 1) of ``rows`` rows.
+
+    Row m of either is its start value minus sum_n A_n Int row m - n: 0 for
+    a branch, E R_{m-1}(delay) for the local form (E = ``shrink``), whose
+    rows are in powers of u/delay (each integral carries a factor delay, and
+    R_{m-1}(delay) is a row sum).  Exact rationals (object arrays) work too.
+    """
+    tables = np.zeros((2, rows, rows), dtype=coeffs.dtype)
+    tables[:, 0, 0] = 1
+    # the integral of u^k is u^(k+1)/(k+1): shift up one power and divide
+    scale = np.array([1, delay], dtype=coeffs.dtype)[:, None]
+    k = np.arange(1, rows)
+    for m in range(1, rows):
+        for n in range(1, min(m, len(coeffs) - 1) + 1):
+            tables[:, m, 1:m + 1] -= coeffs[n] * scale * tables[:, m - n, :m] / k[:m]
+        tables[1, m, 0] = shrink * tables[1, m - 1, :m].sum()
+    return tables
+
+
 def exact_solution(config: SystemConfig, state: InitialState,
                    n_branches: int | None = None,
                    t_max: float | None = None) -> ExpPolySolution:
-    """Construct the branch series for a parity eigenstate.
+    """Construct the exact series for a parity eigenstate.
 
     Args:
         config: system parameters (delay must be positive).
         state: symmetric or antisymmetric initial state.
-        n_branches: number of branches l = 0..n_branches-1 to generate.
-        t_max: alternatively, generate enough branches to cover [0, t_max].
+        n_branches: number of branches and of delay intervals to generate.
+        t_max: alternatively, generate enough to cover [0, t_max].
 
     Returns:
         ExpPolySolution valid on [0, n_branches*delay).
@@ -151,21 +189,11 @@ def exact_solution(config: SystemConfig, state: InitialState,
 
     coeffs = delay_table(config).collective(parity, config.phi)
     decay = float(coeffs[0].real)
-
-    branches: list[np.ndarray] = [np.array([1.0 + 0.0j])]
-    for l in range(1, n_branches):
-        # P_l(tau) = -sum_n A_n * Int_0^tau P_{l-n}; the integral of tau^k is
-        # tau^(k+1)/(k+1), so every source branch shifts up one degree.
-        poly = np.zeros(l + 1, dtype=complex)
-        for n, a_n in enumerate(coeffs[1:l + 1], start=1):
-            src = branches[l - n]
-            k = np.arange(src.size)
-            poly[1:src.size + 1] -= a_n * src / (k + 1)
-        branches.append(poly)
-
-    return ExpPolySolution(branches=tuple(branches), decay=decay,
-                           delay=config.delay, parity=parity,
-                           scale=state.c_a)
+    branches, local = _series_tables(coeffs, n_branches, config.delay,
+                                     math.exp(-decay * config.delay))
+    return ExpPolySolution(
+        branches=tuple(p[:l + 1] for l, p in enumerate(branches)), local=local,
+        decay=decay, delay=config.delay, parity=parity, scale=state.c_a)
 
 
 # -- Laplace domain ----------------------------------------------------------
@@ -283,18 +311,3 @@ def markovian_effective_rate(config: SystemConfig, state: InitialState) -> compl
         raise ConfigError("effective rate requires a parity eigenstate")
     d0, slope = parity_kernel(config, parity).evaluate(0.0)
     return 2.0 * d0 / slope
-
-
-def coefficients_to_csv(solution: ExpPolySolution, path) -> None:
-    """Write branch polynomial coefficients as rows (l, j, re_p, im_p)."""
-    sizes = [poly.size for poly in solution.branches]
-    coeffs = np.concatenate(solution.branches)
-    write_csv(path,
-              ["branch polynomial coefficients, ascending powers per branch",
-               f"decay = {solution.decay!r}",
-               f"delay = {solution.delay!r}",
-               f"parity = {solution.parity:+d}"],
-              "l,j,re_p,im_p",
-              [np.repeat(np.arange(len(sizes)), sizes),
-               np.concatenate([np.arange(n) for n in sizes]),
-               coeffs.real, coeffs.imag])

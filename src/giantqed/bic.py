@@ -34,10 +34,6 @@ from .model import ConfigError, InitialState, SystemConfig, write_csv
 #: g(k)/(k-k0), removing the 0/0 at the resonant wavenumber.
 _LIMIT_WINDOW = 1e-8
 
-#: Midpoint cells per window of ``field_norm``: on its analytic integrand
-#: the rule is converged far below the window-truncation error.
-_NORM_CELLS = 20_001
-
 
 @dataclass(frozen=True)
 class NoBic:
@@ -86,18 +82,22 @@ class BicState:
     def _g_prime(self, k):
         return -sum(x * np.cos(k * x) for x in self.config.leg_positions(0))
 
+    @property
+    def _pref(self) -> complex:
+        """phi_k = pref * g(k)/(k - k0)."""
+        cfg = self.config
+        return -2j * self.epsilon1 * math.sqrt(cfg.gamma / (2.0 * math.pi * cfg.v_g))
+
     def amplitude(self, k):
         """Trapped-field amplitude phi_k; the k0 point is the series limit."""
         k = np.asarray(k, dtype=float)
-        cfg = self.config
-        pref = -2j * self.epsilon1 * math.sqrt(cfg.gamma / (2.0 * math.pi * cfg.v_g))
         du = k - self.k0
-        small = np.abs(du) * cfg.spacing < _LIMIT_WINDOW
+        small = np.abs(du) * self.config.spacing < _LIMIT_WINDOW
         ratio = np.empty(k.shape, dtype=float)
         np.divide(self._g(k), du, out=ratio, where=~small)
         if small.any():
             ratio[small] = self._g_prime(k[small])
-        out = pref * ratio
+        out = self._pref * ratio
         return out if out.shape else complex(out)
 
     def intensity(self, k):
@@ -139,39 +139,21 @@ def overlap_with_initial(bic: BicState, state: InitialState) -> float:
     return abs(amp) ** 2
 
 
-def field_norm(bic: BicState, half_width: float | None = None,
-               extrapolate: bool = True) -> float:
-    """Quadrature norm of the trapped field, int |phi_k|^2 dk.
+def field_norm(bic: BicState) -> float:
+    """Norm of the trapped field, int |phi_k|^2 dk, in closed form.
 
-    Midpoint rule (``_NORM_CELLS`` cells) on the symmetric window k in
-    [k0 - L, k0 + L] (L default 200/d).  The truncated sin^2/u^2 tail makes
-    the plain result converge at O(1/L); with ``extrapolate`` a Richardson
-    step per window (widths L and 2L) removes the mean tail, and averaging
-    the extrapolants over one oscillation period of the window edge
-    suppresses the oscillatory boundary terms, leaving errors well under
-    1e-6.  Converges to ``bic.field_weight``.  The cell count is sized by
-    ``test_field_norm_cells_resolve_the_integrand``: a 10x finer midpoint
-    agrees to 1e-8 (measured <= 5e-10), below the window errors of about
-    1e-8 to 4e-7 that the extrapolation leaves.
+    With u = k - k0, atom a's leg sum is g(k0 + u) = sum_j c_j exp(i u y_j)
+    over y = (x_l, -x_l) and c = (-exp(i k0 x_l), exp(-i k0 x_l))/(2i).
+    g(k0) = 0 at the BIC, so the Fourier transform of 1/u^2 gives
+    int g^2/u^2 du = -pi sum_{j,j'} c_j c_j' |y_j + y_j'|, a sum over leg
+    pairs.  Built from the profile's own formula and never from D_-'(0),
+    it checks ``bic.field_weight`` independently.
     """
-    d = bic.config.spacing
-    if half_width is None:
-        half_width = 200.0 / d
-
-    def midpoint(lam: float) -> float:
-        dk = 2.0 * lam / _NORM_CELLS
-        k = bic.k0 - lam + dk * (np.arange(_NORM_CELLS) + 0.5)
-        return float(np.sum(bic.intensity(k)) * dk)
-
-    if not extrapolate:
-        return midpoint(half_width)
-    period = 2.0 * math.pi / d
-    shifts = 8
-    total = 0.0
-    for j in range(shifts):
-        lam = half_width + j * period / shifts
-        total += 2.0 * midpoint(2.0 * lam) - midpoint(lam)
-    return total / shifts
+    x = np.array(bic.config.leg_positions(0))
+    y = np.concatenate([x, -x])
+    c = np.concatenate([-np.exp(1j * bic.k0 * x), np.exp(-1j * bic.k0 * x)]) / 2j
+    pairs = np.sum(np.outer(c, c) * np.abs(y[:, None] + y[None, :]))
+    return abs(bic._pref) ** 2 * float((-math.pi * pairs).real)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ All artifacts are plain CSV (and NDJSON for the bic report) with
 config-echo comment headers; identical parameters produce byte-identical
 files.  SVG plots are optional conveniences behind ``--svg``.  Exit codes:
 0 success, 2 usage/config error (a ``ConfigError``), 3 numerical
-failure (a pole that does not converge, a series queried past its horizon
-or too ill-conditioned to evaluate, a floating-point error).
+failure (a pole that does not converge, an exact series whose rounding
+bound passes 1e-6, a floating-point error).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _FDD_CELL_BUDGET = 2 * 10 ** 7
 _SCAN_POINT_BUDGET = 10 ** 5
 #: Most detect times: 0.2 kB of peak memory each, 200 MB (118 x the default)
 _DETECT_POINT_BUDGET = 10 ** 6
-#: Most delays one exact series spans: L branches hold 8 L^2 bytes, 8 MB
+#: Most delays one exact series spans: its tables hold 32 L^2 bytes, 32 MB
 _BRANCH_BUDGET = 1000
 
 
@@ -258,7 +258,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
         print(f"wrote {os.path.join(out_dir, 'trajectory.csv')}")
     if engine in ("analytic", "both"):
-        sol = exact_solution(config, state, t_max=t_max * (1 + 1e-9))
         if traj is not None:
             ts = traj.t
         else:
@@ -266,7 +265,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                                        1.0 / config.gamma)
             _check_node_budget(steps)
             ts = np.linspace(0.0, t_max, max(int(round(steps)), 200) + 1)
-        c_a, c_b = sol.atomic(np.minimum(ts, sol.horizon - 1e-9 * config.delay))
+        sol = exact_solution(config, state, t_max=float(ts[-1]))
+        c_a, c_b = sol.atomic(ts)
         name = os.path.join(out_dir, "trajectory_analytic.csv")
         write_csv(name,
                   ["giantqed amplitude trajectory (exact series)",
@@ -360,8 +360,8 @@ def cmd_fdd(args: argparse.Namespace) -> int:
         raise ConfigError("fdd needs eta > 0 (finite leg spacing)")
     state = build_state(params)
     t_max = args.t_max / config.gamma
-    # the integrator at its step floor (K >= 50*eta) stays accurate at late
-    # times, where the branch series loses its digits to cancellation
+    # an integrator run at its step floor (K >= 50*eta) feeds the map; the
+    # exact series agrees with it to the integrator's own error at any time
     eta = config.gamma * config.delay
     steps_per_delay = max(100, math.ceil(50 * eta))
     # both budgets before any grid is built; eta sets K, so it and --t-max
@@ -426,7 +426,7 @@ def cmd_bic(args: argparse.Namespace) -> int:
             "epsilon1_sq": abs(bound.epsilon1) ** 2,
             "atomic_weight": bound.atomic_weight,
             "field_weight": bound.field_weight,
-            "field_norm_quadrature": norm,
+            "field_norm": norm,
             "k0": bound.k0,
             "overlap_symmetric": overlap_with_initial(
                 bound, InitialState.symmetric()),
@@ -436,7 +436,7 @@ def cmd_bic(args: argparse.Namespace) -> int:
         print(f"BIC exists: |eps1|^2 = {report['epsilon1_sq']!r}, "
               f"atomic weight = {report['atomic_weight']!r}, "
               f"field weight = {report['field_weight']!r}")
-        print(f"field norm (quadrature) = {norm!r}")
+        print(f"field norm (closed form) = {norm!r}")
         profile = bic_field_profile(bound)
         ppath = os.path.join(out_dir, "bic_profile.csv")
         profile.to_csv(ppath)

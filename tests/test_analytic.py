@@ -1,17 +1,19 @@
 """Branch-series solution, final-value limits and the Laplace denominator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from giantqed.analytic import (ExpPolySolution, IllConditioned,
-                               OutOfHorizon, ParityKernel,
-                               coefficients_to_csv, exact_solution,
+                               OutOfHorizon, ParityKernel, _series_tables,
+                               exact_solution,
                                laplace_denominator,
                                laplace_denominator_derivative,
                                markovian_effective_rate, parity_kernel,
                                steady_state)
+from giantqed.dde import integrate
 from giantqed.model import ConfigError, InitialState, SystemConfig
 
 
@@ -110,15 +112,109 @@ def test_evaluate_guards_horizon_and_negative_times():
 
 
 def test_evaluate_refuses_cancelled_digits():
-    """Braided antisymmetric at phi = 2pi: the branches grow and cancel, so
-    past t ~ 30 the rounding bound passes 1e-6 and the series refuses."""
+    """Braided antisymmetric at phi = 2pi: the branches grow and cancel (their
+    sum's rounding bound passes 1e-6 by t ~ 30), but the local form answers
+    to t = 40 within 1e-6 of the integrator and settles on the trapped
+    population 25/36.  A table whose rows cancel is still refused."""
     cfg = SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi)
-    sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=40.5)
-    sol(np.linspace(0.0, 15.0, 151))                 # still well conditioned
+    state = InitialState.antisymmetric()
+    sol = exact_solution(cfg, state, t_max=40.5)
+    traj = integrate(cfg, state, t_max=40.0, steps_per_delay=100)
+    c_a, c_b = sol.atomic(traj.t)
+    assert np.max(np.abs(np.abs(c_a) ** 2 - traj.pop_a)) < 1e-6
+    assert abs(c_a[-1]) ** 2 + abs(c_b[-1]) ** 2 == pytest.approx(25 / 36,
+                                                                  abs=1e-12)
+    cancelling = ExpPolySolution(branches=(), local=np.array([[1.0, 0.0],
+                                                              [1e12, -1e12]]),
+                                 decay=1.0, delay=1.0, parity=1, scale=1.0)
+    assert cancelling(0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
     with pytest.raises(IllConditioned, match="rounding bound"):
-        sol(np.linspace(0.0, 40.0, 401))
-    with pytest.raises(IllConditioned):
-        sol.atomic(30.0)
+        cancelling(np.array([0.5, 1.5]))
+
+
+def _shifted(poly, delay, shift):
+    """Coefficients in powers of s of P(s*delay + shift), exactly."""
+    out = [Fraction(0)] * len(poly)
+    for k, p in enumerate(poly):
+        for j in range(k + 1):
+            out[j] += p * math.comb(k, j) * delay ** j * shift ** (k - j)
+    return out
+
+
+def test_local_form_resums_the_branches():
+    """R_m(u) = sum_{l<=m} E^(m-l) P_l(u + (m-l) delay) for m <= 5, in exact
+    rationals: E is a formal parameter of the recursion, so a rational
+    stand-in for exp(-A_0 delay) makes both sides exact."""
+    coeffs = np.array([Fraction(1), Fraction(-3, 2), Fraction(1, 3),
+                       Fraction(5, 4), Fraction(-1, 2), Fraction(2, 7)],
+                      dtype=object)
+    delay, shrink = Fraction(2, 5), Fraction(3, 7)
+    branches, local = _series_tables(coeffs, 6, delay, shrink)
+    for m in range(6):
+        resummed = [Fraction(0)] * 6
+        for l in range(m + 1):
+            shifted = _shifted(branches[l], delay, (m - l) * delay)
+            resummed = [a + shrink ** (m - l) * b
+                        for a, b in zip(resummed, shifted)]
+        assert list(local[m]) == resummed
+
+
+@pytest.mark.parametrize("topology,parity,eta,phi,t_max,steps", [
+    ("separate", +1, 0.03, 0.7 * math.pi, 3.0, 100),
+    ("separate", -1, 0.2, 2 * math.pi, 61.0, 100),     # trapped interior
+    ("braided", +1, 1.0, 0.3 * math.pi, 20.0, 100),
+    ("braided", -1, 0.2, 2 * math.pi, 80.0, 100),      # the braided BIC
+    ("separate", +1, 4.9, 0.3 * math.pi, 40.0, 250),
+    ("braided", -1, 20.0, 0.5 * math.pi, 400.0, 1000),
+])
+def test_local_form_matches_the_integrator(topology, parity, eta, phi,
+                                           t_max, steps):
+    """Within criterion 1's bound of the method-of-steps integrator."""
+    cfg = SystemConfig.from_phase(topology, eta=eta, phi=phi)
+    state = (InitialState.symmetric() if parity > 0
+             else InitialState.antisymmetric())
+    traj = integrate(cfg, state, t_max=t_max, steps_per_delay=steps)
+    sol = exact_solution(cfg, state, t_max=float(traj.t[-1]))
+    c_a, c_b = sol.atomic(traj.t)
+    assert np.max(np.abs(np.abs(c_a) ** 2 - traj.pop_a)) < 1e-6
+    assert np.max(np.abs(np.abs(c_b) ** 2 - traj.pop_b)) < 1e-6
+
+
+def _branch_sum(sol, t):
+    """The paper's branch series summed branch by branch, with its rounding
+    bound eps * sum_l exp(-A_0 tau_l) sum_k |p_lk| tau_l^k."""
+    polyval = np.polynomial.polynomial.polyval
+    out = np.zeros(t.shape, dtype=complex)
+    bound = np.zeros(t.shape)
+    for l, poly in enumerate(sol.branches):
+        tau = np.maximum(t - l * sol.delay, 0.0)
+        live = t >= l * sol.delay
+        envelope = np.where(live, np.exp(-sol.decay * tau), 0.0)
+        out += envelope * polyval(tau, poly)
+        bound += envelope * polyval(tau, np.abs(poly))
+    return out, np.finfo(float).eps * bound
+
+
+@pytest.mark.parametrize("topology,parity,eta,phi,t_max", [
+    ("separate", +1, 0.15, 0.5 * math.pi, 8.0),
+    ("braided", -1, 0.2, 2 * math.pi, 40.0),
+    ("separate", -1, 0.2, 2 * math.pi, 61.0),
+    ("braided", +1, 3.0, 0.3 * math.pi, 60.0),
+])
+def test_local_form_matches_the_branch_series(topology, parity, eta, phi,
+                                              t_max):
+    """Wherever the branch sum's own bound is below 1e-9, the local form
+    agrees with it within that bound."""
+    cfg = SystemConfig.from_phase(topology, eta=eta, phi=phi)
+    state = (InitialState.symmetric() if parity > 0
+             else InitialState.antisymmetric())
+    sol = exact_solution(cfg, state, t_max=t_max)
+    t = np.linspace(0.0, t_max, 4001)
+    series, bound = _branch_sum(sol, t)
+    sharp = bound < 1e-9
+    assert sharp.mean() > 0.3
+    assert np.all(np.abs(sol(t[sharp]) - series[sharp])
+                  <= bound[sharp] + 1e-14)
 
 
 def test_exact_solution_input_validation():
@@ -296,23 +392,3 @@ def test_markovian_rate_requires_parity():
     cfg = SystemConfig.from_phase("separate", eta=0.1, phi=0.0)
     with pytest.raises(ConfigError):
         markovian_effective_rate(cfg, InitialState(c_a=0.8, c_b=0.1))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def test_coefficients_to_csv_round_trip(tmp_path):
-    cfg, sol = _series("braided", -1, eta=0.4, phi=0.0, n_branches=4)
-    path = tmp_path / "branches.csv"
-    coefficients_to_csv(sol, path)
-    lines = path.read_text().splitlines()
-    assert lines[-1 - sum(len(b) for b in sol.branches)] == "l,j,re_p,im_p"
-    rows = [line.split(",") for line in lines
-            if line and not line.startswith("#") and line[0].isdigit()]
-    rebuilt: dict[int, dict[int, complex]] = {}
-    for l, j, re, im in rows:
-        rebuilt.setdefault(int(l), {})[int(j)] = float(re) + 1j * float(im)
-    for l, poly in enumerate(sol.branches):
-        for j, p in enumerate(poly):
-            assert rebuilt[l][j] == p

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from giantqed import bic
 from giantqed.bic import (BicState, NoBic, bic_field_profile, bic_state,
                           field_norm, overlap_with_initial)
 from giantqed.model import ConfigError, InitialState, SystemConfig
@@ -94,11 +93,14 @@ def test_field_norm_converges_to_field_weight():
                                        ("braided", 2 * math.pi, 0.2, 3)):
         state = bic_state(_cfg(topology, phi, eta, n_legs))
         norm = field_norm(state)
-        assert norm == pytest.approx(state.field_weight, abs=1e-6)
+        assert norm == pytest.approx(state.field_weight, abs=1e-14)
 
 
-def test_field_norm_cells_resolve_the_integrand(monkeypatch):
-    """The default cell count is converged far below the window error."""
+def test_field_norm_matches_a_midpoint_rule():
+    """The closed form against a quadrature of the exported profile: a
+    midpoint rule on the window k0 +- L (L = 200/d), one Richardson step per
+    window (widths L and 2L) for the mean 1/L tail, averaged over 8 shifts
+    of the window edge across one oscillation period."""
     configs = [("separate", 2 * math.pi, 0.2, 2),
                ("separate", 3 * math.pi, 0.35, 2),
                ("braided", 2 * math.pi, 0.15, 2),
@@ -108,22 +110,19 @@ def test_field_norm_cells_resolve_the_integrand(monkeypatch):
                ("separate", 2 * math.pi, 0.2, 4),
                ("braided", 2 * math.pi, 0.2, 4),
                ("separate", 2 * math.pi, 5.0, 2)]
-    states = [bic_state(_cfg(*c)) for c in configs]
-    default = [field_norm(state) for state in states]
-    monkeypatch.setattr(bic, "_NORM_CELLS", 10 * bic._NORM_CELLS)
-    for state, norm in zip(states, default):
-        assert norm == pytest.approx(field_norm(state), abs=1e-8)
+    for config in configs:
+        state = bic_state(_cfg(*config))
+        d = state.config.spacing
 
+        def midpoint(half_width, cells=20_001):
+            dk = 2.0 * half_width / cells
+            k = state.k0 - half_width + dk * (np.arange(cells) + 0.5)
+            return float(np.sum(state.intensity(k)) * dk)
 
-def test_field_norm_plain_window_converges_like_one_over_width():
-    state = bic_state(_cfg("separate", 2 * math.pi, 0.2))
-    d = state.config.spacing
-    errs = [abs(field_norm(state, half_width=lam / d, extrapolate=False)
-                - state.field_weight) for lam in (50.0, 100.0, 200.0)]
-    assert errs[0] > errs[1] > errs[2]
-    # O(1/L): halving the error each doubling, within oscillatory wiggle
-    assert errs[2] < errs[0] / 2.5
-    assert errs[2] > 1e-5          # plain truncation genuinely needs the fix
+        widths = 200.0 / d + np.arange(8) * (2.0 * math.pi / d) / 8
+        quadrature = np.mean([2.0 * midpoint(2.0 * w) - midpoint(w)
+                              for w in widths])
+        assert field_norm(state) == pytest.approx(quadrature, abs=1e-6)
 
 
 def test_field_profile_csv_and_running_norm(tmp_path):

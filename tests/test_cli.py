@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from giantqed import cli
+from giantqed.analytic import exact_solution
 from giantqed.bic import bic_state, overlap_with_initial
 from giantqed.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_angle
 from giantqed.dde import integrate
@@ -157,8 +158,8 @@ def test_bic_report_when_bound_state_exists(tmp_path, capsys):
     assert report["exists"] is True
     assert report["atomic_weight"] == pytest.approx(1 / 1.2, rel=1e-12)
     assert report["field_weight"] == pytest.approx(0.2 / 1.2, rel=1e-12)
-    assert report["field_norm_quadrature"] == pytest.approx(
-        report["field_weight"], abs=1e-5)
+    assert report["field_norm"] == pytest.approx(
+        report["field_weight"], abs=1e-14)
     assert report["overlap_symmetric"] == pytest.approx(0.0, abs=1e-15)
     assert (tmp_path / "bic_profile.csv").exists()
 
@@ -205,15 +206,41 @@ def test_late_fdd_reports_the_trapped_interior(tmp_path, capsys):
 
 
 def test_simulate_refuses_an_ill_conditioned_series(tmp_path, capsys):
-    """Braided antisymmetric at phi = 2pi: by t = 40 the branch series has
-    cancelled away its digits, so ``--engine both`` fails with exit 3
-    instead of writing it."""
+    """Braided antisymmetric at phi = 2pi, t = 40: the branches have
+    cancelled away their digits, but the local form answers (max_abs_diff
+    4.5e-13 against the integrator's K = 100 run).  At eta = 20 over 100
+    delays the local rows themselves cancel, and the series is refused with
+    exit 3 instead of being written."""
     rc = main(["simulate", "--topology", "braided", "--eta", "0.2", "--phi",
                "2pi", "--state", "antisymmetric", "--engine", "both",
-               "--t-max", "40", "--out", str(tmp_path)])
+               "--t-max", "40", "--out", str(tmp_path / "late")])
+    assert rc == EXIT_OK
+    assert float(_line_value(capsys.readouterr().out,
+                             "max_abs_diff = ")) < 1e-6
+    rc = main(["simulate", "--topology", "braided", "--eta", "20", "--phi",
+               "0.5pi", "--state", "antisymmetric", "--engine", "analytic",
+               "--t-max", "2000", "--out", str(tmp_path / "long")])
     assert rc == EXIT_NUMERICAL
     assert "rounding bound" in capsys.readouterr().err
-    assert not (tmp_path / "trajectory_analytic.csv").exists()
+    assert not (tmp_path / "long" / "trajectory_analytic.csv").exists()
+
+
+@pytest.mark.parametrize("t_max", ["0.9995", "7.9999"])
+def test_simulate_analytic_rows_are_their_own_times(tmp_path, t_max):
+    """Every trajectory_analytic.csv row holds the series at its own t, the
+    last one included, although the integrator's last node lies past
+    t_max, on the horizon of a series built to t_max."""
+    assert main(["simulate", "--topology", "separate", "--eta", "0.2",
+                 "--engine", "both", "--t-max", t_max,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    _, rows = _data_rows(tmp_path / "trajectory_analytic.csv")
+    t, re_a, im_a, re_b, im_b = np.array(rows).T[:5]
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=0.0)
+    sol = exact_solution(cfg, InitialState.symmetric(),
+                         t_max=t[-1] + cfg.delay)
+    c_a, c_b = sol.atomic(t)
+    assert np.max(np.abs(re_a + 1j * im_a - c_a)) < 1e-15
+    assert np.max(np.abs(re_b + 1j * im_b - c_b)) < 1e-15
 
 
 def test_late_fdd_map_matches_trajectory_fed_map(tmp_path):

@@ -281,7 +281,7 @@ def test_write_csv_matches_a_repr_per_cell(tmp_path, n):
         rng.permutation(np.resize(_ADVERSARIAL, n)),
         # a short cycle, so values repeat across every chunk boundary
         0.5 * (np.arange(n) % 7) - 1.0,
-        # int64 like coefficients_to_csv's (l, j): must stay "0", not "0.0"
+        # int64 row and column indices: must stay "0", not "0.0"
         np.repeat(np.arange(n), sizes)[:n],
         np.arange(n) - starts,
         # a Python list, like the exact-series population columns
