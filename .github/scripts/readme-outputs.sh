@@ -41,3 +41,8 @@ run decay-rates-separate-omega0-2 decay-rates --topology separate --omega0 2 \
 # the braided dark state past t ~ 30, where the branch sum loses its digits
 run simulate-late simulate --topology braided --eta 0.2 --phi 2pi \
     --state antisymmetric --engine both --t-max 40
+# away from gamma = v_g = 1: the scan's delay and the detector's lags take v_g
+run decay-rates-vg decay-rates --topology braided --v-g 2
+run detect-gamma detect --topology separate --eta 0.2 --phi 2pi \
+    --state antisymmetric --t-max 40 --switch-at 20 --phi-after 2.5pi \
+    --gamma 0.7 --v-g 1.9

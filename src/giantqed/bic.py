@@ -4,7 +4,7 @@ At special leg-spacing phases a totally antisymmetric atomic excitation
 stops radiating: part of the excitation stays on the atoms and the rest is
 trapped as a standing field between the legs.  This module builds that
 normalized dark eigenstate, its overlap with atomic initial states, and the
-momentum-space profile of the trapped field.
+trapped field's momentum profile and norm, both from one leg decomposition.
 
 The state exists where the antisymmetric Laplace denominator vanishes at
 the origin, D_-(0) = 0 (``analytic.steady_state`` calls that sector dark),
@@ -29,10 +29,6 @@ import numpy as np
 
 from . import analytic
 from .model import ConfigError, InitialState, SystemConfig, write_csv
-
-#: |k - k0| below this (in units of 1/d) switches to the series limit of
-#: g(k)/(k-k0), removing the 0/0 at the resonant wavenumber.
-_LIMIT_WINDOW = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,30 +71,32 @@ class BicState:
     def k0(self) -> float:
         return self.config.k0
 
-    def _g(self, k):
-        """Atom a's leg sum g(k) = -sum_l sin(k x_l)."""
-        return -sum(np.sin(k * x) for x in self.config.leg_positions(0))
-
-    def _g_prime(self, k):
-        return -sum(x * np.cos(k * x) for x in self.config.leg_positions(0))
-
     @property
     def _pref(self) -> complex:
         """phi_k = pref * g(k)/(k - k0)."""
         cfg = self.config
         return -2j * self.epsilon1 * math.sqrt(cfg.gamma / (2.0 * math.pi * cfg.v_g))
 
+    @property
+    def _legs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c, y) with g(k0 + u) = sum_j c_j exp(i u y_j): y = (x_l, -x_l),
+        c = (-exp(i k0 x_l), exp(-i k0 x_l))/(2i) over atom a's legs."""
+        x = np.array(self.config.leg_positions(0))
+        y = np.concatenate([x, -x])
+        return np.repeat([-1, 1], x.size) * np.exp(1j * self.k0 * y) / 2j, y
+
     def amplitude(self, k):
-        """Trapped-field amplitude phi_k; the k0 point is the series limit."""
-        k = np.asarray(k, dtype=float)
-        du = k - self.k0
-        small = np.abs(du) * self.config.spacing < _LIMIT_WINDOW
-        ratio = np.empty(k.shape, dtype=float)
-        np.divide(self._g(k), du, out=ratio, where=~small)
-        if small.any():
-            ratio[small] = self._g_prime(k[small])
+        """Trapped-field amplitude phi_k = pref * g(k)/(k - k0).
+
+        sum_j c_j = g(k0) = 0, so g(k0 + u)/u is the sum over ``_legs`` of
+        c_j i y_j exp(i u y_j/2) sinc(u y_j/2pi), with no 0/0 at k0.
+        """
+        c, y = self._legs
+        half = 0.5 * (np.asarray(k, dtype=float)[..., None] - self.k0) * y
+        ratio = (c * 1j * y * np.exp(1j * half)
+                 * np.sinc(half / math.pi)).sum(axis=-1).real
         out = self._pref * ratio
-        return out if out.shape else complex(out)
+        return out if np.ndim(out) else complex(out)
 
     def intensity(self, k):
         """|phi_k|^2, the exported momentum-space field profile."""
@@ -143,15 +141,13 @@ def field_norm(bic: BicState) -> float:
     """Norm of the trapped field, int |phi_k|^2 dk, in closed form.
 
     With u = k - k0, atom a's leg sum is g(k0 + u) = sum_j c_j exp(i u y_j)
-    over y = (x_l, -x_l) and c = (-exp(i k0 x_l), exp(-i k0 x_l))/(2i).
-    g(k0) = 0 at the BIC, so the Fourier transform of 1/u^2 gives
-    int g^2/u^2 du = -pi sum_{j,j'} c_j c_j' |y_j + y_j'|, a sum over leg
-    pairs.  Built from the profile's own formula and never from D_-'(0),
-    it checks ``bic.field_weight`` independently.
+    over ``BicState._legs``.  g(k0) = 0 at the BIC, so the Fourier
+    transform of 1/u^2 gives int g^2/u^2 du = -pi sum_{j,j'} c_j c_j'
+    |y_j + y_j'|, a sum over leg pairs.  Built from the profile's own
+    formula and never from D_-'(0), it checks ``bic.field_weight``
+    independently.
     """
-    x = np.array(bic.config.leg_positions(0))
-    y = np.concatenate([x, -x])
-    c = np.concatenate([-np.exp(1j * bic.k0 * x), np.exp(-1j * bic.k0 * x)]) / 2j
+    c, y = bic._legs
     pairs = np.sum(np.outer(c, c) * np.abs(y[:, None] + y[None, :]))
     return abs(bic._pref) ** 2 * float((-math.pi * pairs).real)
 

@@ -39,9 +39,10 @@ from . import __version__
 from .analytic import IllConditioned, OutOfHorizon, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
 from .dde import (GRID_END_SLACK, DriveSchedule, _check_node_budget,
-                  integrate, integrate_with_drive, to_csv as traj_to_csv)
+                  _write_trajectory, integrate, integrate_with_drive,
+                  to_csv as traj_to_csv)
 from .field import detector_signal, fdd as compute_fdd, released_energy
-from .model import ConfigError, InitialState, SystemConfig, write_csv
+from .model import ConfigError, InitialState, SystemConfig
 from .spectral import NonConvergence, scan_decay_rates
 
 ENV_PREFIX = "GIANTQED_"
@@ -268,13 +269,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sol = exact_solution(config, state, t_max=float(ts[-1]))
         c_a, c_b = sol.atomic(ts)
         name = os.path.join(out_dir, "trajectory_analytic.csv")
-        write_csv(name,
-                  ["giantqed amplitude trajectory (exact series)",
-                   *config.summary_lines()],
-                  "t,re_ca,im_ca,re_cb,im_cb,pop_a,pop_b",
-                  [ts, c_a.real, c_a.imag, c_b.real, c_b.imag,
-                   [abs(a) ** 2 for a in c_a.tolist()],
-                   [abs(b) ** 2 for b in c_b.tolist()]])
+        _write_trajectory(name, ["giantqed amplitude trajectory (exact series)",
+                                 *config.summary_lines()], ts, c_a, c_b)
         print(f"wrote {name}")
         if traj is not None:
             diff = float(np.max(np.abs(np.abs(c_a) ** 2 - traj.pop_a)))
@@ -347,8 +343,8 @@ def cmd_decay_rates(args: argparse.Namespace) -> int:
     print(f"wrote {path}")
     x_peak, peak = scan.peak()
     print(f"peak: x = {x_peak!r}, max_re_rate = {peak!r}")
-    cfg = SystemConfig(topology=topology, gamma=gamma,
-                       delay=x_peak * math.pi / omega0, omega0=omega0, v_g=v_g)
+    cfg = SystemConfig(topology=topology, gamma=gamma, omega0=omega0, v_g=v_g,
+                       delay=x_peak * math.pi / (omega0 * v_g))
     RunManifest("decay-rates", cfg, out_dir).write()
     return EXIT_OK
 
@@ -553,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--omega0", type=float,
                       help="fixed frequency of the scan (default 50)")
     scan.add_argument("--scan", default="0.005:3.0:0.005",
-                      help="omega0*dx/pi grid as start:stop:step")
+                      help="x = omega0*v_g*delay/pi as start:stop:step")
     scan.set_defaults(func=cmd_decay_rates)
 
     fd = subs.add_parser("fdd", help="emitted intensity map I(x, t)")

@@ -422,10 +422,10 @@ _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 #: indices, kernel weights and interpolated rows stay in cache.
 _OMEGA_BLOCK = 2048
 
-#: Most values one group of node ranges may hold, in the stacked NUFFT grid
+#: Most values one group of node pieces may hold, in the stacked NUFFT grid
 #: (rows x oversampled length) and in a block's gathered kernel windows
-#: (rows x width x block); ranges past it go in further groups, each with
-#: its own omega pass.  A group holds at least one range.
+#: (rows x width x block); pieces past it go in further groups, each with
+#: its own omega pass.  A group holds at least one piece.
 _GRID_CAP = 1 << 20
 
 
@@ -514,18 +514,19 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     containing a mid-step drive switch is weighted with the pre-switch
     drive, an O(h) slice of a single node.
 
-    The integral is a sum over node ranges: each closed drive segment in
-    full, and each snapshot from its segment's first node (a boundary node
-    belongs to both segments).  The node sums sum_j c_j exp(i omega tau_j)
-    of all ranges are one type-2 nonuniform FFT on any ``omega_grid``
-    (uniform, descending, irregular or a few points).  Stage 1 is one
-    stacked inverse FFT, two rows per range on M >= 2 N_tau points:
-    O(R M log M) for R ranges.  Stage 2 is one pass over ``omega_grid`` in
-    blocks of 2048 frequencies; per frequency it takes w = 13 kernel
-    weights, 13 grid values per row, and one complex exp per range end
-    node, per segment, per leg distance and for the kernel phase.  Ranges
-    that would pass ``_GRID_CAP`` values run in groups, each with its own
-    pass.  Against the direct sum on the criterion-8 runs (4161 nodes,
+    The integral to a snapshot is a running sum of node pieces, cut at
+    every segment start and snapshot node so that each lies in one drive
+    segment (a boundary node belongs to both).  The node sums
+    sum_j c_j exp(i omega tau_j) of all pieces are one type-2 nonuniform
+    FFT on any ``omega_grid`` (uniform, descending, irregular or a few
+    points).  Stage 1 is one stacked inverse FFT, two rows per piece on
+    M >= 2 N_tau points: O(P M log M) for P pieces.  Stage 2 is one pass
+    over ``omega_grid`` in blocks of 2048 frequencies; per frequency it
+    takes w = 13 kernel weights, 13 grid values per row, and one complex
+    exp per piece end node, per segment, per leg distance and for the
+    kernel phase.  Pieces that would pass ``_GRID_CAP`` values run in
+    groups, each with its own pass.  Against the direct sum on the
+    criterion-8 runs (4161 nodes,
     five snapshots) the amplitudes agree to 2.2e-13 of the peak on every
     40th point of the 80 001-point grid, and to 3.3e-13 on a random
     20 001-point subset.
@@ -563,34 +564,26 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
         -1j * sched.window_phase(tau, tau))
 
-    # first and last node of each schedule segment; the boundary node
-    # belongs to both the closing and the opening segment
+    # pieces (segment, first node, last node) between consecutive cuts
     n_nodes = tau.size
     seg_first = [0] + [min(n_nodes - 1, math.ceil(s / h - GRID_END_SLACK))
                        for s in sched.starts[1:]]
-    seg_last = seg_first[1:] + [n_nodes - 1]
-    # a snapshot belongs to the first segment whose last node reaches it
-    snap_seg = [bisect_left(seg_last, stop) for stop in stops]
-    # integral terms (segment, first node, last node) by index: every closed
-    # segment before the last snapshot's (one of a single node adds
-    # nothing), then each snapshot's segment up to its node
-    terms: dict[tuple[int, int, int], int] = {}
-    closed = {j: terms.setdefault((j, seg_first[j], seg_last[j]), len(terms))
-              for j in range(max(snap_seg, default=0))
-              if seg_first[j] < seg_last[j]}
-    partial = [terms.setdefault((j, seg_first[j], stop), len(terms))
-               for j, stop in zip(snap_seg, stops)]
-    keys = list(terms)
+    last = max(stops, default=0)
+    cuts = sorted({n for n in (*seg_first, *stops) if n <= last})
+    pieces = [(bisect_right(seg_first, a) - 1, a, b)
+              for a, b in zip(cuts, cuts[1:])]
+    # the integral to snapshot k is the sum of its first counts[k] pieces
+    counts = [bisect_left(cuts, stop) for stop in stops]
     per_group = max(1, _GRID_CAP // (2 * max(_grid_size(n_nodes),
                                              _NUFFT_WIDTH * _OMEGA_BLOCK)))
 
     out_r = np.zeros((len(times), omega.size), dtype=complex)
     out_l = np.zeros((len(times), omega.size), dtype=complex)
-    for g in range(0, len(keys), per_group):
-        group = range(g, min(g + per_group, len(keys)))
-        sums_at = _nufft_sums(rot, [keys[i][1:] for i in group], h)
-        segs = {keys[i][0] for i in group}
-        nodes = {n for i in group for n in keys[i][1:]}
+    for g in range(0, len(pieces), per_group):
+        group = pieces[g:g + per_group]
+        sums_at = _nufft_sums(rot, [(a, b) for _, a, b in group], h)
+        segs = {j for j, _, _ in group}
+        nodes = {n for _, a, b in group for n in (a, b)}
         for lo in range(0, omega.size, _OMEGA_BLOCK):
             blk = slice(lo, lo + _OMEGA_BLOCK)
             om = omega[blk]
@@ -603,27 +596,22 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
             # c at a node times exp(i omega tau), exactly c at tau = 0
             ends = {n: rot[:, n, None] * np.exp(1j * tau[n] * om) if n
                     else rot[:, :1] for n in nodes}
-            vals = {}
-            for i, acc in zip(group, sums):
-                j, a, b = keys[i]
+            # running sum of the group's pieces, in node order
+            running, total = [], 0
+            for (j, a, b), acc in zip(group, sums):
                 w0, w1s = weights[j]
-                vals[i] = w0 * (acc - ends[b]) + w1s * (acc - ends[a])
+                total = total + w0 * (acc - ends[b]) + w1s * (acc - ends[a])
+                running.append(total)
             # leg sums times -i g0; the left-moving legs are the conjugates
             ph = np.exp(-1j * np.outer(dist, om) / cfg.v_g)
             leg = [sum(ph[d].conj() if neg else ph[d] for d, neg in sides)
                    for sides in legs]
             leg_r = [-1j * g0 * f for f in leg]
             leg_l = [-1j * g0 * f.conj() for f in leg]
-            # closed segments' integral before each segment
-            before = [0]
-            for j in range(max(snap_seg, default=0)):
-                i = closed.get(j)           # None for a single-node segment
-                before.append(before[-1] + vals.get(i, 0))
-            for k, j in enumerate(snap_seg):
-                total = before[j] + vals.get(partial[k], 0)
-                if np.ndim(total) == 0:      # no range of this group
+            for k, count in enumerate(counts):
+                if count <= g:               # no piece of this group
                     continue
-                ia, ib = total
+                ia, ib = running[min(count - g, len(group)) - 1]
                 out_r[k, blk] += leg_r[0] * ia + leg_r[1] * ib
                 out_l[k, blk] += leg_l[0] * ia + leg_l[1] * ib
     if scalar:
@@ -651,6 +639,11 @@ def to_csv(traj: AmplitudeTrajectory, path) -> None:
         seg = ", ".join(f"({float(s)!r}, {float(w)!r})" for s, w in
                         zip(traj.schedule.starts, traj.schedule.omegas))
         comments.append(f"schedule = [{seg}]")
+    _write_trajectory(path, comments, traj.t, traj.c_a, traj.c_b)
+
+
+def _write_trajectory(path, comments, t, c_a, c_b) -> None:
+    """Trajectory CSV of either engine: t, both amplitudes and |c|^2."""
     write_csv(path, comments, "t,re_ca,im_ca,re_cb,im_cb,pop_a,pop_b",
-              [traj.t, traj.c_a.real, traj.c_a.imag, traj.c_b.real,
-               traj.c_b.imag, traj.pop_a, traj.pop_b])
+              [t, c_a.real, c_a.imag, c_b.real, c_b.imag,
+               np.abs(c_a) ** 2, np.abs(c_b) ** 2])

@@ -6,10 +6,10 @@ mode integral into a delta function, so the field at (x, t) is a finite sum
 of retarded atomic amplitudes, one per (leg, direction) pair.  The
 right-moving part of leg ``x_l`` contributes ``c_m(t - (x - x_l)/v)`` on
 ``x >= x_l``, the left-moving part ``c_m(t + (x - x_l)/v)`` on ``x <= x_l``,
-each gated to source times inside ``[0, t]`` and carrying the accumulated
-drive phase of its own retarded argument.  Both directions are summed
-inside a single modulus square, which is what produces the standing-wave
-fringes between the legs.
+each gated to source times inside ``[0, t]`` and carrying the drive phase
+of its retardation window [t - |x - x_l|/v, t].  Both directions are
+summed inside a single modulus square, which is what produces the
+standing-wave fringes between the legs.
 
 The emitted intensity is reported as
 
@@ -41,51 +41,43 @@ __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
 
 
 # ---------------------------------------------------------------------------
-# amplitude sources
+# amplitude sources and the retarded-leg term
 # ---------------------------------------------------------------------------
 
-class _Source:
-    """Uniform view of a branch series or an integrated trajectory.
+def _source(source, config: SystemConfig, parity: int | None, t_last: float):
+    """(amplitude(t, atom), schedule) of a branch series or a trajectory
+    that matches ``config`` and ``parity`` (unless None) and covers t_last."""
+    if isinstance(source, ExpPolySolution):
+        if abs(source.delay - config.delay) > 1e-12 * max(1.0, config.delay):
+            raise ConfigError("series was built for a different delay")
+        if parity is not None and source.parity != parity:
+            raise ConfigError(
+                f"series has parity {source.parity:+d}, not {parity:+d}")
+        # last legal query time (evaluate refuses the horizon itself)
+        horizon = source.horizon - 2e-12 * max(source.delay, 1.0)
+        schedule = DriveSchedule.constant(config.omega0)
 
-    Exposes each atom's amplitude on arbitrary (already windowed) time
-    arrays, the drive schedule, and the horizon up to which queries are
-    legal.
-    """
-
-    def __init__(self, source, config: SystemConfig, parity: int | None):
-        if isinstance(source, ExpPolySolution):
-            if abs(source.delay - config.delay) > 1e-12 * max(1.0, config.delay):
-                raise ConfigError("series was built for a different delay")
-            if parity is not None and source.parity != parity:
-                raise ConfigError(
-                    f"series has parity {source.parity:+d}, not {parity:+d}")
-            self._kind = "series"
-            # last legal query time (evaluate refuses the horizon itself)
-            self.horizon = source.horizon - 2e-12 * max(source.delay, 1.0)
-            self.schedule = DriveSchedule.constant(config.omega0)
-        elif isinstance(source, AmplitudeTrajectory):
-            for field in ("topology", "gamma", "delay", "n_legs", "v_g"):
-                if getattr(source.config, field) != getattr(config, field):
-                    raise ConfigError(f"trajectory {field} does not match config")
-            if parity is not None:
-                ca0, cb0 = complex(source.c_a[0]), complex(source.c_b[0])
-                if abs(cb0 - parity * ca0) > 1e-9 * max(1.0, abs(ca0)):
-                    raise ConfigError(
-                        "trajectory initial state does not have the "
-                        f"requested exchange parity {parity:+d}")
-            self._kind = "trajectory"
-            self.horizon = source.horizon
-            self.schedule = source.schedule
-        else:
-            raise TypeError("amplitude source must be an ExpPolySolution "
-                            "or an AmplitudeTrajectory")
-        self._source = source
-
-    def amplitude(self, atom: int, t: np.ndarray) -> np.ndarray:
-        """Amplitude of one atom (0 for a, 1 for b) at the times ``t``."""
-        if self._kind == "series":
-            return self._source.atomic(t)[atom]
-        return self._source.interpolate(t, atom)
+        def amplitude(t, atom):
+            return source.atomic(t)[atom]
+    elif isinstance(source, AmplitudeTrajectory):
+        for field in ("topology", "gamma", "delay", "n_legs", "v_g"):
+            if getattr(source.config, field) != getattr(config, field):
+                raise ConfigError(f"trajectory {field} does not match config")
+        if parity is not None:
+            ca0, cb0 = complex(source.c_a[0]), complex(source.c_b[0])
+            if abs(cb0 - parity * ca0) > 1e-9 * max(1.0, abs(ca0)):
+                raise ConfigError("trajectory initial state does not have the "
+                                  f"requested exchange parity {parity:+d}")
+        horizon, schedule = source.horizon, source.schedule
+        amplitude = source.interpolate
+    else:
+        raise TypeError("amplitude source must be an ExpPolySolution "
+                        "or an AmplitudeTrajectory")
+    if t_last > horizon:
+        raise ConfigError(f"the requested times need amplitudes up to t = "
+                          f"{t_last!r} but the source only covers t <= "
+                          f"{horizon!r}; build it with a longer run")
+    return amplitude, schedule
 
 
 def _half_step(u: np.ndarray) -> np.ndarray:
@@ -93,11 +85,18 @@ def _half_step(u: np.ndarray) -> np.ndarray:
     return np.where(u > 0, 1.0, np.where(u == 0, 0.5, 0.0))
 
 
-def _require_horizon(src: _Source, needed: float, what: str) -> None:
-    if needed > src.horizon:
-        raise ConfigError(
-            f"{what} needs amplitudes up to t = {needed!r} but the source "
-            f"only covers t <= {src.horizon!r}; build it with a longer run")
+def _retarded(amplitude, schedule: DriveSchedule, atom: int, t, width,
+              gate: np.ndarray) -> np.ndarray:
+    """gate * c_atom(t - width) * exp(i Int_{t-width}^t omega0(s) ds), with
+    t and width broadcast to gate's shape, evaluated where gate > 0 only."""
+    t, width = np.broadcast_arrays(t, width)
+    out = np.zeros(gate.shape, dtype=complex)
+    cells = gate > 0
+    if cells.any():
+        t, width = t[cells], width[cells]
+        out[cells] = gate[cells] * np.exp(
+            1j * schedule.window_phase(t, width)) * amplitude(t - width, atom)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +161,10 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
 
     ``amplitude_source`` is either an exact branch series or an integrated
     trajectory for a parity eigenstate; it must cover every time in
-    ``t_grid``.  The returned intensity is exactly zero outside the light
-    cone ``|x| <= max(leg) + v_g * t`` and on the ``t <= 0`` slices.
+    ``t_grid``.  A (leg, direction) term takes the width w = direction *
+    (x - x_l)/v_g and the gate step(w) * step(t - w).  The returned
+    intensity is exactly zero outside the light cone ``|x| <= max(leg) +
+    v_g * t`` and on the ``t <= 0`` slices.
     """
     if parity not in (1, -1):
         raise ConfigError("parity must be +1 or -1")
@@ -171,8 +172,8 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     t = np.asarray(t_grid, dtype=float)
     if x.ndim != 1 or t.ndim != 1 or x.size == 0 or t.size == 0:
         raise ConfigError("x_grid and t_grid must be non-empty 1-D arrays")
-    src = _Source(amplitude_source, config, parity)
-    _require_horizon(src, float(t.max()), "the requested time grid")
+    amplitude, schedule = _source(amplitude_source, config, parity,
+                                  float(t.max()))
 
     v = np.float64(config.v_g)      # so v**2 out of float range follows errstate
     tcol = t[:, None]
@@ -180,16 +181,9 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     for atom in (0, 1):
         for x_leg in config.leg_positions(atom):
             for direction in (1.0, -1.0):
-                tau = tcol - direction * (x[None, :] - x_leg) / v
-                window = _half_step(tau) * _half_step(tcol - tau)
-                mask = window > 0
-                if not mask.any():
-                    continue
-                safe = np.where(mask, tau, 0.0)
-                c = src.amplitude(atom, safe.ravel()).reshape(tau.shape)
-                # drive phase Omega(tau) accumulated since t = 0
-                phase = np.exp(-1j * src.schedule.window_phase(safe, safe))
-                total += window * c * phase
+                width = direction * (x - x_leg) / v
+                total += _retarded(amplitude, schedule, atom, tcol, width,
+                                   _half_step(width) * _half_step(tcol - width))
     intensity = (config.gamma * math.pi / v ** 2) * np.abs(total) ** 2
     intensity[t <= 0, :] = 0.0
     return FieldGrid(x=x, t=t, intensity=intensity, parity=parity,
@@ -235,8 +229,10 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
     Each leg at slot distance ``n`` from the rightmost one contributes
     ``gamma * exp(i dOmega_n) * c_m(t_bar - n*delay)`` where ``dOmega_n``
     is the drive phase accumulated over the retardation window (``n*phi``
-    for a constant frequency); the sum carries an overall ``2/sqrt(gamma
-    v_g)``.  The signal vanishes identically for ``t_bar < 0``.
+    for a constant frequency), ``fdd``'s right-moving term with the lag as
+    width.  The sum carries an overall ``2/sqrt(gamma v_g)``: ``fdd`` at
+    (x_last + x0, t_bar + x0/v_g) is pi/(4 v_g) |amplitude|^2.  The signal
+    vanishes identically for ``t_bar < 0``.
     """
     if not 0 < x0 < math.inf:
         raise ConfigError("x0 must be positive and finite (detector beyond "
@@ -244,26 +240,18 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
     tb = np.asarray(t_bar_grid, dtype=float)
     if tb.ndim != 1 or tb.size == 0:
         raise ConfigError("t_bar_grid must be a non-empty 1-D array")
-    src = _Source(amplitude_source, config, None)
-    _require_horizon(src, float(tb.max()), "the requested detector window")
+    amplitude, schedule = _source(amplitude_source, config, None,
+                                  float(tb.max()))
 
-    d = config.spacing
     last = 2 * config.n_legs - 1
     amp = np.zeros(tb.size, dtype=complex)
     for atom in (0, 1):
         for slot in config.leg_slots(atom):
-            lag = (last - slot) * d / config.v_g
-            tau = tb - lag
-            gate = _half_step(tau)
-            mask = gate > 0
-            if not mask.any():
-                continue
-            safe = np.where(mask, tau, 0.0)
-            c = src.amplitude(atom, safe)
-            window = src.schedule.window_phase(tb, lag)
-            amp += gate * config.gamma * np.exp(1j * window) * c
+            # the detector is strictly right of every leg: no gate on the lag
+            lag = (last - slot) * config.spacing / config.v_g
+            amp += config.gamma * _retarded(amplitude, schedule, atom, tb,
+                                            lag, _half_step(tb - lag))
     amp *= 2.0 / math.sqrt(config.gamma * config.v_g)
-    amp[tb < 0] = 0.0
     return DetectorRecord(t_bar=tb, amplitude=amp, x0=float(x0),
                           config=config)
 

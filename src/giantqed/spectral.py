@@ -309,12 +309,12 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
                      v_g: float = 1.0, x_min: float | None = None) -> DecayRateScan:
     """Both parity poles over x = omega0*dx/pi in [x_min, x_max].
 
-    omega0 is held fixed (default 50*gamma) while the leg spacing dx
-    varies, so the retardation eta = pi*x*gamma/omega0 grows along the
-    scan.  Each point reports the pole connected to the Markovian one (see
-    ``connected_pole``) and, in the residual columns, |D_p(s)|/gamma at
-    that pole for the point's own config.  ``x_min`` defaults to one grid
-    step.
+    omega0 is held fixed (default 50*gamma) while the leg spacing
+    dx = v_g*delay varies, so the retardation eta = pi*x*gamma/(omega0*v_g)
+    grows along the scan.  Each point reports the pole connected to the
+    Markovian one (see ``connected_pole``) and, in the residual columns,
+    |D_p(s)|/gamma at that pole for the point's own config.  ``x_min``
+    defaults to one grid step.
 
     One batched ramp per parity serves every point: the A_n(phi) =
     a_n exp(i n phi) of all points come from one phase-free delay table as
@@ -327,8 +327,9 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
 
     Raises:
         ConfigError: on an empty or non-positive x range, an unknown
-            topology, or a largest eta with eta*n > ln(float max) ~ 709.78
-            for the longest lag n, where the exponentials would overflow.
+            topology, omega0 or omega0*v_g outside (0, inf), or a largest
+            eta with eta*n > ln(float max) ~ 709.78 for the longest lag n,
+            where the exponentials would overflow.
     """
     if n_points < 1:
         raise ConfigError(f"n_points must be at least 1, got {n_points!r}")
@@ -336,21 +337,22 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
         x_min = x_max / n_points
     if not 0 < x_min <= x_max:
         raise ConfigError("need 0 < x_min <= x_max")
-    if not 0 < omega0 < math.inf:
-        raise ConfigError(f"omega0 must be positive and finite, got {omega0!r}")
+    if not (0 < omega0 < math.inf and 0 < omega0 * v_g < math.inf):
+        raise ConfigError(f"omega0 (--omega0) and omega0*v_g (--v-g) must be "
+                          f"positive and finite, got {omega0!r} and {v_g!r}")
     # the table depends on topology, legs and gamma only: the scan's system
     # at zero spacing, where every ramp starts, gives every point's table
     table = delay_table(SystemConfig(topology=topology, gamma=gamma,
                                      delay=0.0, omega0=omega0, v_g=v_g))
-    eta_max = x_max * math.pi / omega0 * gamma
+    eta_max = x_max * math.pi / (omega0 * v_g) * gamma
     if not eta_max * table.max_step <= _LOG_FLOAT_MAX:
         raise ConfigError(
-            f"the scan's largest retardation eta = pi*x*gamma/omega0 = "
+            f"the scan's largest retardation eta = pi*x*gamma/(omega0*v_g) = "
             f"{eta_max:.6g} at x = {x_max:.6g} is out of range: "
             f"eta*{table.max_step} must stay <= {_LOG_FLOAT_MAX:.6g}; raise "
-            "omega0 (--omega0) or lower the x range (--scan)")
+            "omega0 (--omega0) or v_g (--v-g) or lower the x range (--scan)")
     xs = np.linspace(x_min, x_max, n_points)
-    delays = xs * math.pi / omega0
+    delays = xs * math.pi / (omega0 * v_g)
     eta = delays * gamma
     rates, markov, residuals, iterations, subdivisions = [], [], [], [], []
     for parity in (+1, -1):

@@ -85,6 +85,26 @@ def test_profile_is_finite_and_peaked_at_resonance():
     assert state.intensity(k0 + 30.0 / d) < v_at_k0 / 100.0
 
 
+@pytest.mark.parametrize("topology,phi,eta,n_legs",
+                         [("separate", 2 * math.pi, 0.2, 2),
+                          ("separate", 4 * math.pi, 0.3, 2),
+                          ("braided", 2 * math.pi, 0.15, 2),
+                          ("separate", 2 * math.pi, 0.2, 3),
+                          ("braided", 2 * math.pi, 0.2, 3)])
+def test_profile_is_smooth_through_resonance(topology, phi, eta, n_legs):
+    """The profile's one formula has no 0/0 to patch at k0: where
+    g'(k0) != 0, steps of u*d = 2e-8 and 1e-7 either side of k0 stay within
+    1e-12 of the value at k0."""
+    state = bic_state(_cfg(topology, phi, eta, n_legs))
+    x = np.array(state.config.leg_positions(0))
+    assert abs(np.sum(x * np.cos(state.k0 * x))) > 0.1 * state.config.spacing
+    at_k0 = state.intensity(state.k0)
+    d = state.config.spacing
+    for ud in (2e-8, 1e-7, -2e-8, -1e-7):
+        assert state.intensity(state.k0 + ud / d) == pytest.approx(
+            at_k0, rel=1e-12, abs=0.0)
+
+
 def test_field_norm_converges_to_field_weight():
     for topology, phi, eta, n_legs in (("separate", 2 * math.pi, 0.2, 2),
                                        ("separate", 3 * math.pi, 0.35, 2),

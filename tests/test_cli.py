@@ -142,6 +142,28 @@ def test_decay_rates_scan(tmp_path, capsys):
     assert (tmp_path / "decay_rates_manifest.txt").exists()
 
 
+def test_decay_rates_v_g_scales_the_delay(tmp_path):
+    """x = omega0*dx/pi with dx = v_g*delay: at v_g = 2 the scan over
+    0.01:6.0:0.01 has the delays of the v_g = 1 scan over 0.005:3.0:0.005
+    and the same rates bit for bit, and both manifests the same delay."""
+    def scan(out, *flags):
+        assert main(["decay-rates", "--topology", "braided", *flags,
+                     "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",", 1) for line in
+                (out / "decay_rates.csv").read_text().splitlines()
+                if line and not line.startswith("#")][1:]
+        manifest = (out / "decay_rates_manifest.txt").read_text()
+        return ([float(x) for x, _ in rows], [rest for _, rest in rows],
+                _line_value(manifest, "delay = "))
+
+    x1, rates1, delay1 = scan(tmp_path / "v1", "--scan", "0.005:3.0:0.005")
+    x2, rates2, delay2 = scan(tmp_path / "v2", "--v-g", "2",
+                              "--scan", "0.01:6.0:0.01")
+    assert x2 == [2.0 * x for x in x1]
+    assert rates2 == rates1
+    assert delay2 == delay1
+
+
 def test_decay_rates_bad_scan_spec(tmp_path, capsys):
     rc = main(["decay-rates", "--scan", "1:2", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
@@ -310,6 +332,10 @@ INVALID_VALUES = (
     (["decay-rates", "--omega0", "0"], {}, "--omega0"),
     # eta = pi*3/1e-300 would overflow exp(-s n delay); trips before the scan
     (["decay-rates", "--omega0", "1e-300"], {}, "--omega0"),
+    (["decay-rates", "--v-g", "0"], {}, "--v-g"),
+    # the delay pi*x/(omega0*v_g) overflows, and omega0*v_g overflows
+    (["decay-rates", "--v-g", "1e-320"], {}, "--v-g"),
+    (["decay-rates", "--v-g", "1e300", "--omega0", "1e300"], {}, "--v-g"),
     (["detect", "--eta", "0.2", "--phi", "2pi", "--t-max", "4",
       "--switch-at", "2", "--phi-after", "nan"], {}, "--phi-after"),
     (["simulate", "--eta", "nan"], {}, "--eta"),

@@ -655,6 +655,13 @@ def test_grouped_ranges_match_dense_sum(three_segment_run, kind,
                          _dense_oracle(traj, omega, times)) < 1e-9
 
 
+def test_field_amplitudes_of_no_times_are_empty(switched_run):
+    _, traj = switched_run
+    grid = np.linspace(-30.0, 30.0, 7)
+    phi_r, phi_l = field_amplitudes(traj, grid, [])
+    assert phi_r.shape == phi_l.shape == (0, grid.size)
+
+
 @pytest.mark.parametrize("grid", [np.array([]), np.zeros((2, 3)),
                                   np.array([1.0, np.nan, 3.0]),
                                   np.array([1.0, 2.0, np.inf])],

@@ -241,6 +241,32 @@ def test_detector_signal_reawakens_on_drive_switch():
     assert after.max() > 1e-3
 
 
+@pytest.mark.parametrize("switched", [False, True])
+def test_fdd_past_the_last_leg_is_the_detector_signal(switched):
+    """Past the last leg fdd and the detector sum the same retarded legs:
+    I(x_last + x0, t_bar + x0/v_g) = pi/(4 v_g) |amplitude(t_bar)|^2, on a
+    radiant run and on a switched dark run away from gamma = v_g = 1."""
+    if switched:
+        cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi,
+                                      gamma=0.7, v_g=1.9)
+        sched = DriveSchedule.switch_at(3.0, cfg.omega0,
+                                        2.5 * math.pi / cfg.delay)
+        state = InitialState.antisymmetric()
+    else:
+        cfg = SystemConfig.from_phase("braided", eta=0.3, phi=0.7 * math.pi)
+        sched = DriveSchedule.constant(cfg.omega0)
+        state = InitialState.symmetric()
+    traj = integrate_with_drive(cfg, state, 8.0, sched, steps_per_delay=100)
+    x0 = 0.37 * cfg.spacing
+    x_last = max(max(cfg.leg_positions(atom)) for atom in (0, 1))
+    tb = np.sort(np.random.default_rng(3).uniform(0.0, 7.5, 400))
+    record = detector_signal(traj, cfg, x0, tb)
+    grid = fdd(traj, cfg, state.parity, np.array([x_last + x0]),
+               tb + x0 / cfg.v_g)
+    want = math.pi / (4.0 * cfg.v_g) * record.intensity
+    assert np.max(np.abs(grid.intensity[:, 0] - want)) <= 1e-12 * want.max()
+
+
 def test_detector_is_zero_before_release():
     cfg = _dark_config()
     sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=12)

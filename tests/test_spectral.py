@@ -536,6 +536,10 @@ def test_scan_input_validation():
             scan_decay_rates("braided", omega0=omega0)
     with pytest.raises(ConfigError, match=r"= 3\.14159e\+300 at x = 1 "):
         scan_decay_rates("braided", n_points=4, x_max=1.0, omega0=1e-300)
+    # the delay is pi*x/(omega0*v_g): v_g scales eta as omega0 does
+    for v_g in (1e-300, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="v_g"):
+            scan_decay_rates("braided", v_g=v_g)
 
 
 def test_nonconvergence_names_a_short_eta(monkeypatch):
