@@ -16,8 +16,9 @@ R_m(u) with R_m(u) = sum_{l<=m} E^(m-l) P_l(u + (m-l)*delay), E =
 exp(-A_0 delay); so R_0 = c(0) and R_m(u) = E R_{m-1}(delay) - sum_n A_n
 Int_0^u R_{m-n}, the method of steps in exact polynomial arithmetic
 (Bellman & Cooke, Differential-Difference Equations, 1963).  One recursion
-builds both tables, and the series is evaluated from the local one, whose
-rounding does not pass through the large cancelling branches.
+builds either table; the solution keeps the local one, whose rounding does
+not pass through the large cancelling branches, and builds the branches
+only when they are read.
 
 This module also applies the final-value theorem for t->infinity and
 provides the Laplace-domain denominators shared with the pole finder: one
@@ -37,6 +38,8 @@ from .model import ConfigError, InitialState, SystemConfig, delay_table
 #: Largest rounding-error bound on c(t) (normalised to c(0) = 1) that
 #: ``ExpPolySolution.evaluate`` returns; the criterion-1 tolerance.
 ROUNDING_TOL = 1e-6
+#: Most delays one exact series spans: its table holds 16 L^2 bytes, 16 MB
+_BRANCH_BUDGET = 1000
 
 
 class OutOfHorizon(Exception):
@@ -51,19 +54,21 @@ class IllConditioned(Exception):
 class ExpPolySolution:
     """Exact solution of the collective amplitude, in both forms.
 
-    ``branches[l]`` holds P_l in ascending powers of (t - l*delay); row m of
-    ``local`` holds R_m in ascending powers of u/delay, entry (m, k) being
-    r_mk delay^k.  Both are normalised to c(0) = 1 and ``scale`` maps them
-    back onto atom a (c_a(t) = scale * c(t), c_b = parity * c_a).  When the
-    delay-table coefficients alternate in sign (braided antisymmetric near
-    even multiples of pi) the branches grow and cancel, and by t ~ 30/gamma
-    at eta ~ 0.2 their sum has lost its digits; :meth:`evaluate` reads the
-    local table, which keeps them (over many delays at large eta its rows
-    cancel too, and it refuses).
+    Row m of ``local`` holds R_m in ascending powers of u/delay, entry
+    (m, k) being r_mk delay^k; ``coeffs`` are the A_n it was built from.
+    ``branches[l]`` holds P_l in ascending powers of (t - l*delay), built
+    from ``coeffs`` by the same recursion on first access.  Both are
+    normalised to c(0) = 1 and ``scale`` maps them back onto atom a (c_a(t)
+    = scale * c(t), c_b = parity * c_a).  When the delay-table coefficients
+    alternate in sign (braided antisymmetric near even multiples of pi) the
+    branches grow and cancel, and by t ~ 30/gamma at eta ~ 0.2 their sum
+    has lost its digits; :meth:`evaluate` reads the local table, which
+    keeps them (over many delays at large eta its rows cancel too, and it
+    refuses).
     """
 
-    branches: tuple[np.ndarray, ...]
     local: np.ndarray
+    coeffs: np.ndarray
     decay: float                 # A_0 = N*gamma/2, exponent of every branch
     delay: float
     parity: int
@@ -76,6 +81,12 @@ class ExpPolySolution:
 
     def __call__(self, t):
         return self.evaluate(t)
+
+    @cached_property
+    def branches(self) -> tuple[np.ndarray, ...]:
+        """P_0 .. P_{rows-1}, the l-th with its l + 1 coefficients."""
+        table = _series_table(self.coeffs, len(self.local), 1, 0)
+        return tuple(p[:l + 1] for l, p in enumerate(table))
 
     @cached_property
     def _horner(self) -> tuple[np.ndarray, ...]:
@@ -138,24 +149,24 @@ class ExpPolySolution:
         return c_a, self.parity * c_a
 
 
-def _series_tables(coeffs: np.ndarray, rows: int, delay, shrink) -> np.ndarray:
-    """Branch table (index 0) and local table (index 1) of ``rows`` rows.
+def _series_table(coeffs: np.ndarray, rows: int, unit, shrink) -> np.ndarray:
+    """Series table of ``rows`` rows, in powers of t/``unit``.
 
-    Row m of either is its start value minus sum_n A_n Int row m - n: 0 for
-    a branch, E R_{m-1}(delay) for the local form (E = ``shrink``), whose
-    rows are in powers of u/delay (each integral carries a factor delay, and
-    R_{m-1}(delay) is a row sum).  Exact rationals (object arrays) work too.
+    Row m is its start value minus sum_n A_n Int row m - n, each integral
+    carrying a factor ``unit``.  A branch table takes unit 1 and start
+    value 0 (``shrink`` 0); the local table takes unit delay and start
+    value E R_{m-1}(delay), E = ``shrink``, a row sum.  Exact rationals
+    (object arrays) work too.
     """
-    tables = np.zeros((2, rows, rows), dtype=coeffs.dtype)
-    tables[:, 0, 0] = 1
+    table = np.zeros((rows, rows), dtype=coeffs.dtype)
+    table[0, 0] = 1
     # the integral of u^k is u^(k+1)/(k+1): shift up one power and divide
-    scale = np.array([1, delay], dtype=coeffs.dtype)[:, None]
     k = np.arange(1, rows)
     for m in range(1, rows):
         for n in range(1, min(m, len(coeffs) - 1) + 1):
-            tables[:, m, 1:m + 1] -= coeffs[n] * scale * tables[:, m - n, :m] / k[:m]
-        tables[1, m, 0] = shrink * tables[1, m - 1, :m].sum()
-    return tables
+            table[m, 1:m + 1] -= coeffs[n] * unit * table[m - n, :m] / k[:m]
+        table[m, 0] = shrink * table[m - 1, :m].sum()
+    return table
 
 
 def exact_solution(config: SystemConfig, state: InitialState,
@@ -166,7 +177,8 @@ def exact_solution(config: SystemConfig, state: InitialState,
     Args:
         config: system parameters (delay must be positive).
         state: symmetric or antisymmetric initial state.
-        n_branches: number of branches and of delay intervals to generate.
+        n_branches: number of branches and of delay intervals to generate,
+            at most ``_BRANCH_BUDGET`` + 1 (checked before allocating).
         t_max: alternatively, generate enough to cover [0, t_max].
 
     Returns:
@@ -183,17 +195,19 @@ def exact_solution(config: SystemConfig, state: InitialState,
             raise ConfigError("give either n_branches or t_max")
         if not math.isfinite(t_max):
             raise ConfigError(f"t_max must be finite, got {t_max!r}")
-        n_branches = int(np.floor(t_max / config.delay + 1e-12)) + 1
+        n_branches = np.floor(t_max / config.delay + 1e-12) + 1
     if n_branches < 1:
         raise ConfigError("need at least one branch")
+    if n_branches - 1 > _BRANCH_BUDGET:
+        raise ConfigError(f"the exact series spans at most {_BRANCH_BUDGET} "
+                          f"delays, not {n_branches - 1:.6g}")
 
     coeffs = delay_table(config).collective(parity, config.phi)
     decay = float(coeffs[0].real)
-    branches, local = _series_tables(coeffs, n_branches, config.delay,
-                                     math.exp(-decay * config.delay))
-    return ExpPolySolution(
-        branches=tuple(p[:l + 1] for l, p in enumerate(branches)), local=local,
-        decay=decay, delay=config.delay, parity=parity, scale=state.c_a)
+    local = _series_table(coeffs, int(n_branches), config.delay,
+                          math.exp(-decay * config.delay))
+    return ExpPolySolution(local=local, coeffs=coeffs, decay=decay,
+                           delay=config.delay, parity=parity, scale=state.c_a)
 
 
 # -- Laplace domain ----------------------------------------------------------

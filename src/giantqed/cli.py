@@ -17,7 +17,9 @@ error.  Angles accept multiples of pi ("2pi", "0.5pi").
 
 All artifacts are plain CSV (and NDJSON for the bic report) with
 config-echo comment headers; identical parameters produce byte-identical
-files.  SVG plots are optional conveniences behind ``--svg``.  Exit codes:
+files.  SVG plots are optional conveniences behind ``--svg``.  A run
+writes all its files and its manifest after every result is computed, or
+nothing when it fails.  Exit codes:
 0 success, 2 usage/config error (a ``ConfigError``), 3 numerical
 failure (a pole that does not converge, an exact series whose rounding
 bound passes 1e-6, a floating-point error).
@@ -36,12 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analytic import IllConditioned, OutOfHorizon, exact_solution
+from .analytic import (_BRANCH_BUDGET, IllConditioned, OutOfHorizon,
+                       exact_solution)
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
 from .dde import (GRID_END_SLACK, DriveSchedule, _check_node_budget,
                   _write_trajectory, integrate, integrate_with_drive,
                   to_csv as traj_to_csv)
-from .field import detector_signal, fdd as compute_fdd, released_energy
+from .field import _pyplot, detector_signal, fdd as compute_fdd, released_energy
 from .model import ConfigError, InitialState, SystemConfig
 from .spectral import NonConvergence, scan_decay_rates
 
@@ -62,8 +65,6 @@ _FDD_CELL_BUDGET = 2 * 10 ** 7
 _SCAN_POINT_BUDGET = 10 ** 5
 #: Most detect times: 0.2 kB of peak memory each, 200 MB (118 x the default)
 _DETECT_POINT_BUDGET = 10 ** 6
-#: Most delays one exact series spans: its tables hold 32 L^2 bytes, 32 MB
-_BRANCH_BUDGET = 1000
 
 
 def parse_angle(text: str) -> float:
@@ -215,14 +216,13 @@ class RunManifest:
 
     def write(self) -> None:
         name = f"{self.command.replace('-', '_')}_manifest.txt"
-        with open(os.path.join(self.out_dir, name), "w") as fh:
-            fh.write("\n".join(self.lines()) + "\n")
+        _write_text(os.path.join(self.out_dir, name),
+                    "\n".join(self.lines()) + "\n")
 
 
-def _prepare_out(params: dict) -> str:
-    out_dir = str(params.get("out", "."))
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _fit_rate(t: np.ndarray, population: np.ndarray) -> float | None:
@@ -235,11 +235,12 @@ def _fit_rate(t: np.ndarray, population: np.ndarray) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each resolves and computes, and returns its config and its
+# outputs in order, a (file name, writer) pair per file and a string per
+# stdout line; ``main`` writes them
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    params = resolve_params(args)
+def cmd_simulate(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]:
     config = build_config(params)
     state = build_state(params)
     engine = str(params.get("engine", "dde"))
@@ -249,64 +250,56 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if engine in ("analytic", "both") and not t_max <= _BRANCH_BUDGET * config.delay:
         raise ConfigError(f"the exact series needs eta > 0 and t_max/delay <= "
                           f"{_BRANCH_BUDGET}; lower --t-max or raise --eta")
-    out_dir = _prepare_out(params)
+    if args.svg:
+        _pyplot()
 
     schedule = DriveSchedule.constant(config.omega0)
     traj = None
+    outputs: list = []
     if engine in ("dde", "both"):
         traj = integrate_with_drive(config, state, t_max, schedule,
                                     steps_per_delay=args.steps_per_delay)
-        traj_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-        print(f"wrote {os.path.join(out_dir, 'trajectory.csv')}")
+        ts = traj.t
+        outputs.append(("trajectory.csv", lambda path: traj_to_csv(traj, path)))
     if engine in ("analytic", "both"):
-        if traj is not None:
-            ts = traj.t
-        else:
+        if traj is None:
             steps = t_max * args.steps_per_delay / max(config.delay,
                                                        1.0 / config.gamma)
             _check_node_budget(steps)
             ts = np.linspace(0.0, t_max, max(int(round(steps)), 200) + 1)
         sol = exact_solution(config, state, t_max=float(ts[-1]))
         c_a, c_b = sol.atomic(ts)
-        name = os.path.join(out_dir, "trajectory_analytic.csv")
-        _write_trajectory(name, ["giantqed amplitude trajectory (exact series)",
-                                 *config.summary_lines()], ts, c_a, c_b)
-        print(f"wrote {name}")
+        comments = ["giantqed amplitude trajectory (exact series)",
+                    *config.summary_lines()]
+        outputs.append(("trajectory_analytic.csv", lambda path: _write_trajectory(
+            path, comments, ts, c_a, c_b)))
         if traj is not None:
             diff = float(np.max(np.abs(np.abs(c_a) ** 2 - traj.pop_a)))
-            print(f"max_abs_diff = {diff!r}")
+            outputs.append(f"max_abs_diff = {diff!r}")
 
     if traj is not None:
-        ts, population = traj.t, traj.excited_population
+        population = traj.excited_population
     else:
         population = np.abs(c_a) ** 2 + np.abs(c_b) ** 2
     rate = _fit_rate(ts, population)
     if rate is not None:
-        print(f"fit_rate = {rate!r}")
-
+        outputs.append(f"fit_rate = {rate!r}")
     if args.svg:
-        _plot_trajectory(ts, population, out_dir, config)
-    RunManifest("simulate", config, out_dir).write()
-    return EXIT_OK
+        outputs.append(("trajectory.svg", lambda path: _plot_trajectory(
+            ts, population, path, config)))
+    return config, outputs
 
 
-def _plot_trajectory(ts, population, out_dir, config) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        raise ConfigError("--svg requires matplotlib (install the 'svg' extra)")
+def _plot_trajectory(ts, population, path, config) -> None:
+    plt = _pyplot()
     fig, ax = plt.subplots()
     ax.plot(ts, population, label="|c_a|^2 + |c_b|^2")
     ax.set_xlabel("t")
     ax.set_ylabel("excited population")
     ax.set_title(f"{config.topology}, eta={config.eta:g}, phi={config.phi:g}")
     ax.legend()
-    path = os.path.join(out_dir, "trajectory.svg")
     fig.savefig(path, format="svg")
     plt.close(fig)
-    print(f"wrote {path}")
 
 
 def _parse_scan(text: str) -> tuple[float, float, int]:
@@ -327,30 +320,23 @@ def _parse_scan(text: str) -> tuple[float, float, int]:
     return lo, hi, n + 1
 
 
-def cmd_decay_rates(args: argparse.Namespace) -> int:
-    params = resolve_params(args)
+def cmd_decay_rates(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]:
     topology, gamma, v_g = _topology_gamma_vg(params)
     omega0 = _parse_number("omega0", params.get("omega0", 50.0))
     if omega0 <= 0:
         raise ConfigError("--omega0 must be positive")
     lo, hi, n = _parse_scan(args.scan)
-    out_dir = _prepare_out(params)
 
     scan = scan_decay_rates(topology, n_points=n, x_max=hi, x_min=lo,
                             omega0=omega0, gamma=gamma, v_g=v_g)
-    path = os.path.join(out_dir, "decay_rates.csv")
-    scan.to_csv(path)
-    print(f"wrote {path}")
     x_peak, peak = scan.peak()
-    print(f"peak: x = {x_peak!r}, max_re_rate = {peak!r}")
     cfg = SystemConfig(topology=topology, gamma=gamma, omega0=omega0, v_g=v_g,
                        delay=x_peak * math.pi / (omega0 * v_g))
-    RunManifest("decay-rates", cfg, out_dir).write()
-    return EXIT_OK
+    return cfg, [("decay_rates.csv", scan.to_csv),
+                 f"peak: x = {x_peak!r}, max_re_rate = {peak!r}"]
 
 
-def cmd_fdd(args: argparse.Namespace) -> int:
-    params = resolve_params(args)
+def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]:
     config = build_config(params)
     if config.delay == 0.0:
         raise ConfigError("fdd needs eta > 0 (finite leg spacing)")
@@ -371,7 +357,8 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     _check_node_budget((t_max + config.delay) / h - GRID_END_SLACK if h else math.inf,
                        "lower --t-max or change --eta (fdd takes "
                        "max(100, ceil(50*eta)) steps per delay)")
-    out_dir = _prepare_out(params)
+    if args.svg:
+        _pyplot()
     span = args.x_span if args.x_span is not None else \
         1.5 * config.spacing + config.v_g * t_max
     x_grid = np.linspace(-span, span, args.nx)
@@ -379,9 +366,6 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     traj = integrate(config, state, t_max + config.delay,
                      steps_per_delay=steps_per_delay)
     grid = compute_fdd(traj, config, state.parity, x_grid, t_grid)
-    path = os.path.join(out_dir, "fdd.csv")
-    grid.to_csv(path)
-    print(f"wrote {path}")
 
     # photonic excitation (v_g/2pi) * int I dx inside |x| <= 1.5*spacing at
     # the last time, on its own grid: the map's x step can exceed the spacing
@@ -389,32 +373,23 @@ def cmd_fdd(args: argparse.Namespace) -> int:
     late = compute_fdd(traj, config, state.parity,
                        np.linspace(-edge, edge, 301), t_grid[-1:])
     metric = config.v_g / (2.0 * math.pi) * float(late.spatial_integral()[0])
-    print(f"interior_trapping = {metric!r}")
-
+    outputs = [("fdd.csv", grid.to_csv), f"interior_trapping = {metric!r}"]
     if args.svg:
-        spath = os.path.join(out_dir, "fdd.svg")
-        try:
-            grid.to_svg(spath)
-        except RuntimeError as exc:
-            raise ConfigError(str(exc))
-        print(f"wrote {spath}")
-    RunManifest("fdd", config, out_dir).write()
-    return EXIT_OK
+        outputs.append(("fdd.svg", grid.to_svg))
+    return config, outputs
 
 
-def cmd_bic(args: argparse.Namespace) -> int:
-    params = resolve_params(args)
+def cmd_bic(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]:
     config = build_config(params)
     if config.delay == 0.0:
         raise ConfigError("bic needs eta > 0 (finite leg spacing)")
-    out_dir = _prepare_out(params)
     bound = bic_state(config)
 
     report: dict = {"topology": config.topology, "eta": config.eta,
                     "phi": config.phi, "exists": bool(bound)}
     if not bound:
-        print(f"NoBic (topology {config.topology}, phi/pi = "
-              f"{config.phi / math.pi!r})")
+        outputs: list = [f"NoBic (topology {config.topology}, phi/pi = "
+                         f"{config.phi / math.pi!r})"]
     else:
         norm = field_norm(bound)
         report.update({
@@ -429,32 +404,23 @@ def cmd_bic(args: argparse.Namespace) -> int:
             "overlap_antisymmetric": overlap_with_initial(
                 bound, InitialState.antisymmetric()),
         })
-        print(f"BIC exists: |eps1|^2 = {report['epsilon1_sq']!r}, "
-              f"atomic weight = {report['atomic_weight']!r}, "
-              f"field weight = {report['field_weight']!r}")
-        print(f"field norm (closed form) = {norm!r}")
-        profile = bic_field_profile(bound)
-        ppath = os.path.join(out_dir, "bic_profile.csv")
-        profile.to_csv(ppath)
-        print(f"wrote {ppath}")
-
-    rpath = os.path.join(out_dir, "bic_report.ndjson")
-    with open(rpath, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True) + "\n")
-    print(f"wrote {rpath}")
-    RunManifest("bic", config, out_dir).write()
-    return EXIT_OK
+        outputs = [f"BIC exists: |eps1|^2 = {report['epsilon1_sq']!r}, "
+                   f"atomic weight = {report['atomic_weight']!r}, "
+                   f"field weight = {report['field_weight']!r}",
+                   f"field norm (closed form) = {norm!r}",
+                   ("bic_profile.csv", bic_field_profile(bound).to_csv)]
+    text = json.dumps(report, sort_keys=True) + "\n"
+    outputs.append(("bic_report.ndjson", lambda path: _write_text(path, text)))
+    return config, outputs
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    params = resolve_params(args)
+def cmd_detect(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]:
     config = build_config(params)
     if config.delay == 0.0:
         raise ConfigError("detect needs eta > 0 (finite leg spacing)")
     if args.n_points > _DETECT_POINT_BUDGET:
         raise ConfigError(f"--n-points is over the budget of {_DETECT_POINT_BUDGET:.0e}")
     state = build_state(params)
-    out_dir = _prepare_out(params)
     t_max = args.t_max / config.gamma
 
     if (args.switch_at is None) != (args.phi_after is None):
@@ -472,19 +438,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
     t_bar = np.linspace(0.0, t_max, args.n_points)
     x0 = args.x0 if args.x0 is not None else config.spacing
     record = detector_signal(traj, config, x0, t_bar)
-    path = os.path.join(out_dir, "detector.csv")
-    record.to_csv(path)
-    print(f"wrote {path}")
-
+    outputs: list = [("detector.csv", record.to_csv)]
     if args.switch_at is not None:
         released = released_energy(record, (t_s, t_max))
-        print(f"released_both_directions = {2 * released!r}")
         pre = record.intensity[(t_bar >= 0.5 * t_s) & (t_bar <= t_s)]
-        print(f"pre_switch_max_intensity = {float(pre.max(initial=0.0))!r}")
+        outputs += [f"released_both_directions = {2 * released!r}",
+                    f"pre_switch_max_intensity = {float(pre.max(initial=0.0))!r}"]
     else:
-        print(f"released_both_directions = {2 * released_energy(record)!r}")
-    RunManifest("detect", config, out_dir).write()
-    return EXIT_OK
+        outputs.append(f"released_both_directions = {2 * released_energy(record)!r}")
+    return config, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +548,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve, compute, then make ``--out`` and write every output in order
+    and the manifest; a run that exits 2 or 3 writes nothing."""
+    args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            params = resolve_params(args)
+            config, outputs = args.func(args, params)
+            out_dir = str(params.get("out", "."))
+            os.makedirs(out_dir, exist_ok=True)
+            for output in outputs:
+                if isinstance(output, str):
+                    print(output)
+                    continue
+                name, write = output
+                path = os.path.join(out_dir, name)
+                write(path)
+                print(f"wrote {path}")
+            RunManifest(args.command, config, out_dir).write()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -598,6 +573,7 @@ def main(argv=None) -> int:
             FloatingPointError) as exc:
         print(f"numerical failure: {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

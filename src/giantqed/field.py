@@ -103,6 +103,18 @@ def _retarded(amplitude, schedule: DriveSchedule, atom: int, t, width,
 # frequency-resolved real-space intensity
 # ---------------------------------------------------------------------------
 
+def _pyplot():
+    """matplotlib.pyplot on the Agg backend; ConfigError without matplotlib."""
+    try:
+        import matplotlib
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:
+        raise ConfigError("SVG output (--svg) requires matplotlib "
+                          "(install the 'svg' extra)") from None
+    return plt
+
+
 @dataclass(frozen=True)
 class FieldGrid:
     """Emitted intensity ``I(x, t)`` sampled on a rectangular grid.
@@ -135,14 +147,7 @@ class FieldGrid:
 
     def to_svg(self, path) -> None:
         """Rasterised heat map of I(x, t); needs matplotlib."""
-        try:
-            import matplotlib
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-        except ImportError as exc:  # pragma: no cover - optional extra
-            raise RuntimeError(
-                "SVG export requires matplotlib (install the 'svg' extra)"
-            ) from exc
+        plt = _pyplot()
         fig, ax = plt.subplots(figsize=(7.0, 4.5))
         mesh = ax.pcolormesh(self.x, self.t, self.intensity,
                              shading="auto", rasterized=True)

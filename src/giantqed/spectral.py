@@ -255,6 +255,7 @@ class DecayRateScan:
     topology: str
     omega0: float
     gamma: float
+    v_g: float
 
     def peak(self) -> tuple[float, float]:
         """(omega0_dx/pi at peak, peak Re rate) over both parity branches."""
@@ -267,7 +268,8 @@ class DecayRateScan:
                   ["giantqed collective decay rate scan",
                    f"topology = {self.topology}",
                    f"omega0 = {self.omega0!r}",
-                   f"gamma = {self.gamma!r}"],
+                   f"gamma = {self.gamma!r}",
+                   f"v_g = {self.v_g!r}"],
                   "omega0_dx_over_pi,re_g_plus_nm,im_g_plus_nm,re_g_minus_nm,"
                   "im_g_minus_nm,re_g_plus_m,re_g_minus_m,residual_plus,"
                   "residual_minus",
@@ -367,4 +369,4 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
         residuals.append(np.array([abs(d) / gamma for d in dens]))
     return DecayRateScan(xs, *rates, *markov, *residuals, *iterations,
                          *subdivisions, topology=topology, omega0=omega0,
-                         gamma=gamma)
+                         gamma=gamma, v_g=v_g)

@@ -1,13 +1,14 @@
 """Branch-series solution, final-value limits and the Laplace denominator."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from giantqed.analytic import (ExpPolySolution, IllConditioned,
-                               OutOfHorizon, ParityKernel, _series_tables,
+                               OutOfHorizon, ParityKernel, _series_table,
                                exact_solution,
                                laplace_denominator,
                                laplace_denominator_derivative,
@@ -124,9 +125,9 @@ def test_evaluate_refuses_cancelled_digits():
     assert np.max(np.abs(np.abs(c_a) ** 2 - traj.pop_a)) < 1e-6
     assert abs(c_a[-1]) ** 2 + abs(c_b[-1]) ** 2 == pytest.approx(25 / 36,
                                                                   abs=1e-12)
-    cancelling = ExpPolySolution(branches=(), local=np.array([[1.0, 0.0],
-                                                              [1e12, -1e12]]),
-                                 decay=1.0, delay=1.0, parity=1, scale=1.0)
+    cancelling = ExpPolySolution(local=np.array([[1.0, 0.0], [1e12, -1e12]]),
+                                 coeffs=np.array([1.0]), decay=1.0, delay=1.0,
+                                 parity=1, scale=1.0)
     assert cancelling(0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
     with pytest.raises(IllConditioned, match="rounding bound"):
         cancelling(np.array([0.5, 1.5]))
@@ -149,7 +150,8 @@ def test_local_form_resums_the_branches():
                        Fraction(5, 4), Fraction(-1, 2), Fraction(2, 7)],
                       dtype=object)
     delay, shrink = Fraction(2, 5), Fraction(3, 7)
-    branches, local = _series_tables(coeffs, 6, delay, shrink)
+    branches = _series_table(coeffs, 6, 1, 0)
+    local = _series_table(coeffs, 6, delay, shrink)
     for m in range(6):
         resummed = [Fraction(0)] * 6
         for l in range(m + 1):
@@ -233,6 +235,31 @@ def test_exact_solution_input_validation():
     # t_max chooses just enough branches
     sol = exact_solution(cfg, InitialState.symmetric(), t_max=2.5 * cfg.delay)
     assert len(sol.branches) == 3
+
+
+def test_exact_series_budget_is_checked_before_allocating():
+    """1000 delays (1001 rows) are accepted; one more is refused at once."""
+    cfg = SystemConfig.from_phase("separate", eta=0.1, phi=0.0)
+    state = InitialState.symmetric()
+    assert len(exact_solution(cfg, state, t_max=1000 * cfg.delay).local) == 1001
+    with pytest.raises(ConfigError, match="at most 1000 delays"):
+        exact_solution(cfg, state, n_branches=1002)
+    with pytest.raises(ConfigError, match="at most 1000 delays"):
+        exact_solution(cfg, state, t_max=1001 * cfg.delay)
+
+
+def test_exact_series_holds_one_table():
+    """The solution keeps the local table alone (16 bytes per entry); the
+    branches are built on first access, by the same recursion."""
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi)
+    tracemalloc.start()
+    try:
+        sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=1000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16.1e6
+    assert [len(p) for p in sol.branches] == list(range(1, 1001))
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,21 @@ def test_decay_rates_v_g_scales_the_delay(tmp_path):
                 (out / "decay_rates.csv").read_text().splitlines()
                 if line and not line.startswith("#")][1:]
         manifest = (out / "decay_rates_manifest.txt").read_text()
+        header = [line for line in (out / "decay_rates.csv").read_text()
+                  .splitlines() if line.startswith("#")]
         return ([float(x) for x, _ in rows], [rest for _, rest in rows],
-                _line_value(manifest, "delay = "))
+                _line_value(manifest, "delay = "), header)
 
-    x1, rates1, delay1 = scan(tmp_path / "v1", "--scan", "0.005:3.0:0.005")
-    x2, rates2, delay2 = scan(tmp_path / "v2", "--v-g", "2",
-                              "--scan", "0.01:6.0:0.01")
+    x1, rates1, delay1, head1 = scan(tmp_path / "v1",
+                                     "--scan", "0.005:3.0:0.005")
+    x2, rates2, delay2, head2 = scan(tmp_path / "v2", "--v-g", "2",
+                                     "--scan", "0.01:6.0:0.01")
     assert x2 == [2.0 * x for x in x1]
     assert rates2 == rates1
     assert delay2 == delay1
+    # the CSV alone fixes each point's delay pi*x/(omega0*v_g)
+    assert [line for line in head1 if line not in head2] == ["# v_g = 1.0"]
+    assert [line for line in head2 if line not in head1] == ["# v_g = 2.0"]
 
 
 def test_decay_rates_bad_scan_spec(tmp_path, capsys):
@@ -295,7 +301,7 @@ def test_detect_window_ending_an_ulp_past_the_run(tmp_path):
 def test_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
     """Exit 3 means the numerics failed; any other ValueError is a defect
     and propagates instead of posing as one."""
-    def broken(args):
+    def broken(args, params):
         raise ValueError("defect")
     monkeypatch.setattr(cli, "cmd_bic", broken)
     with pytest.raises(ValueError, match="defect"):
@@ -514,6 +520,23 @@ def test_svg_paths_with_matplotlib(tmp_path, argv):
     assert "<svg" in svg.read_text()
 
 
+@pytest.mark.parametrize("argv, rc", [
+    (["simulate", "--topology", "braided", "--eta", "20", "--phi", "0.5pi",
+      "--state", "antisymmetric", "--engine", "both", "--t-max", "2000",
+      "--steps-per-delay", "1000"], EXIT_NUMERICAL),
+    (["fdd", "--v-g", "1e-300"], EXIT_NUMERICAL),
+    (["fdd", "--t-max", "2", "--nx", "41", "--nt", "11", "--svg"], EXIT_USAGE),
+], ids=["simulate-series-refused", "fdd-tiny-v-g", "fdd-svg-no-matplotlib"])
+def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, rc):
+    """A run that exits 2 or 3 leaves no --out directory: the integrator's
+    trajectory of a refused series, the map of a failed fdd and the CSV of
+    an fdd whose --svg cannot be drawn are not written."""
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == rc
+    assert not out.exists()
+
+
 #: Small runs of each command and the numeric flags the fuzz varies in
 #: each; "--scan" varies one of start, stop and step.
 FUZZ_RUNS = {
@@ -572,8 +595,8 @@ def _fuzzed_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(argv=_fuzzed_argv())
 def test_fuzzed_flags_exit_cleanly(argv):
-    """Every run exits 0, 2 or 3 without a traceback, and every CSV an
-    exit-0 run writes is finite."""
+    """Every run exits 0, 2 or 3 without a traceback, every CSV an exit-0
+    run writes is finite, and any other run writes nothing."""
     with tempfile.TemporaryDirectory() as out:
         try:
             rc = main(argv + ["--out", out])
@@ -583,6 +606,8 @@ def test_fuzzed_flags_exit_cleanly(argv):
         if rc == EXIT_OK:
             for path in Path(out).glob("*.csv"):
                 assert np.isfinite(_data_rows(path)[1]).all(), path.name
+        else:
+            assert not os.listdir(out)
 
 
 def test_version_banner(capsys):
