@@ -49,3 +49,13 @@ run detect-gamma detect --topology separate --eta 0.2 --phi 2pi \
 # an exact series refused (exit 3) after the integrator ran: nothing written
 run simulate-refused simulate --topology braided --eta 20 --phi 0.5pi \
     --state antisymmetric --engine both --t-max 2000 --steps-per-delay 1000
+# a v_g whose largest map value or detector intensity leaves the float
+# range: exit 2 naming v_g, nothing written
+run fdd-tiny-vg fdd --v-g 1e-300
+run detect-tiny-vg detect --v-g 1e-310
+# an --out under an existing file: exit 2 before anything is computed, and
+# the file keeps its one line
+echo keep > bic-out-blocker
+PYTHONPATH="$src" python -m giantqed.cli bic --topology braided --eta 0.2 \
+    --phi 2pi --out bic-out-blocker/sub > bic-out-under-file.stdout 2>&1
+echo "exit $?" >> bic-out-under-file.stdout

@@ -144,10 +144,8 @@ def _parse_number(key: str, value) -> float:
 
 def _topology_gamma_vg(params: dict) -> tuple[str, float, float]:
     """(topology, gamma, v_g) from the merged parameter dict."""
-    topology = str(params.get("topology", "separate"))
-    if topology not in ("separate", "braided"):
-        raise ConfigError(f"unknown topology {topology!r}")
-    return (topology, _parse_number("gamma", params.get("gamma", 1.0)),
+    return (str(params.get("topology", "separate")),
+            _parse_number("gamma", params.get("gamma", 1.0)),
             _parse_number("v_g", params.get("v_g", 1.0)))
 
 
@@ -323,8 +321,6 @@ def _parse_scan(text: str) -> tuple[float, float, int]:
 def cmd_decay_rates(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]:
     topology, gamma, v_g = _topology_gamma_vg(params)
     omega0 = _parse_number("omega0", params.get("omega0", 50.0))
-    if omega0 <= 0:
-        raise ConfigError("--omega0 must be positive")
     lo, hi, n = _parse_scan(args.scan)
 
     scan = scan_decay_rates(topology, n_points=n, x_max=hi, x_min=lo,
@@ -475,15 +471,14 @@ def _add_common(sub: argparse.ArgumentParser, geometry: bool = True) -> None:
     sub.add_argument("--config", help="INI config file ([system]/[run])")
     sub.add_argument("--out", help="output directory (default '.')")
     sub.add_argument("--topology", choices=("separate", "braided"))
-    sub.add_argument("--gamma", type=float, help="per-leg decay rate")
-    sub.add_argument("--v-g", dest="v_g", type=float, help="group velocity")
+    sub.add_argument("--gamma", help="per-leg decay rate")
+    sub.add_argument("--v-g", dest="v_g", help="group velocity")
     if geometry:
-        sub.add_argument("--eta", type=float,
+        sub.add_argument("--eta",
                          help="retardation gamma*delay (pairs with --phi)")
         sub.add_argument("--phi", help="inter-leg phase, e.g. 2pi or 3.14")
-        sub.add_argument("--omega0", type=float,
-                         help="atomic frequency (pairs with --dx)")
-        sub.add_argument("--dx", type=float, help="leg spacing")
+        sub.add_argument("--omega0", help="atomic frequency (pairs with --dx)")
+        sub.add_argument("--dx", help="leg spacing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = subs.add_parser("decay-rates", help="collective decay-rate scan")
     _add_common(scan, geometry=False)
-    scan.add_argument("--omega0", type=float,
-                      help="fixed frequency of the scan (default 50)")
+    scan.add_argument("--omega0", help="fixed frequency of the scan (default 50)")
     scan.add_argument("--scan", default="0.005:3.0:0.005",
                       help="x = omega0*v_g*delay/pi as start:stop:step")
     scan.set_defaults(func=cmd_decay_rates)
@@ -554,8 +548,14 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             params = resolve_params(args)
-            config, outputs = args.func(args, params)
             out_dir = str(params.get("out", "."))
+            # --out, or else its nearest existing ancestor, is a directory
+            path = out_dir
+            while path and not os.path.lexists(path):
+                path = os.path.dirname(path)
+            if not (out_dir and os.path.isdir(path or ".")):
+                raise ConfigError(f"--out {out_dir!r}: {path!r} is not a directory")
+            config, outputs = args.func(args, params)
             os.makedirs(out_dir, exist_ok=True)
             for output in outputs:
                 if isinstance(output, str):

@@ -39,7 +39,7 @@ undriven one bit for bit until a window reaches the switch.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,10 +422,10 @@ _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 #: indices, kernel weights and interpolated rows stay in cache.
 _OMEGA_BLOCK = 2048
 
-#: Most values one group of node pieces may hold, in the stacked NUFFT grid
+#: Most values one group of node rows may hold, in the stacked NUFFT grid
 #: (rows x oversampled length) and in a block's gathered kernel windows
-#: (rows x width x block); pieces past it go in further groups, each with
-#: its own omega pass.  A group holds at least one piece.
+#: (rows x width x block); rows past it go in further groups, each with
+#: its own omega pass.  A group holds at least one (snapshot, segment) row.
 _GRID_CAP = 1 << 20
 
 
@@ -504,8 +504,8 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     with g0 = sqrt(gamma/(4 pi)), Lm_R(omega) = sum_legs exp(-i omega x/v_g)
     (phi_L uses the conjugate leg factors).  ``t`` snaps to the nearest
-    node; pass an increasing sequence of times to amortise one sweep over
-    the trajectory.
+    node; a non-decreasing sequence of times shares one transform and one
+    pass over the frequencies.
 
     The quadrature treats c_m as linear on each node interval and the
     oscillatory factor exp(i (omega - omega0) tau) exactly (Filon-type
@@ -514,22 +514,22 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     containing a mid-step drive switch is weighted with the pre-switch
     drive, an O(h) slice of a single node.
 
-    The integral to a snapshot is a running sum of node pieces, cut at
-    every segment start and snapshot node so that each lies in one drive
-    segment (a boundary node belongs to both).  The node sums
-    sum_j c_j exp(i omega tau_j) of all pieces are one type-2 nonuniform
-    FFT on any ``omega_grid`` (uniform, descending, irregular or a few
-    points).  Stage 1 is one stacked inverse FFT, two rows per piece on
-    M >= 2 N_tau points: O(P M log M) for P pieces.  Stage 2 is one pass
-    over ``omega_grid`` in blocks of 2048 frequencies; per frequency it
-    takes w = 13 kernel weights, 13 grid values per row, and one complex
-    exp per piece end node, per segment, per leg distance and for the
-    kernel phase.  Pieces that would pass ``_GRID_CAP`` values run in
-    groups, each with its own pass.  Against the direct sum on the
-    criterion-8 runs (4161 nodes,
-    five snapshots) the amplitudes agree to 2.2e-13 of the peak on every
-    40th point of the 80 001-point grid, and to 3.3e-13 on a random
-    20 001-point subset.
+    Snapshot k takes one row per drive segment j it reaches: the nodes
+    from segment j's first to the smaller of its last (a boundary node
+    belongs to both segments) and the snapshot's.  The node sums
+    sum_j c_j exp(i omega tau_j) of all rows are one type-2 nonuniform FFT
+    on any ``omega_grid`` (uniform, descending, irregular or a few points),
+    and each row's Filon sum adds straight into its snapshot.  Stage 1 is
+    one stacked inverse FFT, two rows per (k, j) on M >= 2 N_tau points:
+    O(R M log M) for R rows, at most snapshots x segments.  Stage 2 is one
+    pass over ``omega_grid`` in blocks of 2048 frequencies; per frequency
+    it takes w = 13 kernel weights, 13 grid values per row, and one complex
+    exp per row end node, per segment, per leg distance and for the kernel
+    phase.  Rows beyond ``_GRID_CAP`` stacked values run in further,
+    independent groups, each with its own pass.  Against the direct sum on the criterion-8 runs
+    (4161 nodes, five snapshots) the amplitudes agree to 2.2e-13 of the
+    peak on every 40th point of the 80 001-point grid, and to 6.3e-13 on a
+    random 20 001-point subset (``default_rng(3)``).
 
     Returns (phi_R, phi_L) with shape (len(omega_grid),), or
     (len(t), len(omega_grid)) for a sequence of times.
@@ -564,54 +564,44 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
         -1j * sched.window_phase(tau, tau))
 
-    # pieces (segment, first node, last node) between consecutive cuts
+    # one row per snapshot k and segment j it reaches: segment j's nodes up
+    # to the next segment's first (shared) or the snapshot's, if sooner
     n_nodes = tau.size
     seg_first = [0] + [min(n_nodes - 1, math.ceil(s / h - GRID_END_SLACK))
                        for s in sched.starts[1:]]
-    last = max(stops, default=0)
-    cuts = sorted({n for n in (*seg_first, *stops) if n <= last})
-    pieces = [(bisect_right(seg_first, a) - 1, a, b)
-              for a, b in zip(cuts, cuts[1:])]
-    # the integral to snapshot k is the sum of its first counts[k] pieces
-    counts = [bisect_left(cuts, stop) for stop in stops]
+    rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
+            for j, (a, b) in enumerate(zip(seg_first, [*seg_first[1:], stop]))
+            if a < min(b, stop)]
     per_group = max(1, _GRID_CAP // (2 * max(_grid_size(n_nodes),
                                              _NUFFT_WIDTH * _OMEGA_BLOCK)))
 
     out_r = np.zeros((len(times), omega.size), dtype=complex)
     out_l = np.zeros((len(times), omega.size), dtype=complex)
-    for g in range(0, len(pieces), per_group):
-        group = pieces[g:g + per_group]
-        sums_at = _nufft_sums(rot, [(a, b) for _, a, b in group], h)
-        segs = {j for j, _, _ in group}
-        nodes = {n for _, a, b in group for n in (a, b)}
+    for g in range(0, len(rows), per_group):
+        group = rows[g:g + per_group]
+        sums_at = _nufft_sums(rot, [(a, b) for _, _, a, b in group], h)
+        segs = {j for _, j, _, _ in group}
+        nodes = {n for _, _, a, b in group for n in (a, b)}
         for lo in range(0, omega.size, _OMEGA_BLOCK):
             blk = slice(lo, lo + _OMEGA_BLOCK)
             om = omega[blk]
             sums = sums_at(om)
             weights = {}
             for j in segs:
-                theta = (om - sched.omegas[j]) * h
-                w0, w1, e = _filon_terms(theta)
+                w0, w1, e = _filon_terms((om - sched.omegas[j]) * h)
                 weights[j] = h * w0, h * w1 * e.conj()
             # c at a node times exp(i omega tau), exactly c at tau = 0
             ends = {n: rot[:, n, None] * np.exp(1j * tau[n] * om) if n
                     else rot[:, :1] for n in nodes}
-            # running sum of the group's pieces, in node order
-            running, total = [], 0
-            for (j, a, b), acc in zip(group, sums):
-                w0, w1s = weights[j]
-                total = total + w0 * (acc - ends[b]) + w1s * (acc - ends[a])
-                running.append(total)
             # leg sums times -i g0; the left-moving legs are the conjugates
             ph = np.exp(-1j * np.outer(dist, om) / cfg.v_g)
             leg = [sum(ph[d].conj() if neg else ph[d] for d, neg in sides)
                    for sides in legs]
             leg_r = [-1j * g0 * f for f in leg]
             leg_l = [-1j * g0 * f.conj() for f in leg]
-            for k, count in enumerate(counts):
-                if count <= g:               # no piece of this group
-                    continue
-                ia, ib = running[min(count - g, len(group)) - 1]
+            for (k, j, a, b), acc in zip(group, sums):
+                w0, w1s = weights[j]
+                ia, ib = w0 * (acc - ends[b]) + w1s * (acc - ends[a])
                 out_r[k, blk] += leg_r[0] * ia + leg_r[1] * ib
                 out_l[k, blk] += leg_l[0] * ia + leg_l[1] * ib
     if scalar:

@@ -169,7 +169,9 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     ``t_grid``.  A (leg, direction) term takes the width w = direction *
     (x - x_l)/v_g and the gate step(w) * step(t - w).  The returned
     intensity is exactly zero outside the light cone ``|x| <= max(leg) +
-    v_g * t`` and on the ``t <= 0`` slices.
+    v_g * t`` and on the ``t <= 0`` slices.  A v_g for which v_g^2 or the
+    largest possible cell gamma*pi*(4N)^2/v_g^2 (4N terms, |c| <= 1)
+    leaves the float range raises ConfigError.
     """
     if parity not in (1, -1):
         raise ConfigError("parity must be +1 or -1")
@@ -179,17 +181,20 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
         raise ConfigError("x_grid and t_grid must be non-empty 1-D arrays")
     amplitude, schedule = _source(amplitude_source, config, parity,
                                   float(t.max()))
-
-    v = np.float64(config.v_g)      # so v**2 out of float range follows errstate
+    v2 = config.v_g * config.v_g
+    if not 0 < v2 < math.inf or math.isinf(
+            config.gamma * math.pi * (4 * config.n_legs) ** 2 / v2):
+        raise ConfigError(f"v_g = {config.v_g!r} puts the map's largest value "
+                          "gamma*pi*(4N)^2/v_g^2 out of the float range")
     tcol = t[:, None]
     total = np.zeros((t.size, x.size), dtype=complex)
     for atom in (0, 1):
         for x_leg in config.leg_positions(atom):
             for direction in (1.0, -1.0):
-                width = direction * (x - x_leg) / v
+                width = direction * (x - x_leg) / config.v_g
                 total += _retarded(amplitude, schedule, atom, tcol, width,
                                    _half_step(width) * _half_step(tcol - width))
-    intensity = (config.gamma * math.pi / v ** 2) * np.abs(total) ** 2
+    intensity = (config.gamma * math.pi / config.v_g ** 2) * np.abs(total) ** 2
     intensity[t <= 0, :] = 0.0
     return FieldGrid(x=x, t=t, intensity=intensity, parity=parity,
                      config=config)
@@ -237,7 +242,8 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
     for a constant frequency), ``fdd``'s right-moving term with the lag as
     width.  The sum carries an overall ``2/sqrt(gamma v_g)``: ``fdd`` at
     (x_last + x0, t_bar + x0/v_g) is pi/(4 v_g) |amplitude|^2.  The signal
-    vanishes identically for ``t_bar < 0``.
+    vanishes identically for ``t_bar < 0``.  ConfigError if the largest
+    possible |amplitude|^2, 16 N^2 gamma/v_g (|c| <= 1), overflows.
     """
     if not 0 < x0 < math.inf:
         raise ConfigError("x0 must be positive and finite (detector beyond "
@@ -247,6 +253,9 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
         raise ConfigError("t_bar_grid must be a non-empty 1-D array")
     amplitude, schedule = _source(amplitude_source, config, None,
                                   float(tb.max()))
+    if math.isinf(16 * config.n_legs ** 2 * config.gamma / config.v_g):
+        raise ConfigError(f"v_g = {config.v_g!r} puts the record's largest "
+                          "|amplitude|^2 16 N^2 gamma/v_g out of the float range")
 
     last = 2 * config.n_legs - 1
     amp = np.zeros(tb.size, dtype=complex)

@@ -369,6 +369,15 @@ INVALID_VALUES = (
     (["simulate", "--omega0", "31.4", "--dx", "5e-324"], {}, "--t-max"),
     # the leg spacing v_g*delay underflows to 0
     (["bic", "--v-g", "5e-324"], {}, "v_g"),
+    # the map's largest value gamma*pi*(4N)^2/v_g^2 overflows, or v_g^2 does
+    (["fdd", "--v-g", "1e-300"], {}, "v_g"),
+    (["fdd", "--v-g", "1e200"], {}, "v_g"),
+    # the record's largest |amplitude|^2 16 N^2 gamma/v_g overflows
+    (["detect", "--v-g", "1e-310"], {}, "v_g"),
+    # the layered flags parse like their INI and environment values
+    (["simulate", "--eta", "abc"], {}, "--eta"),
+    (["bic"], {"GIANTQED_TOPOLOGY": "ring"}, "topology"),
+    (["decay-rates"], {"GIANTQED_TOPOLOGY": "ring"}, "topology"),
 )
 
 
@@ -437,7 +446,6 @@ def test_fdd_map_past_the_cell_budget_exits_2(tmp_path, capsys):
 FLOATING_POINT_FAILURES = (
     ["simulate", "--gamma", "1e-300"],
     ["simulate", "--gamma", "1e300"],
-    ["fdd", "--v-g", "1e-300"],
 )
 
 
@@ -524,7 +532,7 @@ def test_svg_paths_with_matplotlib(tmp_path, argv):
     (["simulate", "--topology", "braided", "--eta", "20", "--phi", "0.5pi",
       "--state", "antisymmetric", "--engine", "both", "--t-max", "2000",
       "--steps-per-delay", "1000"], EXIT_NUMERICAL),
-    (["fdd", "--v-g", "1e-300"], EXIT_NUMERICAL),
+    (["fdd", "--v-g", "1e-300"], EXIT_USAGE),
     (["fdd", "--t-max", "2", "--nx", "41", "--nt", "11", "--svg"], EXIT_USAGE),
 ], ids=["simulate-series-refused", "fdd-tiny-v-g", "fdd-svg-no-matplotlib"])
 def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, rc):
@@ -535,6 +543,33 @@ def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, rc):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == rc
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_unusable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch,
+                                               below):
+    """An --out that is an existing file, or lies under one, is refused
+    before the command runs, and the file is left as it was."""
+    def never(args, params):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_bic", never)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    assert main(["bic", "--out", str(blocker / below)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and captured.out == ""
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+def test_small_accepted_v_g_runs(tmp_path):
+    """Just inside the v_g range checks: the fdd map's largest value
+    gamma*pi*(4N)^2/v_g^2 and the record's 16 N^2 gamma/v_g stay finite."""
+    assert main(["fdd", "--v-g", "1e-150", "--t-max", "1", "--nx", "11",
+                 "--nt", "5", "--out", str(tmp_path / "fdd")]) == EXIT_OK
+    assert main(["detect", "--v-g", "1e-300", "--t-max", "2", "--n-points",
+                 "11", "--out", str(tmp_path / "detect")]) == EXIT_OK
 
 
 #: Small runs of each command and the numeric flags the fuzz varies in

@@ -655,6 +655,27 @@ def test_grouped_ranges_match_dense_sum(three_segment_run, kind,
                          _dense_oracle(traj, omega, times)) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["uniform", "irregular"])
+def test_two_switches_in_one_step_match_dense_sum(kind):
+    """A switch on node 60 and two inside the step after node 130: the
+    middle segment holds no node interval (its first and last node are
+    both 131), so a snapshot past it has a zero-length segment row."""
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=0.7 * math.pi)
+    K = 50
+    h = cfg.delay / K
+    sched = DriveSchedule((0.0, 60 * h, 130.3 * h, 130.6 * h),
+                          (cfg.omega0, 1.2 * cfg.omega0, 0.8 * cfg.omega0,
+                           1.1 * cfg.omega0))
+    traj = integrate_with_drive(cfg, InitialState(0.8, 0.3 - 0.4j), 200 * h,
+                                sched, steps_per_delay=K)
+    # t = 0; before, on and after the node switch; the nodes either side
+    # of the switch pair; after it; the last node
+    times = traj.t[[0, 35, 60, 100, 130, 131, 170, 200]]
+    omega = _grids(cfg, traj)[kind]
+    assert _max_rel_diff(field_amplitudes(traj, omega, times),
+                         _dense_oracle(traj, omega, times)) < 1e-9
+
+
 def test_field_amplitudes_of_no_times_are_empty(switched_run):
     _, traj = switched_run
     grid = np.linspace(-30.0, 30.0, 7)
