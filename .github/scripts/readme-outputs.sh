@@ -38,9 +38,16 @@ run decay-rates-omega0-2 decay-rates --topology braided --omega0 2 \
     --scan 0.005:3.0:0.005
 run decay-rates-separate-omega0-2 decay-rates --topology separate --omega0 2 \
     --scan 0.005:3.0:0.005
+# the deepest ramp bisection measured: 1,162 halved steps, up to 15 a point
+run decay-rates-omega0-1 decay-rates --topology braided --omega0 1 \
+    --scan 0.005:3.0:0.005
 # the braided dark state past t ~ 30, where the branch sum loses its digits
 run simulate-late simulate --topology braided --eta 0.2 --phi 2pi \
     --state antisymmetric --engine both --t-max 40
+# the exact series alone: the one path that evaluates it without the
+# integrator
+run simulate-analytic simulate --topology braided --eta 0.15 --phi 0.5pi \
+    --state antisymmetric --engine analytic --t-max 8
 # away from gamma = v_g = 1: the scan's delay and the detector's lags take v_g
 run decay-rates-vg decay-rates --topology braided --v-g 2
 run detect-gamma detect --topology separate --eta 0.2 --phi 2pi \

@@ -42,10 +42,6 @@ ROUNDING_TOL = 1e-6
 _BRANCH_BUDGET = 1000
 
 
-class OutOfHorizon(Exception):
-    """Raised when the series is evaluated past its last computed interval."""
-
-
 class IllConditioned(Exception):
     """Raised when the series' rounding bound passes ``ROUNDING_TOL``."""
 
@@ -55,7 +51,8 @@ class ExpPolySolution:
     """Exact solution of the collective amplitude, in both forms.
 
     Row m of ``local`` holds R_m in ascending powers of u/delay, entry
-    (m, k) being r_mk delay^k; ``coeffs`` are the A_n it was built from.
+    (m, k) being r_mk delay^k; ``coeffs`` are the A_n it was built from,
+    for ``config``.
     ``branches[l]`` holds P_l in ascending powers of (t - l*delay), built
     from ``coeffs`` by the same recursion on first access.  Both are
     normalised to c(0) = 1 and ``scale`` maps them back onto atom a (c_a(t)
@@ -70,9 +67,14 @@ class ExpPolySolution:
     local: np.ndarray
     coeffs: np.ndarray
     decay: float                 # A_0 = N*gamma/2, exponent of every branch
-    delay: float
+    config: SystemConfig
     parity: int
     scale: complex
+
+    @property
+    def delay(self) -> float:
+        """The delay of ``config``, the length of one interval."""
+        return self.config.delay
 
     @property
     def horizon(self) -> float:
@@ -109,7 +111,7 @@ class ExpPolySolution:
         """Collective amplitude c(t); accepts scalars or arrays.
 
         Negative times give 0; times at or past the horizon raise
-        OutOfHorizon.  Each time takes one Horner pass over its interval's
+        ConfigError.  Each time takes one Horner pass over its interval's
         row, with the rounding bound eps * (1 + x) exp(-x) sum_k |r_mk| u^k
         (Horner's, Higham, Accuracy and Stability of Numerical Algorithms,
         ch. 5, and the envelope's argument x = A_0 u) plus ``carried`` and
@@ -118,7 +120,7 @@ class ExpPolySolution:
         """
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr >= self.horizon - 1e-12 * self.delay):
-            raise OutOfHorizon(
+            raise ConfigError(
                 f"series with {len(self.local)} intervals is valid for "
                 f"t < {self.horizon!r}")
         columns, sizes, carried, dropped = self._horner
@@ -207,7 +209,7 @@ def exact_solution(config: SystemConfig, state: InitialState,
     local = _series_table(coeffs, int(n_branches), config.delay,
                           math.exp(-decay * config.delay))
     return ExpPolySolution(local=local, coeffs=coeffs, decay=decay,
-                           delay=config.delay, parity=parity, scale=state.c_a)
+                           config=config, parity=parity, scale=state.c_a)
 
 
 # -- Laplace domain ----------------------------------------------------------

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analytic import (_BRANCH_BUDGET, IllConditioned, OutOfHorizon,
-                       exact_solution)
+from .analytic import _BRANCH_BUDGET, IllConditioned, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
 from .dde import (GRID_END_SLACK, DriveSchedule, _check_node_budget,
                   _write_trajectory, integrate, integrate_with_drive,
@@ -569,8 +568,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonConvergence, OutOfHorizon, IllConditioned,
-            FloatingPointError) as exc:
+    except (NonConvergence, IllConditioned, FloatingPointError) as exc:
         print(f"numerical failure: {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -504,7 +504,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     with g0 = sqrt(gamma/(4 pi)), Lm_R(omega) = sum_legs exp(-i omega x/v_g)
     (phi_L uses the conjugate leg factors).  ``t`` snaps to the nearest
-    node; a non-decreasing sequence of times shares one transform and one
+    node; a sequence of times, in any order, shares one transform and one
     pass over the frequencies.
 
     The quadrature treats c_m as linear on each node interval and the
@@ -536,12 +536,12 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     Raises:
         ConfigError: for an empty, non-1-D or non-finite ``omega_grid``, or
-            non-finite or decreasing times.
+            non-finite times.
     """
     scalar = np.isscalar(t) or np.asarray(t).shape == ()
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
-        raise ConfigError("times must be finite and non-decreasing")
+    if not np.all(np.isfinite(times)):
+        raise ConfigError("times must be finite")
     stops = [traj.nearest_index(tv) for tv in times]
 
     omega = np.asarray(omega_grid, dtype=float)

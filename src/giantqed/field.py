@@ -46,10 +46,13 @@ __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
 
 def _source(source, config: SystemConfig, parity: int | None, t_last: float):
     """(amplitude(t, atom), schedule) of a branch series or a trajectory
-    that matches ``config`` and ``parity`` (unless None) and covers t_last."""
+    built for ``config``, of ``parity`` (unless None), covering t_last."""
+    if not isinstance(source, (ExpPolySolution, AmplitudeTrajectory)):
+        raise TypeError("amplitude source must be an ExpPolySolution "
+                        "or an AmplitudeTrajectory")
+    if source.config != config:
+        raise ConfigError(f"source built for {source.config}, not {config}")
     if isinstance(source, ExpPolySolution):
-        if abs(source.delay - config.delay) > 1e-12 * max(1.0, config.delay):
-            raise ConfigError("series was built for a different delay")
         if parity is not None and source.parity != parity:
             raise ConfigError(
                 f"series has parity {source.parity:+d}, not {parity:+d}")
@@ -59,10 +62,7 @@ def _source(source, config: SystemConfig, parity: int | None, t_last: float):
 
         def amplitude(t, atom):
             return source.atomic(t)[atom]
-    elif isinstance(source, AmplitudeTrajectory):
-        for field in ("topology", "gamma", "delay", "n_legs", "v_g"):
-            if getattr(source.config, field) != getattr(config, field):
-                raise ConfigError(f"trajectory {field} does not match config")
+    else:
         if parity is not None:
             ca0, cb0 = complex(source.c_a[0]), complex(source.c_b[0])
             if abs(cb0 - parity * ca0) > 1e-9 * max(1.0, abs(ca0)):
@@ -70,9 +70,6 @@ def _source(source, config: SystemConfig, parity: int | None, t_last: float):
                                   f"requested exchange parity {parity:+d}")
         horizon, schedule = source.horizon, source.schedule
         amplitude = source.interpolate
-    else:
-        raise TypeError("amplitude source must be an ExpPolySolution "
-                        "or an AmplitudeTrajectory")
     if t_last > horizon:
         raise ConfigError(f"the requested times need amplitudes up to t = "
                           f"{t_last!r} but the source only covers t <= "

@@ -56,6 +56,8 @@ def scattering(config: SystemConfig, delta_k):
 
     with D_p = D_p(-i delta_k).  The legs are centred on x = 0, which is
     where the reflection phase is referenced; t is reference independent.
+    Atom b's legs mirror atom a's about x = 0, so L_b = Lbar_a and Lbar_b =
+    L_a.
 
     Exactly on a trapping resonance (phi on its dark multiple of pi AND
     delta_k = 0) numerator and denominator share a zero and the entry is
@@ -66,21 +68,16 @@ def scattering(config: SystemConfig, delta_k):
     """
     dk = np.asarray(delta_k, dtype=complex)
     k = (config.omega0 + dk) / config.v_g
-
-    def leg_sum(atom: int, sign: int):
-        return sum(np.exp(sign * 1j * k * x)
-                   for x in config.leg_positions(atom))
-
-    l_a, l_b = leg_sum(0, +1), leg_sum(1, +1)
-    lbar_a, lbar_b = leg_sum(0, -1), leg_sum(1, -1)
+    l_a = sum(np.exp(1j * k * x) for x in config.leg_positions(0))
+    lbar_a = sum(np.exp(-1j * k * x) for x in config.leg_positions(0))
     t = np.ones(dk.shape, dtype=complex)
     r = np.zeros(dk.shape, dtype=complex)
     with np.errstate(invalid="ignore"):
         for p in (+1, -1):
             den = analytic.laplace_denominator(config, p, -1j * dk)
             den = np.where(np.abs(den) < np.finfo(float).tiny, np.nan, den)
-            drive = l_a + p * l_b
-            t -= 0.25 * config.gamma * (lbar_a + p * lbar_b) * drive / den
+            drive = l_a + p * lbar_a
+            t -= 0.25 * config.gamma * (lbar_a + p * l_a) * drive / den
             r -= 0.25 * config.gamma * drive * drive / den
     if t.shape:
         return t, r
@@ -165,12 +162,15 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
     and steps to the 16 coarse targets eta[i]*k/16, each step re-converging
     the root of D_p from the last accepted (eta, s) to |D_p|/gamma <
     ``RAMP_TOL``.  A step is accepted when Newton converges and the root
-    moved at most 0.3*(gamma + |s|); a rejected one is replaced, on the
-    row's stack of pending targets (its row of one (rows, width) array),
-    by its two halves, the nearer first, down to 24 halvings, where a
-    converged root is taken.  Each pass runs one batched Newton over every
-    unfinished row's next target.  Rows with eta = 0 keep the Markovian
-    pole.
+    moved at most 0.3*(gamma + |s|); a rejected one is halved, down to 24
+    halvings, where a converged root is taken.  After an accepted step the
+    next one runs to the nearest pending target, the end of the halved
+    interval above, or else to the next coarse target.  A row's state is
+    its position ``pos`` and next ``step`` in units of 2**-24 coarse
+    steps: a rejected step halves ``step``, an accepted one adds it to
+    ``pos``, and the next step is the lowest set bit of ``pos``, at most a
+    coarse step.  Each pass runs one batched Newton over every unfinished
+    row's next target.  Rows with eta = 0 keep the Markovian pole.
 
     Returns:
         (s, iterations, subdivisions) per row: the pole, the Newton
@@ -184,46 +184,30 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
     s = -np.atleast_2d(kernel.coeffs).sum(axis=-1)
     iterations = np.zeros(s.size, dtype=int)
     subdivisions = np.zeros(s.size, dtype=int)
-    reached = np.zeros(s.size)              # eta of each row's root s
-    coarse = np.where(eta > 0, 1, 17).astype(np.int8)   # next coarse k
-    pending = np.zeros(s.size, dtype=np.int8)   # halved targets per row
-    # row i's stack of halved targets, eta and depth, with its top at
-    # column pending[i] - 1 (int8 depths keep a large scan's state small)
-    halves, depths = np.empty((s.size, 0)), np.empty((s.size, 0), np.int8)
-    rows = np.flatnonzero(coarse <= 16)
+    end = 16 << 24                          # the ramp's end, eta[i]
+    pos = np.where(eta > 0, 0, end).astype(np.int64)
+    step = np.full(s.size, 1 << 24, dtype=np.int64)
+    rows = np.flatnonzero(pos < end)
     while rows.size:
-        halved = pending[rows] > 0
-        tops = rows[halved], pending[rows[halved]] - 1
-        target = eta[rows] * coarse[rows] / 16
-        depth = np.zeros(rows.size, dtype=np.int8)
-        target[halved], depth[halved] = halves[tops], depths[tops]
+        target = eta[rows] * ((pos[rows] + step[rows]) / end)
         # s[rows] unnamed: no second copy of the roots is held during Newton
         root, its, ok = _newton(kernel.rows(rows, target / gamma), s[rows],
                                 tol)
         iterations[rows] += its
-        take = ok & (np.abs(root - s[rows]) <= 0.3 * (gamma + np.abs(s[rows])))
-        lost = ~ok & (depth >= 24)
+        last = step[rows] == 1              # the 24th halving
+        lost = ~ok & last
         if lost.any():
             raise NonConvergence(f"lost parity {parity:+d} branch at "
                                  f"eta={target[lost][0]:.6g}")
-        take |= depth >= 24
-        s[rows[take]], reached[rows[take]] = root[take], target[take]
-        coarse[rows[~halved]] += 1
-        # every top is popped; a rejected target is pushed back one level
-        # deeper, under its midpoint from the last accepted eta
-        pending[tops[0]] -= 1
-        split = rows[~take]
-        if split.size:
-            subdivisions[split] += 1
-            target, top = target[~take], pending[split].astype(int)
-            if top.max() + 2 > halves.shape[1]:
-                widen = ((0, 0), (0, top.max() + 2 - halves.shape[1]))
-                halves, depths = np.pad(halves, widen), np.pad(depths, widen)
-            push = split[:, None], top[:, None] + [0, 1]
-            halves[push] = np.stack((target, 0.5 * (reached[split] + target)), -1)
-            depths[push] = depth[~take, None] + 1
-            pending[split] += 2
-        rows = rows[(coarse[rows] <= 16) | (pending[rows] > 0)]
+        near = np.abs(root - s[rows]) <= 0.3 * (gamma + np.abs(s[rows]))
+        take = last | (ok & near)
+        done, split = rows[take], rows[~take]
+        s[done] = root[take]
+        pos[done] += step[done]
+        step[done] = np.minimum(1 << 24, pos[done] & -pos[done])
+        step[split] //= 2
+        subdivisions[split] += 1
+        rows = rows[pos[rows] < end]
     return s, iterations, subdivisions
 
 
@@ -288,8 +272,9 @@ def connected_pole(config: SystemConfig, parity: int) -> complex:
     depend on phi and gamma only), and Newton re-converges the root of D_p
     from the previous one, to |D_p|/gamma < ``RAMP_TOL``.  The ramp starts
     from the Markovian pole s = -sum_n A_n and takes 16 equal eta steps,
-    halving a step while Newton fails or the root jumps by more than
-    0.3*(gamma + |s|).  Working per parity keeps the tracker from hopping
+    halving a step, up to 24 times, while Newton fails or the root jumps by
+    more than 0.3*(gamma + |s|); every target is eta times a dyadic
+    fraction, rounded once.  Working per parity keeps the tracker from hopping
     onto the other parity family.  Returns the pole position s
     (rate = -2s).  Continuation along other parameter paths can land on a
     different sheet, so the ramp in retardation *is* the definition used

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from giantqed.analytic import (ExpPolySolution, IllConditioned,
-                               OutOfHorizon, ParityKernel, _series_table,
+                               ParityKernel, _series_table,
                                exact_solution,
                                laplace_denominator,
                                laplace_denominator_derivative,
@@ -106,9 +106,9 @@ def test_evaluate_guards_horizon_and_negative_times():
     assert sol.horizon == pytest.approx(3 * cfg.delay)
     assert sol(-1.0) == 0.0
     sol(2.99 * cfg.delay)                       # still inside
-    with pytest.raises(OutOfHorizon):
+    with pytest.raises(ConfigError):
         sol(3.0 * cfg.delay)
-    with pytest.raises(OutOfHorizon):
+    with pytest.raises(ConfigError):
         sol(np.array([0.0, 10.0 * cfg.delay]))
 
 
@@ -126,8 +126,9 @@ def test_evaluate_refuses_cancelled_digits():
     assert abs(c_a[-1]) ** 2 + abs(c_b[-1]) ** 2 == pytest.approx(25 / 36,
                                                                   abs=1e-12)
     cancelling = ExpPolySolution(local=np.array([[1.0, 0.0], [1e12, -1e12]]),
-                                 coeffs=np.array([1.0]), decay=1.0, delay=1.0,
-                                 parity=1, scale=1.0)
+                                 coeffs=np.array([1.0]), decay=1.0,
+                                 config=SystemConfig("separate"), parity=1,
+                                 scale=1.0)
     assert cancelling(0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
     with pytest.raises(IllConditioned, match="rounding bound"):
         cancelling(np.array([0.5, 1.5]))

@@ -470,7 +470,8 @@ def test_excitation_balance_improves_with_window():
 
 def test_field_amplitudes_amortised_sweep_matches_single_calls():
     """One increasing-time sweep must give the same amplitudes as separate
-    calls, including across a drive switch that is not grid aligned."""
+    calls, including across a drive switch that is not grid aligned.  Times
+    in any order, repeats included, give the single calls' bits."""
     cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
     sched = DriveSchedule.switch_at(1.23, cfg.omega0, 1.3 * cfg.omega0)
     traj = integrate_with_drive(cfg, InitialState.antisymmetric(), 3.0,
@@ -482,8 +483,12 @@ def test_field_amplitudes_amortised_sweep_matches_single_calls():
         one_r, one_l = field_amplitudes(traj, grid, t_probe)
         assert np.max(np.abs(swept_r[i] - one_r)) < 1e-14
         assert np.max(np.abs(swept_l[i] - one_l)) < 1e-14
-    with pytest.raises(ConfigError):
-        field_amplitudes(traj, grid, [2.0, 1.0])
+    for times in ([2.0, 1.0], [4.1, 0.7, 2.5, 2.5, 1.0]):
+        swept_r, swept_l = field_amplitudes(traj, grid, times)
+        for i, t_probe in enumerate(times):
+            one_r, one_l = field_amplitudes(traj, grid, t_probe)
+            assert np.array_equal(swept_r[i], one_r)
+            assert np.array_equal(swept_l[i], one_l)
     with pytest.raises(ConfigError):
         field_amplitudes(traj, grid, [1.0, math.nan])
 

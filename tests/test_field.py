@@ -188,6 +188,26 @@ def test_fdd_input_validation():
         fdd(lopsided, cfg, -1, x, t)            # not a parity eigenstate
 
 
+@pytest.mark.parametrize("other", [
+    SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi),
+    SystemConfig.from_phase("separate", eta=0.2, phi=2.5 * math.pi),
+    SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi, v_g=3.0)],
+    ids=["topology", "phi", "v_g"])
+def test_sources_refuse_another_config(other):
+    """A series or a trajectory built for one system is refused for another
+    topology, phi or v_g at the same delay, by both fdd and the detector."""
+    cfg, state = _dark_config(), InitialState.antisymmetric()
+    assert other != cfg and other.delay == cfg.delay
+    sources = (exact_solution(cfg, state, n_branches=5),
+               integrate(cfg, state, t_max=4 * cfg.delay, steps_per_delay=50))
+    x, t = np.array([0.5]), np.array([2.0 * cfg.delay])
+    for source in sources:
+        with pytest.raises(ConfigError, match="source built for"):
+            fdd(source, other, -1, x, t)
+        with pytest.raises(ConfigError, match="source built for"):
+            detector_signal(source, other, 1.0, t)
+
+
 def test_field_grid_csv(tmp_path):
     cfg = _dark_config()
     sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=3)

@@ -353,7 +353,9 @@ def _ramp_recursive(kernel: analytic.ParityKernel, eta: np.ndarray,
     one to |D_p|/gamma < ``RAMP_TOL``.  A step is accepted when Newton
     converges and the root moved at most 0.3*(gamma + |s|); a rejected row
     halves its interval and retries from its last accepted (eta, s), alone,
-    down to 24 halvings.  Rows with eta = 0 keep the Markovian pole.
+    down to 24 halvings.  Positions are integers p, the midpoint of p0 and
+    p1 is (p0 + p1) // 2 and p's target is eta[i]*(p/end), as in ``_ramp``.
+    Rows with eta = 0 keep the Markovian pole.
 
     Returns:
         (s, iterations, subdivisions) per row: the pole, the Newton
@@ -367,40 +369,41 @@ def _ramp_recursive(kernel: analytic.ParityKernel, eta: np.ndarray,
     s = -np.atleast_2d(kernel.coeffs).sum(axis=-1)
     iterations = np.zeros(s.size, dtype=int)
     subdivisions = np.zeros(s.size, dtype=int)
+    end = 16 << 24          # ramp positions count 2**-24 coarse steps
 
-    def step(rows, s0, eta1):
-        """Newton at eta1 from s0 per row: (root, converged, accepted)."""
+    def step(rows, s0, p1):
+        """Newton at position p1 from s0 per row: (root, ok, accepted)."""
+        eta1 = eta[rows] * (p1 / end)
         root, its, ok = _newton(kernel.rows(rows, eta1 / gamma), s0, tol)
         iterations[rows] += its
         return root, ok, ok & (np.abs(root - s0) <= 0.3 * (gamma + np.abs(s0)))
 
-    def split(i, eta0, s0, eta1, root, ok, depth):
-        """Row i after a rejected step from (eta0, s0) to eta1."""
+    def split(i, p0, s0, p1, root, ok, depth):
+        """Row i after a rejected step from position p0 to p1."""
         if depth >= 24:
             if ok:
                 return root
-            raise NonConvergence(
-                f"lost parity {parity:+d} branch at eta={eta1:.6g}")
+            raise NonConvergence(f"lost parity {parity:+d} branch at "
+                                 f"eta={eta[i] * (p1 / end):.6g}")
         subdivisions[i] += 1
-        mid = 0.5 * (eta0 + eta1)
-        return advance(i, mid, advance(i, eta0, s0, mid, depth + 1), eta1,
+        mid = (p0 + p1) // 2
+        return advance(i, mid, advance(i, p0, s0, mid, depth + 1), p1,
                        depth + 1)
 
-    def advance(i, eta0, s0, eta1, depth):
-        (root,), (ok,), (accepted,) = step([i], np.array([s0]), eta1)
+    def advance(i, p0, s0, p1, depth):
+        (root,), (ok,), (accepted,) = step([i], np.array([s0]), p1)
         if accepted:
             return root
-        return split(i, eta0, s0, eta1, root, ok, depth)
+        return split(i, p0, s0, p1, root, ok, depth)
 
     rows = np.flatnonzero(eta > 0)
     for k in range(1, 17):                      # 16 coarse ramp steps
-        eta0, eta1 = eta[rows] * (k - 1) / 16, eta[rows] * k / 16
+        p0, p1 = (k - 1) << 24, k << 24
         s0 = s[rows]
-        root, ok, accepted = step(rows, s0, eta1)
+        root, ok, accepted = step(rows, s0, p1)
         s[rows] = root
         for j in np.flatnonzero(~accepted):
-            s[rows[j]] = split(rows[j], eta0[j], s0[j], eta1[j], root[j],
-                               ok[j], 0)
+            s[rows[j]] = split(rows[j], p0, s0[j], p1, root[j], ok[j], 0)
     del advance             # break the split <-> advance cycle: frees the kernel
     return s, iterations, subdivisions
 
