@@ -17,23 +17,27 @@ input comes from nodes <= m*K, which are already stored.  With those inputs
 fixed, one RK4 step is the affine map y_{j+1} = R y_j + F_j per atom, with
 R = 1 + z + z^2/2 + z^3/6 + z^4/24 (z = -gamma0*h) and F_j built from the
 delayed sums at both nodes and the Hermite midpoint.  The K steps of an
-interval are solved together by a Hillis-Steele doubling scan of that
-recurrence, ceil(log2(K+1)) array passes; |R| < 1 keeps it stable, where
-the closed form through R^-j would overflow.
+interval are solved together in closed form, y_j = R^j (y_0 + sum_{k<j}
+R^-(k+1) F_k): one multiply by inverse powers, one cumulative sum and one
+scale.  Its rounding, at most j*eps*sum_k |F_k| R^(j-k-1), is the bound of
+the step-by-step recurrence.  R^-j grows (0 < R < 1), so where R^-K would
+pass e^200 (gamma0*delay above about 200) blocks of 200/(-ln R) steps each
+restart from their first node: no scaled term can exceed 1e87 |F|.
 
 A piecewise-constant frequency schedule ("drive") gives each delayed term
 the phase accumulated over its retardation window,
 exp(i Int_{t-n*delay}^t omega0(s) ds).  A window inside one segment k
 accumulates the static phase n*omega_k*delay, so an interval whose windows
 all lie inside one segment (every interval of an undriven run, all but
-L + 1 per switch with lags up to L) gathers the stored values and both
-derivatives of its history in one index and takes one product with the
-segment's complex coupling (the table times ``DelayTable.phases``).  The
-Hermite midpoint is then linear in the delayed sums P, Q, R of values,
-right and left derivatives and is folded into F.  Only intervals whose
-windows hold a switch build explicit midpoints and per-node window phases
-(``DriveSchedule.window_phase``).  A switched run therefore matches the
-undriven one bit for bit until a window reaches the switch.
+L + 1 per switch with lags up to L) takes one gather of its history
+(values at nodes j and j + 1, the right derivative at j and the left at
+j + 1) and one product with the segment's complex coupling (the table
+times ``DelayTable.phases``), giving the delayed sums P at the nodes and
+F, the Hermite midpoint folded in: nine array calls whatever K, three
+more per further block.  Only intervals whose windows hold a switch build
+explicit midpoints and per-node window phases (``window_phase``).  A
+switched run so matches the undriven one bit for bit until a window
+reaches the switch.
 """
 
 from __future__ import annotations
@@ -264,68 +268,65 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     a_node = w_node + 0.5 * w_mid
     a_end = w_end + 0.5 * w_mid
     a_slope = 0.125 * h * w_mid
-    # a window inside segment k accumulates the static phase n*omega_k*delay
-    seg_coupling = [coupling * table.phases(w * delay)[1:]
-                    for w in schedule.omegas]
+    # (P; F) = weights @ history, as (segment, P or F, atom, kind, atom,
+    # lag); a window in segment k has the static phase n*omega_k*delay
+    mix = np.array([[1.0, 0.0, 0.0, 0.0], [a_node, a_end, a_slope, -a_slope]])
+    seg_phase = table.phases(np.multiply(schedule.omegas, delay))[:, 1:]
+    weights = mix[:, None, :, None, None] * (
+        coupling * seg_phase[:, None, None])[:, None, :, None]
 
     # values, right and left derivatives as (kind, atom, node); zeroed, so
-    # the right derivative of node lo, gathered below before this pass sets
-    # it, is a finite value that only feeds an unused column
+    # what a gather reads past the stored nodes only feeds unused columns
     store = np.zeros((3, 2, n_steps + 1), dtype=complex)
     c, d_right, d_left = store
     c[:, 0] = complex(state.c_a), complex(state.c_b)
     d_right[:, 0] = d_left[:, 0] = -gamma0 * c[:, 0]
+    # flat offsets of the gathered (value at node j, value at j + 1, right
+    # derivative at j, left at j + 1) x atom, for node j = 0
+    flat, nodes = store.reshape(-1), n_steps + 1
+    offsets = np.add.outer([0, 1, 2 * nodes, 4 * nodes + 1], [0, nodes])
+    recurrence = _affine_recurrence(amp, K)
 
-    # one pass per interval [m*delay, (m+1)*delay), first node lo = m*K; a
-    # last node on a breakpoint is a pass of no steps that only sets its
-    # right derivative
+    # one pass per interval [m*delay, (m+1)*delay) from node lo = m*K; a last
+    # node on a breakpoint is a pass of no steps: it sets its right derivative
     switch_passes = 0
+    index = {}       # per pass shape: rows (kind, atom, lag) x node j
     for lo in range(0, n_steps + 1, K):
         n = min(K, n_steps - lo)
         live = min(lo // K, n_lags)
-        lag = np.arange(1, live + 1)
-        # history nodes lo - lag*K .. lo - lag*K + n of every live lag as
-        # (kind, atom, lag, node)
-        idx = (lo - lag * K)[:, None] + np.arange(n + 1)
-        hist = store.take(idx, axis=2)
+        if (n, live) not in index:
+            index[n, live] = (offsets[..., None] - K * np.arange(1, live + 1)
+                              ).reshape(-1, 1) + np.arange(n + 1)
+        hist = flat.take(index[n, live] + lo)
         # the windows [t - lag*delay, t] of the pass span [first, last]; a
         # switch on either end node lies outside
         first = (lo - K * live + GRID_END_SLACK) * h
         seg = bisect_right(schedule.starts, first)
         if seg == bisect_right(schedule.starts, (lo + n - GRID_END_SLACK) * h):
-            cpl = seg_coupling[seg - 1][:, :, :live].reshape(2, 2 * live)
-            p, q, r = cpl @ hist.reshape(3, 2 * live, n + 1)
-            f = a_node * p[:, :-1] + a_end * p[:, 1:] + a_slope * (
-                q[:, :-1] - r[:, 1:])
+            cpl = weights[seg - 1, ..., :live].reshape(4, 8 * live)
+            p, f = (cpl @ hist).reshape(2, 2, n + 1)
         else:
             # a switch inside the windows: per-node accumulated phases,
             # so explicit Hermite midpoints
             switch_passes += 1
-            val, right, left = hist
-            mid = 0.5 * (val[..., :-1] + val[..., 1:]) + 0.125 * h * (
-                right[..., :-1] - left[..., 1:])
+            val, nxt, right, left = hist.reshape(4, 2, live, n + 1)
+            mid = 0.5 * (val[..., :-1] + nxt[..., :-1]) + 0.125 * h * (
+                right[..., :-1] - left[..., :-1])
             t_node = (lo + np.arange(n + 1)) * h
             times = np.concatenate((t_node, t_node[:-1] + 0.5 * h))
-            ph = np.exp(1j * schedule.window_phase(times,
-                                                   (lag * delay)[:, None]))
+            ph = np.exp(1j * schedule.window_phase(
+                times, (np.arange(1, live + 1) * delay)[:, None]))
             cpl = coupling[:, :, :live].reshape(2, 2 * live)
             p = cpl @ (val * ph[:, :n + 1]).reshape(2 * live, n + 1)
             m = cpl @ (mid * ph[:, n + 1:]).reshape(2 * live, n)
             f = w_node * p[:, :-1] + w_mid * m + w_end * p[:, 1:]
 
         y = c[:, lo:lo + n + 1]
-        y[:, 1:] = f
-        # Hillis-Steele doubling scan of y[j+1] = amp*y[j] + F[j]: after
-        # the pass with shift s each entry sums its last 2s terms
-        power, s = amp, 1
-        while s <= n:
-            y[:, s:] += power * y[:, :-s]
-            power *= power
-            s *= 2
-        d_left[:, lo + 1:lo + n + 1] = -gamma0 * y[:, 1:] - p[:, 1:]
-        d_right[:, lo + 1:lo + n + 1] = d_left[:, lo + 1:lo + n + 1]
-        # right sense at the breakpoint: the lag that switches on included
-        d_right[:, lo] = -gamma0 * y[:, 0] - p[:, 0]
+        recurrence(y, f)
+        # right sense at breakpoint lo (new lag in); next pass redoes lo + n
+        dd = np.multiply(y, -gamma0, out=d_right[:, lo:lo + n + 1])
+        dd -= p
+        d_left[:, lo + 1:lo + n + 1] = dd[:, 1:]
 
     t_grid = np.arange(n_steps + 1) * h
     return AmplitudeTrajectory(t=t_grid, c_a=c[0], c_b=c[1],
@@ -335,6 +336,24 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
                                steps_per_delay=steps_per_delay,
                                intervals=n_steps // K + 1,
                                switch_intervals=switch_passes)
+
+
+def _affine_recurrence(amp: float, K: int):
+    """Solver of y[:, j+1] = amp*y[:, j] + f[:, j] in place from y[:, 0], per
+    block of b steps from its first node y0: y[:, i] = amp^i (y0 + sum_{k<i}
+    amp^-(k+1) f[:, k]), b = K or the most steps with amp^-b <= e^200."""
+    b = K if -K * math.log(amp) <= 200.0 else int(-200.0 / math.log(amp))
+    j = np.arange(b + 1.0)
+    pw, inv = amp ** j, amp ** -j[1:]
+
+    def solve(y, f) -> None:
+        for s in range(0, y.shape[1] - 1, b):
+            part = y[:, s:s + b + 1]
+            m = part.shape[1] - 1
+            np.multiply(f[:, s:s + m], inv[:m], out=part[:, 1:])
+            np.cumsum(part, axis=1, out=part)
+            part *= pw[:m + 1]
+    return solve
 
 
 def _check_node_budget(
@@ -504,8 +523,9 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     with g0 = sqrt(gamma/(4 pi)), Lm_R(omega) = sum_legs exp(-i omega x/v_g)
     (phi_L uses the conjugate leg factors).  ``t`` snaps to the nearest
-    node; a sequence of times, in any order, shares one transform and one
-    pass over the frequencies.
+    node and must lie in the run, from -GRID_END_SLACK*h to
+    ``traj.horizon``; a sequence of times, in any order, shares one
+    transform and one pass over the frequencies.
 
     The quadrature treats c_m as linear on each node interval and the
     oscillatory factor exp(i (omega - omega0) tau) exactly (Filon-type
@@ -536,12 +556,14 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     Raises:
         ConfigError: for an empty, non-1-D or non-finite ``omega_grid``, or
-            non-finite times.
+            times outside the run (non-finite ones included).
     """
     scalar = np.isscalar(t) or np.asarray(t).shape == ()
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ConfigError("times must be finite")
+    tau = traj.t
+    h = tau[1] - tau[0]
+    if not np.all((times >= -GRID_END_SLACK * h) & (times <= traj.horizon)):
+        raise ConfigError(f"times must lie in the run, [0, {traj.horizon!r}]")
     stops = [traj.nearest_index(tv) for tv in times]
 
     omega = np.asarray(omega_grid, dtype=float)
@@ -557,8 +579,6 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     legs = [[(dist.index(abs(x)), x < 0) for x in cfg.leg_positions(atom)]
             for atom in (0, 1)]
 
-    tau = traj.t
-    h = tau[1] - tau[0]
     # rows: atom a, atom b, in the frame rotating with the drive: the
     # absolute phase Omega(tau) is the window phase over [0, tau]
     rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
@@ -614,6 +634,7 @@ def excitation_balance(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t) -> 
 
     Equals 1 exactly in the model; the deficit measures quadrature error
     (finite window, node resolution) and is the standard conservation check.
+    ``t`` must lie in the run, as for :func:`field_amplitudes`.
     """
     phi_r, phi_l = field_amplitudes(traj, omega_grid, t)
     field = np.trapezoid(np.abs(phi_r) ** 2 + np.abs(phi_l) ** 2, omega_grid)

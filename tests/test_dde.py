@@ -249,8 +249,8 @@ def test_last_breakpoint_node_has_its_right_derivative():
 
 
 def test_stiff_run_matches_exact_series():
-    """eta = 20 at K = 1000: the scan stays stable where a closed form
-    through R^-j would overflow."""
+    """eta = 20 at K = 1000: one closed-form block per interval, with
+    inverse powers up to R^-K = e^20."""
     cfg = SystemConfig.from_phase("braided", eta=20.0, phi=0.3 * math.pi)
     state = InitialState.symmetric()
     traj = integrate(cfg, state, t_max=5 * cfg.delay, steps_per_delay=1000)
@@ -258,6 +258,41 @@ def test_stiff_run_matches_exact_series():
     c_a, c_b = sol.atomic(traj.t)
     assert max(np.max(np.abs(c_a - traj.c_a)),
                np.max(np.abs(c_b - traj.c_b))) < 1e-8
+
+
+def test_blocked_closed_form_matches_exact_series():
+    """gamma0*delay = 250: R^-K would pass e^200, so each interval of
+    12 500 steps is solved in blocks; no overflow warning, and the run
+    matches the exact series over three delays."""
+    cfg = SystemConfig.from_phase("separate", eta=250.0, phi=0.3 * math.pi)
+    assert delay_table(cfg).self_terms[0] * cfg.delay > 200.0
+    state = InitialState.symmetric()
+    traj = integrate(cfg, state, t_max=3 * cfg.delay, steps_per_delay=12500)
+    assert np.all(np.isfinite(traj.c_a)) and np.all(np.isfinite(traj.c_b))
+    sol = exact_solution(cfg, state, t_max=3 * cfg.delay * (1 + 1e-9))
+    c_a, c_b = sol.atomic(traj.t)
+    assert max(np.max(np.abs(c_a - traj.c_a)),
+               np.max(np.abs(c_b - traj.c_b))) < 1e-8
+
+
+@pytest.mark.parametrize("eta", [0.2, 20.0, 800.0])
+def test_closed_form_recurrence_matches_plain_loop(eta):
+    """The blocked closed form of y[j+1] = R*y[j] + F[j] against the
+    recurrence stepped in Python, with R at the step of the eta = gamma0*
+    delay run at K = max(100, 50*eta): one block for eta = 0.2 and 20,
+    four of 10 000 steps for eta = 800."""
+    K = max(100, math.ceil(50 * eta))
+    z = -eta / K
+    amp = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    rng = np.random.default_rng(21)
+    f = rng.normal(size=(2, K)) + 1j * rng.normal(size=(2, K))
+    y = np.zeros((2, K + 1), dtype=complex)
+    y[:, 0] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    want = y.copy()
+    for j in range(K):
+        want[:, j + 1] = amp * want[:, j] + f[:, j]
+    dde._affine_recurrence(amp, K)(y, f)
+    assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_drive_single_segment_is_bit_identical():
@@ -483,7 +518,7 @@ def test_field_amplitudes_amortised_sweep_matches_single_calls():
         one_r, one_l = field_amplitudes(traj, grid, t_probe)
         assert np.max(np.abs(swept_r[i] - one_r)) < 1e-14
         assert np.max(np.abs(swept_l[i] - one_l)) < 1e-14
-    for times in ([2.0, 1.0], [4.1, 0.7, 2.5, 2.5, 1.0]):
+    for times in ([2.0, 1.0], [traj.horizon, 0.7, 2.5, 2.5, 1.0]):
         swept_r, swept_l = field_amplitudes(traj, grid, times)
         for i, t_probe in enumerate(times):
             one_r, one_l = field_amplitudes(traj, grid, t_probe)
@@ -491,6 +526,26 @@ def test_field_amplitudes_amortised_sweep_matches_single_calls():
             assert np.array_equal(swept_l[i], one_l)
     with pytest.raises(ConfigError):
         field_amplitudes(traj, grid, [1.0, math.nan])
+
+
+def test_field_amplitudes_refuse_times_outside_the_run():
+    """Snapshot times past the last node or before 0, beyond the grid-end
+    slack, raise ConfigError (the nearest node would clamp them); the
+    horizon itself is accepted, as by ``interpolate``."""
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
+    sched = DriveSchedule.switch_at(1.23, cfg.omega0, 1.3 * cfg.omega0)
+    traj = integrate_with_drive(cfg, InitialState.antisymmetric(), 3.0,
+                                sched, steps_per_delay=100)
+    grid = frequency_grid(cfg, half_width=30.0, n_points=401)
+    for t_out in (4.1, -0.1, [1.0, 4.1]):
+        with pytest.raises(ConfigError, match="run"):
+            field_amplitudes(traj, grid, t_out)
+    for t_out in (4.1, -0.1):
+        with pytest.raises(ConfigError, match="run"):
+            excitation_balance(traj, grid, t_out)
+    last_r, _ = field_amplitudes(traj, grid, traj.horizon)
+    assert np.array_equal(last_r, field_amplitudes(traj, grid, traj.t[-1])[0])
+    assert math.isfinite(excitation_balance(traj, grid, traj.horizon))
 
 
 def _dense_oracle(traj, omega_grid, times):
