@@ -53,6 +53,12 @@ run decay-rates-vg decay-rates --topology braided --v-g 2
 run detect-gamma detect --topology separate --eta 0.2 --phi 2pi \
     --state antisymmetric --t-max 40 --switch-at 20 --phi-after 2.5pi \
     --gamma 0.7 --v-g 1.9
+# eta = 0: the instantaneous limit, the integrator's closed-form path, and
+# the exact series refusing it (exit 2: it needs eta > 0)
+run simulate-eta0 simulate --topology braided --eta 0 \
+    --state antisymmetric --t-max 5
+run simulate-eta0-both simulate --topology braided --eta 0 \
+    --state antisymmetric --t-max 5 --engine both
 # an exact series refused (exit 3) after the integrator ran: nothing written
 run simulate-refused simulate --topology braided --eta 20 --phi 0.5pi \
     --state antisymmetric --engine both --t-max 2000 --steps-per-delay 1000

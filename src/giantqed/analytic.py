@@ -33,7 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ConfigError, InitialState, SystemConfig, delay_table
+from .dde import DriveSchedule
+from .model import (AmplitudeRecord, ConfigError, InitialState, SystemConfig,
+                    delay_table)
 
 #: Largest rounding-error bound on c(t) (normalised to c(0) = 1) that
 #: ``ExpPolySolution.evaluate`` returns; the criterion-1 tolerance.
@@ -47,7 +49,7 @@ class IllConditioned(Exception):
 
 
 @dataclass(frozen=True)
-class ExpPolySolution:
+class ExpPolySolution(AmplitudeRecord):
     """Exact solution of the collective amplitude, in both forms.
 
     Row m of ``local`` holds R_m in ascending powers of u/delay, entry
@@ -55,21 +57,24 @@ class ExpPolySolution:
     for ``config``.
     ``branches[l]`` holds P_l in ascending powers of (t - l*delay), built
     from ``coeffs`` by the same recursion on first access.  Both are
-    normalised to c(0) = 1 and ``scale`` maps them back onto atom a (c_a(t)
-    = scale * c(t), c_b = parity * c_a).  When the delay-table coefficients
-    alternate in sign (braided antisymmetric near even multiples of pi) the
-    branches grow and cancel, and by t ~ 30/gamma at eta ~ 0.2 their sum
-    has lost its digits; :meth:`evaluate` reads the local table, which
-    keeps them (over many delays at large eta its rows cancel too, and it
-    refuses).
+    normalised to c(0) = 1; :meth:`atomic` maps them back onto the atoms
+    of ``state`` (c_a(t) = state.c_a * c(t), c_b = parity * c_a).  When
+    the delay-table coefficients alternate in sign (braided antisymmetric
+    near even multiples of pi) the branches grow and cancel, and by t ~
+    30/gamma at eta ~ 0.2 their sum has lost its digits; :meth:`evaluate`
+    reads the local table, which keeps them (over many delays at large eta
+    its rows cancel too, and it refuses).
     """
 
     local: np.ndarray
     coeffs: np.ndarray
-    decay: float                 # A_0 = N*gamma/2, exponent of every branch
     config: SystemConfig
-    parity: int
-    scale: complex
+    state: InitialState
+
+    @property
+    def decay(self) -> float:
+        """A_0 = N*gamma/2, the exponent of every branch."""
+        return float(self.coeffs[0].real)
 
     @property
     def delay(self) -> float:
@@ -78,11 +83,13 @@ class ExpPolySolution:
 
     @property
     def horizon(self) -> float:
-        """First time not covered by the stored intervals."""
-        return len(self.local) * self.delay
+        """Last legal query time: (intervals - 1e-12) delays."""
+        return (len(self.local) - 1e-12) * self.delay
 
-    def __call__(self, t):
-        return self.evaluate(t)
+    @cached_property
+    def schedule(self) -> DriveSchedule:
+        """The undriven schedule the series solves: omega0 of ``config``."""
+        return DriveSchedule.constant(self.config.omega0)
 
     @cached_property
     def branches(self) -> tuple[np.ndarray, ...]:
@@ -110,7 +117,7 @@ class ExpPolySolution:
     def evaluate(self, t):
         """Collective amplitude c(t); accepts scalars or arrays.
 
-        Negative times give 0; times at or past the horizon raise
+        Negative times give 0; times past the horizon, and NaN, raise
         ConfigError.  Each time takes one Horner pass over its interval's
         row, with the rounding bound eps * (1 + x) exp(-x) sum_k |r_mk| u^k
         (Horner's, Higham, Accuracy and Stability of Numerical Algorithms,
@@ -119,10 +126,9 @@ class ExpPolySolution:
         exceeds ``ROUNDING_TOL``.
         """
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr >= self.horizon - 1e-12 * self.delay):
-            raise ConfigError(
-                f"series with {len(self.local)} intervals is valid for "
-                f"t < {self.horizon!r}")
+        if not np.all(t_arr <= self.horizon):
+            raise ConfigError(f"series with {len(self.local)} intervals is "
+                              f"valid for t <= {self.horizon!r}")
         columns, sizes, carried, dropped = self._horner
         s = np.maximum(t_arr, 0.0) / self.delay
         m = np.minimum(np.floor(s), len(self.local) - 1).astype(np.intp)
@@ -144,11 +150,12 @@ class ExpPolySolution:
         out = np.where(t_arr < 0.0, 0.0, out * envelope)
         return out if out.shape else complex(out)
 
-    def atomic(self, t):
-        """(c_a(t), c_b(t)) for the initial state the series was built from."""
-        c = self.evaluate(t)
-        c_a = self.scale * c
-        return c_a, self.parity * c_a
+    def atomic(self, t, atom: int | None = None):
+        """(c_a(t), c_b(t)) for ``state``, or with ``atom`` (0 for a, 1 for
+        b) that atom's amplitude alone; times as for :meth:`evaluate`."""
+        c_a = self.state.c_a * self.evaluate(t)
+        pair = (c_a, self.parity * c_a)
+        return pair if atom is None else pair[atom]
 
 
 def _series_table(coeffs: np.ndarray, rows: int, unit, shrink) -> np.ndarray:
@@ -172,44 +179,31 @@ def _series_table(coeffs: np.ndarray, rows: int, unit, shrink) -> np.ndarray:
 
 
 def exact_solution(config: SystemConfig, state: InitialState,
-                   n_branches: int | None = None,
-                   t_max: float | None = None) -> ExpPolySolution:
-    """Construct the exact series for a parity eigenstate.
+                   t_max: float) -> ExpPolySolution:
+    """The exact series of a parity eigenstate ``state`` on [0, t_max].
 
-    Args:
-        config: system parameters (delay must be positive).
-        state: symmetric or antisymmetric initial state.
-        n_branches: number of branches and of delay intervals to generate,
-            at most ``_BRANCH_BUDGET`` + 1 (checked before allocating).
-        t_max: alternatively, generate enough to cover [0, t_max].
-
-    Returns:
-        ExpPolySolution valid on [0, n_branches*delay).
+    ``config`` needs a positive delay.  A finite t_max >= 0 takes
+    floor(t_max/delay + 1e-12) + 1 delay intervals, at most
+    ``_BRANCH_BUDGET`` + 1 (checked before allocating); the ``horizon``
+    is at least t_max.
     """
     if config.delay <= 0:
         raise ConfigError("the branch series needs a positive delay")
-    parity = state.parity
-    if parity is None:
+    if state.parity is None:
         raise ConfigError(
             "exact series requires a symmetric or antisymmetric initial state")
-    if n_branches is None:
-        if t_max is None:
-            raise ConfigError("give either n_branches or t_max")
-        if not math.isfinite(t_max):
-            raise ConfigError(f"t_max must be finite, got {t_max!r}")
-        n_branches = np.floor(t_max / config.delay + 1e-12) + 1
-    if n_branches < 1:
-        raise ConfigError("need at least one branch")
-    if n_branches - 1 > _BRANCH_BUDGET:
+    if not 0 <= t_max < math.inf:
+        raise ConfigError(f"t_max must be finite and >= 0, got {t_max!r}")
+    rows = np.floor(t_max / config.delay + 1e-12) + 1
+    if rows - 1 > _BRANCH_BUDGET:
         raise ConfigError(f"the exact series spans at most {_BRANCH_BUDGET} "
-                          f"delays, not {n_branches - 1:.6g}")
+                          f"delays, not {rows - 1:.6g}")
 
-    coeffs = delay_table(config).collective(parity, config.phi)
-    decay = float(coeffs[0].real)
-    local = _series_table(coeffs, int(n_branches), config.delay,
-                          math.exp(-decay * config.delay))
-    return ExpPolySolution(local=local, coeffs=coeffs, decay=decay,
-                           config=config, parity=parity, scale=state.c_a)
+    coeffs = delay_table(config).collective(state.parity, config.phi)
+    local = _series_table(coeffs, int(rows), config.delay,
+                          math.exp(-float(coeffs[0].real) * config.delay))
+    return ExpPolySolution(local=local, coeffs=coeffs, config=config,
+                           state=state)
 
 
 # -- Laplace domain ----------------------------------------------------------

@@ -19,10 +19,10 @@ All artifacts are plain CSV (and NDJSON for the bic report) with
 config-echo comment headers; identical parameters produce byte-identical
 files.  SVG plots are optional conveniences behind ``--svg``.  A run
 writes all its files and its manifest after every result is computed, or
-nothing when it fails.  Exit codes:
-0 success, 2 usage/config error (a ``ConfigError``), 3 numerical
-failure (a pole that does not converge, an exact series whose rounding
-bound passes 1e-6, a floating-point error).
+nothing when it fails, its writes included.  Exit codes: 0 success, 2
+usage/config error (a ``ConfigError``; a failed write names --out), 3
+numerical failure (a pole that does not converge, an exact series whose
+rounding bound passes 1e-6, a floating-point error).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,15 +212,28 @@ class RunManifest:
                 f"out_dir = {self.out_dir}",
                 *self.config.summary_lines()]
 
-    def write(self) -> None:
-        name = f"{self.command.replace('-', '_')}_manifest.txt"
-        _write_text(os.path.join(self.out_dir, name),
-                    "\n".join(self.lines()) + "\n")
+    def write(self, path: str) -> None:
+        _write_text(path, "\n".join(self.lines()) + "\n")
 
 
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_all(out_dir: str, base: str, files: list) -> None:
+    """Write each (name, writer) into a fresh hidden directory in ``base``
+    (``--out`` or its nearest existing ancestor: the same filesystem), then
+    rename them into ``out_dir``; an OSError removes it, a ConfigError."""
+    try:
+        with tempfile.TemporaryDirectory(prefix=".giantqed-", dir=base) as stage:
+            for name, write in files:
+                write(os.path.join(stage, name))
+            os.makedirs(out_dir, exist_ok=True)
+            for name, _ in files:
+                os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir!r}: {exc}") from None
 
 
 def _fit_rate(t: np.ndarray, population: np.ndarray) -> float | None:
@@ -264,7 +278,7 @@ def cmd_simulate(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, 
                                                        1.0 / config.gamma)
             _check_node_budget(steps)
             ts = np.linspace(0.0, t_max, max(int(round(steps)), 200) + 1)
-        sol = exact_solution(config, state, t_max=float(ts[-1]))
+        sol = exact_solution(config, state, float(ts[-1]))
         c_a, c_b = sol.atomic(ts)
         comments = ["giantqed amplitude trajectory (exact series)",
                     *config.summary_lines()]
@@ -349,7 +363,7 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
                           f"* 2), above the budget of {_FDD_CELL_BUDGET:.0e}; "
                           f"lower --nx or --nt")
     h = config.delay / steps_per_delay  # 0 when a tiny delay underflows
-    _check_node_budget((t_max + config.delay) / h - GRID_END_SLACK if h else math.inf,
+    _check_node_budget(t_max / h - GRID_END_SLACK if h else math.inf,
                        "lower --t-max or change --eta (fdd takes "
                        "max(100, ceil(50*eta)) steps per delay)")
     if args.svg:
@@ -358,8 +372,7 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
         1.5 * config.spacing + config.v_g * t_max
     x_grid = np.linspace(-span, span, args.nx)
     t_grid = np.linspace(0.0, t_max, args.nt)
-    traj = integrate(config, state, t_max + config.delay,
-                     steps_per_delay=steps_per_delay)
+    traj = integrate(config, state, t_max, steps_per_delay=steps_per_delay)
     grid = compute_fdd(traj, config, state.parity, x_grid, t_grid)
 
     # photonic excitation (v_g/2pi) * int I dx inside |x| <= 1.5*spacing at
@@ -541,8 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Resolve, compute, then make ``--out`` and write every output in order
-    and the manifest; a run that exits 2 or 3 writes nothing."""
+    """Resolve, compute, write every output and the manifest into ``--out``
+    at once, then print the stdout lines; a run that exits 2 or 3 writes
+    nothing."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -555,16 +569,13 @@ def main(argv=None) -> int:
             if not (out_dir and os.path.isdir(path or ".")):
                 raise ConfigError(f"--out {out_dir!r}: {path!r} is not a directory")
             config, outputs = args.func(args, params)
-            os.makedirs(out_dir, exist_ok=True)
-            for output in outputs:
-                if isinstance(output, str):
-                    print(output)
-                    continue
-                name, write = output
-                path = os.path.join(out_dir, name)
-                write(path)
-                print(f"wrote {path}")
-            RunManifest(args.command, config, out_dir).write()
+            manifest = RunManifest(args.command, config, out_dir)
+            _write_all(out_dir, path or ".", [
+                *(output for output in outputs if not isinstance(output, str)),
+                (f"{args.command.replace('-', '_')}_manifest.txt", manifest.write)])
+        for output in outputs:
+            print(output if isinstance(output, str)
+                  else f"wrote {os.path.join(out_dir, output[0])}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ConfigError, InitialState, SystemConfig, delay_table,
-                    write_csv)
+from .model import (AmplitudeRecord, ConfigError, InitialState, SystemConfig,
+                    delay_table, write_csv)
 
 #: Fraction of a step by which a run may end short of its t_max: the last
 #: node is the first one past t_max - GRID_END_SLACK*h.  Queries up to that
@@ -111,29 +111,36 @@ class DriveSchedule:
 
 
 @dataclass(frozen=True)
-class AmplitudeTrajectory:
-    """Dense solution record of one integration run.
+class AmplitudeTrajectory(AmplitudeRecord):
+    """Dense solution record of one integration run from ``state``.
 
-    ``deriv_*`` are the stored node derivatives used for Hermite
-    interpolation; the ``_left`` variants differ from the ``_right`` ones
-    only at breakpoint nodes (delayed terms switch on there).
+    ``c`` holds the amplitudes (c_a, c_b) at the nodes ``t``, and
+    ``d_right`` and ``d_left`` the node derivatives used for Hermite
+    interpolation, each as (atom, node); the left ones differ from the
+    right ones only at breakpoint nodes (delayed terms switch on there).
     ``intervals`` counts the delay-interval passes of the run and
     ``switch_intervals`` those whose retardation windows held a drive
     switch, so they took per-node phases (both 0 for delay = 0).
     """
 
     t: np.ndarray
-    c_a: np.ndarray
-    c_b: np.ndarray
-    deriv_a_right: np.ndarray
-    deriv_b_right: np.ndarray
-    deriv_a_left: np.ndarray
-    deriv_b_left: np.ndarray
+    c: np.ndarray
+    d_right: np.ndarray
+    d_left: np.ndarray
     config: SystemConfig
+    state: InitialState
     schedule: DriveSchedule
     steps_per_delay: int
     intervals: int
     switch_intervals: int
+
+    @property
+    def c_a(self) -> np.ndarray:
+        return self.c[0]
+
+    @property
+    def c_b(self) -> np.ndarray:
+        return self.c[1]
 
     @property
     def pop_a(self) -> np.ndarray:
@@ -152,21 +159,19 @@ class AmplitudeTrajectory:
         """Last legal query time: the last node plus the grid-end slack."""
         return float(self.t[-1] + GRID_END_SLACK * (self.t[1] - self.t[0]))
 
-    def interpolate(self, t, atom: int | None = None):
-        """(c_a, c_b) at arbitrary times via piecewise cubic Hermite.
+    def atomic(self, t, atom: int | None = None):
+        """(c_a(t), c_b(t)) at arbitrary times via piecewise cubic Hermite,
+        or with ``atom`` (0 for a, 1 for b) that atom's amplitude alone.
 
-        With ``atom`` (0 for a, 1 for b) only that atom's amplitude is
-        interpolated and returned.  Times up to ``GRID_END_SLACK`` of a step
-        outside [0, t[-1]] clamp to the end node; anything further raises
-        ConfigError.
+        Times up to ``GRID_END_SLACK`` of a step outside [0, t[-1]] clamp to
+        the end node; any other time, NaN included, raises ConfigError.
         """
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         h = self.t[1] - self.t[0]
-        lo, hi = (tq.min(), tq.max()) if tq.size else (0.0, 0.0)
-        if lo < -GRID_END_SLACK * h or hi > self.horizon:
+        if tq.size and not (tq.min() >= -GRID_END_SLACK * h
+                            and tq.max() <= self.horizon):
             raise ConfigError("interpolation time outside the stored run")
-        if lo < 0.0 or hi > self.t[-1]:
-            tq = np.clip(tq, 0.0, self.t[-1])
+        tq = np.clip(tq, 0.0, self.t[-1])
         idx = np.clip((tq / h).astype(int), 0, len(self.t) - 2)
         nxt = idx + 1
         u = tq / h - idx
@@ -174,18 +179,17 @@ class AmplitudeTrajectory:
         h10 = h * (u * (1 - u) ** 2)
         h01 = u * u * (3 - 2 * u)
         h11 = h * (u * u * (u - 1))
-        rows = ((self.c_a, self.deriv_a_right, self.deriv_a_left),
-                (self.c_b, self.deriv_b_right, self.deriv_b_left))
-        out = []
-        for y, dr, dl in rows if atom is None else (rows[atom],):
-            # h00*y0 + h10*d0 + h01*y1 + h11*d1 summed in place in that
-            # order: the same values with one live temporary
-            c = h00 * y[idx]
-            c += h10 * dr[idx]
-            c += h01 * y[nxt]
-            c += h11 * dl[nxt]
-            out.append(complex(c[0]) if np.ndim(t) == 0 else c)
-        return out[0] if atom is not None else tuple(out)
+        rows = slice(None) if atom is None else atom
+        y, dr, dl = self.c[rows], self.d_right[rows], self.d_left[rows]
+        # h00*y0 + h10*d0 + h01*y1 + h11*d1 summed in place in that order:
+        # the same values with one live temporary
+        c = h00 * y[..., idx]
+        c += h10 * dr[..., idx]
+        c += h01 * y[..., nxt]
+        c += h11 * dl[..., nxt]
+        if np.ndim(t) == 0:
+            c = c[..., 0].tolist()
+        return c if atom is not None else tuple(c)
 
     def nearest_index(self, t: float) -> int:
         i = int(round(t / (self.t[1] - self.t[0])))
@@ -254,6 +258,8 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     delay = config.delay
     h = delay / K                       # 0 when a tiny delay underflows
     n_steps = max(1, _check_node_budget(t_max / h - GRID_END_SLACK if h else math.inf))
+    # a run inside the first delay is one pass, whatever K (even past int64)
+    K = min(K, n_steps + 1)
     # one RK4 step with the delayed inputs fixed: y1 = amp*y0 + F with
     # F = w_node*P(t0) + w_mid*M + w_end*P(t1), where P is the delayed sum
     # at a node and M the one at the midpoint
@@ -329,10 +335,8 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
         d_left[:, lo + 1:lo + n + 1] = dd[:, 1:]
 
     t_grid = np.arange(n_steps + 1) * h
-    return AmplitudeTrajectory(t=t_grid, c_a=c[0], c_b=c[1],
-                               deriv_a_right=d_right[0], deriv_b_right=d_right[1],
-                               deriv_a_left=d_left[0], deriv_b_left=d_left[1],
-                               config=config, schedule=schedule,
+    return AmplitudeTrajectory(t=t_grid, c=c, d_right=d_right, d_left=d_left,
+                               config=config, state=state, schedule=schedule,
                                steps_per_delay=steps_per_delay,
                                intervals=n_steps // K + 1,
                                switch_intervals=switch_passes)
@@ -379,18 +383,14 @@ def _integrate_instantaneous(config: SystemConfig, state: InitialState,
     n = _check_node_budget(max(steps_per_delay, 50)
                            * max(1.0, np.ceil(t_max * config.gamma)))
     t = np.linspace(0.0, t_max, n + 1)
-    cp0 = state.c_a + state.c_b
-    cm0 = state.c_a - state.c_b
-    ep = np.exp(-plus * t)
-    em = np.exp(-minus * t)
-    ca = 0.5 * (cp0 * ep + cm0 * em)
-    cb = 0.5 * (cp0 * ep - cm0 * em)
-    da = 0.5 * (-plus * cp0 * ep - minus * cm0 * em)
-    db = 0.5 * (-plus * cp0 * ep + minus * cm0 * em)
-    return AmplitudeTrajectory(t=t, c_a=ca, c_b=cb,
-                               deriv_a_right=da, deriv_b_right=db,
-                               deriv_a_left=da.copy(), deriv_b_left=db.copy(),
-                               config=config, schedule=schedule,
+    cp0, cm0 = state.c_a + state.c_b, state.c_a - state.c_b
+    ep, em = np.exp(-plus * t), np.exp(-minus * t)
+    # atom a takes the sum of the two modes, atom b their difference
+    sign = np.array([[1.0], [-1.0]])
+    c = 0.5 * (cp0 * ep + sign * (cm0 * em))
+    d = 0.5 * (-plus * cp0 * ep - sign * (minus * cm0 * em))
+    return AmplitudeTrajectory(t=t, c=c, d_right=d, d_left=d,
+                               config=config, state=state, schedule=schedule,
                                steps_per_delay=steps_per_delay,
                                intervals=0, switch_intervals=0)
 
@@ -581,7 +581,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     # rows: atom a, atom b, in the frame rotating with the drive: the
     # absolute phase Omega(tau) is the window phase over [0, tau]
-    rot = np.stack((traj.c_a, traj.c_b)) * np.exp(
+    rot = traj.c * np.exp(
         -1j * sched.window_phase(tau, tau))
 
     # one row per snapshot k and segment j it reaches: segment j's nodes up

@@ -32,9 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ExpPolySolution
-from .dde import AmplitudeTrajectory, DriveSchedule
-from .model import ConfigError, SystemConfig, write_csv
+from .model import AmplitudeRecord, ConfigError, SystemConfig, write_csv
 
 __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
            "released_energy"]
@@ -44,37 +42,21 @@ __all__ = ["FieldGrid", "DetectorRecord", "fdd", "detector_signal",
 # amplitude sources and the retarded-leg term
 # ---------------------------------------------------------------------------
 
-def _source(source, config: SystemConfig, parity: int | None, t_last: float):
-    """(amplitude(t, atom), schedule) of a branch series or a trajectory
-    built for ``config``, of ``parity`` (unless None), covering t_last."""
-    if not isinstance(source, (ExpPolySolution, AmplitudeTrajectory)):
-        raise TypeError("amplitude source must be an ExpPolySolution "
-                        "or an AmplitudeTrajectory")
+def _source(source, config: SystemConfig, parity: int | None,
+            times: np.ndarray) -> None:
+    """Check that ``source`` is an amplitude record built for ``config``
+    from a state of ``parity`` (unless None) covering all of ``times``."""
+    if not isinstance(source, AmplitudeRecord):
+        raise TypeError("amplitude source must be an AmplitudeRecord")
     if source.config != config:
         raise ConfigError(f"source built for {source.config}, not {config}")
-    if isinstance(source, ExpPolySolution):
-        if parity is not None and source.parity != parity:
-            raise ConfigError(
-                f"series has parity {source.parity:+d}, not {parity:+d}")
-        # last legal query time (evaluate refuses the horizon itself)
-        horizon = source.horizon - 2e-12 * max(source.delay, 1.0)
-        schedule = DriveSchedule.constant(config.omega0)
-
-        def amplitude(t, atom):
-            return source.atomic(t)[atom]
-    else:
-        if parity is not None:
-            ca0, cb0 = complex(source.c_a[0]), complex(source.c_b[0])
-            if abs(cb0 - parity * ca0) > 1e-9 * max(1.0, abs(ca0)):
-                raise ConfigError("trajectory initial state does not have the "
-                                  f"requested exchange parity {parity:+d}")
-        horizon, schedule = source.horizon, source.schedule
-        amplitude = source.interpolate
-    if t_last > horizon:
-        raise ConfigError(f"the requested times need amplitudes up to t = "
-                          f"{t_last!r} but the source only covers t <= "
-                          f"{horizon!r}; build it with a longer run")
-    return amplitude, schedule
+    if parity is not None and source.parity != parity:
+        raise ConfigError(f"source has exchange parity {source.parity}, "
+                          f"not {parity:+d}")
+    if not (np.all(np.isfinite(times)) and times.max() <= source.horizon):
+        raise ConfigError(f"the requested times must be finite and at most "
+                          f"{source.horizon!r}, the source's horizon; build "
+                          "it with a longer run")
 
 
 def _half_step(u: np.ndarray) -> np.ndarray:
@@ -82,17 +64,18 @@ def _half_step(u: np.ndarray) -> np.ndarray:
     return np.where(u > 0, 1.0, np.where(u == 0, 0.5, 0.0))
 
 
-def _retarded(amplitude, schedule: DriveSchedule, atom: int, t, width,
-              gate: np.ndarray) -> np.ndarray:
-    """gate * c_atom(t - width) * exp(i Int_{t-width}^t omega0(s) ds), with
-    t and width broadcast to gate's shape, evaluated where gate > 0 only."""
+def _retarded(source, atom: int, t, width, gate: np.ndarray) -> np.ndarray:
+    """gate * c_atom(t - width) * exp(i Int_{t-width}^t omega0(s) ds) of
+    ``source``, with t and width broadcast to gate's shape, evaluated where
+    gate > 0 only."""
     t, width = np.broadcast_arrays(t, width)
     out = np.zeros(gate.shape, dtype=complex)
     cells = gate > 0
     if cells.any():
         t, width = t[cells], width[cells]
         out[cells] = gate[cells] * np.exp(
-            1j * schedule.window_phase(t, width)) * amplitude(t - width, atom)
+            1j * source.schedule.window_phase(t, width)) * source.atomic(
+                t - width, atom)
     return out
 
 
@@ -161,14 +144,14 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
         x_grid, t_grid) -> FieldGrid:
     """Frequency-resolved emitted intensity collapsed to real space.
 
-    ``amplitude_source`` is either an exact branch series or an integrated
-    trajectory for a parity eigenstate; it must cover every time in
-    ``t_grid``.  A (leg, direction) term takes the width w = direction *
-    (x - x_l)/v_g and the gate step(w) * step(t - w).  The returned
-    intensity is exactly zero outside the light cone ``|x| <= max(leg) +
-    v_g * t`` and on the ``t <= 0`` slices.  A v_g for which v_g^2 or the
-    largest possible cell gamma*pi*(4N)^2/v_g^2 (4N terms, |c| <= 1)
-    leaves the float range raises ConfigError.
+    ``amplitude_source`` is an amplitude record (exact series or
+    trajectory) for ``config`` and ``parity`` covering every time in
+    ``t_grid``; both grids must be finite.  A (leg, direction) term takes
+    the width w = direction * (x - x_l)/v_g and the gate step(w) * step(t
+    - w).  The returned intensity is exactly zero outside the light cone
+    ``|x| <= max(leg) + v_g * t`` and on the ``t <= 0`` slices.  A v_g for
+    which v_g^2 or the largest possible cell gamma*pi*(4N)^2/v_g^2 (4N
+    terms, |c| <= 1) leaves the float range raises ConfigError.
     """
     if parity not in (1, -1):
         raise ConfigError("parity must be +1 or -1")
@@ -176,8 +159,9 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     t = np.asarray(t_grid, dtype=float)
     if x.ndim != 1 or t.ndim != 1 or x.size == 0 or t.size == 0:
         raise ConfigError("x_grid and t_grid must be non-empty 1-D arrays")
-    amplitude, schedule = _source(amplitude_source, config, parity,
-                                  float(t.max()))
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("x_grid must be finite")
+    _source(amplitude_source, config, parity, t)
     v2 = config.v_g * config.v_g
     if not 0 < v2 < math.inf or math.isinf(
             config.gamma * math.pi * (4 * config.n_legs) ** 2 / v2):
@@ -189,7 +173,7 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
         for x_leg in config.leg_positions(atom):
             for direction in (1.0, -1.0):
                 width = direction * (x - x_leg) / config.v_g
-                total += _retarded(amplitude, schedule, atom, tcol, width,
+                total += _retarded(amplitude_source, atom, tcol, width,
                                    _half_step(width) * _half_step(tcol - width))
     intensity = (config.gamma * math.pi / config.v_g ** 2) * np.abs(total) ** 2
     intensity[t <= 0, :] = 0.0
@@ -231,7 +215,7 @@ class DetectorRecord:
 
 def detector_signal(amplitude_source, config: SystemConfig, x0: float,
                     t_bar_grid) -> DetectorRecord:
-    """Output amplitude seen by a right-side detector.
+    """Output amplitude at a right-side detector, from an amplitude record.
 
     Each leg at slot distance ``n`` from the rightmost one contributes
     ``gamma * exp(i dOmega_n) * c_m(t_bar - n*delay)`` where ``dOmega_n``
@@ -248,8 +232,7 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
     tb = np.asarray(t_bar_grid, dtype=float)
     if tb.ndim != 1 or tb.size == 0:
         raise ConfigError("t_bar_grid must be a non-empty 1-D array")
-    amplitude, schedule = _source(amplitude_source, config, None,
-                                  float(tb.max()))
+    _source(amplitude_source, config, None, tb)
     if math.isinf(16 * config.n_legs ** 2 * config.gamma / config.v_g):
         raise ConfigError(f"v_g = {config.v_g!r} puts the record's largest "
                           "|amplitude|^2 16 N^2 gamma/v_g out of the float range")
@@ -260,8 +243,8 @@ def detector_signal(amplitude_source, config: SystemConfig, x0: float,
         for slot in config.leg_slots(atom):
             # the detector is strictly right of every leg: no gate on the lag
             lag = (last - slot) * config.spacing / config.v_g
-            amp += config.gamma * _retarded(amplitude, schedule, atom, tb,
-                                            lag, _half_step(tb - lag))
+            amp += config.gamma * _retarded(amplitude_source, atom, tb, lag,
+                                            _half_step(tb - lag))
     amp *= 2.0 / math.sqrt(config.gamma * config.v_g)
     return DetectorRecord(t_bar=tb, amplitude=amp, x0=float(x0),
                           config=config)

@@ -193,6 +193,18 @@ class InitialState:
         return None
 
 
+class AmplitudeRecord:
+    """Contract of both amplitude records, ``dde.AmplitudeTrajectory`` and
+    ``analytic.ExpPolySolution``: ``config``, initial ``state``, drive
+    ``schedule``, and ``atomic(t, atom=None)``, (c_a(t), c_b(t)) or one
+    atom's, up to ``horizon``; a later or NaN time raises ConfigError."""
+
+    @property
+    def parity(self) -> int | None:
+        """The exchange parity of ``state``."""
+        return self.state.parity
+
+
 @dataclass(frozen=True)
 class DelayTable:
     """Phase-free retarded coupling coefficients of the amplitude equations.

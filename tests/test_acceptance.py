@@ -59,7 +59,7 @@ def test_criterion_1_series_matches_integrator(capsys):
             cfg = SystemConfig.from_phase(topology, eta=0.15,
                                           phi=0.5 * math.pi)
             tic = time.perf_counter()
-            sol = exact_solution(cfg, state, n_branches=5)
+            sol = exact_solution(cfg, state, t_max=4 * cfg.delay)
             traj = integrate(cfg, state, t_max=4 * cfg.delay,
                              steps_per_delay=100)
             c_a, c_b = sol.atomic(traj.t)
@@ -257,7 +257,7 @@ def test_criterion_11_branch_coefficient_audit(capsys):
         cfg = SystemConfig.from_phase(topology, eta=0.25, phi=0.0)
         state = (InitialState.symmetric() if parity > 0
                  else InitialState.antisymmetric())
-        sol = exact_solution(cfg, state, n_branches=4)
+        sol = exact_solution(cfg, state, t_max=3 * cfg.delay)
         for branch, expected in zip(sol.branches, polys):
             pad = np.zeros(len(expected), dtype=complex)
             pad[:len(branch)] = branch

@@ -18,11 +18,11 @@ from giantqed.dde import integrate
 from giantqed.model import ConfigError, InitialState, SystemConfig
 
 
-def _series(topology, parity, *, eta=0.3, phi=0.0, n_branches=4):
+def _series(topology, parity, *, eta=0.3, phi=0.0, delays=3):
     cfg = SystemConfig.from_phase(topology, eta=eta, phi=phi)
     state = (InitialState.symmetric() if parity > 0
              else InitialState.antisymmetric())
-    return cfg, exact_solution(cfg, state, n_branches=n_branches)
+    return cfg, exact_solution(cfg, state, t_max=delays * cfg.delay)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_named_coefficients_at_resonance():
     for topology in ("separate", "braided"):
         gamma = 2.0
         cfg = SystemConfig.from_phase(topology, eta=0.3, phi=0.0, gamma=gamma)
-        sol = exact_solution(cfg, InitialState.symmetric(), n_branches=3)
+        sol = exact_solution(cfg, InitialState.symmetric(), t_max=2 * cfg.delay)
         assert sol.branches[1][1] == pytest.approx(-1.5 * gamma, rel=1e-15)
         assert sol.branches[2][2] == pytest.approx(1.125 * gamma ** 2,
                                                    rel=1e-15)
@@ -82,34 +82,35 @@ def test_named_coefficients_at_resonance():
 def test_symmetric_series_is_topology_blind_at_resonance():
     """phi = 0 makes the symmetric tables of both layouts identical, so the
     whole series must coincide branch by branch."""
-    _, sep = _series("separate", +1, n_branches=8)
-    _, brd = _series("braided", +1, n_branches=8)
+    _, sep = _series("separate", +1, delays=7)
+    _, brd = _series("braided", +1, delays=7)
     for a, b in zip(sep.branches, brd.branches):
         assert np.allclose(a, b, rtol=0.0, atol=1e-15)
     t = np.linspace(0.0, 7.9 * sep.delay, 101)
-    assert np.allclose(sep(t), brd(t), rtol=0.0, atol=1e-14)
+    assert np.allclose(sep.evaluate(t), brd.evaluate(t), rtol=0.0,
+                       atol=1e-14)
 
 
 def test_series_scale_and_atomic_split():
     cfg = SystemConfig.from_phase("separate", eta=0.2, phi=math.pi)
     state = InitialState.antisymmetric()
-    sol = exact_solution(cfg, state, n_branches=5)
+    sol = exact_solution(cfg, state, t_max=4 * cfg.delay)
     assert sol.parity == -1
-    assert sol.scale == pytest.approx(state.c_a)
+    assert sol.state == state
     c_a, c_b = sol.atomic(0.0)
     assert c_a == pytest.approx(state.c_a)
     assert c_b == pytest.approx(-state.c_a)
 
 
 def test_evaluate_guards_horizon_and_negative_times():
-    cfg, sol = _series("separate", +1, n_branches=3)
+    cfg, sol = _series("separate", +1, delays=2)
     assert sol.horizon == pytest.approx(3 * cfg.delay)
-    assert sol(-1.0) == 0.0
-    sol(2.99 * cfg.delay)                       # still inside
+    assert sol.evaluate(-1.0) == 0.0
+    sol.evaluate(2.99 * cfg.delay)              # still inside
     with pytest.raises(ConfigError):
-        sol(3.0 * cfg.delay)
+        sol.evaluate(3.0 * cfg.delay)
     with pytest.raises(ConfigError):
-        sol(np.array([0.0, 10.0 * cfg.delay]))
+        sol.evaluate(np.array([0.0, 10.0 * cfg.delay]))
 
 
 def test_evaluate_refuses_cancelled_digits():
@@ -126,12 +127,13 @@ def test_evaluate_refuses_cancelled_digits():
     assert abs(c_a[-1]) ** 2 + abs(c_b[-1]) ** 2 == pytest.approx(25 / 36,
                                                                   abs=1e-12)
     cancelling = ExpPolySolution(local=np.array([[1.0, 0.0], [1e12, -1e12]]),
-                                 coeffs=np.array([1.0]), decay=1.0,
-                                 config=SystemConfig("separate"), parity=1,
-                                 scale=1.0)
-    assert cancelling(0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
+                                 coeffs=np.array([1.0]),
+                                 config=SystemConfig("separate"),
+                                 state=InitialState.symmetric())
+    assert cancelling.evaluate(0.5) == pytest.approx(math.exp(-0.5),
+                                                     rel=1e-15)
     with pytest.raises(IllConditioned, match="rounding bound"):
-        cancelling(np.array([0.5, 1.5]))
+        cancelling.evaluate(np.array([0.5, 1.5]))
 
 
 def _shifted(poly, delay, shift):
@@ -216,23 +218,21 @@ def test_local_form_matches_the_branch_series(topology, parity, eta, phi,
     series, bound = _branch_sum(sol, t)
     sharp = bound < 1e-9
     assert sharp.mean() > 0.3
-    assert np.all(np.abs(sol(t[sharp]) - series[sharp])
+    assert np.all(np.abs(sol.evaluate(t[sharp]) - series[sharp])
                   <= bound[sharp] + 1e-14)
 
 
 def test_exact_solution_input_validation():
     cfg = SystemConfig.from_phase("separate", eta=0.1, phi=0.0)
     with pytest.raises(ConfigError):
-        exact_solution(cfg, InitialState(c_a=1.0, c_b=0.0), n_branches=2)
+        exact_solution(cfg, InitialState(c_a=1.0, c_b=0.0), t_max=cfg.delay)
     with pytest.raises(ConfigError):
-        exact_solution(cfg, InitialState.symmetric())        # no extent given
-    with pytest.raises(ConfigError):
-        exact_solution(cfg, InitialState.symmetric(), n_branches=0)
+        exact_solution(cfg, InitialState.symmetric(), t_max=-1 * cfg.delay)
     with pytest.raises(ConfigError):
         exact_solution(cfg, InitialState.symmetric(), t_max=math.inf)
     zero_delay = SystemConfig(topology="separate", delay=0.0)
     with pytest.raises(ConfigError):
-        exact_solution(zero_delay, InitialState.symmetric(), n_branches=2)
+        exact_solution(zero_delay, InitialState.symmetric(), t_max=cfg.delay)
     # t_max chooses just enough branches
     sol = exact_solution(cfg, InitialState.symmetric(), t_max=2.5 * cfg.delay)
     assert len(sol.branches) == 3
@@ -244,8 +244,6 @@ def test_exact_series_budget_is_checked_before_allocating():
     state = InitialState.symmetric()
     assert len(exact_solution(cfg, state, t_max=1000 * cfg.delay).local) == 1001
     with pytest.raises(ConfigError, match="at most 1000 delays"):
-        exact_solution(cfg, state, n_branches=1002)
-    with pytest.raises(ConfigError, match="at most 1000 delays"):
         exact_solution(cfg, state, t_max=1001 * cfg.delay)
 
 
@@ -255,7 +253,7 @@ def test_exact_series_holds_one_table():
     cfg = SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi)
     tracemalloc.start()
     try:
-        sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=1000)
+        sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=999 * cfg.delay)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -384,7 +382,7 @@ def test_steady_state_long_time_agreement():
                  else InitialState.antisymmetric())
         sol = exact_solution(cfg, state, t_max=15.0)
         limit = steady_state(cfg, state).amplitude
-        assert abs(sol(15.0 - 1e-9) - limit) < 1e-8
+        assert abs(sol.evaluate(15.0 - 1e-9) - limit) < 1e-8
 
 
 def test_steady_state_requires_parity():

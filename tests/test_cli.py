@@ -563,6 +563,33 @@ def test_unusable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "old-out"])
+def test_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch, existing):
+    """A writer that writes and then fails (a full disk) makes the run exit
+    2 naming --out: an --out that did not exist is still absent, one that
+    did keeps only its old file, and no staging directory is left."""
+    from giantqed.bic import FieldProfile
+
+    def full_disk(self, path):
+        Path(path).write_text("partial\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(FieldProfile, "to_csv", full_disk)
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "old.txt").write_text("keep\n")
+    assert main(["bic", "--topology", "braided", "--eta", "0.2", "--phi",
+                 "2pi", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "No space left" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["old.txt"]
+        assert (out / "old.txt").read_text() == "keep\n"
+
+
 def test_small_accepted_v_g_runs(tmp_path):
     """Just inside the v_g range checks: the fdd map's largest value
     gamma*pi*(4N)^2/v_g^2 and the record's 16 N^2 gamma/v_g stay finite."""

@@ -69,7 +69,7 @@ def test_live_implicit_euler_cross_check():
 def test_matches_exact_series_and_converges():
     cfg = SystemConfig.from_phase("braided", eta=0.2, phi=1.3 * math.pi)
     state = InitialState.symmetric()
-    sol = exact_solution(cfg, state, n_branches=5)
+    sol = exact_solution(cfg, state, t_max=4 * cfg.delay)
     t_probe = 3.5 * cfg.delay
     ref_a, _ = sol.atomic(t_probe)
 
@@ -234,9 +234,8 @@ def test_interval_scan_matches_step_by_step_oracle(name):
     c, d_right, d_left = _rk4_oracle(cfg, state, t_max, sched, K)
     assert traj.t.size == c.shape[1]
     tol = 1e-12 * np.max(np.abs(c))
-    for got, want in ((np.array([traj.c_a, traj.c_b]), c),
-                      (np.array([traj.deriv_a_right, traj.deriv_b_right]), d_right),
-                      (np.array([traj.deriv_a_left, traj.deriv_b_left]), d_left)):
+    for got, want in ((traj.c, c), (traj.d_right, d_right),
+                      (traj.d_left, d_left)):
         assert np.max(np.abs(got - want)) <= tol
 
 
@@ -245,7 +244,18 @@ def test_last_breakpoint_node_has_its_right_derivative():
     switches on there, not a copy of the left one."""
     cfg, state, t_max, sched, K = _oracle_case("braided-breakpoint")
     traj = integrate_with_drive(cfg, state, t_max, sched, steps_per_delay=K)
-    assert abs(traj.deriv_a_right[-1] - traj.deriv_a_left[-1]) > 1e-3
+    assert abs(traj.d_right[0, -1] - traj.d_left[0, -1]) > 1e-3
+
+
+def test_run_inside_the_first_delay_takes_any_steps_per_delay():
+    """eta = 1e300 puts the step floor at K >= 5e301, past int64; a run of
+    t_max = 1 ends long before the first delay, so it is one pass of 50
+    steps: the Markovian decay exp(-2t) of the symmetric population."""
+    cfg = SystemConfig.from_phase("separate", eta=1e300, phi=0.0)
+    traj = integrate(cfg, InitialState.symmetric(), t_max=1.0,
+                     steps_per_delay=5 * 10 ** 301)
+    assert traj.t.size == 51 and traj.intervals == 1
+    assert np.max(np.abs(traj.excited_population - np.exp(-2.0 * traj.t))) < 1e-8
 
 
 def test_stiff_run_matches_exact_series():
@@ -414,21 +424,21 @@ def test_interpolate_nodes_and_midpoints():
     cfg = SystemConfig.from_phase("separate", eta=0.25, phi=0.6 * math.pi)
     state = InitialState.symmetric()
     traj = integrate(cfg, state, t_max=3.0 * cfg.delay, steps_per_delay=40)
-    sol = exact_solution(cfg, state, n_branches=4)
+    sol = exact_solution(cfg, state, t_max=3 * cfg.delay)
     k = len(traj.t) // 2
-    c_a, c_b = traj.interpolate(traj.t[k])
+    c_a, c_b = traj.atomic(traj.t[k])
     assert c_a == traj.c_a[k] and c_b == traj.c_b[k]
     t_mid = 0.5 * (traj.t[k] + traj.t[k + 1])
     ref_a, _ = sol.atomic(t_mid)
-    c_a_mid, _ = traj.interpolate(t_mid)
+    c_a_mid, _ = traj.atomic(t_mid)
     assert abs(c_a_mid - ref_a) < 1e-8
-    arr_a, arr_b = traj.interpolate(np.array([0.0, t_mid]))
+    arr_a, arr_b = traj.atomic(np.array([0.0, t_mid]))
     assert arr_a.shape == (2,) and arr_b.shape == (2,)
     assert arr_a[0] == traj.c_a[0]
     with pytest.raises(ConfigError):
-        traj.interpolate(traj.t[-1] + 1.0)
+        traj.atomic(traj.t[-1] + 1.0)
     with pytest.raises(ConfigError):
-        traj.interpolate(-0.5)
+        traj.atomic(-0.5)
 
 
 def test_interpolate_clamps_inside_the_grid_end_slack():
@@ -441,11 +451,11 @@ def test_interpolate_clamps_inside_the_grid_end_slack():
     h = traj.t[1] - traj.t[0]
     assert traj.horizon == traj.t[-1] + GRID_END_SLACK * h
     last = (traj.c_a[-1], traj.c_b[-1])
-    assert traj.interpolate(81.9) == last
-    assert traj.interpolate(traj.horizon) == last
-    assert traj.interpolate(-GRID_END_SLACK * h) == (traj.c_a[0], traj.c_b[0])
+    assert traj.atomic(81.9) == last
+    assert traj.atomic(traj.horizon) == last
+    assert traj.atomic(-GRID_END_SLACK * h) == (traj.c_a[0], traj.c_b[0])
     with pytest.raises(ConfigError):
-        traj.interpolate(traj.t[-1] + 2 * GRID_END_SLACK * h)
+        traj.atomic(traj.t[-1] + 2 * GRID_END_SLACK * h)
 
 
 def test_interpolate_equals_plain_hermite_expression():
@@ -461,12 +471,10 @@ def test_interpolate_equals_plain_hermite_expression():
     h10 = u * (1 - u) ** 2
     h01 = u * u * (3 - 2 * u)
     h11 = u * u * (u - 1)
-    got = traj.interpolate(tq)
+    got = traj.atomic(tq)
     for atom in (0, 1):
-        assert np.array_equal(traj.interpolate(tq, atom), got[atom])
-    for c, (y, dr, dl) in zip(got, (
-            (traj.c_a, traj.deriv_a_right, traj.deriv_a_left),
-            (traj.c_b, traj.deriv_b_right, traj.deriv_b_left))):
+        assert np.array_equal(traj.atomic(tq, atom), got[atom])
+    for c, y, dr, dl in zip(got, traj.c, traj.d_right, traj.d_left):
         want = (h00 * y[idx] + h * h10 * dr[idx] + h01 * y[idx + 1]
                 + h * h11 * dl[idx + 1])
         assert np.array_equal(c, want)
@@ -531,7 +539,7 @@ def test_field_amplitudes_amortised_sweep_matches_single_calls():
 def test_field_amplitudes_refuse_times_outside_the_run():
     """Snapshot times past the last node or before 0, beyond the grid-end
     slack, raise ConfigError (the nearest node would clamp them); the
-    horizon itself is accepted, as by ``interpolate``."""
+    horizon itself is accepted, as by ``atomic``."""
     cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
     sched = DriveSchedule.switch_at(1.23, cfg.omega0, 1.3 * cfg.omega0)
     traj = integrate_with_drive(cfg, InitialState.antisymmetric(), 3.0,

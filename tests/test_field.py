@@ -68,7 +68,7 @@ def test_intensity_matches_mode_integral_oracle():
 
 def test_causality_and_zero_time():
     cfg = SystemConfig.from_phase("braided", eta=0.3, phi=1.1 * math.pi)
-    sol = exact_solution(cfg, InitialState.symmetric(), n_branches=4)
+    sol = exact_solution(cfg, InitialState.symmetric(), t_max=3 * cfg.delay)
     edge = 1.5 * cfg.spacing
     t = np.array([-0.5, 0.0, 0.4 * cfg.delay, 2.5 * cfg.delay])
     x = np.array([-(edge + cfg.v_g * 30.0), -5.0, 0.3, edge + cfg.v_g * 2.0,
@@ -93,7 +93,7 @@ def test_mirror_symmetry_on_cone_avoiding_grids(topology, parity):
     cfg = SystemConfig.from_phase(topology, eta=0.25, phi=0.6 * math.pi)
     state = (InitialState.symmetric() if parity > 0
              else InitialState.antisymmetric())
-    sol = exact_solution(cfg, state, n_branches=4)
+    sol = exact_solution(cfg, state, t_max=3 * cfg.delay)
     rng = np.random.default_rng(hash((topology, parity)) % 2 ** 31)
     x = _jittered_symmetric_grid(rng, 3.0, 120)
     t = np.array([0.7 * cfg.delay, 1.9 * cfg.delay, 3.3 * cfg.delay])
@@ -151,7 +151,7 @@ def test_trapped_interior_field_of_the_dark_state():
 def test_series_and_trajectory_sources_agree():
     cfg = SystemConfig.from_phase("separate", eta=0.3, phi=0.9 * math.pi)
     state = InitialState.antisymmetric()
-    sol = exact_solution(cfg, state, n_branches=5)
+    sol = exact_solution(cfg, state, t_max=4 * cfg.delay)
     traj = integrate(cfg, state, t_max=4 * cfg.delay, steps_per_delay=150)
     x = np.linspace(-2.0, 2.0, 101)
     t = np.array([0.9 * cfg.delay, 3.1 * cfg.delay])
@@ -163,7 +163,7 @@ def test_series_and_trajectory_sources_agree():
 def test_fdd_input_validation():
     cfg = _dark_config()
     state = InitialState.antisymmetric()
-    sol = exact_solution(cfg, state, n_branches=3)
+    sol = exact_solution(cfg, state, t_max=2 * cfg.delay)
     x, t = np.array([0.0]), np.array([1.0 * cfg.delay])
     with pytest.raises(ConfigError):
         fdd(sol, cfg, 0, x, t)
@@ -188,6 +188,51 @@ def test_fdd_input_validation():
         fdd(lopsided, cfg, -1, x, t)            # not a parity eigenstate
 
 
+@pytest.mark.parametrize("kind", ["trajectory", "series"])
+def test_records_share_one_contract(kind):
+    """A trajectory and a series of one (config, state) answer the same
+    questions the same way: parity, state and schedule; the horizon is the
+    last legal time; one atom is its pair's entry bit for bit; and fdd
+    refuses the other parity with one message."""
+    cfg, state = _dark_config(), InitialState.antisymmetric()
+    record = (integrate(cfg, state, t_max=3 * cfg.delay, steps_per_delay=50)
+              if kind == "trajectory" else
+              exact_solution(cfg, state, t_max=3 * cfg.delay))
+    assert record.config == cfg and record.state == state
+    assert record.parity == -1
+    assert record.schedule.omegas == (cfg.omega0,)
+    record.atomic(record.horizon)
+    with pytest.raises(ConfigError):
+        record.atomic(np.nextafter(record.horizon, math.inf))
+    t = np.linspace(0.0, record.horizon, 97)
+    pair = record.atomic(t)
+    for atom in (0, 1):
+        assert np.array_equal(record.atomic(t, atom), pair[atom])
+        assert record.atomic(t[40], atom) == pair[atom][40]
+    with pytest.raises(ConfigError) as refused:
+        fdd(record, cfg, +1, np.array([0.5]), np.array([cfg.delay]))
+    assert str(refused.value) == "source has exchange parity -1, not +1"
+
+
+def test_non_finite_times_are_refused():
+    """NaN times and positions raise ConfigError at every entry point
+    instead of mapping to an index, a NaN or an all-zero row."""
+    cfg, state = _dark_config(), InitialState.antisymmetric()
+    sol = exact_solution(cfg, state, t_max=3 * cfg.delay)
+    traj = integrate(cfg, state, t_max=3 * cfg.delay, steps_per_delay=50)
+    with pytest.raises(ConfigError):
+        sol.evaluate(math.nan)
+    with pytest.raises(ConfigError):
+        traj.atomic(math.nan)
+    for source in (sol, traj):
+        with pytest.raises(ConfigError, match="finite"):
+            fdd(source, cfg, -1, np.array([0.5]), np.array([0.5, math.nan]))
+        with pytest.raises(ConfigError, match="finite"):
+            fdd(source, cfg, -1, np.array([0.5, math.nan]), np.array([0.5]))
+        with pytest.raises(ConfigError, match="finite"):
+            detector_signal(source, cfg, 1.0, np.array([0.5, math.nan]))
+
+
 @pytest.mark.parametrize("other", [
     SystemConfig.from_phase("braided", eta=0.2, phi=2 * math.pi),
     SystemConfig.from_phase("separate", eta=0.2, phi=2.5 * math.pi),
@@ -198,7 +243,7 @@ def test_sources_refuse_another_config(other):
     topology, phi or v_g at the same delay, by both fdd and the detector."""
     cfg, state = _dark_config(), InitialState.antisymmetric()
     assert other != cfg and other.delay == cfg.delay
-    sources = (exact_solution(cfg, state, n_branches=5),
+    sources = (exact_solution(cfg, state, t_max=4 * cfg.delay),
                integrate(cfg, state, t_max=4 * cfg.delay, steps_per_delay=50))
     x, t = np.array([0.5]), np.array([2.0 * cfg.delay])
     for source in sources:
@@ -210,7 +255,7 @@ def test_sources_refuse_another_config(other):
 
 def test_field_grid_csv(tmp_path):
     cfg = _dark_config()
-    sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=3)
+    sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=2 * cfg.delay)
     x = np.linspace(-1.0, 1.0, 5)
     t = np.array([0.5 * cfg.delay, 1.5 * cfg.delay])
     grid = fdd(sol, cfg, -1, x, t)
@@ -289,7 +334,7 @@ def test_fdd_past_the_last_leg_is_the_detector_signal(switched):
 
 def test_detector_is_zero_before_release():
     cfg = _dark_config()
-    sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=12)
+    sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=11 * cfg.delay)
     tb = np.linspace(-2.0, 1.0, 301)
     rec = detector_signal(sol, cfg, x0=0.5, t_bar_grid=tb)
     assert np.all(rec.amplitude[tb < 0] == 0.0)
@@ -298,7 +343,7 @@ def test_detector_is_zero_before_release():
 
 def test_detector_input_validation():
     cfg = _dark_config()
-    sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=3)
+    sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=2 * cfg.delay)
     tb = np.linspace(0.0, 0.5, 11)
     with pytest.raises(ConfigError):
         detector_signal(sol, cfg, x0=0.0, t_bar_grid=tb)
@@ -349,7 +394,7 @@ def test_released_energy_zero_for_silent_record():
 
 def test_detector_record_csv(tmp_path):
     cfg = _dark_config()
-    sol = exact_solution(cfg, InitialState.antisymmetric(), n_branches=8)
+    sol = exact_solution(cfg, InitialState.antisymmetric(), t_max=7 * cfg.delay)
     tb = np.linspace(0.0, 1.2, 25)
     rec = detector_signal(sol, cfg, x0=0.75, t_bar_grid=tb)
     path = tmp_path / "det.csv"

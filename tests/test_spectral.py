@@ -159,8 +159,8 @@ def test_single_pole_reconstructs_late_time_decay():
     sol = exact_solution(cfg, InitialState.symmetric(), t_max=11.0)
     s = connected_pole(cfg, +1)
     residue = 1.0 / laplace_denominator_derivative(cfg, +1, s)
-    err6 = abs(sol(6.0) - residue * cmath.exp(s * 6.0))
-    err10 = abs(sol(10.0) - residue * cmath.exp(s * 10.0))
+    err6 = abs(sol.evaluate(6.0) - residue * cmath.exp(s * 6.0))
+    err10 = abs(sol.evaluate(10.0) - residue * cmath.exp(s * 10.0))
     assert err6 < 1e-8
     assert err10 < 1e-11
     assert err10 < err6
