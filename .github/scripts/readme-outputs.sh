@@ -28,6 +28,10 @@ run detect detect --topology separate --eta 0.2 --phi 2pi \
     --state antisymmetric --t-max 85 --switch-at 20 --phi-after 2.5pi
 run fdd-late fdd --topology braided --eta 0.2 --phi 2pi \
     --state antisymmetric --t-max 40 --nx 241 --nt 61
+# legs 1e4 apart and packets one unit wide: the interior is integrated at
+# the run's own x step v_g*h
+run fdd-wide fdd --eta 1e4 --phi 2pi --state antisymmetric --t-max 1 \
+    --nx 11 --nt 5
 run decay-rates-separate decay-rates --topology separate
 run simulate-separate simulate --topology separate --eta 0.3 --phi 0.7pi \
     --state symmetric --engine both --t-max 6
@@ -40,6 +44,10 @@ run decay-rates-separate-omega0-2 decay-rates --topology separate --omega0 2 \
     --scan 0.005:3.0:0.005
 # the deepest ramp bisection measured: 1,162 halved steps, up to 15 a point
 run decay-rates-omega0-1 decay-rates --topology braided --omega0 1 \
+    --scan 0.005:3.0:0.005
+# the largest halving batches: 1,582 halved ramp steps in one ramp of
+# both parities' rows
+run decay-rates-omega0-0.5 decay-rates --topology braided --omega0 0.5 \
     --scan 0.005:3.0:0.005
 # the braided dark state past t ~ 30, where the branch sum loses its digits
 run simulate-late simulate --topology braided --eta 0.2 --phi 2pi \

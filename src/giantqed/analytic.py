@@ -226,16 +226,20 @@ class ParityKernel:
     def evaluate(self, s):
         """(D_p(s), D_p'(s)) from one exp(-s n delay); scalars or arrays.
 
-        A row kernel takes s of shape (rows,) and returns one value per row.
+        A row kernel takes s of shape (rows,) and gives each row the same
+        bits in any batch: ``weighted`` is named, as numpy reuses an unnamed
+        temporary of 256 KiB or more in place, swapping the operands of the
+        complex product e * weighted, which then rounds D_p' differently.
         """
         s = np.asarray(s, dtype=complex)
         lags = np.arange(self.coeffs.shape[-1]) * np.asarray(self.delay)[..., None]
+        weighted = lags * self.coeffs
         # far in the left half plane the exponentials overflow to inf, which
         # is the honest saturating value for a root finder probing out there
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.exp(-s[..., None] * lags)
             out = (s + (e * self.coeffs).sum(axis=-1),
-                   1.0 - (e * (lags * self.coeffs)).sum(axis=-1))
+                   1.0 - (e * weighted).sum(axis=-1))
         return out if s.shape else (complex(out[0]), complex(out[1]))
 
     def rows(self, index, delay=None) -> "ParityKernel":

@@ -57,11 +57,11 @@ _SYSTEM_KEYS = ("topology", "eta", "phi", "omega0", "dx", "gamma", "v_g")
 _RUN_KEYS = ("state", "engine", "out")
 _ANGLE_KEYS = {"phi", "phi_after"}
 
-#: Most cells nx * nt * legs * 2 directions one fdd map may take, checked
-#: before any grid is built: 43 times the README map's 465 608.
+#: Most cells (nx * nt + 3K + 1 interior points) * legs * 2 directions one
+#: fdd run may take, checked before any grid is built: 43 x the README's.
 _FDD_CELL_BUDGET = 2 * 10 ** 7
 
-#: Most scan points: 0.8 kB of peak memory each, 80 MB (167 x the README's)
+#: Most scan points: 1.3 kB of peak memory each, 131 MB (167 x the README's)
 _SCAN_POINT_BUDGET = 10 ** 5
 #: Most detect times: 0.2 kB of peak memory each, 200 MB (118 x the default)
 _DETECT_POINT_BUDGET = 10 ** 6
@@ -224,11 +224,15 @@ def _write_text(path: str, text: str) -> None:
 def _write_all(out_dir: str, base: str, files: list) -> None:
     """Write each (name, writer) into a fresh hidden directory in ``base``
     (``--out`` or its nearest existing ancestor: the same filesystem), then
-    rename them into ``out_dir``; an OSError removes it, a ConfigError."""
+    rename them into ``out_dir``; an OSError removes it, a ConfigError.  A
+    target that is a directory is refused before the first rename."""
     try:
         with tempfile.TemporaryDirectory(prefix=".giantqed-", dir=base) as stage:
             for name, write in files:
                 write(os.path.join(stage, name))
+            for name, _ in files:
+                if os.path.isdir(os.path.join(out_dir, name)):
+                    raise ConfigError(f"--out {out_dir!r}: {name!r} is a directory")
             os.makedirs(out_dir, exist_ok=True)
             for name, _ in files:
                 os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
@@ -356,12 +360,13 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
     eta = config.gamma * config.delay
     steps_per_delay = max(100, math.ceil(50 * eta))
     # both budgets before any grid is built; eta sets K, so it and --t-max
-    # set the run's node count
-    cells = args.nx * args.nt * 2 * config.n_legs * 2
+    # set the run's node count, and it sets the interior's 3K + 1 points
+    interior = 3 * steps_per_delay + 1
+    cells = (args.nx * args.nt + interior) * 2 * config.n_legs * 2
     if cells > _FDD_CELL_BUDGET:
-        raise ConfigError(f"the map needs {cells:.3g} cells (nx * nt * legs "
-                          f"* 2), above the budget of {_FDD_CELL_BUDGET:.0e}; "
-                          f"lower --nx or --nt")
+        raise ConfigError(f"the map needs {cells:.3g} cells ((nx * nt + 3K + "
+                          f"1) * legs * 2), above the budget of "
+                          f"{_FDD_CELL_BUDGET:.0e}; lower --nx, --nt or --eta")
     h = config.delay / steps_per_delay  # 0 when a tiny delay underflows
     _check_node_budget(t_max / h - GRID_END_SLACK if h else math.inf,
                        "lower --t-max or change --eta (fdd takes "
@@ -376,10 +381,10 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
     grid = compute_fdd(traj, config, state.parity, x_grid, t_grid)
 
     # photonic excitation (v_g/2pi) * int I dx inside |x| <= 1.5*spacing at
-    # the last time, on its own grid: the map's x step can exceed the spacing
+    # the last time, at the run's own x step v_g*h (the map's may be coarser)
     edge = 1.5 * config.spacing
     late = compute_fdd(traj, config, state.parity,
-                       np.linspace(-edge, edge, 301), t_grid[-1:])
+                       np.linspace(-edge, edge, interior), t_grid[-1:])
     metric = config.v_g / (2.0 * math.pi) * float(late.spatial_integral()[0])
     outputs = [("fdd.csv", grid.to_csv), f"interior_trapping = {metric!r}"]
     if args.svg:

@@ -377,9 +377,8 @@ def _integrate_instantaneous(config: SystemConfig, state: InitialState,
                              t_max: float, steps_per_delay: int,
                              schedule: DriveSchedule) -> AmplitudeTrajectory:
     """delay = 0: all retardation windows collapse, closed-form exponentials."""
-    table = delay_table(config)           # phi = omega0*0 = 0, real A_n
-    plus, minus = (float(table.collective(p, config.phi).sum().real)
-                   for p in (+1, -1))
+    plus, minus = delay_table(config).collective(  # phi = 0: real A_n
+        (+1, -1), config.phi).sum(axis=-1).real.tolist()
     n = _check_node_budget(max(steps_per_delay, 50)
                            * max(1.0, np.ceil(t_max * config.gamma)))
     t = np.linspace(0.0, t_max, n + 1)

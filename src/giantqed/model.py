@@ -233,16 +233,18 @@ class DelayTable:
         lags = np.arange(len(self.self_terms))
         return np.exp(1j * np.multiply.outer(phi, lags))
 
-    def collective(self, parity: int, phi) -> np.ndarray:
+    def collective(self, parity, phi) -> np.ndarray:
         """Coefficients A_n of the parity-reduced scalar equation at phase phi.
 
         For c_b = parity * c_a the pair of equations collapses to
         dc/dt = -sum_n A_n c(t - n*delay) with A_n = (self_n +
         parity*cross_n) exp(i n phi); one row per phase, as in
-        :meth:`phases`.
+        :meth:`phases`.  An array of parities (each +1 or -1) is a leading
+        axis: the shape is (*parity.shape, *phi.shape, 2N).
         """
-        if parity not in (+1, -1):
+        if not set(np.ravel(parity).tolist()) <= {+1, -1}:
             raise ConfigError("parity must be +1 or -1")
+        parity = np.reshape(parity, np.shape(parity) + (1,) * (np.ndim(phi) + 1))
         return (self.self_terms + parity * self.cross_terms) * self.phases(phi)
 
 

@@ -15,10 +15,11 @@ Frozen retardation (exp(-s n delay) -> 1) gives the Markovian rates
 
 The pole continuously connected to the Markovian one is followed by a
 ramp in the retardation eta at fixed phase.  One ramp serves any number of
-systems: every pass of its loop is one damped Newton run as masked array
-steps over a (systems x lags) coefficient matrix, taking each system's next
-ramp step, coarse or halved.  ``connected_pole`` runs it on one system,
-``scan_decay_rates`` on all its points at once.
+systems of either parity: every pass of its loop is one damped Newton run
+as masked array steps over a (systems x lags) coefficient matrix, taking
+each system's next ramp step, coarse or halved.  ``connected_pole`` runs it
+on one system, ``scan_decay_rates`` on both parities of all its points at
+once.
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ def markovian_rates(config: SystemConfig) -> tuple[complex, complex]:
     These are 2*sum(A_n) over the parity-reduced delay coefficients, i.e.
     -2 times the root of D_p with exp(-s n delay) pinned at 1.
     """
-    table = delay_table(config)
-    return tuple(2.0 * complex(table.collective(p, config.phi).sum())
-                 for p in (+1, -1))
+    coeffs = delay_table(config).collective((+1, -1), config.phi)
+    return tuple(2.0 * complex(a) for a in coeffs.sum(axis=-1))
 
 
 def _newton(kernel: analytic.ParityKernel, s, tol: float):
@@ -136,11 +136,7 @@ def _newton(kernel: analytic.ParityKernel, s, tol: float):
         group = max(1, _HALVING_BATCH // 59)
         for lo in range(0, pending.size, group):
             i = pending[lo:lo + group]
-            halved = np.empty((i.size, 59), dtype=complex)
-            h = step[i]
-            for k in range(59):
-                h *= 0.5
-                halved[:, k] = h
+            halved = step[i, None] * 0.5 ** np.arange(1, 60)
             trial = s[i, None] + halved
             f_k, df_k = (v.reshape(trial.shape) for v in
                          kernel.rows(np.repeat(i, 59)).evaluate(trial.ravel()))
@@ -154,23 +150,26 @@ def _newton(kernel: analytic.ParityKernel, s, tol: float):
 
 
 def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
-          parity: int):
+          parity):
     """Continue each row's Markovian pole up to that row's retardation.
 
-    Row i of the row kernel holds one system's A_n; its lags are
-    n*eta/gamma at ramp position eta.  Every row starts from s = -sum_n A_n
-    and steps to the 16 coarse targets eta[i]*k/16, each step re-converging
-    the root of D_p from the last accepted (eta, s) to |D_p|/gamma <
-    ``RAMP_TOL``.  A step is accepted when Newton converges and the root
-    moved at most 0.3*(gamma + |s|); a rejected one is halved, down to 24
-    halvings, where a converged root is taken.  After an accepted step the
-    next one runs to the nearest pending target, the end of the halved
-    interval above, or else to the next coarse target.  A row's state is
-    its position ``pos`` and next ``step`` in units of 2**-24 coarse
-    steps: a rejected step halves ``step``, an accepted one adds it to
-    ``pos``, and the next step is the lowest set bit of ``pos``, at most a
-    coarse step.  Each pass runs one batched Newton over every unfinished
-    row's next target.  Rows with eta = 0 keep the Markovian pole.
+    Row i of the row kernel holds one system's A_n, of either parity;
+    ``parity``, one for all rows or one per row, only names the row of a
+    lost branch.  The lags of row i are n*eta/gamma at ramp position eta.
+    Every row starts from s = -sum_n A_n and steps to the 16 coarse targets
+    eta[i]*k/16, each step re-converging the root of D_p from the last
+    accepted (eta, s) to |D_p|/gamma < ``RAMP_TOL``.  A step is accepted
+    when Newton converges and the root moved at most 0.3*(gamma + |s|); a
+    rejected one is halved, down to 24 halvings, where a converged root is
+    taken.  After an accepted step the next one runs to the nearest pending
+    target, the end of the halved interval above, or else to the next
+    coarse target.  A row's state is its position ``pos`` and next ``step``
+    in units of 2**-24 coarse steps: a rejected step halves ``step``, an
+    accepted one adds it to ``pos``, and the next step is the lowest set
+    bit of ``pos``, at most a coarse step.  Each pass runs one batched
+    Newton over every unfinished row's next target; the kernel gives a row
+    the same bits whatever rows share the batch, so each row takes the
+    steps it would take alone.  Rows with eta = 0 keep the Markovian pole.
 
     Returns:
         (s, iterations, subdivisions) per row: the pole, the Newton
@@ -195,10 +194,11 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
                                 tol)
         iterations[rows] += its
         last = step[rows] == 1              # the 24th halving
-        lost = ~ok & last
-        if lost.any():
-            raise NonConvergence(f"lost parity {parity:+d} branch at "
-                                 f"eta={target[lost][0]:.6g}")
+        lost = np.flatnonzero(~ok & last)
+        if lost.size:
+            p = np.broadcast_to(parity, s.shape)[rows[lost[0]]]
+            raise NonConvergence(f"lost parity {p:+d} branch at "
+                                 f"eta={target[lost[0]]:.6g}")
         near = np.abs(root - s[rows]) <= 0.3 * (gamma + np.abs(s[rows]))
         take = last | (ok & near)
         done, split = rows[take], rows[~take]
@@ -215,27 +215,23 @@ def _ramp(kernel: analytic.ParityKernel, eta: np.ndarray, gamma: float,
 class DecayRateScan:
     """Collective rates versus the leg separation phase omega0*dx/pi.
 
-    ``residual_plus``/``residual_minus`` hold |D_p(s)|/gamma at each
-    point's pole s, with D_p from the point's own row of A_n and delay: a
-    root check on the continuation's result, independent of its ramp.
+    Every per-point field is a (2, points) array, row 0 for parity +1 and
+    row 1 for parity -1.  ``residual`` holds |D_p(s)|/gamma at each pole
+    s, with D_p from the point's own row of A_n and delay: a root check on
+    the continuation's result, independent of its ramp.
 
     The ramp's health figures are kept per point and parity but not
-    written to the CSV: ``iterations_*`` counts the Newton iterations the
-    point's ramp spent and ``subdivisions_*`` how many ramp intervals were
+    written to the CSV: ``iterations`` counts the Newton iterations the
+    point's ramp spent and ``subdivisions`` how many ramp intervals were
     halved (0 when every coarse step was accepted).
     """
 
     omega0_dx_over_pi: np.ndarray
-    rate_plus: np.ndarray        # complex non-Markovian Gamma_+
-    rate_minus: np.ndarray
-    markov_plus: np.ndarray      # complex Markovian Gamma_+,M
-    markov_minus: np.ndarray
-    residual_plus: np.ndarray    # |D_+(s)|/gamma at the Gamma_+ pole
-    residual_minus: np.ndarray   # |D_-(s)|/gamma at the Gamma_- pole
-    iterations_plus: np.ndarray
-    iterations_minus: np.ndarray
-    subdivisions_plus: np.ndarray
-    subdivisions_minus: np.ndarray
+    rate: np.ndarray             # complex non-Markovian Gamma_+, Gamma_-
+    markov: np.ndarray           # complex Markovian Gamma_+,M, Gamma_-,M
+    residual: np.ndarray         # |D_p(s)|/gamma at each pole
+    iterations: np.ndarray
+    subdivisions: np.ndarray
     topology: str
     omega0: float
     gamma: float
@@ -243,7 +239,7 @@ class DecayRateScan:
 
     def peak(self) -> tuple[float, float]:
         """(omega0_dx/pi at peak, peak Re rate) over both parity branches."""
-        re_all = np.maximum(self.rate_plus.real, self.rate_minus.real)
+        re_all = self.rate.real.max(axis=0)
         i = int(np.argmax(re_all))
         return float(self.omega0_dx_over_pi[i]), float(re_all[i])
 
@@ -257,11 +253,9 @@ class DecayRateScan:
                   "omega0_dx_over_pi,re_g_plus_nm,im_g_plus_nm,re_g_minus_nm,"
                   "im_g_minus_nm,re_g_plus_m,re_g_minus_m,residual_plus,"
                   "residual_minus",
-                  [self.omega0_dx_over_pi,
-                   self.rate_plus.real, self.rate_plus.imag,
-                   self.rate_minus.real, self.rate_minus.imag,
-                   self.markov_plus.real, self.markov_minus.real,
-                   self.residual_plus, self.residual_minus])
+                  [self.omega0_dx_over_pi, self.rate[0].real,
+                   self.rate[0].imag, self.rate[1].real, self.rate[1].imag,
+                   *self.markov.real, *self.residual])
 
 
 def connected_pole(config: SystemConfig, parity: int) -> complex:
@@ -278,8 +272,9 @@ def connected_pole(config: SystemConfig, parity: int) -> complex:
     onto the other parity family.  Returns the pole position s
     (rate = -2s).  Continuation along other parameter paths can land on a
     different sheet, so the ramp in retardation *is* the definition used
-    here.  It is one row of the ramp ``scan_decay_rates`` runs for all its
-    points at once: each point takes the same steps it would take alone.
+    here.  It is one row of the ramp ``scan_decay_rates`` runs for both
+    parities of all its points at once: each row takes the same steps it
+    would take alone.
     """
     s, _, _ = _ramp(analytic.parity_kernel(config, parity),
                     np.array([config.eta]), config.gamma, parity)
@@ -303,14 +298,14 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
     |D_p(s)|/gamma at that pole for the point's own config.  ``x_min``
     defaults to one grid step.
 
-    One batched ramp per parity serves every point: the A_n(phi) =
-    a_n exp(i n phi) of all points come from one phase-free delay table as
-    one (points x lags) matrix, and each pass of the ramp is one masked
-    Newton over every point's next step, coarse or halved, as in
-    ``connected_pole``: about 0.04 s for the README's 600 points and both
-    parities, 0.08 s at omega0 = 2, on a 2 vCPU Xeon.  The Markovian
-    columns are 2*sum_n A_n from the same matrix, and each residual
-    evaluates the point's own row.
+    One batched ramp serves every point and both parities: the A_n(phi) =
+    a_n exp(i n phi) come from one phase-free delay table as one
+    (2*points x lags) row kernel, parity the leading axis (rows 0..points-1
+    for +1), and each pass of the ramp is one masked Newton over every
+    row's next step, coarse or halved, as in ``connected_pole``: about
+    0.05 s for the README's 600 points, 0.12 s at omega0 = 2, on a 2 vCPU
+    Xeon.  The Markovian columns are 2*sum_n A_n from the same rows, and
+    the residuals are one evaluate of the row kernel.
 
     Raises:
         ConfigError: on an empty or non-positive x range, an unknown
@@ -340,18 +335,13 @@ def scan_decay_rates(topology: str, n_points: int = 600, x_max: float = 3.0,
             "omega0 (--omega0) or v_g (--v-g) or lower the x range (--scan)")
     xs = np.linspace(x_min, x_max, n_points)
     delays = xs * math.pi / (omega0 * v_g)
-    eta = delays * gamma
-    rates, markov, residuals, iterations, subdivisions = [], [], [], [], []
-    for parity in (+1, -1):
-        coeffs = table.collective(parity, omega0 * delays)
-        kernel = analytic.ParityKernel(coeffs, delays)
-        s, its, subs = _ramp(kernel, eta, gamma, parity)
-        rates.append(-2.0 * s)                  # Gamma = -2 s
-        markov.append(2.0 * coeffs.sum(axis=-1))
-        iterations.append(its)
-        subdivisions.append(subs)
-        dens = kernel.evaluate(s)[0].tolist()
-        residuals.append(np.array([abs(d) / gamma for d in dens]))
-    return DecayRateScan(xs, *rates, *markov, *residuals, *iterations,
-                         *subdivisions, topology=topology, omega0=omega0,
-                         gamma=gamma, v_g=v_g)
+    coeffs = table.collective((+1, -1), omega0 * delays)  # (2, points, lags)
+    kernel = analytic.ParityKernel(coeffs.reshape(2 * n_points, -1),
+                                   np.tile(delays, 2))
+    s, iterations, subdivisions = _ramp(kernel, kernel.delay * gamma, gamma,
+                                        np.repeat([+1, -1], n_points))
+    residual = [abs(d) / gamma for d in kernel.evaluate(s)[0].tolist()]
+    return DecayRateScan(xs, *(np.reshape(v, (2, n_points)) for v in (
+        -2.0 * s, 2.0 * coeffs.sum(axis=-1), residual, iterations,
+        subdivisions)), topology=topology, omega0=omega0, gamma=gamma,
+        v_g=v_g)

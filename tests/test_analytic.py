@@ -15,7 +15,8 @@ from giantqed.analytic import (ExpPolySolution, IllConditioned,
                                markovian_effective_rate, parity_kernel,
                                steady_state)
 from giantqed.dde import integrate
-from giantqed.model import ConfigError, InitialState, SystemConfig
+from giantqed.model import (ConfigError, InitialState, SystemConfig,
+                            delay_table)
 
 
 def _series(topology, parity, *, eta=0.3, phi=0.0, delays=3):
@@ -322,6 +323,24 @@ def test_system_alone_and_as_a_row_evaluate_bit_for_bit(topology, n_legs):
         alone = one.evaluate(s)
         assert np.array_equal(alone[0], rows[0])
         assert np.array_equal(alone[1], rows[1])
+
+
+def test_row_values_do_not_depend_on_the_batch():
+    """6,668 rows of both parities in one evaluate, whose n*delay*A_n
+    product (417 kB) is past the size at which numpy reuses an unnamed
+    temporary in place: every row's (D_p, D_p') is bit for bit the one the
+    row gives alone."""
+    rng = np.random.default_rng(24)
+    points = 3334
+    table = delay_table(SystemConfig(topology="braided", delay=0.0))
+    coeffs = table.collective((+1, -1), rng.uniform(0.0, 2 * math.pi, points))
+    kernel = ParityKernel(coeffs.reshape(2 * points, -1),
+                          rng.uniform(0.01, 3.0, 2 * points))
+    s = rng.normal(size=2 * points) + 1j * rng.normal(size=2 * points)
+    batch = kernel.evaluate(s)
+    for i in range(2 * points):
+        alone = ParityKernel(kernel.coeffs[i], kernel.delay[i]).evaluate(s[i])
+        assert alone == (batch[0][i], batch[1][i]), i
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,21 @@ def test_fdd_map_and_trapping_metric(tmp_path, capsys):
     assert len(body) == 1 + 81 * 13
 
 
+def test_wide_fdd_resolves_the_interior(tmp_path, capsys):
+    """At eta = 1e4 the legs are 1e4 apart and the packets emitted by t = 1
+    are one unit wide; the interior grid steps v_g*h, the run's own
+    resolution.  Before any delay has passed each of the 8 half-packets (4
+    legs, 2 directions) carries an equal share of the emitted 1 - pop(1) =
+    1 - exp(-2), and the outer legs' outward ones leave the interior: 3/4
+    of it is inside."""
+    assert main(["fdd", "--eta", "1e4", "--phi", "2pi", "--state",
+                 "antisymmetric", "--t-max", "1", "--nx", "11", "--nt", "5",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    metric = float(_line_value(capsys.readouterr().out,
+                               "interior_trapping = "))
+    assert metric == pytest.approx(0.75 * (1.0 - math.exp(-2.0)), rel=0.02)
+
+
 def test_late_fdd_reports_the_trapped_interior(tmp_path, capsys):
     """The README late map's x step (0.34) is wider than the leg spacing
     (0.2); the interior is integrated on its own grid, where the trapped
@@ -378,6 +393,21 @@ INVALID_VALUES = (
     (["simulate", "--eta", "abc"], {}, "--eta"),
     (["bic"], {"GIANTQED_TOPOLOGY": "ring"}, "topology"),
     (["decay-rates"], {"GIANTQED_TOPOLOGY": "ring"}, "topology"),
+    # an INI file (the --config value is its text) without a section
+    # header, and one with an unknown section
+    (["simulate", "--config", "eta = 0.2"], {}, "cannot parse config file"),
+    (["simulate", "--config", "[sytem]"], {}, "[sytem]"),
+    (["simulate", "--omega0", "1"], {}, "--dx"),
+    (["simulate", "--state", "up"], {}, "state"),
+    (["simulate", "--engine", "rk4"], {}, "engine"),
+    # the commands that need a finite leg spacing
+    (["fdd", "--eta", "0"], {}, "eta"),
+    (["bic", "--eta", "0"], {}, "eta"),
+    (["detect", "--eta", "0"], {}, "eta"),
+    (["detect", "--eta", "0.2", "--phi", "2pi", "--t-max", "4",
+      "--switch-at", "4", "--phi-after", "2pi"], {}, "--switch-at"),
+    # K = 5e7 steps per delay: the interior grid's 1.5e8 points
+    (["fdd", "--eta", "1e6", "--phi", "2pi"], {}, "--eta"),
 )
 
 
@@ -387,10 +417,18 @@ INVALID_VALUES = (
          for argv, env, _ in INVALID_VALUES])
 def test_invalid_values_exit_2_and_name_the_flag(tmp_path, capsys,
                                                  monkeypatch, argv, env, flag):
+    """Each refusal names its flag or key and writes nothing, not even a
+    staging directory.  A --config value is the text of an INI file."""
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    argv = list(argv)
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        (tmp_path / "run.ini").write_text(argv[i])
+        argv[i] = str(tmp_path / "run.ini")
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert flag in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["run.ini"])
 
 
 NON_POSITIVE = (
@@ -588,6 +626,21 @@ def test_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch, existing):
     if existing:
         assert [p.name for p in out.iterdir()] == ["old.txt"]
         assert (out / "old.txt").read_text() == "keep\n"
+
+
+def test_directory_at_a_target_name_leaves_nothing(tmp_path, capsys):
+    """A directory in --out where the run's manifest goes makes the run
+    exit 2 naming --out before any file is renamed: --out keeps only that
+    directory, and no staging directory is left."""
+    out = tmp_path / "out"
+    (out / "bic_manifest.txt").mkdir(parents=True)
+    assert main(["bic", "--topology", "braided", "--eta", "0.2", "--phi",
+                 "2pi", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "bic_manifest.txt" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["bic_manifest.txt"]
+    assert not any((out / "bic_manifest.txt").iterdir())
 
 
 def test_small_accepted_v_g_runs(tmp_path):

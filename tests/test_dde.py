@@ -829,6 +829,9 @@ def test_frequency_grid_defaults():
     assert len(grid) == 4001
     assert grid[len(grid) // 2] == pytest.approx(cfg.omega0)
     assert grid[-1] - grid[0] == pytest.approx(2 * 40.0 / cfg.delay)
+    # the default window 40/delay has no width at delay 0
+    with pytest.raises(ConfigError, match="delay > 0"):
+        frequency_grid(SystemConfig(topology="separate", delay=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,13 @@ def test_table_phases_carry_propagation_phase():
     # a row of an array of phases is the scalar phase's, bit for bit
     rows = tab.collective(-1, np.array([0.3, cfg.phi, -2.0]))
     assert np.array_equal(rows[1], tab.collective(-1, cfg.phi))
+    # an array of parities is a leading axis, each row its parity's, bit
+    # for bit
+    both = tab.collective((+1, -1), np.array([0.3, cfg.phi, -2.0]))
+    assert both.shape == (2, 3, 4) and np.array_equal(both[1], rows)
+    assert np.array_equal(both[0, 1], tab.collective(+1, cfg.phi))
+    with pytest.raises(ConfigError):
+        tab.collective((+1, 0), cfg.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -195,22 +195,22 @@ def test_scan_grid_and_residuals():
     xs = scan.omega0_dx_over_pi
     assert xs[0] == pytest.approx(2.0 / 25)
     assert xs[-1] == pytest.approx(2.0)
-    assert np.all(scan.rate_plus.real > -1e-10)
-    assert np.all(scan.rate_minus.real > -1e-10)
-    assert scan.residual_plus.max() < 1e-10
-    assert scan.residual_minus.max() < 1e-10
+    assert np.all(scan.rate[0].real > -1e-10)
+    assert np.all(scan.rate[1].real > -1e-10)
+    assert scan.residual[0].max() < 1e-10
+    assert scan.residual[1].max() < 1e-10
     x_pk, v_pk = scan.peak()
-    k = int(np.argmax(np.maximum(scan.rate_plus.real, scan.rate_minus.real)))
+    k = int(np.argmax(np.maximum(scan.rate[0].real, scan.rate[1].real)))
     assert x_pk == pytest.approx(xs[k])
-    assert v_pk >= scan.rate_plus.real.max() - 1e-12
+    assert v_pk >= scan.rate[0].real.max() - 1e-12
 
 
 def test_scan_is_smooth_away_from_branch_collisions():
     """Between the integer-x collision points the connected branches are
     smooth; large steps there would mean the tracker hopped families."""
     scan = scan_decay_rates("braided", n_points=41, x_min=1.2, x_max=1.8)
-    assert np.max(np.abs(np.diff(scan.rate_plus))) < 1.0
-    assert np.max(np.abs(np.diff(scan.rate_minus))) < 1.0
+    assert np.max(np.abs(np.diff(scan.rate[0]))) < 1.0
+    assert np.max(np.abs(np.diff(scan.rate[1]))) < 1.0
 
 
 def _check_against_connected_pole(scan, topology):
@@ -220,8 +220,8 @@ def _check_against_connected_pole(scan, topology):
         cfg = SystemConfig(topology=topology, gamma=scan.gamma,
                            delay=x * math.pi / scan.omega0, omega0=scan.omega0)
         for parity, rates, residuals in (
-                (+1, scan.rate_plus, scan.residual_plus),
-                (-1, scan.rate_minus, scan.residual_minus)):
+                (+1, scan.rate[0], scan.residual[0]),
+                (-1, scan.rate[1], scan.residual[1])):
             assert abs(-2.0 * connected_pole(cfg, parity) - rates[i]) < 1e-12
             s = -0.5 * rates[i]
             assert residuals[i] == \
@@ -234,9 +234,9 @@ def test_readme_scan_matches_connected_pole_point_by_point():
     scan = scan_decay_rates("braided", n_points=600, x_max=3.0, omega0=50.0,
                             x_min=0.005)
     _check_against_connected_pole(scan, "braided")
-    subdivided = scan.subdivisions_plus + scan.subdivisions_minus
+    subdivided = scan.subdivisions[0] + scan.subdivisions[1]
     assert np.count_nonzero(subdivided) >= 1
-    for its in (scan.iterations_plus, scan.iterations_minus):
+    for its in (scan.iterations[0], scan.iterations[1]):
         assert its.shape == (600,) and its.dtype.kind == "i"
 
 
@@ -244,8 +244,8 @@ def test_short_separate_scan_matches_connected_pole_point_by_point():
     scan = scan_decay_rates("separate", n_points=40, x_min=0.1, x_max=2.9,
                             omega0=20.0, gamma=1.3)
     _check_against_connected_pole(scan, "separate")
-    assert scan.residual_plus.max() < 1e-10
-    assert scan.residual_minus.max() < 1e-10
+    assert scan.residual[0].max() < 1e-10
+    assert scan.residual[1].max() < 1e-10
 
 
 @pytest.mark.parametrize("n_legs", [2, 3])
@@ -261,7 +261,7 @@ def test_scan_poles_are_connected_poles_bit_for_bit(gamma, topology, n_legs):
         scan = scan_decay_rates(topology, n_points=14, x_min=0.1, x_max=2.9,
                                 omega0=omega0, gamma=gamma)
         assert np.array_equal(scan.omega0_dx_over_pi, xs)
-        poles = {+1: -0.5 * scan.rate_plus, -1: -0.5 * scan.rate_minus}
+        poles = {+1: -0.5 * scan.rate[0], -1: -0.5 * scan.rate[1]}
     else:
         delays = xs * math.pi / omega0
         table = delay_table(SystemConfig(topology=topology, gamma=gamma,
@@ -275,6 +275,21 @@ def test_scan_poles_are_connected_poles_bit_for_bit(gamma, topology, n_legs):
                            delay=x * math.pi / omega0, omega0=omega0)
         for parity in (+1, -1):
             assert connected_pole(cfg, parity) == poles[parity][i]
+
+
+def test_large_scan_poles_do_not_depend_on_the_batch():
+    """12,000 rows of a braided omega0 = 2 scan ramp together, so its
+    Newton runs and halving searches evaluate batches far past the 4,096
+    rows at which numpy starts reusing temporaries in place; a sample of
+    its points still gets, for both parities, the very pole
+    ``connected_pole`` finds alone."""
+    scan = scan_decay_rates("braided", n_points=6000, x_max=3.0,
+                            omega0=2.0, x_min=0.0005)
+    for i in range(0, 6000, 60):
+        cfg = SystemConfig(topology="braided", omega0=2.0,
+                           delay=scan.omega0_dx_over_pi[i] * math.pi / 2.0)
+        for row, parity in enumerate((+1, -1)):
+            assert connected_pole(cfg, parity) == -0.5 * scan.rate[row, i]
 
 
 def test_scan_builds_one_delay_table(monkeypatch):
@@ -431,7 +446,7 @@ def test_ramp_loop_matches_recursive_ramp(monkeypatch, topology, omega0):
     scan_decay_rates(topology, n_points=600, x_max=3.0, omega0=omega0,
                      x_min=0.005)
     subdivisions = np.concatenate(runs)
-    assert len(runs) == 2 and subdivisions.sum() >= 5
+    assert len(runs) == 1 and subdivisions.sum() >= 5
     if omega0 == 2.0:
         assert subdivisions.sum() > 700 and subdivisions.max() >= 10
 
@@ -450,6 +465,9 @@ def test_ramp_rows_stay_apart():
     eta = np.array([healthy.eta, 0.0, 0.2])
     with pytest.raises(NonConvergence, match=r"eta=7\.45058e-10$"):
         _ramp(ParityKernel(coeffs, eta), eta, 1.0, -1)
+    # one parity per row: the message names the lost row's
+    with pytest.raises(NonConvergence, match=r"parity -1 branch"):
+        _ramp(ParityKernel(coeffs, eta), eta, 1.0, np.array([+1, +1, -1]))
     two = ParityKernel(coeffs[:2], eta[:2])
     s, iterations, subdivisions = _ramp(two, eta[:2], 1.0, -1)
     for got, want in zip((s, iterations, subdivisions),
