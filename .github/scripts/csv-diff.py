@@ -4,8 +4,10 @@
 
 BASE and HEAD are directories written by readme-outputs.sh.  For each CSV
 in both trees whose bytes differ, one line gives its data rows, the rows
-with a differing value and the largest absolute difference, and says if
-the '#' comment lines or the header differ.  Any other file that differs
+with a differing value, the largest absolute difference, and the largest
+difference relative to its column's largest |value| (of either tree) with
+that column's header name, and says if the '#' comment lines or the header
+differ.  Any other file that differs
 or is in one tree only is listed by name.  Needs numpy only.
 """
 
@@ -41,8 +43,19 @@ def _csv_summary(base: str, head: str) -> str:
     diff = np.where(same, 0.0, np.abs(a - b))
     largest = float(diff.max()) if diff.size else 0.0
     rows = int(np.count_nonzero(~same.all(axis=1))) if a.size else 0
-    return "; ".join([f"{len(a)} rows, {rows} differ, largest |diff| "
-                      f"{largest:.3g}", *notes])
+    summary = f"{len(a)} rows, {rows} differ, largest |diff| {largest:.3g}"
+    if diff.size:
+        # each column's largest |diff| over its largest |value|; an
+        # all-zero column in both trees has no difference
+        scale = np.fmax(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
+        col_diff = diff.max(axis=0)
+        rel = np.divide(col_diff, scale, out=np.zeros_like(col_diff),
+                        where=scale > 0)
+        worst = int(np.argmax(rel))
+        names = text_b[-1].split(",")
+        name = names[worst] if len(names) == a.shape[1] else f"column {worst}"
+        summary += f", largest relative {rel[worst]:.3g} (column {name})"
+    return "; ".join([summary, *notes])
 
 
 def main(base: str, head: str) -> int:

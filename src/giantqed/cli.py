@@ -57,8 +57,8 @@ _SYSTEM_KEYS = ("topology", "eta", "phi", "omega0", "dx", "gamma", "v_g")
 _RUN_KEYS = ("state", "engine", "out")
 _ANGLE_KEYS = {"phi", "phi_after"}
 
-#: Most cells (nx * nt + 3K + 1 interior points) * legs * 2 directions one
-#: fdd run may take, checked before any grid is built: 43 x the README's.
+#: Most cells (nx * nt + interior points near a leg) * legs * 2 directions
+#: one fdd run may take, checked before the map is built: 43 x the README's.
 _FDD_CELL_BUDGET = 2 * 10 ** 7
 
 #: Most scan points: 1.3 kB of peak memory each, 131 MB (167 x the README's)
@@ -86,11 +86,15 @@ def parse_angle(text: str) -> float:
 def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # '%' is text
     try:
         parser.read(path)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        # one line: configparser's spans lines or repeats "... [line 3]: "
+        lineno, text = exc.errors[0] if getattr(exc, "errors", None) else (
+            exc.lineno, str(exc).splitlines()[0].rpartition("]: ")[2])
+        raise ConfigError(f"cannot parse config file {path}, line {lineno}: "
+                          f"{text}") from None
     known = {"system": _SYSTEM_KEYS, "run": _RUN_KEYS}
     out: dict = {}
     for section in parser.sections():
@@ -359,18 +363,28 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
     # exact series agrees with it to the integrator's own error at any time
     eta = config.gamma * config.delay
     steps_per_delay = max(100, math.ceil(50 * eta))
-    # both budgets before any grid is built; eta sets K, so it and --t-max
-    # set the run's node count, and it sets the interior's 3K + 1 points
-    interior = 3 * steps_per_delay + 1
-    cells = (args.nx * args.nt + interior) * 2 * config.n_legs * 2
-    if cells > _FDD_CELL_BUDGET:
-        raise ConfigError(f"the map needs {cells:.3g} cells ((nx * nt + 3K + "
-                          f"1) * legs * 2), above the budget of "
-                          f"{_FDD_CELL_BUDGET:.0e}; lower --nx, --nt or --eta")
+    # the budgets before the map is built; eta sets K, so it and --t-max set
+    # the run's node count, and it sets the interior grid's 3K + 1 points:
+    # only those within v_g*t_max of a leg (edges included) hold field
     h = config.delay / steps_per_delay  # 0 when a tiny delay underflows
     _check_node_budget(t_max / h - GRID_END_SLACK if h else math.inf,
                        "lower --t-max or change --eta (fdd takes "
                        "max(100, ceil(50*eta)) steps per delay)")
+    _check_node_budget(3 * steps_per_delay, "change --eta: fdd's interior "
+                       "grid takes 3K + 1 points, K = max(100, ceil(50*eta))")
+    edge = 1.5 * config.spacing
+    interior = np.linspace(-edge, edge, 3 * steps_per_delay + 1)
+    near = np.zeros(interior.size, dtype=bool)
+    # 2 more points a side: no field lost to rounding, zeros bound each gap
+    for x in (*config.leg_positions(0), *config.leg_positions(1)):
+        lo, hi = np.searchsorted(interior, x + np.array([-1, 1]) * config.v_g * t_max)
+        near[max(lo - 2, 0):hi + 3] = True
+    interior = interior[near]
+    cells = (args.nx * args.nt + interior.size) * 2 * config.n_legs * 2
+    if cells > _FDD_CELL_BUDGET:
+        raise ConfigError(f"the map needs {cells:.3g} cells ((nx * nt + points "
+                          f"near the legs) * legs * 2), above the budget of "
+                          f"{_FDD_CELL_BUDGET:.0e}; lower --nx, --nt or --eta")
     if args.svg:
         _pyplot()
     span = args.x_span if args.x_span is not None else \
@@ -382,9 +396,7 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
 
     # photonic excitation (v_g/2pi) * int I dx inside |x| <= 1.5*spacing at
     # the last time, at the run's own x step v_g*h (the map's may be coarser)
-    edge = 1.5 * config.spacing
-    late = compute_fdd(traj, config, state.parity,
-                       np.linspace(-edge, edge, interior), t_grid[-1:])
+    late = compute_fdd(traj, config, state.parity, interior, t_grid[-1:])
     metric = config.v_g / (2.0 * math.pi) * float(late.spatial_integral()[0])
     outputs = [("fdd.csv", grid.to_csv), f"interior_trapping = {metric!r}"]
     if args.svg:

@@ -2,11 +2,15 @@
 
 The excited amplitudes obey a pair of linear delay differential equations
 whose delayed coefficients are the phase-free DelayTable entries times the
-phase of each retardation window.  The integrator works in the rotating
-(interaction) picture: no free omega0 oscillation.  It steps with classical
-RK4 on a grid aligned with the delay (h = delay/K), so every delayed node
-value is read exactly from storage and only the half-step stage values need
-interpolation (cubic Hermite from stored values and one-sided derivatives).
+phase of each retardation window.  They split into the exchange-parity
+channels y_p = (c_a + p*c_b)/2, each the scalar equation y' = -sum_n A_n^p
+Phi_n(t) y(t - n*delay) with A^p = ``DelayTable.collective(p, .)``; one
+that starts at exactly 0 stays 0 and is not integrated.  The integrator
+works in the rotating (interaction) picture: no free omega0 oscillation.
+It steps with classical RK4 on a grid aligned with the delay (h = delay/K),
+so every delayed node value is read exactly from storage and only the
+half-step stage values need interpolation (cubic Hermite from stored
+values and one-sided derivatives).
 
 Multiples of the delay are breakpoints: a new lag switches on there, so the
 derivative jumps, and each breakpoint node stores a left and a right
@@ -14,9 +18,9 @@ derivative that interpolation never mixes.  Between breakpoints the method
 of steps applies (Bellen & Zennaro, Numerical Methods for Delay
 Differential Equations, 2003): on [m*delay, (m+1)*delay) every delayed
 input comes from nodes <= m*K, which are already stored.  With those inputs
-fixed, one RK4 step is the affine map y_{j+1} = R y_j + F_j per atom, with
-R = 1 + z + z^2/2 + z^3/6 + z^4/24 (z = -gamma0*h) and F_j built from the
-delayed sums at both nodes and the Hermite midpoint.  The K steps of an
+fixed, one RK4 step is the affine map y_{j+1} = R y_j + F_j per channel,
+with R = 1 + z + z^2/2 + z^3/6 + z^4/24 (z = -gamma0*h) and F_j built from
+the delayed sums at both nodes and the Hermite midpoint.  The K steps of an
 interval are solved together in closed form, y_j = R^j (y_0 + sum_{k<j}
 R^-(k+1) F_k): one multiply by inverse powers, one cumulative sum and one
 scale.  Its rounding, at most j*eps*sum_k |F_k| R^(j-k-1), is the bound of
@@ -31,13 +35,12 @@ accumulates the static phase n*omega_k*delay, so an interval whose windows
 all lie inside one segment (every interval of an undriven run, all but
 L + 1 per switch with lags up to L) takes one gather of its history
 (values at nodes j and j + 1, the right derivative at j and the left at
-j + 1) and one product with the segment's complex coupling (the table
-times ``DelayTable.phases``), giving the delayed sums P at the nodes and
-F, the Hermite midpoint folded in: nine array calls whatever K, three
-more per further block.  Only intervals whose windows hold a switch build
-explicit midpoints and per-node window phases (``window_phase``).  A
-switched run so matches the undriven one bit for bit until a window
-reaches the switch.
+j + 1) and one product per channel with the segment's A^p, giving the
+delayed sums P at the nodes and F, the Hermite midpoint folded in: nine
+array calls whatever K, three more per further block.  Only intervals
+whose windows hold a switch build explicit midpoints and per-node window
+phases (``window_phase``).  A switched run so matches the undriven one bit
+for bit until a window reaches the switch.
 """
 
 from __future__ import annotations
@@ -118,6 +121,8 @@ class AmplitudeTrajectory(AmplitudeRecord):
     ``d_right`` and ``d_left`` the node derivatives used for Hermite
     interpolation, each as (atom, node); the left ones differ from the
     right ones only at breakpoint nodes (delayed terms switch on there).
+    ``channels`` holds the parities p, +1 first, of the channels (c_a +
+    p*c_b)/2 that started nonzero; with one, c_b is p*c_a bit for bit.
     ``intervals`` counts the delay-interval passes of the run and
     ``switch_intervals`` those whose retardation windows held a drive
     switch, so they took per-node phases (both 0 for delay = 0).
@@ -129,6 +134,7 @@ class AmplitudeTrajectory(AmplitudeRecord):
     d_left: np.ndarray
     config: SystemConfig
     state: InitialState
+    channels: tuple[int, ...]
     schedule: DriveSchedule
     steps_per_delay: int
     intervals: int
@@ -198,19 +204,9 @@ class AmplitudeTrajectory(AmplitudeRecord):
 
 def integrate(config: SystemConfig, state: InitialState, t_max: float,
               steps_per_delay: int = 100) -> AmplitudeTrajectory:
-    """Integrate the two-amplitude delay equations on [0, t_max].
-
-    Args:
-        config: system parameters; ``config.delay == 0`` falls back to the
-            instantaneous (ordinary differential) limit solved in closed form.
-        state: initial atomic amplitudes.
-        t_max: end time (the grid extends to the next whole step).
-        steps_per_delay: K, grid resolution per delay; the step
-            delay/K must not exceed 0.02/gamma (so K >= 50*eta).
-
-    Returns:
-        AmplitudeTrajectory sampled on the aligned grid.
-    """
+    """Integrate the two-amplitude delay equations on [0, t_max] (the grid
+    extends to the next whole step) at the constant frequency
+    ``config.omega0``; see :func:`integrate_with_drive`."""
     return integrate_with_drive(config, state, t_max,
                                 DriveSchedule.constant(config.omega0),
                                 steps_per_delay)
@@ -221,11 +217,14 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
                          steps_per_delay: int = 100) -> AmplitudeTrajectory:
     """Integrate with a piecewise-constant frequency schedule.
 
-    The delayed term at lag n*delay picks up the phase accumulated over its
-    own retardation window, exp(i [Omega(t) - Omega(t - n*delay)]) with
-    Omega the integral of omega0(s).  For a single-segment schedule this is
-    bit-identical to :func:`integrate`, and so is a switched run until its
-    first retardation window reaches the switch.
+    ``steps_per_delay`` is K: the step delay/K must not exceed 0.02/gamma
+    (K >= 50*eta).  ``config.delay == 0`` is solved in closed form.  Each
+    channel that starts nonzero is integrated alone.  The delayed term at
+    lag n*delay picks up the phase accumulated over its own retardation
+    window, exp(i [Omega(t) - Omega(t - n*delay)]) with Omega the integral
+    of omega0(s).  For a single-segment schedule this is bit-identical to
+    :func:`integrate`, and so is a switched run until its first retardation
+    window reaches the switch.
 
     Raises:
         ConfigError: for a non-positive or non-finite ``t_max``, a step
@@ -243,16 +242,17 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
         raise ConfigError(f"step too coarse: steps_per_delay = "
                           f"{steps_per_delay} must be >= 50*eta with "
                           f"eta = {config.eta!r}")
+    # the channels that start nonzero: exactly, not to a tolerance, so
+    # that a dropped one is exactly 0
+    channels = tuple(p for p in (+1, -1) if state.c_a + p * state.c_b != 0)
     if config.delay == 0.0:
-        return _integrate_instantaneous(config, state, t_max, steps_per_delay, schedule)
+        return _integrate_instantaneous(config, state, channels, t_max,
+                                        steps_per_delay, schedule)
 
-    # phase-free coefficients of the lags 1..L (phases applied per window)
     table = delay_table(config)
-    gamma0 = float(table.self_terms[0])
+    gamma0 = float(table.self_terms[0])   # A_0^p: the atoms share no slot
     n_lags = table.max_step
-    s_self, s_cross = table.self_terms[1:], table.cross_terms[1:]
-    # (receiving atom, emitting atom, lag)
-    coupling = np.array([[s_self, s_cross], [s_cross, s_self]])
+    ch = len(channels)
 
     K = steps_per_delay
     delay = config.delay
@@ -274,57 +274,57 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     a_node = w_node + 0.5 * w_mid
     a_end = w_end + 0.5 * w_mid
     a_slope = 0.125 * h * w_mid
-    # (P; F) = weights @ history, as (segment, P or F, atom, kind, atom,
-    # lag); a window in segment k has the static phase n*omega_k*delay
+    # (P; F) = weights @ history, as (segment, channel, P or F, kind, lag)
+    # from A_n^p; a window in segment k has the static phase n*omega_k*delay
     mix = np.array([[1.0, 0.0, 0.0, 0.0], [a_node, a_end, a_slope, -a_slope]])
-    seg_phase = table.phases(np.multiply(schedule.omegas, delay))[:, 1:]
-    weights = mix[:, None, :, None, None] * (
-        coupling * seg_phase[:, None, None])[:, None, :, None]
+    seg_coeffs = table.collective(channels, np.multiply(schedule.omegas, delay))
+    weights = mix[:, :, None] * seg_coeffs.swapaxes(0, 1)[:, :, None, None, 1:]
+    coeffs = table.collective(channels, 0.0)[:, 1:]     # phase-free
 
-    # values, right and left derivatives as (kind, atom, node); zeroed, so
+    # values, right and left derivatives as (kind, channel, node); zeroed, so
     # what a gather reads past the stored nodes only feeds unused columns
     store = np.zeros((3, 2, n_steps + 1), dtype=complex)
-    c, d_right, d_left = store
-    c[:, 0] = complex(state.c_a), complex(state.c_b)
+    c, d_right, d_left = store[:, :ch]
+    c[:, 0] = [0.5 * (state.c_a + p * state.c_b) for p in channels]
     d_right[:, 0] = d_left[:, 0] = -gamma0 * c[:, 0]
-    # flat offsets of the gathered (value at node j, value at j + 1, right
-    # derivative at j, left at j + 1) x atom, for node j = 0
+    # flat offsets of the gathered channel x (value at node j, value at
+    # j + 1, right derivative at j, left at j + 1), for node j = 0
     flat, nodes = store.reshape(-1), n_steps + 1
-    offsets = np.add.outer([0, 1, 2 * nodes, 4 * nodes + 1], [0, nodes])
+    offsets = np.add.outer(nodes * np.arange(ch), [0, 1, 2 * nodes, 4 * nodes + 1])
     recurrence = _affine_recurrence(amp, K)
 
     # one pass per interval [m*delay, (m+1)*delay) from node lo = m*K; a last
     # node on a breakpoint is a pass of no steps: it sets its right derivative
     switch_passes = 0
-    index = {}       # per pass shape: rows (kind, atom, lag) x node j
+    index = {}       # per pass shape: channel x rows (kind, lag) x node j
     for lo in range(0, n_steps + 1, K):
         n = min(K, n_steps - lo)
         live = min(lo // K, n_lags)
         if (n, live) not in index:
             index[n, live] = (offsets[..., None] - K * np.arange(1, live + 1)
-                              ).reshape(-1, 1) + np.arange(n + 1)
+                              ).reshape(ch, 4 * live, 1) + np.arange(n + 1)
         hist = flat.take(index[n, live] + lo)
         # the windows [t - lag*delay, t] of the pass span [first, last]; a
         # switch on either end node lies outside
         first = (lo - K * live + GRID_END_SLACK) * h
         seg = bisect_right(schedule.starts, first)
         if seg == bisect_right(schedule.starts, (lo + n - GRID_END_SLACK) * h):
-            cpl = weights[seg - 1, ..., :live].reshape(4, 8 * live)
-            p, f = (cpl @ hist).reshape(2, 2, n + 1)
+            cpl = weights[seg - 1, ..., :live].reshape(ch, 2, 4 * live)
+            p, f = (cpl @ hist).swapaxes(0, 1)
         else:
             # a switch inside the windows: per-node accumulated phases,
             # so explicit Hermite midpoints
             switch_passes += 1
-            val, nxt, right, left = hist.reshape(4, 2, live, n + 1)
+            val, nxt, right, left = hist.reshape(ch, 4, live, n + 1).swapaxes(0, 1)
             mid = 0.5 * (val[..., :-1] + nxt[..., :-1]) + 0.125 * h * (
                 right[..., :-1] - left[..., :-1])
             t_node = (lo + np.arange(n + 1)) * h
             times = np.concatenate((t_node, t_node[:-1] + 0.5 * h))
             ph = np.exp(1j * schedule.window_phase(
                 times, (np.arange(1, live + 1) * delay)[:, None]))
-            cpl = coupling[:, :, :live].reshape(2, 2 * live)
-            p = cpl @ (val * ph[:, :n + 1]).reshape(2 * live, n + 1)
-            m = cpl @ (mid * ph[:, n + 1:]).reshape(2 * live, n)
+            cpl = coeffs[:, None, :live]
+            p = (cpl @ (val * ph[:, :n + 1]))[:, 0]
+            m = (cpl @ (mid * ph[:, n + 1:]))[:, 0]
             f = w_node * p[:, :-1] + w_mid * m + w_end * p[:, 1:]
 
         y = c[:, lo:lo + n + 1]
@@ -334,10 +334,15 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
         dd -= p
         d_left[:, lo + 1:lo + n + 1] = dd[:, 1:]
 
-    t_grid = np.arange(n_steps + 1) * h
-    return AmplitudeTrajectory(t=t_grid, c=c, d_right=d_right, d_left=d_left,
-                               config=config, state=state, schedule=schedule,
-                               steps_per_delay=steps_per_delay,
+    # the atoms in place: c_b = p*c_a (one channel, y_p = c_a), or y_+ +- y_-
+    if ch == 1:
+        np.multiply(store[:, 0], channels[0], out=store[:, 1])
+    else:
+        for plus, minus in store:
+            plus[...], minus[...] = plus + minus, plus - minus
+    return AmplitudeTrajectory(np.arange(n_steps + 1) * h, *store,
+                               config=config, state=state, channels=channels,
+                               schedule=schedule, steps_per_delay=steps_per_delay,
                                intervals=n_steps // K + 1,
                                switch_intervals=switch_passes)
 
@@ -374,7 +379,7 @@ def _check_node_budget(
 
 
 def _integrate_instantaneous(config: SystemConfig, state: InitialState,
-                             t_max: float, steps_per_delay: int,
+                             channels: tuple, t_max: float, steps_per_delay: int,
                              schedule: DriveSchedule) -> AmplitudeTrajectory:
     """delay = 0: all retardation windows collapse, closed-form exponentials."""
     plus, minus = delay_table(config).collective(  # phi = 0: real A_n
@@ -388,9 +393,9 @@ def _integrate_instantaneous(config: SystemConfig, state: InitialState,
     sign = np.array([[1.0], [-1.0]])
     c = 0.5 * (cp0 * ep + sign * (cm0 * em))
     d = 0.5 * (-plus * cp0 * ep - sign * (minus * cm0 * em))
-    return AmplitudeTrajectory(t=t, c=c, d_right=d, d_left=d,
-                               config=config, state=state, schedule=schedule,
-                               steps_per_delay=steps_per_delay,
+    return AmplitudeTrajectory(t=t, c=c, d_right=d, d_left=d, config=config,
+                               state=state, channels=channels,
+                               schedule=schedule, steps_per_delay=steps_per_delay,
                                intervals=0, switch_intervals=0)
 
 
@@ -505,7 +510,7 @@ def _nufft_sums(rows: np.ndarray, ranges, h: float):
         first = np.ceil(grid_x - 0.5 * w)
         wts = _kernel(((grid_x - first)[:, None] - offs) * (2.0 / w))
         near = windows[first.astype(np.int64) + w // 2]
-        out = np.matmul(wts[:, None, :], near)[:, 0].view(complex)
+        out = np.einsum("bw,bwr->br", wts, near).view(complex)
         out = np.multiply(out.T, np.exp(1j * c * x), order="C")
         return out.reshape(len(ranges), n_rows, omega.size)
 
@@ -533,22 +538,24 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     containing a mid-step drive switch is weighted with the pre-switch
     drive, an O(h) slice of a single node.
 
-    Snapshot k takes one row per drive segment j it reaches: the nodes
-    from segment j's first to the smaller of its last (a boundary node
-    belongs to both segments) and the snapshot's.  The node sums
-    sum_j c_j exp(i omega tau_j) of all rows are one type-2 nonuniform FFT
-    on any ``omega_grid`` (uniform, descending, irregular or a few points),
+    The sum over m runs over the record's channels y_p = (c_a + p*c_b)/2
+    with leg factors L_a + p*L_b.  Snapshot k takes one row per channel and
+    drive segment j it reaches: the nodes from segment j's first to the
+    smaller of its last (a boundary node belongs to both) and the
+    snapshot's.  The node sums of all rows are one type-2 nonuniform FFT on
+    any ``omega_grid`` (uniform, descending, irregular or a few points),
     and each row's Filon sum adds straight into its snapshot.  Stage 1 is
-    one stacked inverse FFT, two rows per (k, j) on M >= 2 N_tau points:
-    O(R M log M) for R rows, at most snapshots x segments.  Stage 2 is one
-    pass over ``omega_grid`` in blocks of 2048 frequencies; per frequency
-    it takes w = 13 kernel weights, 13 grid values per row, and one complex
+    one stacked inverse FFT on M >= 2 N_tau points: O(R M log M) for R
+    rows.  Stage 2 is one pass over ``omega_grid`` in blocks of 2048
+    frequencies; per frequency it takes w = 13 kernel weights, 13 grid
+    values per row (by einsum: a batched matmul's bits change with the row
+    count, and a snapshot's must not depend on the others), and one complex
     exp per row end node, per segment, per leg distance and for the kernel
     phase.  Rows beyond ``_GRID_CAP`` stacked values run in further,
-    independent groups, each with its own pass.  Against the direct sum on the criterion-8 runs
-    (4161 nodes, five snapshots) the amplitudes agree to 2.2e-13 of the
-    peak on every 40th point of the 80 001-point grid, and to 6.3e-13 on a
-    random 20 001-point subset (``default_rng(3)``).
+    independent groups, each with its own pass.  Against the direct sum on
+    the criterion-8 runs (4161 nodes, five snapshots) the amplitudes agree
+    to 2.2e-13 of the peak on every 40th point of the 80 001-point grid,
+    and to 6.3e-13 on a random 20 001-point subset (``default_rng(3)``).
 
     Returns (phi_R, phi_L) with shape (len(omega_grid),), or
     (len(t), len(omega_grid)) for a sequence of times.
@@ -578,9 +585,10 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     legs = [[(dist.index(abs(x)), x < 0) for x in cfg.leg_positions(atom)]
             for atom in (0, 1)]
 
-    # rows: atom a, atom b, in the frame rotating with the drive: the
-    # absolute phase Omega(tau) is the window phase over [0, tau]
-    rot = traj.c * np.exp(
+    # channel rows (c_a itself for one), in the frame rotating with the
+    # drive: the absolute phase Omega(tau) is the window phase over [0, tau]
+    channels = traj.channels
+    rot = 0.5 * (traj.c_a + np.multiply.outer(channels, traj.c_b)) * np.exp(
         -1j * sched.window_phase(tau, tau))
 
     # one row per snapshot k and segment j it reaches: segment j's nodes up
@@ -591,8 +599,8 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
             for j, (a, b) in enumerate(zip(seg_first, [*seg_first[1:], stop]))
             if a < min(b, stop)]
-    per_group = max(1, _GRID_CAP // (2 * max(_grid_size(n_nodes),
-                                             _NUFFT_WIDTH * _OMEGA_BLOCK)))
+    per_group = max(1, _GRID_CAP // max(1, len(channels)) // max(
+        _grid_size(n_nodes), _NUFFT_WIDTH * _OMEGA_BLOCK))
 
     out_r = np.zeros((len(times), omega.size), dtype=complex)
     out_l = np.zeros((len(times), omega.size), dtype=complex)
@@ -612,17 +620,17 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
             # c at a node times exp(i omega tau), exactly c at tau = 0
             ends = {n: rot[:, n, None] * np.exp(1j * tau[n] * om) if n
                     else rot[:, :1] for n in nodes}
-            # leg sums times -i g0; the left-moving legs are the conjugates
+            # leg sums L_a + p*L_b times -i g0; left-moving: the conjugates
             ph = np.exp(-1j * np.outer(dist, om) / cfg.v_g)
-            leg = [sum(ph[d].conj() if neg else ph[d] for d, neg in sides)
-                   for sides in legs]
-            leg_r = [-1j * g0 * f for f in leg]
-            leg_l = [-1j * g0 * f.conj() for f in leg]
+            leg_a, leg_b = [sum(ph[d].conj() if neg else ph[d]
+                                for d, neg in sides) for sides in legs]
+            leg_r = [-1j * g0 * (leg_a + p * leg_b) for p in channels]
+            leg_l = [-1j * g0 * (leg_a + p * leg_b).conj() for p in channels]
             for (k, j, a, b), acc in zip(group, sums):
                 w0, w1s = weights[j]
-                ia, ib = w0 * (acc - ends[b]) + w1s * (acc - ends[a])
-                out_r[k, blk] += leg_r[0] * ia + leg_r[1] * ib
-                out_l[k, blk] += leg_l[0] * ia + leg_l[1] * ib
+                part = w0 * (acc - ends[b]) + w1s * (acc - ends[a])
+                out_r[k, blk] += sum(lr * y for lr, y in zip(leg_r, part))
+                out_l[k, blk] += sum(ll * y for ll, y in zip(leg_l, part))
     if scalar:
         return out_r[0], out_l[0]
     return out_r, out_l

@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -232,6 +233,25 @@ def test_wide_fdd_resolves_the_interior(tmp_path, capsys):
     assert metric == pytest.approx(0.75 * (1.0 - math.exp(-2.0)), rel=0.02)
 
 
+def test_wide_fdd_evaluates_only_the_interior_near_the_legs(tmp_path, capsys):
+    """The same run's interior grid has 1.5 million points, but by t = 1
+    field has reached only those within v_g*t = 1 of a leg: the rest are
+    not evaluated, so the run peaks far below the 134 MB that evaluating
+    all of them took, and the printed value is the full grid's to 1e-12."""
+    tracemalloc.start()
+    try:
+        assert main(["fdd", "--eta", "1e4", "--phi", "2pi", "--state",
+                     "antisymmetric", "--t-max", "1", "--nx", "11", "--nt",
+                     "5", "--out", str(tmp_path)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    metric = float(_line_value(capsys.readouterr().out,
+                               "interior_trapping = "))
+    assert metric == pytest.approx(0.6410850023421935, rel=1e-12)
+
+
 def test_late_fdd_reports_the_trapped_interior(tmp_path, capsys):
     """The README late map's x step (0.34) is wider than the leg spacing
     (0.2); the interior is integrated on its own grid, where the trapped
@@ -394,8 +414,12 @@ INVALID_VALUES = (
     (["bic"], {"GIANTQED_TOPOLOGY": "ring"}, "topology"),
     (["decay-rates"], {"GIANTQED_TOPOLOGY": "ring"}, "topology"),
     # an INI file (the --config value is its text) without a section
-    # header, and one with an unknown section
+    # header, one with a line that is no key, one with a '%' in a value
+    # (plain text, not interpolated) and one with an unknown section
     (["simulate", "--config", "eta = 0.2"], {}, "cannot parse config file"),
+    (["simulate", "--config", "[system]\neta = 0.2\nfoo"], {},
+     "run.ini, line 3"),
+    (["simulate", "--config", "[system]\neta = 50%"], {}, "--eta"),
     (["simulate", "--config", "[sytem]"], {}, "[sytem]"),
     (["simulate", "--omega0", "1"], {}, "--dx"),
     (["simulate", "--state", "up"], {}, "state"),
@@ -417,8 +441,9 @@ INVALID_VALUES = (
          for argv, env, _ in INVALID_VALUES])
 def test_invalid_values_exit_2_and_name_the_flag(tmp_path, capsys,
                                                  monkeypatch, argv, env, flag):
-    """Each refusal names its flag or key and writes nothing, not even a
-    staging directory.  A --config value is the text of an INI file."""
+    """Each refusal is one line that names its flag or key, and writes
+    nothing, not even a staging directory.  A --config value is the text
+    of an INI file."""
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     argv = list(argv)
@@ -427,7 +452,8 @@ def test_invalid_values_exit_2_and_name_the_flag(tmp_path, capsys,
         (tmp_path / "run.ini").write_text(argv[i])
         argv[i] = str(tmp_path / "run.ini")
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err and len(err.splitlines()) == 1
     assert [p.name for p in tmp_path.iterdir()] in ([], ["run.ini"])
 
 

@@ -91,12 +91,15 @@ def test_matches_exact_series_and_converges():
        sym=st.booleans())
 def test_parity_is_preserved(topology, phi_over_pi, eta, sym):
     """The two-atom equations are exchange symmetric, so parity eigenstates
-    stay parity eigenstates for every parameter choice."""
+    stay parity eigenstates for every parameter choice: one channel is
+    integrated, and c_b is parity * c_a bit for bit."""
     cfg = SystemConfig.from_phase(topology, eta=eta, phi=phi_over_pi * math.pi)
     state = InitialState.symmetric() if sym else InitialState.antisymmetric()
     traj = integrate(cfg, state, t_max=2.0 * cfg.delay, steps_per_delay=60)
-    sign = 1.0 if sym else -1.0
-    assert np.max(np.abs(traj.c_b - sign * traj.c_a)) < 1e-13
+    sign = 1 if sym else -1
+    assert traj.channels == (sign,)
+    for rows in (traj.c, traj.d_right, traj.d_left):
+        assert np.array_equal(rows[1], sign * rows[0])
 
 
 def test_early_window_is_single_atom_decay():
@@ -192,6 +195,7 @@ def _oracle_case(name):
     brd = SystemConfig.from_phase("braided", eta=0.3, phi=0.7 * math.pi)
     anti, sym = InitialState.antisymmetric(), InitialState.symmetric()
     mixed = InitialState(0.8, 0.3 - 0.4j)
+    near = InitialState(0.6, 0.6 + 1e-13)
     legs3 = SystemConfig.from_phase("braided", eta=0.25, phi=0.3, n_legs=3)
     const = DriveSchedule.constant
     return {
@@ -200,6 +204,8 @@ def _oracle_case(name):
         # t_max exactly 3 delays: the last node is the breakpoint where
         # the longest lag switches on
         "braided-breakpoint": (brd, mixed, 3 * brd.delay, const(brd.omega0), 30),
+        # symmetric to 1e-13 only: two channels, the antisymmetric one tiny
+        "near-parity": (brd, near, 3.5 * brd.delay, const(brd.omega0), 30),
         # the switch at t = 0.4567 falls inside step 114 (h = 0.004)
         "switch-mid-step": (sep, mixed, 5.1 * sep.delay,
                             DriveSchedule.switch_at(0.4567, sep.omega0,
@@ -225,8 +231,8 @@ def _oracle_case(name):
 
 
 @pytest.mark.parametrize("name", ["separate", "braided-breakpoint",
-                                  "switch-mid-step", "K=1", "K=3", "n_legs=3",
-                                  "switch-on-breakpoint",
+                                  "near-parity", "switch-mid-step", "K=1",
+                                  "K=3", "n_legs=3", "switch-on-breakpoint",
                                   "short-middle-segment"])
 def test_interval_scan_matches_step_by_step_oracle(name):
     cfg, state, t_max, sched, K = _oracle_case(name)
@@ -237,6 +243,24 @@ def test_interval_scan_matches_step_by_step_oracle(name):
     for got, want in ((traj.c, c), (traj.d_right, d_right),
                       (traj.d_left, d_left)):
         assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("name, channels", [
+    ("separate", (-1,)), ("K=1", (1,)), ("braided-breakpoint", (1, -1)),
+    ("near-parity", (1, -1))])
+def test_runs_integrate_the_channels_that_start_nonzero(name, channels):
+    """A channel (c_a + p*c_b)/2 is integrated when it starts nonzero at
+    all: the antisymmetric, symmetric, mixed and 1e-13-off symmetric
+    states; the zero state has none.  The delay-0 closed form records its
+    channels too."""
+    cfg, state, t_max, sched, K = _oracle_case(name)
+    traj = integrate_with_drive(cfg, state, t_max, sched, steps_per_delay=K)
+    assert traj.channels == channels
+    dicke = SystemConfig(topology="braided", delay=0.0, omega0=3.0)
+    assert integrate(dicke, state, t_max=1.0).channels == channels
+    zero = integrate_with_drive(cfg, InitialState(0.0, 0.0), t_max, sched,
+                                steps_per_delay=K)
+    assert zero.channels == () and not np.any(zero.c)
 
 
 def test_last_breakpoint_node_has_its_right_derivative():
@@ -514,26 +538,28 @@ def test_excitation_balance_improves_with_window():
 def test_field_amplitudes_amortised_sweep_matches_single_calls():
     """One increasing-time sweep must give the same amplitudes as separate
     calls, including across a drive switch that is not grid aligned.  Times
-    in any order, repeats included, give the single calls' bits."""
+    in any order, repeats included, give the single calls' bits, for one
+    channel (antisymmetric, symmetric) and for two (a mixed state)."""
     cfg = SystemConfig.from_phase("separate", eta=0.2, phi=2 * math.pi)
     sched = DriveSchedule.switch_at(1.23, cfg.omega0, 1.3 * cfg.omega0)
-    traj = integrate_with_drive(cfg, InitialState.antisymmetric(), 3.0,
-                                sched, steps_per_delay=100)
     grid = frequency_grid(cfg, half_width=30.0, n_points=401)
-    times = [0.8, 1.23, 2.9]
-    swept_r, swept_l = field_amplitudes(traj, grid, times)
-    for i, t_probe in enumerate(times):
-        one_r, one_l = field_amplitudes(traj, grid, t_probe)
-        assert np.max(np.abs(swept_r[i] - one_r)) < 1e-14
-        assert np.max(np.abs(swept_l[i] - one_l)) < 1e-14
-    for times in ([2.0, 1.0], [traj.horizon, 0.7, 2.5, 2.5, 1.0]):
+    for state in (InitialState.antisymmetric(), InitialState.symmetric(),
+                  InitialState(0.8, 0.3 - 0.4j)):
+        traj = integrate_with_drive(cfg, state, 3.0, sched, steps_per_delay=100)
+        times = [0.8, 1.23, 2.9]
         swept_r, swept_l = field_amplitudes(traj, grid, times)
         for i, t_probe in enumerate(times):
             one_r, one_l = field_amplitudes(traj, grid, t_probe)
-            assert np.array_equal(swept_r[i], one_r)
-            assert np.array_equal(swept_l[i], one_l)
-    with pytest.raises(ConfigError):
-        field_amplitudes(traj, grid, [1.0, math.nan])
+            assert np.max(np.abs(swept_r[i] - one_r)) < 1e-14
+            assert np.max(np.abs(swept_l[i] - one_l)) < 1e-14
+        for times in ([2.0, 1.0], [traj.horizon, 0.7, 2.5, 2.5, 1.0]):
+            swept_r, swept_l = field_amplitudes(traj, grid, times)
+            for i, t_probe in enumerate(times):
+                one_r, one_l = field_amplitudes(traj, grid, t_probe)
+                assert np.array_equal(swept_r[i], one_r)
+                assert np.array_equal(swept_l[i], one_l)
+        with pytest.raises(ConfigError):
+            field_amplitudes(traj, grid, [1.0, math.nan])
 
 
 def test_field_amplitudes_refuse_times_outside_the_run():
