@@ -34,6 +34,7 @@ import math
 import os
 import sys
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,14 +373,22 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
                        "max(100, ceil(50*eta)) steps per delay)")
     _check_node_budget(3 * steps_per_delay, "change --eta: fdd's interior "
                        "grid takes 3K + 1 points, K = max(100, ceil(50*eta))")
-    edge = 1.5 * config.spacing
-    interior = np.linspace(-edge, edge, 3 * steps_per_delay + 1)
-    near = np.zeros(interior.size, dtype=bool)
-    # 2 more points a side: no field lost to rounding, zeros bound each gap
-    for x in (*config.leg_positions(0), *config.leg_positions(1)):
-        lo, hi = np.searchsorted(interior, x + np.array([-1, 1]) * config.v_g * t_max)
-        near[max(lo - 2, 0):hi + 3] = True
-    interior = interior[near]
+    # of the interior grid np.linspace(-edge, edge, 3K + 1), form only the
+    # points within v_g*t_max of a leg and 2 more a side (no field lost to
+    # rounding, zeros bound each gap), each once, by linspace's arithmetic
+    edge, num = 1.5 * config.spacing, 3 * steps_per_delay + 1
+    step, reach = 2.0 * edge / (num - 1), config.v_g * t_max
+
+    def point(i: int) -> float:
+        return edge if i == num - 1 else i * step - edge
+
+    kept, top = [], 0     # legs in order, so each range starts past the last
+    for x in sorted((*config.leg_positions(0), *config.leg_positions(1))):
+        lo = max(bisect_left(range(num), x - reach, key=point) - 2, top)
+        top = min(bisect_left(range(num), x + reach, key=point) + 3, num)
+        kept.append(np.arange(lo, top))
+    kept = np.concatenate(kept)
+    interior = np.where(kept == num - 1, edge, kept * step - edge)
     cells = (args.nx * args.nt + interior.size) * 2 * config.n_legs * 2
     if cells > _FDD_CELL_BUDGET:
         raise ConfigError(f"the map needs {cells:.3g} cells ((nx * nt + points "

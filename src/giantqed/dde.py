@@ -45,6 +45,7 @@ for bit until a window reaches the switch.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -416,23 +417,23 @@ def frequency_grid(config: SystemConfig, half_width: float | None = None,
                        n_points)
 
 
-def _filon_terms(theta):
-    """Endpoint weights of Int_0^1 f(u) exp(i theta u) du for linear f.
-
-    Returns (w0, w1, exp(i theta)) with the integral = w0*f(0) + w1*f(1);
-    both weights reduce to the trapezoid 1/2 as theta -> 0 (a short series
-    avoids the 0/0 there), and the exp is the one they share.
+def _filon_terms(theta, e):
+    """Endpoint weights (w0, w1) of Int_0^1 f(u) exp(i theta u) du = w0*f(0)
+    + w1*f(1) for linear f, given e = exp(i theta).  The closed forms cancel
+    O(theta^2) (0/0 at 0), so |theta| < 0.5 takes their Taylor series: both
+    are good to 1.4e-15 relative for 1e-8 <= |theta| <= 30, e to a ulp.
     """
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-4
+    small = np.abs(theta) < 0.5
     th = np.where(small, 1.0, theta)
-    e = np.exp(1j * theta)
     w1 = (e * (1.0 - 1j * th) - 1.0) / th ** 2
     w0 = (e - 1.0) / (1j * th) - w1
-    ts = np.where(small, theta, 0.0)
-    w0 = np.where(small, 0.5 + 1j * ts / 6.0 - ts ** 2 / 24.0, w0)
-    w1 = np.where(small, 0.5 + 1j * ts / 3.0 - ts ** 2 / 8.0, w1)
-    return w0, w1, e
+    if small.any():
+        it, s0, s1 = 1j * theta[small], 0.0, 0.0
+        for k in range(18, -1, -1):   # Horner, to (i theta)^18
+            s0 = s0 * it + 1.0 / math.factorial(k + 2)
+            s1 = s1 * it + 1.0 / (math.factorial(k) * (k + 2))
+        w0[small], w1[small] = s0, s1
+    return w0, w1
 
 
 # width in grid points and shape of the "exponential of semicircle" kernel
@@ -452,9 +453,19 @@ _OMEGA_BLOCK = 2048
 _GRID_CAP = 1 << 20
 
 
-def _kernel(z):
-    root = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.exp(_NUFFT_BETA * (root - 1.0))
+def _kernel(z: np.ndarray) -> np.ndarray:
+    """The spreading kernel exp(beta (sqrt(1 - z^2) - 1)), overwriting z."""
+    z *= z
+    np.sqrt(np.maximum(np.subtract(1.0, z, out=z), 0.0, out=z), out=z)
+    z -= 1.0
+    return np.exp(np.multiply(z, _NUFFT_BETA, out=z), out=z)
+
+
+@functools.cache
+def _deconvolution_nodes() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Positive 4w-point Gauss-Legendre nodes, 2 x weight x (even) kernel."""
+    z, zw = np.polynomial.legendre.leggauss(4 * _NUFFT_WIDTH)
+    return tuple(z[z > 0]), tuple(2.0 * zw[z > 0] * _kernel(z[z > 0]))
 
 
 def _grid_size(n: int) -> int:
@@ -462,18 +473,18 @@ def _grid_size(n: int) -> int:
     return 1 << (2 * n - 1).bit_length()
 
 
-def _nufft_sums(rows: np.ndarray, ranges, h: float):
-    """Node sums sum_{j=a}^{b} rows[:, j] exp(i omega j h) over node ranges.
+def _nufft_sums(rows: np.ndarray, ranges):
+    """Node sums sum_{j=a}^{b} rows[:, j] exp(i j x) over node ranges.
 
-    With x = omega*h and c = n//2 for n nodes, the sum over a range is the
-    trigonometric polynomial exp(i c x) sum_j rows_j exp(i (j - c) x), so
-    one type-2 nonuniform FFT evaluates it at any frequencies (Dutt &
-    Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)).  Each range (a, b)
-    puts its coefficients, divided by the kernel's Fourier transform, in
-    its own rows of one stacked grid of M >= 2n points, and one inverse
-    FFT spreads them all.  Returns ``sums_at(omega)``, where w
-    kernel-weighted grid values interpolate each frequency; its result has
-    shape (len(ranges), len(rows), len(omega)).
+    With c = n//2 for n nodes, the sum over a range is the trigonometric
+    polynomial exp(i c x) sum_j rows_j exp(i (j - c) x), so one type-2
+    nonuniform FFT evaluates it at any x (Dutt & Rokhlin, SIAM J. Sci.
+    Comput. 14, 1368 (1993)).  Each range (a, b) puts its coefficients,
+    divided by the kernel's transform (on the cached positive Gauss nodes),
+    in its own rows of a stacked grid of M >= 2n points; one inverse FFT
+    spreads them all.  The returned ``sums_at(x, centre)``, x in [0, 2 pi)
+    and centre = exp(i c x), interpolates w kernel-weighted grid values per
+    x into shape (len(ranges), len(rows), len(x)).
     """
     fft = np.fft
     w = _NUFFT_WIDTH
@@ -481,10 +492,9 @@ def _nufft_sums(rows: np.ndarray, ranges, h: float):
     c = n // 2
     size = _grid_size(n)
     # deconvolution 2 pi/(M phi_hat(m)) for the kernel spread over w grid
-    # points, = 2/(w I(m)) with I(m) = Int_-1^1 psi(z) cos(pi w m z/M) dz
-    z, zw = np.polynomial.legendre.leggauss(4 * w)
-    ft = np.cos(np.outer(np.arange(c + 1) * (np.pi * w / size), z)) @ (
-        zw * _kernel(z))
+    # points, = 2/(w I(m)) with I(m) = 2 Int_0^1 psi(z) cos(pi w m z/M) dz
+    z, zw = _deconvolution_nodes()
+    ft = np.cos(np.outer(np.arange(c + 1) * (np.pi * w / size), z)) @ zw
     modes = np.arange(n) - c
     coeffs = rows * (2.0 / (w * ft[np.abs(modes)]))
     slot = modes % size
@@ -503,16 +513,15 @@ def _nufft_sums(rows: np.ndarray, ranges, h: float):
     del stacked, spread
     offs = np.arange(w)
 
-    def sums_at(omega: np.ndarray) -> np.ndarray:
-        # x reduced to [0, 2 pi) in grid units; its window and weights
-        x = np.remainder(omega * h, 2.0 * np.pi)
+    def sums_at(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
+        # x in grid units; its window and weights
         grid_x = x * (size / (2.0 * np.pi))
         first = np.ceil(grid_x - 0.5 * w)
         wts = _kernel(((grid_x - first)[:, None] - offs) * (2.0 / w))
         near = windows[first.astype(np.int64) + w // 2]
         out = np.einsum("bw,bwr->br", wts, near).view(complex)
-        out = np.multiply(out.T, np.exp(1j * c * x), order="C")
-        return out.reshape(len(ranges), n_rows, omega.size)
+        out = np.multiply(out.T, centre, order="C")
+        return out.reshape(len(ranges), n_rows, x.size)
 
     return sums_at
 
@@ -550,12 +559,13 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     frequencies; per frequency it takes w = 13 kernel weights, 13 grid
     values per row (by einsum: a batched matmul's bits change with the row
     count, and a snapshot's must not depend on the others), and one complex
-    exp per row end node, per segment, per leg distance and for the kernel
-    phase.  Rows beyond ``_GRID_CAP`` stacked values run in further,
-    independent groups, each with its own pass.  Against the direct sum on
-    the criterion-8 runs (4161 nodes, five snapshots) the amplitudes agree
-    to 2.2e-13 of the peak on every 40th point of the 80 001-point grid,
-    and to 6.3e-13 on a random 20 001-point subset (``default_rng(3)``).
+    exponential for every whole-step phase (kernel, row end nodes, Filon
+    steps: powers of exp(i omega h)), plus one per leg distance.  Rows
+    beyond ``_GRID_CAP`` stacked values run in further, independent
+    groups, each with its own pass.  Against the direct sum on the
+    criterion-8 runs (4161 nodes, five snapshots) the amplitudes agree to
+    1.8e-13 of the peak on every 40th point of the 80 001-point grid, and
+    to 5.3e-13 on a random 20 001-point subset (``default_rng(3)``).
 
     Returns (phi_R, phi_L) with shape (len(omega_grid),), or
     (len(t), len(omega_grid)) for a sequence of times.
@@ -576,8 +586,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     if omega.ndim != 1 or omega.size == 0 or not np.all(np.isfinite(omega)):
         raise ConfigError("omega_grid must be a non-empty 1-D array of "
                           "finite frequencies")
-    cfg = traj.config
-    sched = traj.schedule
+    cfg, sched = traj.config, traj.schedule
     g0 = math.sqrt(cfg.gamma / (4.0 * math.pi))
     # one exp(-i omega |x|/v_g) per leg distance from the centre; a leg at
     # negative x takes its conjugate
@@ -602,38 +611,50 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     per_group = max(1, _GRID_CAP // max(1, len(channels)) // max(
         _grid_size(n_nodes), _NUFFT_WIDTH * _OMEGA_BLOCK))
 
-    out_r = np.zeros((len(times), omega.size), dtype=complex)
-    out_l = np.zeros((len(times), omega.size), dtype=complex)
+    out = np.zeros((2, len(times), omega.size), dtype=complex)  # R, L
     for g in range(0, len(rows), per_group):
         group = rows[g:g + per_group]
-        sums_at = _nufft_sums(rot, [(a, b) for _, _, a, b in group], h)
-        segs = {j for _, j, _, _ in group}
+        sums_at = _nufft_sums(rot, [(a, b) for _, _, a, b in group])
+        segs = {j: a for _, j, a, _ in group}
         nodes = {n for _, _, a, b in group for n in (a, b)}
+        powers = {1, n_nodes // 2, *nodes} - {0}
         for lo in range(0, omega.size, _OMEGA_BLOCK):
             blk = slice(lo, lo + _OMEGA_BLOCK)
             om = omega[blk]
-            sums = sums_at(om)
-            weights = {}
-            for j in segs:
-                w0, w1, e = _filon_terms((om - sched.omegas[j]) * h)
-                weights[j] = h * w0, h * w1 * e.conj()
+            x = np.remainder(om * h, 2.0 * np.pi)
+            # z = exp(i omega h) gives the kernel phase z^c, a node's exp(i
+            # omega tau_n) = z^n and segment j's Filon exp(i theta) = z
+            # exp(-i omega_j h); z^m is the product of the squarings z^(2^k)
+            # of m's set bits in increasing k, bits that depend on z and m only
+            z, square = {}, np.exp(1j * x)
+            for k in range(max(powers).bit_length()):
+                square = square * square if k else square
+                for m in (m for m in powers if m >> k & 1):
+                    z[m] = z[m] * square if m in z else square
+            sums = sums_at(x, z[n_nodes // 2])
             # c at a node times exp(i omega tau), exactly c at tau = 0
-            ends = {n: rot[:, n, None] * np.exp(1j * tau[n] * om) if n
-                    else rot[:, :1] for n in nodes}
+            ends = {n: rot[:, n, None] * z[n] if n else rot[:, :1]
+                    for n in nodes}
+            # per segment: the Filon sum over nodes a..b of a row is
+            # (w0 + w1s)*S - w0*end_b - w1s*end_a, w1s = w1 exp(-i theta)
+            weights = {}
+            for j, a in segs.items():
+                e = z[1] * np.exp(-1j * sched.omegas[j] * h)
+                w0, w1 = _filon_terms((om - sched.omegas[j]) * h, e)
+                w0, w1 = h * w0, h * w1 * e.conj()
+                weights[j] = w0 + w1, w0, w1 * ends[a]
             # leg sums L_a + p*L_b times -i g0; left-moving: the conjugates
             ph = np.exp(-1j * np.outer(dist, om) / cfg.v_g)
             leg_a, leg_b = [sum(ph[d].conj() if neg else ph[d]
                                 for d, neg in sides) for sides in legs]
-            leg_r = [-1j * g0 * (leg_a + p * leg_b) for p in channels]
-            leg_l = [-1j * g0 * (leg_a + p * leg_b).conj() for p in channels]
+            factors = [-1j * g0 * np.stack((f, f.conj()))
+                       for f in (leg_a + p * leg_b for p in channels)]
             for (k, j, a, b), acc in zip(group, sums):
-                w0, w1s = weights[j]
-                part = w0 * (acc - ends[b]) + w1s * (acc - ends[a])
-                out_r[k, blk] += sum(lr * y for lr, y in zip(leg_r, part))
-                out_l[k, blk] += sum(ll * y for ll, y in zip(leg_l, part))
-    if scalar:
-        return out_r[0], out_l[0]
-    return out_r, out_l
+                whole, w0, start = weights[j]
+                part = whole * acc - w0 * ends[b] - start
+                for factor, y in zip(factors, part):
+                    out[:, k, blk] += factor * y
+    return (out[0, 0], out[1, 0]) if scalar else (out[0], out[1])
 
 
 def excitation_balance(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t) -> float:
