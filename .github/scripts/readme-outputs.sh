@@ -32,6 +32,14 @@ run fdd-late fdd --topology braided --eta 0.2 --phi 2pi \
 # the run's own x step v_g*h
 run fdd-wide fdd --eta 1e4 --phi 2pi --state antisymmetric --t-max 1 \
     --nx 11 --nt 5
+# legs 1e6 apart: K = 5e7 steps per delay, but only the interior points
+# near the legs are formed, so it runs
+run fdd-eta-1e6 fdd --eta 1e6 --phi 2pi --state antisymmetric --t-max 1 \
+    --nx 11 --nt 5
+# legs 1e15 apart: positions near the outer legs cannot resolve the x step
+# v_g*h; exit 2 naming --eta, nothing written
+run fdd-eta-1e15 fdd --eta 1e15 --phi 2pi --state antisymmetric --t-max 1 \
+    --nx 11 --nt 5
 run decay-rates-separate decay-rates --topology separate
 run simulate-separate simulate --topology separate --eta 0.3 --phi 0.7pi \
     --state symmetric --engine both --t-max 6

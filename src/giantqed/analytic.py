@@ -33,9 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dde import DriveSchedule
-from .model import (AmplitudeRecord, ConfigError, InitialState, SystemConfig,
-                    delay_table)
+from .model import (AmplitudeRecord, ConfigError, DriveSchedule, InitialState,
+                    SystemConfig, delay_table)
 
 #: Largest rounding-error bound on c(t) (normalised to c(0) = 1) that
 #: ``ExpPolySolution.evaluate`` returns; the criterion-1 tolerance.
@@ -54,16 +53,15 @@ class ExpPolySolution(AmplitudeRecord):
 
     Row m of ``local`` holds R_m in ascending powers of u/delay, entry
     (m, k) being r_mk delay^k; ``coeffs`` are the A_n it was built from,
-    for ``config``.
-    ``branches[l]`` holds P_l in ascending powers of (t - l*delay), built
-    from ``coeffs`` by the same recursion on first access.  Both are
-    normalised to c(0) = 1; :meth:`atomic` maps them back onto the atoms
-    of ``state`` (c_a(t) = state.c_a * c(t), c_b = parity * c_a).  When
-    the delay-table coefficients alternate in sign (braided antisymmetric
-    near even multiples of pi) the branches grow and cancel, and by t ~
-    30/gamma at eta ~ 0.2 their sum has lost its digits; :meth:`evaluate`
-    reads the local table, which keeps them (over many delays at large eta
-    its rows cancel too, and it refuses).
+    for ``config``.  ``branches[l]`` holds P_l in ascending powers of (t -
+    l*delay), built from ``coeffs`` by the same recursion on first access.
+    Both are normalised to c(0) = 1; :meth:`channel_values` scales them to
+    the one channel of ``state``, y_p(t) = y_p(0) c(t), where y_p(0) = (c_a
+    + p*c_b)/2 is c_a exactly.  When the delay-table coefficients alternate
+    in sign (braided antisymmetric near even multiples of pi) the branches
+    grow and cancel, and by t ~ 30/gamma at eta ~ 0.2 their sum has lost
+    its digits; :meth:`evaluate` reads the local table, which keeps them
+    (over many delays at large eta its rows cancel too, and it refuses).
     """
 
     local: np.ndarray
@@ -150,12 +148,9 @@ class ExpPolySolution(AmplitudeRecord):
         out = np.where(t_arr < 0.0, 0.0, out * envelope)
         return out if out.shape else complex(out)
 
-    def atomic(self, t, atom: int | None = None):
-        """(c_a(t), c_b(t)) for ``state``, or with ``atom`` (0 for a, 1 for
-        b) that atom's amplitude alone; times as for :meth:`evaluate`."""
-        c_a = self.state.c_a * self.evaluate(t)
-        pair = (c_a, self.parity * c_a)
-        return pair if atom is None else pair[atom]
+    def channel_values(self, t) -> np.ndarray:
+        """The one channel y_p(t); times as for :meth:`evaluate`."""
+        return np.multiply.outer([self.state.c_a], self.evaluate(t))
 
 
 def _series_table(coeffs: np.ndarray, rows: int, unit, shrink) -> np.ndarray:

@@ -42,11 +42,10 @@ import numpy as np
 from . import __version__
 from .analytic import _BRANCH_BUDGET, IllConditioned, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
-from .dde import (GRID_END_SLACK, DriveSchedule, _check_node_budget,
-                  _write_trajectory, integrate, integrate_with_drive,
-                  to_csv as traj_to_csv)
+from .dde import (GRID_END_SLACK, _check_node_budget, _write_trajectory,
+                  integrate, integrate_with_drive, to_csv as traj_to_csv)
 from .field import _pyplot, detector_signal, fdd as compute_fdd, released_energy
-from .model import ConfigError, InitialState, SystemConfig
+from .model import ConfigError, DriveSchedule, InitialState, SystemConfig
 from .spectral import NonConvergence, scan_decay_rates
 
 ENV_PREFIX = "GIANTQED_"
@@ -364,15 +363,16 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
     # exact series agrees with it to the integrator's own error at any time
     eta = config.gamma * config.delay
     steps_per_delay = max(100, math.ceil(50 * eta))
-    # the budgets before the map is built; eta sets K, so it and --t-max set
-    # the run's node count, and it sets the interior grid's 3K + 1 points:
-    # only those within v_g*t_max of a leg (edges included) hold field
+    # eta sets K, so it and --t-max set the run's node count
     h = config.delay / steps_per_delay  # 0 when a tiny delay underflows
     _check_node_budget(t_max / h - GRID_END_SLACK if h else math.inf,
                        "lower --t-max or change --eta (fdd takes "
                        "max(100, ceil(50*eta)) steps per delay)")
-    _check_node_budget(3 * steps_per_delay, "change --eta: fdd's interior "
-                       "grid takes 3K + 1 points, K = max(100, ceil(50*eta))")
+    # the interior is integrated at the run's x step v_g*h, which positions
+    # 1.5*spacing out must resolve: from eta ~ 1e11 on, rounding shifts them
+    if np.spacing(1.5 * config.spacing) > 1e-3 * config.v_g * h:
+        raise ConfigError(f"legs {config.spacing:.3g} apart round nearby "
+                          "positions by over 1e-3 of the x step; lower --eta")
     # of the interior grid np.linspace(-edge, edge, 3K + 1), form only the
     # points within v_g*t_max of a leg and 2 more a side (no field lost to
     # rounding, zeros bound each gap), each once, by linspace's arithmetic

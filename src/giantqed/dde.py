@@ -5,7 +5,7 @@ whose delayed coefficients are the phase-free DelayTable entries times the
 phase of each retardation window.  They split into the exchange-parity
 channels y_p = (c_a + p*c_b)/2, each the scalar equation y' = -sum_n A_n^p
 Phi_n(t) y(t - n*delay) with A^p = ``DelayTable.collective(p, .)``; one
-that starts at exactly 0 stays 0 and is not integrated.  The integrator
+that starts at exactly 0 stays 0 and is not stored.  The integrator
 works in the rotating (interaction) picture: no free omega0 oscillation.
 It steps with classical RK4 on a grid aligned with the delay (h = delay/K),
 so every delayed node value is read exactly from storage and only the
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (AmplitudeRecord, ConfigError, InitialState, SystemConfig,
-                    delay_table, write_csv)
+from .model import (AmplitudeRecord, ConfigError, DriveSchedule, InitialState,
+                    SystemConfig, delay_table, write_csv)
 
 #: Fraction of a step by which a run may end short of its t_max: the last
 #: node is the first one past t_max - GRID_END_SLACK*h.  Queries up to that
@@ -61,72 +61,21 @@ from .model import (AmplitudeRecord, ConfigError, InitialState, SystemConfig,
 GRID_END_SLACK = 1e-9
 
 #: Most grid nodes one run may store, checked before anything is allocated:
-#: 10^7 nodes hold the three (2, nodes) complex arrays in 960 MB.
+#: 10^7 nodes hold the three (channel, nodes) complex arrays, 480 MB a channel.
 _NODE_BUDGET = 10 ** 7
-
-
-@dataclass(frozen=True)
-class DriveSchedule:
-    """Piecewise-constant transition frequency omega0(t).
-
-    ``starts`` must begin at 0.0 and increase; ``omegas[i]`` applies on
-    [starts[i], starts[i+1]).
-    """
-
-    starts: tuple[float, ...]
-    omegas: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.starts) != len(self.omegas) or not self.starts:
-            raise ConfigError("schedule needs matching, non-empty starts/omegas")
-        if not all(math.isfinite(v) for v in (*self.starts, *self.omegas)):
-            raise ConfigError("schedule times and frequencies must be finite")
-        if self.starts[0] != 0.0:
-            raise ConfigError("first schedule segment must start at t=0")
-        if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
-            raise ConfigError("schedule start times must strictly increase")
-
-    @classmethod
-    def constant(cls, omega0: float) -> "DriveSchedule":
-        return cls((0.0,), (float(omega0),))
-
-    @classmethod
-    def switch_at(cls, t_switch: float, omega_before: float,
-                  omega_after: float) -> "DriveSchedule":
-        return cls((0.0, float(t_switch)), (float(omega_before), float(omega_after)))
-
-    def window_phase(self, t, width) -> np.ndarray:
-        """Int_{t-width}^t omega0(s) ds, the schedule's one phase accumulator:
-        each segment's omega times its overlap with the window, measured back
-        from t.  It rounds to a few ulp of the window phase itself;
-        Omega(t) - Omega(t - width) would carry those of Omega(t).  The
-        absolute phase Omega(t) is ``window_phase(t, t)`` (omega*t bit for
-        bit on one segment).  ``t`` and ``width >= 0`` broadcast; a window
-        reaching before 0 extends segment 0."""
-        t = np.asarray(t, dtype=float)
-        total = np.zeros(np.broadcast_shapes(t.shape, np.shape(width)))
-        ends = (*self.starts[1:], math.inf)
-        for k, (omega, end) in enumerate(zip(self.omegas, ends)):
-            # the overlap runs from `near` to `far` before t
-            near = np.maximum(t - end, 0.0)
-            far = np.minimum(t - self.starts[k], width) if k else width
-            total += omega * np.maximum(far - near, 0.0)
-        return total
 
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory(AmplitudeRecord):
     """Dense solution record of one integration run from ``state``.
 
-    ``c`` holds the amplitudes (c_a, c_b) at the nodes ``t``, and
-    ``d_right`` and ``d_left`` the node derivatives used for Hermite
-    interpolation, each as (atom, node); the left ones differ from the
-    right ones only at breakpoint nodes (delayed terms switch on there).
-    ``channels`` holds the parities p, +1 first, of the channels (c_a +
-    p*c_b)/2 that started nonzero; with one, c_b is p*c_a bit for bit.
-    ``intervals`` counts the delay-interval passes of the run and
-    ``switch_intervals`` those whose retardation windows held a drive
-    switch, so they took per-node phases (both 0 for delay = 0).
+    ``c`` holds the live channels y_p at the nodes ``t``, and ``d_right``
+    and ``d_left`` their node derivatives used for Hermite interpolation,
+    each as (channel, node); the left ones differ from the right ones only
+    at breakpoint nodes (delayed terms switch on there).  ``intervals``
+    counts the delay-interval passes of the run and ``switch_intervals``
+    those whose retardation windows held a drive switch, so they took
+    per-node phases (both 0 for delay = 0).
     """
 
     t: np.ndarray
@@ -135,7 +84,6 @@ class AmplitudeTrajectory(AmplitudeRecord):
     d_left: np.ndarray
     config: SystemConfig
     state: InitialState
-    channels: tuple[int, ...]
     schedule: DriveSchedule
     steps_per_delay: int
     intervals: int
@@ -143,11 +91,11 @@ class AmplitudeTrajectory(AmplitudeRecord):
 
     @property
     def c_a(self) -> np.ndarray:
-        return self.c[0]
+        return self.atoms(self.c)[0]
 
     @property
     def c_b(self) -> np.ndarray:
-        return self.c[1]
+        return self.atoms(self.c)[1]
 
     @property
     def pop_a(self) -> np.ndarray:
@@ -166,14 +114,11 @@ class AmplitudeTrajectory(AmplitudeRecord):
         """Last legal query time: the last node plus the grid-end slack."""
         return float(self.t[-1] + GRID_END_SLACK * (self.t[1] - self.t[0]))
 
-    def atomic(self, t, atom: int | None = None):
-        """(c_a(t), c_b(t)) at arbitrary times via piecewise cubic Hermite,
-        or with ``atom`` (0 for a, 1 for b) that atom's amplitude alone.
-
-        Times up to ``GRID_END_SLACK`` of a step outside [0, t[-1]] clamp to
-        the end node; any other time, NaN included, raises ConfigError.
-        """
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
+    def channel_values(self, t) -> np.ndarray:
+        """The channels at arbitrary times via piecewise cubic Hermite.  Times
+        up to ``GRID_END_SLACK`` of a step outside [0, t[-1]] clamp to the
+        end node; any other time, NaN included, raises ConfigError."""
+        tq = np.asarray(t, dtype=float)
         h = self.t[1] - self.t[0]
         if tq.size and not (tq.min() >= -GRID_END_SLACK * h
                             and tq.max() <= self.horizon):
@@ -186,17 +131,13 @@ class AmplitudeTrajectory(AmplitudeRecord):
         h10 = h * (u * (1 - u) ** 2)
         h01 = u * u * (3 - 2 * u)
         h11 = h * (u * u * (u - 1))
-        rows = slice(None) if atom is None else atom
-        y, dr, dl = self.c[rows], self.d_right[rows], self.d_left[rows]
         # h00*y0 + h10*d0 + h01*y1 + h11*d1 summed in place in that order:
         # the same values with one live temporary
-        c = h00 * y[..., idx]
-        c += h10 * dr[..., idx]
-        c += h01 * y[..., nxt]
-        c += h11 * dl[..., nxt]
-        if np.ndim(t) == 0:
-            c = c[..., 0].tolist()
-        return c if atom is not None else tuple(c)
+        c = h00 * self.c[..., idx]
+        c += h10 * self.d_right[..., idx]
+        c += h01 * self.c[..., nxt]
+        c += h11 * self.d_left[..., nxt]
+        return c
 
     def nearest_index(self, t: float) -> int:
         i = int(round(t / (self.t[1] - self.t[0])))
@@ -243,11 +184,10 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
         raise ConfigError(f"step too coarse: steps_per_delay = "
                           f"{steps_per_delay} must be >= 50*eta with "
                           f"eta = {config.eta!r}")
-    # the channels that start nonzero: exactly, not to a tolerance, so
-    # that a dropped one is exactly 0
-    channels = tuple(p for p in (+1, -1) if state.c_a + p * state.c_b != 0)
+    channels = state.channels
+    start = [0.5 * (state.c_a + p * state.c_b) for p in channels]   # y_p(0)
     if config.delay == 0.0:
-        return _integrate_instantaneous(config, state, channels, t_max,
+        return _integrate_instantaneous(config, state, start, t_max,
                                         steps_per_delay, schedule)
 
     table = delay_table(config)
@@ -284,14 +224,15 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
 
     # values, right and left derivatives as (kind, channel, node); zeroed, so
     # what a gather reads past the stored nodes only feeds unused columns
-    store = np.zeros((3, 2, n_steps + 1), dtype=complex)
-    c, d_right, d_left = store[:, :ch]
-    c[:, 0] = [0.5 * (state.c_a + p * state.c_b) for p in channels]
+    store = np.zeros((3, ch, n_steps + 1), dtype=complex)
+    c, d_right, d_left = store
+    c[:, 0] = start
     d_right[:, 0] = d_left[:, 0] = -gamma0 * c[:, 0]
     # flat offsets of the gathered channel x (value at node j, value at
     # j + 1, right derivative at j, left at j + 1), for node j = 0
     flat, nodes = store.reshape(-1), n_steps + 1
-    offsets = np.add.outer(nodes * np.arange(ch), [0, 1, 2 * nodes, 4 * nodes + 1])
+    offsets = np.add.outer(nodes * np.arange(ch),
+                           [0, 1, ch * nodes, 2 * ch * nodes + 1])
     recurrence = _affine_recurrence(amp, K)
 
     # one pass per interval [m*delay, (m+1)*delay) from node lo = m*K; a last
@@ -335,15 +276,9 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
         dd -= p
         d_left[:, lo + 1:lo + n + 1] = dd[:, 1:]
 
-    # the atoms in place: c_b = p*c_a (one channel, y_p = c_a), or y_+ +- y_-
-    if ch == 1:
-        np.multiply(store[:, 0], channels[0], out=store[:, 1])
-    else:
-        for plus, minus in store:
-            plus[...], minus[...] = plus + minus, plus - minus
     return AmplitudeTrajectory(np.arange(n_steps + 1) * h, *store,
-                               config=config, state=state, channels=channels,
-                               schedule=schedule, steps_per_delay=steps_per_delay,
+                               config=config, state=state, schedule=schedule,
+                               steps_per_delay=steps_per_delay,
                                intervals=n_steps // K + 1,
                                switch_intervals=switch_passes)
 
@@ -380,22 +315,19 @@ def _check_node_budget(
 
 
 def _integrate_instantaneous(config: SystemConfig, state: InitialState,
-                             channels: tuple, t_max: float, steps_per_delay: int,
+                             start: list, t_max: float, steps_per_delay: int,
                              schedule: DriveSchedule) -> AmplitudeTrajectory:
     """delay = 0: all retardation windows collapse, closed-form exponentials."""
-    plus, minus = delay_table(config).collective(  # phi = 0: real A_n
-        (+1, -1), config.phi).sum(axis=-1).real.tolist()
+    rates = delay_table(config).collective(  # phi = 0: real A_n
+        state.channels, config.phi).sum(axis=-1).real[:, None]
     n = _check_node_budget(max(steps_per_delay, 50)
                            * max(1.0, np.ceil(t_max * config.gamma)))
     t = np.linspace(0.0, t_max, n + 1)
-    cp0, cm0 = state.c_a + state.c_b, state.c_a - state.c_b
-    ep, em = np.exp(-plus * t), np.exp(-minus * t)
-    # atom a takes the sum of the two modes, atom b their difference
-    sign = np.array([[1.0], [-1.0]])
-    c = 0.5 * (cp0 * ep + sign * (cm0 * em))
-    d = 0.5 * (-plus * cp0 * ep - sign * (minus * cm0 * em))
-    return AmplitudeTrajectory(t=t, c=c, d_right=d, d_left=d, config=config,
-                               state=state, channels=channels,
+    start = np.array(start)[:, None]
+    decay = np.exp(-rates * t)
+    d = (-rates * start) * decay
+    return AmplitudeTrajectory(t=t, c=start * decay, d_right=d, d_left=d,
+                               config=config, state=state,
                                schedule=schedule, steps_per_delay=steps_per_delay,
                                intervals=0, switch_intervals=0)
 
@@ -594,11 +526,9 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     legs = [[(dist.index(abs(x)), x < 0) for x in cfg.leg_positions(atom)]
             for atom in (0, 1)]
 
-    # channel rows (c_a itself for one), in the frame rotating with the
-    # drive: the absolute phase Omega(tau) is the window phase over [0, tau]
-    channels = traj.channels
-    rot = 0.5 * (traj.c_a + np.multiply.outer(channels, traj.c_b)) * np.exp(
-        -1j * sched.window_phase(tau, tau))
+    # channel rows in the frame rotating with the drive: the absolute phase
+    # Omega(tau) is the window phase over [0, tau]
+    rot = traj.c * np.exp(-1j * sched.window_phase(tau, tau))
 
     # one row per snapshot k and segment j it reaches: segment j's nodes up
     # to the next segment's first (shared) or the snapshot's, if sooner
@@ -608,7 +538,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
             for j, (a, b) in enumerate(zip(seg_first, [*seg_first[1:], stop]))
             if a < min(b, stop)]
-    per_group = max(1, _GRID_CAP // max(1, len(channels)) // max(
+    per_group = max(1, _GRID_CAP // max(1, len(traj.c)) // max(
         _grid_size(n_nodes), _NUFFT_WIDTH * _OMEGA_BLOCK))
 
     out = np.zeros((2, len(times), omega.size), dtype=complex)  # R, L
@@ -648,7 +578,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
             leg_a, leg_b = [sum(ph[d].conj() if neg else ph[d]
                                 for d, neg in sides) for sides in legs]
             factors = [-1j * g0 * np.stack((f, f.conj()))
-                       for f in (leg_a + p * leg_b for p in channels)]
+                       for f in (leg_a + p * leg_b for p in traj.channels)]
             for (k, j, a, b), acc in zip(group, sums):
                 whole, w0, start = weights[j]
                 part = whole * acc - w0 * ends[b] - start

@@ -184,25 +184,99 @@ class InitialState:
         return cls(s, -s)
 
     @property
+    def channels(self) -> tuple[int, ...]:
+        """Parities p, +1 first, of the channels y_p = (c_a + p*c_b)/2 that
+        start nonzero: exactly, so that a dropped one is exactly 0."""
+        return tuple(p for p in (+1, -1) if self.c_a + p * self.c_b != 0)
+
+    @property
     def parity(self) -> int | None:
-        """+1 (symmetric), -1 (antisymmetric) or None for anything else."""
-        if cmath.isclose(self.c_a, self.c_b, abs_tol=1e-12):
-            return +1
-        if cmath.isclose(self.c_a, -self.c_b, abs_tol=1e-12):
-            return -1
-        return None
+        """The one live channel's parity, +1 or -1; None for two or none."""
+        return self.channels[0] if len(self.channels) == 1 else None
+
+
+@dataclass(frozen=True)
+class DriveSchedule:
+    """Piecewise-constant transition frequency omega0(t).
+
+    ``starts`` must begin at 0.0 and increase; ``omegas[i]`` applies on
+    [starts[i], starts[i+1]).
+    """
+
+    starts: tuple[float, ...]
+    omegas: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.starts) != len(self.omegas) or not self.starts:
+            raise ConfigError("schedule needs matching, non-empty starts/omegas")
+        if not all(math.isfinite(v) for v in (*self.starts, *self.omegas)):
+            raise ConfigError("schedule times and frequencies must be finite")
+        if self.starts[0] != 0.0:
+            raise ConfigError("first schedule segment must start at t=0")
+        if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
+            raise ConfigError("schedule start times must strictly increase")
+
+    @classmethod
+    def constant(cls, omega0: float) -> "DriveSchedule":
+        return cls((0.0,), (float(omega0),))
+
+    @classmethod
+    def switch_at(cls, t_switch: float, omega_before: float,
+                  omega_after: float) -> "DriveSchedule":
+        return cls((0.0, float(t_switch)), (float(omega_before), float(omega_after)))
+
+    def window_phase(self, t, width) -> np.ndarray:
+        """Int_{t-width}^t omega0(s) ds, the schedule's one phase accumulator:
+        each segment's omega times its overlap with the window, measured back
+        from t.  It rounds to a few ulp of the window phase itself;
+        Omega(t) - Omega(t - width) would carry those of Omega(t).  The
+        absolute phase Omega(t) is ``window_phase(t, t)`` (omega*t bit for
+        bit on one segment).  ``t`` and ``width >= 0`` broadcast; a window
+        reaching before 0 extends segment 0."""
+        t = np.asarray(t, dtype=float)
+        total = np.zeros(np.broadcast_shapes(t.shape, np.shape(width)))
+        ends = (*self.starts[1:], math.inf)
+        for k, (omega, end) in enumerate(zip(self.omegas, ends)):
+            # the overlap runs from `near` to `far` before t
+            near = np.maximum(t - end, 0.0)
+            far = np.minimum(t - self.starts[k], width) if k else width
+            total += omega * np.maximum(far - near, 0.0)
+        return total
 
 
 class AmplitudeRecord:
     """Contract of both amplitude records, ``dde.AmplitudeTrajectory`` and
     ``analytic.ExpPolySolution``: ``config``, initial ``state``, drive
-    ``schedule``, and ``atomic(t, atom=None)``, (c_a(t), c_b(t)) or one
-    atom's, up to ``horizon``; a later or NaN time raises ConfigError."""
+    ``schedule`` and ``channel_values(t)``, the live channels y_p(t) as
+    (channel, *t.shape) up to ``horizon``; a later or NaN time raises
+    ConfigError.  :meth:`atomic` maps them to the atoms."""
+
+    @property
+    def channels(self) -> tuple[int, ...]:
+        """The live channels of ``state``."""
+        return self.state.channels
 
     @property
     def parity(self) -> int | None:
         """The exchange parity of ``state``."""
         return self.state.parity
+
+    def atoms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The one map from channel rows y, (channel, ...), to (c_a, c_b) =
+        (sum_p y_p, sum_p p*y_p): y and p*y for one channel, y_+ + y_- and
+        y_+ - y_- for two, zeros for none."""
+        if len(y) == 1:
+            return y[0], self.channels[0] * y[0]
+        plus, minus = y if len(y) else np.zeros((2, *y.shape[1:]), complex)
+        return plus + minus, plus - minus
+
+    def atomic(self, t, atom: int | None = None):
+        """(c_a(t), c_b(t)), or with ``atom`` (0 for a, 1 for b) that atom's
+        amplitude alone: complex numbers at a scalar time, else arrays."""
+        pair = self.atoms(self.channel_values(t))
+        if np.ndim(t) == 0:
+            pair = tuple(map(complex, pair))
+        return pair if atom is None else pair[atom]
 
 
 @dataclass(frozen=True)

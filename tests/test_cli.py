@@ -224,13 +224,18 @@ def test_wide_fdd_resolves_the_interior(tmp_path, capsys):
     resolution.  Before any delay has passed each of the 8 half-packets (4
     legs, 2 directions) carries an equal share of the emitted 1 - pop(1) =
     1 - exp(-2), and the outer legs' outward ones leave the interior: 3/4
-    of it is inside."""
-    assert main(["fdd", "--eta", "1e4", "--phi", "2pi", "--state",
-                 "antisymmetric", "--t-max", "1", "--nx", "11", "--nt", "5",
-                 "--out", str(tmp_path)]) == EXIT_OK
-    metric = float(_line_value(capsys.readouterr().out,
-                               "interior_trapping = "))
-    assert metric == pytest.approx(0.75 * (1.0 - math.exp(-2.0)), rel=0.02)
+    of it is inside.  At eta = 1e6 (K = 5e7, an interior grid of 1.5e8
+    points of which a few hundred are formed) the value is the same."""
+    metric = {}
+    for eta in ("1e4", "1e6"):
+        assert main(["fdd", "--eta", eta, "--phi", "2pi", "--state",
+                     "antisymmetric", "--t-max", "1", "--nx", "11", "--nt",
+                     "5", "--out", str(tmp_path / eta)]) == EXIT_OK
+        metric[eta] = float(_line_value(capsys.readouterr().out,
+                                        "interior_trapping = "))
+    assert metric["1e4"] == pytest.approx(0.75 * (1.0 - math.exp(-2.0)),
+                                          rel=0.02)
+    assert metric["1e6"] == pytest.approx(metric["1e4"], rel=1e-6)
 
 
 def test_wide_fdd_evaluates_only_the_interior_near_the_legs(tmp_path, capsys):
@@ -431,8 +436,9 @@ INVALID_VALUES = (
     (["detect", "--eta", "0"], {}, "eta"),
     (["detect", "--eta", "0.2", "--phi", "2pi", "--t-max", "4",
       "--switch-at", "4", "--phi-after", "2pi"], {}, "--switch-at"),
-    # K = 5e7 steps per delay: the interior grid's 1.5e8 points
-    (["fdd", "--eta", "1e6", "--phi", "2pi"], {}, "--eta"),
+    # legs 1e15 apart: positions near the outer legs round to 0.25, far
+    # coarser than the interior's x step v_g*h = 0.02
+    (["fdd", "--eta", "1e15", "--phi", "2pi"], {}, "--eta"),
 )
 
 

@@ -2,12 +2,17 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import giantqed
 from giantqed import model
+from giantqed.analytic import exact_solution
 from giantqed.dde import DriveSchedule
 from giantqed.model import (ConfigError, InitialState, SystemConfig,
                             TOPOLOGIES, delay_table, write_csv)
@@ -111,6 +116,26 @@ def test_initial_states():
     assert InitialState(1.0, 0.0).parity is None
     with pytest.raises(ValueError):
         InitialState(1.0, 1.0)  # norm 2
+    # parity is exact: 1e-13 off symmetric is two channels, and the zero
+    # state has none
+    near = InitialState(0.6, 0.6 + 1e-13)
+    assert near.channels == (1, -1) and near.parity is None
+    zero = InitialState(0.0, 0.0)
+    assert zero.channels == () and zero.parity is None
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=1.0)
+    with pytest.raises(ConfigError):
+        exact_solution(cfg, near, t_max=1.0)
+
+
+def test_analytic_does_not_import_dde():
+    """The series takes its schedule from model: importing it leaves the
+    integrator unloaded."""
+    code = "import sys, giantqed.analytic; print('giantqed.dde' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(giantqed.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
