@@ -78,6 +78,12 @@ run simulate-eta0-both simulate --topology braided --eta 0 \
 # an exact series refused (exit 3) after the integrator ran: nothing written
 run simulate-refused simulate --topology braided --eta 20 --phi 0.5pi \
     --state antisymmetric --engine both --t-max 2000 --steps-per-delay 1000
+# the integrator's extreme pass shapes: K = 1, one pass per step (10^4
+# passes), and gamma0*delay = 250 > 200, each pass in blocked recurrences
+run simulate-k1 simulate --topology separate --eta 1e-6 --phi 0 \
+    --state symmetric --t-max 0.01 --steps-per-delay 1
+run simulate-blocked simulate --topology separate --eta 250 --phi 0.3pi \
+    --state symmetric --t-max 750 --steps-per-delay 12500
 # a v_g whose largest map value or detector intensity leaves the float
 # range: exit 2 naming v_g, nothing written
 run fdd-tiny-vg fdd --v-g 1e-300

@@ -36,18 +36,18 @@ all lie inside one segment (every interval of an undriven run, all but
 L + 1 per switch with lags up to L) takes one gather of its history
 (values at nodes j and j + 1, the right derivative at j and the left at
 j + 1) and one product per channel with the segment's A^p, giving the
-delayed sums P at the nodes and F, the Hermite midpoint folded in: nine
-array calls whatever K, three more per further block.  Only intervals
-whose windows hold a switch build explicit midpoints and per-node window
-phases (``window_phase``).  A switched run so matches the undriven one bit
-for bit until a window reaches the switch.
+delayed sums P at the nodes and F, the Hermite midpoint folded in: eight
+array calls a pass with the recurrence and derivative update, whatever K,
+three more per further block; pass segments come from one table built
+before the loop.  Only intervals whose windows hold a switch build explicit
+midpoints and per-node window phases (``window_phase``).  A switched run so
+matches the undriven one bit for bit until a window reaches the switch.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +91,11 @@ class AmplitudeTrajectory(AmplitudeRecord):
 
     @property
     def c_a(self) -> np.ndarray:
-        return self.atoms(self.c)[0]
+        return self.atoms(self.c, 0)
 
     @property
     def c_b(self) -> np.ndarray:
-        return self.atoms(self.c)[1]
+        return self.atoms(self.c, 1)
 
     @property
     def pop_a(self) -> np.ndarray:
@@ -234,25 +234,35 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     offsets = np.add.outer(nodes * np.arange(ch),
                            [0, 1, ch * nodes, 2 * ch * nodes + 1])
     recurrence = _affine_recurrence(amp, K)
+    decay = np.complex128(-gamma0)   # as the product would cast it
 
     # one pass per interval [m*delay, (m+1)*delay) from node lo = m*K; a last
-    # node on a breakpoint is a pass of no steps: it sets its right derivative
+    # node on a breakpoint is a pass of no steps: it sets its right derivative.
+    # Its windows [t - lag*delay, t] span nodes lo - K*live to its last; its
+    # segment holds both ends (a switch on an end node lies outside), else -1
+    lows = np.arange(0, n_steps + 1, K)
+    first, last = np.searchsorted(schedule.starts, [
+        (np.maximum(lows - K * n_lags, 0) + GRID_END_SLACK) * h,
+        (np.minimum(lows + K, n_steps) - GRID_END_SLACK) * h], side="right")
+    segs = np.where(first == last, first - 1, -1).tolist()
+    del lows, first, last            # before the loop fills the store
     switch_passes = 0
-    index = {}       # per pass shape: channel x rows (kind, lag) x node j
-    for lo in range(0, n_steps + 1, K):
+    shapes = {}      # per pass shape (n, live): gather index, couplings, solver
+    for lo, seg in zip(range(0, n_steps + 1, K), segs):
         n = min(K, n_steps - lo)
         live = min(lo // K, n_lags)
-        if (n, live) not in index:
-            index[n, live] = (offsets[..., None] - K * np.arange(1, live + 1)
-                              ).reshape(ch, 4 * live, 1) + np.arange(n + 1)
-        hist = flat.take(index[n, live] + lo)
-        # the windows [t - lag*delay, t] of the pass span [first, last]; a
-        # switch on either end node lies outside
-        first = (lo - K * live + GRID_END_SLACK) * h
-        seg = bisect_right(schedule.starts, first)
-        if seg == bisect_right(schedule.starts, (lo + n - GRID_END_SLACK) * h):
-            cpl = weights[seg - 1, ..., :live].reshape(ch, 2, 4 * live)
-            p, f = (cpl @ hist).swapaxes(0, 1)
+        if (n, live) not in shapes:
+            # channel x rows (kind, lag) x node j, from the window start
+            shapes[n, live] = (
+                (offsets[..., None] + K * (live - np.arange(1, live + 1))
+                 ).reshape(ch, 4 * live, 1) + np.arange(n + 1),
+                [w.reshape(ch, 2, 4 * live) for w in weights[..., :live]],
+                recurrence(n))
+        index, cpls, solve = shapes[n, live]
+        hist = flat[lo - K * live:].take(index)
+        if seg >= 0:
+            pf = cpls[seg] @ hist
+            p, f = pf[:, 0], pf[:, 1]
         else:
             # a switch inside the windows: per-node accumulated phases,
             # so explicit Hermite midpoints
@@ -270,9 +280,9 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
             f = w_node * p[:, :-1] + w_mid * m + w_end * p[:, 1:]
 
         y = c[:, lo:lo + n + 1]
-        recurrence(y, f)
+        solve(y, f)
         # right sense at breakpoint lo (new lag in); next pass redoes lo + n
-        dd = np.multiply(y, -gamma0, out=d_right[:, lo:lo + n + 1])
+        dd = np.multiply(y, decay, out=d_right[:, lo:lo + n + 1])
         dd -= p
         d_left[:, lo + 1:lo + n + 1] = dd[:, 1:]
 
@@ -284,21 +294,29 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
 
 
 def _affine_recurrence(amp: float, K: int):
-    """Solver of y[:, j+1] = amp*y[:, j] + f[:, j] in place from y[:, 0], per
-    block of b steps from its first node y0: y[:, i] = amp^i (y0 + sum_{k<i}
+    """Solvers of y[:, j+1] = amp*y[:, j] + f[:, j] in place from y[:, 0]:
+    ``_affine_recurrence(amp, K)(n)(y, f)`` for passes of n <= K steps.  Per
+    block of b steps from its first node y0, y[:, i] = amp^i (y0 + sum_{k<i}
     amp^-(k+1) f[:, k]), b = K or the most steps with amp^-b <= e^200."""
     b = K if -K * math.log(amp) <= 200.0 else int(-200.0 / math.log(amp))
     j = np.arange(b + 1.0)
-    pw, inv = amp ** j, amp ** -j[1:]
+    # complex, as the products would cast them at every call
+    pw, inv = (amp ** j).astype(complex), (amp ** -j[1:]).astype(complex)
 
-    def solve(y, f) -> None:
-        for s in range(0, y.shape[1] - 1, b):
-            part = y[:, s:s + b + 1]
-            m = part.shape[1] - 1
-            np.multiply(f[:, s:s + m], inv[:m], out=part[:, 1:])
-            np.cumsum(part, axis=1, out=part)
-            part *= pw[:m + 1]
-    return solve
+    def solver(n: int):
+        if n > b:
+            def blocks(y, f) -> None:
+                for s in range(0, n, b):
+                    solver(min(b, n - s))(y[:, s:s + b + 1], f[:, s:s + b])
+            return blocks
+        inv_n, pw_n = inv[:n], pw[:n + 1]
+
+        def solve(y, f) -> None:
+            np.multiply(f[:, :n], inv_n, out=y[:, 1:])
+            np.add.accumulate(y, axis=1, out=y)
+            np.multiply(y, pw_n, out=y)
+        return solve
+    return solver
 
 
 def _check_node_budget(

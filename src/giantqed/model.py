@@ -261,22 +261,26 @@ class AmplitudeRecord:
         """The exchange parity of ``state``."""
         return self.state.parity
 
-    def atoms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def atoms(self, y: np.ndarray, atom: int | None = None):
         """The one map from channel rows y, (channel, ...), to (c_a, c_b) =
-        (sum_p y_p, sum_p p*y_p): y and p*y for one channel, y_+ + y_- and
-        y_+ - y_- for two, zeros for none."""
+        (sum_p y_p, sum_p p*y_p), or with ``atom`` (0 for a, 1 for b) that
+        atom's row alone: y and p*y for one channel, y_+ + y_- and y_+ - y_-
+        for two, zeros for none."""
+        if atom is None:
+            return self.atoms(y, 0), self.atoms(y, 1)
         if len(y) == 1:
-            return y[0], self.channels[0] * y[0]
-        plus, minus = y if len(y) else np.zeros((2, *y.shape[1:]), complex)
-        return plus + minus, plus - minus
+            return self.channels[0] * y[0] if atom else y[0]
+        if not len(y):
+            return np.zeros(y.shape[1:], complex)
+        return y[0] - y[1] if atom else y[0] + y[1]
 
     def atomic(self, t, atom: int | None = None):
         """(c_a(t), c_b(t)), or with ``atom`` (0 for a, 1 for b) that atom's
         amplitude alone: complex numbers at a scalar time, else arrays."""
-        pair = self.atoms(self.channel_values(t))
+        values = self.atoms(self.channel_values(t), atom)
         if np.ndim(t) == 0:
-            pair = tuple(map(complex, pair))
-        return pair if atom is None else pair[atom]
+            return tuple(map(complex, values)) if atom is None else complex(values)
+        return values
 
 
 @dataclass(frozen=True)

@@ -316,30 +316,40 @@ def test_closed_form_recurrence_matches_plain_loop(eta):
     """The blocked closed form of y[j+1] = R*y[j] + F[j] against the
     recurrence stepped in Python, with R at the step of the eta = gamma0*
     delay run at K = max(100, 50*eta): one block for eta = 0.2 and 20,
-    four of 10 000 steps for eta = 800."""
+    four of 10 000 steps for eta = 800.  Passes of K steps, a short last
+    pass and a pass of no steps, each given F with the unused last column
+    a product pass carries."""
     K = max(100, math.ceil(50 * eta))
     z = -eta / K
     amp = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
     rng = np.random.default_rng(21)
-    f = rng.normal(size=(2, K)) + 1j * rng.normal(size=(2, K))
-    y = np.zeros((2, K + 1), dtype=complex)
-    y[:, 0] = rng.normal(size=2) + 1j * rng.normal(size=2)
-    want = y.copy()
-    for j in range(K):
-        want[:, j + 1] = amp * want[:, j] + f[:, j]
-    dde._affine_recurrence(amp, K)(y, f)
-    assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
+    f = rng.normal(size=(2, K + 1)) + 1j * rng.normal(size=(2, K + 1))
+    solver = dde._affine_recurrence(amp, K)
+    for n in (K, K // 3 + 1, 0):
+        y = np.zeros((2, n + 1), dtype=complex)
+        y[:, 0] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        want = y.copy()
+        for j in range(n):
+            want[:, j + 1] = amp * want[:, j] + f[:, j]
+        solver(n)(y, f[:, :n + 1])
+        assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_drive_single_segment_is_bit_identical():
+    """A constant schedule, and a switch past t_max that no retardation
+    window reaches, integrate bit for bit like :func:`integrate`."""
     cfg = SystemConfig.from_phase("separate", eta=0.3, phi=0.9 * math.pi)
     state = InitialState.antisymmetric()
     plain = integrate(cfg, state, t_max=1.5, steps_per_delay=60)
-    driven = integrate_with_drive(cfg, state, t_max=1.5,
-                                  schedule=DriveSchedule.constant(cfg.omega0),
-                                  steps_per_delay=60)
-    assert np.array_equal(plain.c_a, driven.c_a)
-    assert np.array_equal(plain.c_b, driven.c_b)
+    for schedule in (DriveSchedule.constant(cfg.omega0),
+                     DriveSchedule.switch_at(2.0, cfg.omega0, 2 * cfg.omega0)):
+        driven = integrate_with_drive(cfg, state, t_max=1.5,
+                                      schedule=schedule, steps_per_delay=60)
+        assert np.array_equal(plain.c_a, driven.c_a)
+        assert np.array_equal(plain.c_b, driven.c_b)
+        for rows in ("c", "d_right", "d_left"):
+            assert np.array_equal(getattr(plain, rows), getattr(driven, rows))
+        assert driven.switch_intervals == 0
 
 
 def test_drive_switch_changes_late_dynamics_only():
@@ -352,8 +362,14 @@ def test_drive_switch_changes_late_dynamics_only():
                                   steps_per_delay=50)
     before = base.t <= t_s + 1e-12
     # same dynamics before the switch, bit for bit: until a retardation
-    # window holds the switch, both runs take the segment phases of omega0
+    # window holds the switch, both runs take the segment phases of omega0.
+    # The pass from the switch node (a breakpoint) sets its right derivative
+    # there with per-node phases, so that one is compared before it only
     assert np.array_equal(base.c_a[before], kicked.c_a[before])
+    assert np.array_equal(base.c[:, before], kicked.c[:, before])
+    assert np.array_equal(base.d_left[:, before], kicked.d_left[:, before])
+    earlier = base.t < t_s - 1e-12
+    assert np.array_equal(base.d_right[:, earlier], kicked.d_right[:, earlier])
     # the dark state is phase-matched to the old drive, so the kick releases it
     k_end = len(base.t) - 1
     assert kicked.pop_a[k_end] < base.pop_a[k_end] - 1e-3

@@ -188,18 +188,23 @@ def test_fdd_input_validation():
         fdd(lopsided, cfg, -1, x, t)            # not a parity eigenstate
 
 
-@pytest.mark.parametrize("kind", ["trajectory", "series"])
-def test_records_share_one_contract(kind):
+@pytest.mark.parametrize("kind, state", [
+    ("trajectory", InitialState.antisymmetric()),
+    ("series", InitialState.antisymmetric()),
+    ("trajectory", InitialState(0.6, 0.8j)),
+    ("trajectory", InitialState(0.0, 0.0))],
+    ids=["trajectory", "series", "two-channel", "zero"])
+def test_records_share_one_contract(kind, state):
     """A trajectory and a series of one (config, state) answer the same
     questions the same way: parity, state and schedule; the horizon is the
-    last legal time; one atom is its pair's entry bit for bit; and fdd
-    refuses the other parity with one message."""
-    cfg, state = _dark_config(), InitialState.antisymmetric()
+    last legal time; one atom is its pair's entry bit for bit (two channels
+    and none included); and fdd refuses another parity with one message."""
+    cfg = _dark_config()
     record = (integrate(cfg, state, t_max=3 * cfg.delay, steps_per_delay=50)
               if kind == "trajectory" else
               exact_solution(cfg, state, t_max=3 * cfg.delay))
     assert record.config == cfg and record.state == state
-    assert record.parity == -1
+    assert record.parity == state.parity
     assert record.schedule.omegas == (cfg.omega0,)
     record.atomic(record.horizon)
     with pytest.raises(ConfigError):
@@ -211,7 +216,8 @@ def test_records_share_one_contract(kind):
         assert record.atomic(t[40], atom) == pair[atom][40]
     with pytest.raises(ConfigError) as refused:
         fdd(record, cfg, +1, np.array([0.5]), np.array([cfg.delay]))
-    assert str(refused.value) == "source has exchange parity -1, not +1"
+    assert str(refused.value) == (f"source has exchange parity "
+                                  f"{state.parity}, not +1")
 
 
 def test_non_finite_times_are_refused():
