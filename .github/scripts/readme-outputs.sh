@@ -88,6 +88,15 @@ run simulate-blocked simulate --topology separate --eta 250 --phi 0.3pi \
 # range: exit 2 naming v_g, nothing written
 run fdd-tiny-vg fdd --v-g 1e-300
 run detect-tiny-vg detect --v-g 1e-310
+# an --x-span whose grid leaves the float range (2*span overflows): exit 2
+# naming --x-span, nothing written
+run fdd-huge-span fdd --x-span 1e308 --t-max 1 --nx 5 --nt 3
+# a step 2e-163 whose RK4 slope weight h^2/12 underflows: exit 2 naming
+# gamma, where the integrator used to lose six digits with exit 0
+run simulate-gamma-1e160 simulate --gamma 1e160 --engine both
+# the exact series alone at gamma = 1e300: the rate fit runs in gamma*t,
+# so t^2 cannot underflow; exit 0
+run simulate-analytic-gamma-1e300 simulate --gamma 1e300 --engine analytic
 # an --out under an existing file: exit 2 before anything is computed, and
 # the file keeps its one line
 echo keep > bic-out-blocker

@@ -8,11 +8,12 @@ emitted field, for the two standard leg orderings (separate and braided).
 Modules
 -------
 model     configs, initial states, the phase-free retarded coupling table
-dde       delay-differential integrator and frequency-space field
+dde       delay-differential integrator and its trajectory record
 analytic  exact branch series and Laplace steady states
 spectral  scattering coefficients and complex decay-rate poles
 bic       bound states in the continuum and their field profiles
-field     real-space intensity maps and detector records
+field     the emitted field: frequency-space photon amplitudes, real-space
+          intensity maps and detector records
 cli       command-line front end
 """
 

@@ -41,6 +41,8 @@ from .model import (AmplitudeRecord, ConfigError, DriveSchedule, InitialState,
 ROUNDING_TOL = 1e-6
 #: Most delays one exact series spans: its table holds 16 L^2 bytes, 16 MB
 _BRANCH_BUDGET = 1000
+#: |D_p(0)| at most this times gamma is a root: ``steady_state`` calls it dark
+DARK_TOL = 1e-9
 
 
 class IllConditioned(Exception):
@@ -282,14 +284,14 @@ class SteadyState:
     phase_class: int | None
 
 
-def steady_state(config: SystemConfig, state: InitialState,
-                 tol: float = 1e-9) -> SteadyState:
+def steady_state(config: SystemConfig, state: InitialState) -> SteadyState:
     """Long-time limit of the collective amplitude via the final value theorem.
 
-    lim_{t->inf} c(t) = lim_{s->0} s c(s) = c(0)/D'(0) when D(0) = 0, and 0
-    otherwise.  D(0) = 0 happens exactly on the dark-state phase conditions
-    (separate: phi any multiple of pi for either parity's surviving class;
-    braided: antisymmetric at even multiples, symmetric at odd).
+    lim_{t->inf} c(t) = lim_{s->0} s c(s) = c(0)/D'(0) when D(0) = 0 (to
+    ``DARK_TOL``*gamma), and 0 otherwise.  D(0) = 0 happens exactly on the
+    dark-state phase conditions (separate: phi any multiple of pi for either
+    parity's surviving class; braided: antisymmetric at even multiples,
+    symmetric at odd).
     """
     parity = state.parity
     if parity is None:
@@ -297,7 +299,7 @@ def steady_state(config: SystemConfig, state: InitialState,
     c0 = np.sqrt(2.0) * state.c_a      # <parity|state>, c_b = parity*c_a
     d0, slope = parity_kernel(config, parity).evaluate(0.0)
     cls = config.phase_class()
-    if abs(d0) > tol * config.gamma:
+    if abs(d0) > DARK_TOL * config.gamma:
         return SteadyState("radiant", 0.0j, 0.0, cls)
     amp = c0 / slope
     return SteadyState("dark", amp, abs(amp) ** 2, cls)

@@ -42,10 +42,11 @@ import numpy as np
 from . import __version__
 from .analytic import _BRANCH_BUDGET, IllConditioned, exact_solution
 from .bic import bic_field_profile, bic_state, field_norm, overlap_with_initial
-from .dde import (GRID_END_SLACK, _check_node_budget, _write_trajectory,
-                  integrate, integrate_with_drive, to_csv as traj_to_csv)
+from .dde import (_check_node_budget, _write_trajectory, integrate,
+                  integrate_with_drive, to_csv as traj_to_csv)
 from .field import _pyplot, detector_signal, fdd as compute_fdd, released_energy
-from .model import ConfigError, DriveSchedule, InitialState, SystemConfig
+from .model import (GRID_END_SLACK, ConfigError, DriveSchedule, InitialState,
+                    SystemConfig)
 from .spectral import NonConvergence, scan_decay_rates
 
 ENV_PREFIX = "GIANTQED_"
@@ -244,13 +245,16 @@ def _write_all(out_dir: str, base: str, files: list) -> None:
         raise ConfigError(f"--out {out_dir!r}: {exc}") from None
 
 
-def _fit_rate(t: np.ndarray, population: np.ndarray) -> float | None:
-    """Least-squares exponential rate of a population record, or None."""
+def _fit_rate(t: np.ndarray, population: np.ndarray,
+              gamma: float) -> float | None:
+    """Least-squares exponential rate of a population record, or None.  The
+    fit runs in the time gamma*t, whose squares stay in the float range
+    for any gamma (at gamma = 1 the bits of a fit against t)."""
     mask = population > 1e-12
     if mask.sum() < 3:
         return None
-    slope = np.polyfit(t[mask], np.log(population[mask]), 1)[0]
-    return float(-slope)
+    slope = np.polyfit(gamma * t[mask], np.log(population[mask]), 1)[0]
+    return float(-slope * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, 
         population = traj.excited_population
     else:
         population = np.abs(c_a) ** 2 + np.abs(c_b) ** 2
-    rate = _fit_rate(ts, population)
+    rate = _fit_rate(ts, population, config.gamma)
     if rate is not None:
         outputs.append(f"fit_rate = {rate!r}")
     if args.svg:
@@ -373,6 +377,13 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
     if np.spacing(1.5 * config.spacing) > 1e-3 * config.v_g * h:
         raise ConfigError(f"legs {config.spacing:.3g} apart round nearby "
                           "positions by over 1e-3 of the x step; lower --eta")
+    span = args.x_span if args.x_span is not None else \
+        1.5 * config.spacing + config.v_g * t_max
+    if not (math.isfinite(2.0 * span)
+            and math.isfinite((span + 1.5 * config.spacing) / config.v_g)):
+        raise ConfigError(f"--x-span {span!r} puts the map's x grid out of the "
+                          "float range: 2*span and (span + 1.5*spacing)/v_g "
+                          "must be finite")
     # of the interior grid np.linspace(-edge, edge, 3K + 1), form only the
     # points within v_g*t_max of a leg and 2 more a side (no field lost to
     # rounding, zeros bound each gap), each once, by linspace's arithmetic
@@ -396,8 +407,6 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
                           f"{_FDD_CELL_BUDGET:.0e}; lower --nx, --nt or --eta")
     if args.svg:
         _pyplot()
-    span = args.x_span if args.x_span is not None else \
-        1.5 * config.spacing + config.v_g * t_max
     x_grid = np.linspace(-span, span, args.nx)
     t_grid = np.linspace(0.0, t_max, args.nt)
     traj = integrate(config, state, t_max, steps_per_delay=steps_per_delay)

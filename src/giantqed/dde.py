@@ -42,23 +42,24 @@ three more per further block; pass segments come from one table built
 before the loop.  Only intervals whose windows hold a switch build explicit
 midpoints and per-node window phases (``window_phase``).  A switched run so
 matches the undriven one bit for bit until a window reaches the switch.
+
+The module holds the integrator, its trajectory record and CSV; the field
+a trajectory emits, in frequency and in real space, is computed in
+:mod:`giantqed.field`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (AmplitudeRecord, ConfigError, DriveSchedule, InitialState,
-                    SystemConfig, delay_table, write_csv)
-
-#: Fraction of a step by which a run may end short of its t_max: the last
-#: node is the first one past t_max - GRID_END_SLACK*h.  Queries up to that
-#: far beyond the last node are legal and clamp to it.
-GRID_END_SLACK = 1e-9
+# the mode sum lives in field; the benchmark still calls it through dde
+from .field import field_amplitudes, frequency_grid  # noqa: F401
+from .model import (GRID_END_SLACK, AmplitudeRecord, ConfigError, DriveSchedule,
+                    InitialState, SystemConfig, delay_table, write_csv)
 
 #: Most grid nodes one run may store, checked before anything is allocated:
 #: 10^7 nodes hold the three (channel, nodes) complex arrays, 480 MB a channel.
@@ -170,8 +171,11 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
 
     Raises:
         ConfigError: for a non-positive or non-finite ``t_max``, a step
-            above the 0.02/gamma floor, or a run of more grid nodes than
-            the 10^7-node budget (checked before anything is allocated).
+            above the 0.02/gamma floor, a run of more grid nodes than the
+            10^7-node budget (checked before anything is allocated), or a
+            step h outside about [5e-154, 5e154], whose h^2/12 is no
+            normal float (at eta = 0.2 and K = 100, a gamma outside about
+            [4e-158, 4e150]).
     """
     if not 0 < t_max < math.inf:
         raise ConfigError(f"t_max must be positive and finite, got {t_max!r}")
@@ -215,6 +219,12 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     a_node = w_node + 0.5 * w_mid
     a_end = w_end + 0.5 * w_mid
     a_slope = 0.125 * h * w_mid
+    # about -h^2/12: once it leaves the normal floats the RK4 midpoint loses
+    # its digits unseen, so h must lie between about 5e-154 and 5e154
+    if not sys.float_info.min <= abs(a_slope) < math.inf:
+        raise ConfigError(f"gamma = {config.gamma!r} makes the step h = {h!r}, "
+                          f"whose h^2/12 leaves the normal floats; the "
+                          f"integrator needs h in about [5e-154, 5e154]")
     # (P; F) = weights @ history, as (segment, channel, P or F, kind, lag)
     # from A_n^p; a window in segment k has the static phase n*omega_k*delay
     mix = np.array([[1.0, 0.0, 0.0, 0.0], [a_node, a_end, a_slope, -a_slope]])
@@ -348,274 +358,6 @@ def _integrate_instantaneous(config: SystemConfig, state: InitialState,
                                config=config, state=state,
                                schedule=schedule, steps_per_delay=steps_per_delay,
                                intervals=0, switch_intervals=0)
-
-
-# -- emitted spectrum ---------------------------------------------------------
-
-def frequency_grid(config: SystemConfig, half_width: float | None = None,
-                   n_points: int = 4001) -> np.ndarray:
-    """Uniform grid centred on omega0; default half-width 40/delay.
-
-    The model linearises the dispersion around omega0, so the window is
-    allowed to extend below zero frequency for narrow-band configs.
-    """
-    if half_width is None:
-        if config.delay <= 0:
-            raise ConfigError("default frequency window needs delay > 0")
-        half_width = 40.0 / config.delay
-    return np.linspace(config.omega0 - half_width, config.omega0 + half_width,
-                       n_points)
-
-
-def _filon_terms(theta, e):
-    """Endpoint weights (w0, w1) of Int_0^1 f(u) exp(i theta u) du = w0*f(0)
-    + w1*f(1) for linear f, given e = exp(i theta).  The closed forms cancel
-    O(theta^2) (0/0 at 0), so |theta| < 0.5 takes their Taylor series: both
-    are good to 1.4e-15 relative for 1e-8 <= |theta| <= 30, e to a ulp.
-    """
-    small = np.abs(theta) < 0.5
-    th = np.where(small, 1.0, theta)
-    w1 = (e * (1.0 - 1j * th) - 1.0) / th ** 2
-    w0 = (e - 1.0) / (1j * th) - w1
-    if small.any():
-        it, s0, s1 = 1j * theta[small], 0.0, 0.0
-        for k in range(18, -1, -1):   # Horner, to (i theta)^18
-            s0 = s0 * it + 1.0 / math.factorial(k + 2)
-            s1 = s1 * it + 1.0 / (math.factorial(k) * (k + 2))
-        w0[small], w1[small] = s0, s1
-    return w0, w1
-
-
-# width in grid points and shape of the "exponential of semicircle" kernel
-# exp(beta (sqrt(1 - z^2) - 1)): about 12 digits at 2x oversampling
-# (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41, C479 (2019))
-_NUFFT_WIDTH = 13
-_NUFFT_BETA = 2.30 * _NUFFT_WIDTH
-
-#: Frequencies per block of the mode sum's omega pass: a block's spread
-#: indices, kernel weights and interpolated rows stay in cache.
-_OMEGA_BLOCK = 2048
-
-#: Most values one group of node rows may hold, in the stacked NUFFT grid
-#: (rows x oversampled length) and in a block's gathered kernel windows
-#: (rows x width x block); rows past it go in further groups, each with
-#: its own omega pass.  A group holds at least one (snapshot, segment) row.
-_GRID_CAP = 1 << 20
-
-
-def _kernel(z: np.ndarray) -> np.ndarray:
-    """The spreading kernel exp(beta (sqrt(1 - z^2) - 1)), overwriting z."""
-    z *= z
-    np.sqrt(np.maximum(np.subtract(1.0, z, out=z), 0.0, out=z), out=z)
-    z -= 1.0
-    return np.exp(np.multiply(z, _NUFFT_BETA, out=z), out=z)
-
-
-@functools.cache
-def _deconvolution_nodes() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Positive 4w-point Gauss-Legendre nodes, 2 x weight x (even) kernel."""
-    z, zw = np.polynomial.legendre.leggauss(4 * _NUFFT_WIDTH)
-    return tuple(z[z > 0]), tuple(2.0 * zw[z > 0] * _kernel(z[z > 0]))
-
-
-def _grid_size(n: int) -> int:
-    """Oversampled NUFFT grid length for n nodes: a power of two >= 2n."""
-    return 1 << (2 * n - 1).bit_length()
-
-
-def _nufft_sums(rows: np.ndarray, ranges):
-    """Node sums sum_{j=a}^{b} rows[:, j] exp(i j x) over node ranges.
-
-    With c = n//2 for n nodes, the sum over a range is the trigonometric
-    polynomial exp(i c x) sum_j rows_j exp(i (j - c) x), so one type-2
-    nonuniform FFT evaluates it at any x (Dutt & Rokhlin, SIAM J. Sci.
-    Comput. 14, 1368 (1993)).  Each range (a, b) puts its coefficients,
-    divided by the kernel's transform (on the cached positive Gauss nodes),
-    in its own rows of a stacked grid of M >= 2n points; one inverse FFT
-    spreads them all.  The returned ``sums_at(x, centre)``, x in [0, 2 pi)
-    and centre = exp(i c x), interpolates w kernel-weighted grid values per
-    x into shape (len(ranges), len(rows), len(x)).
-    """
-    fft = np.fft
-    w = _NUFFT_WIDTH
-    n_rows, n = rows.shape
-    c = n // 2
-    size = _grid_size(n)
-    # deconvolution 2 pi/(M phi_hat(m)) for the kernel spread over w grid
-    # points, = 2/(w I(m)) with I(m) = 2 Int_0^1 psi(z) cos(pi w m z/M) dz
-    z, zw = _deconvolution_nodes()
-    ft = np.cos(np.outer(np.arange(c + 1) * (np.pi * w / size), z)) @ zw
-    modes = np.arange(n) - c
-    coeffs = rows * (2.0 / (w * ft[np.abs(modes)]))
-    slot = modes % size
-    stacked = np.zeros((len(ranges), n_rows, size), dtype=complex)
-    for grid, (a, b) in zip(stacked, ranges):
-        grid[:, slot[a:b + 1]] = coeffs[:, a:b + 1]
-    spread = stacked.reshape(-1, size)
-    fft.ifft(spread, axis=1, norm="forward", out=spread)
-    # grid points as rows of real and imaginary parts, extended
-    # periodically so that the w points of a frequency never wrap: window
-    # k is points k - w//2 .. k - w//2 + w - 1, one contiguous run
-    ext = spread.T.take(np.arange(-(w // 2), size + w - w // 2) % size,
-                        axis=0).view(float)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        ext, w, axis=0).transpose(0, 2, 1)
-    del stacked, spread
-    offs = np.arange(w)
-
-    def sums_at(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
-        # x in grid units; its window and weights
-        grid_x = x * (size / (2.0 * np.pi))
-        first = np.ceil(grid_x - 0.5 * w)
-        wts = _kernel(((grid_x - first)[:, None] - offs) * (2.0 / w))
-        near = windows[first.astype(np.int64) + w // 2]
-        out = np.einsum("bw,bwr->br", wts, near).view(complex)
-        out = np.multiply(out.T, centre, order="C")
-        return out.reshape(len(ranges), n_rows, x.size)
-
-    return sums_at
-
-
-def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
-    """Right/left-moving photon amplitudes phi_R, phi_L at time(s) t.
-
-    Evaluates the formal time integral
-
-        phi_R(omega, t) = -i g0 sum_m Lm_R(omega) Int_0^t c_m(tau)
-                           exp(i [omega tau - Omega(tau)]) dtau
-
-    with g0 = sqrt(gamma/(4 pi)), Lm_R(omega) = sum_legs exp(-i omega x/v_g)
-    (phi_L uses the conjugate leg factors).  ``t`` snaps to the nearest
-    node and must lie in the run, from -GRID_END_SLACK*h to
-    ``traj.horizon``; a sequence of times, in any order, shares one
-    transform and one pass over the frequencies.
-
-    The quadrature treats c_m as linear on each node interval and the
-    oscillatory factor exp(i (omega - omega0) tau) exactly (Filon-type
-    trapezoid), so arbitrarily wide windows stay alias-free; the only
-    resolution requirement is the integrator's own step floor.  An interval
-    containing a mid-step drive switch is weighted with the pre-switch
-    drive, an O(h) slice of a single node.
-
-    The sum over m runs over the record's channels y_p = (c_a + p*c_b)/2
-    with leg factors L_a + p*L_b.  Snapshot k takes one row per channel and
-    drive segment j it reaches: the nodes from segment j's first to the
-    smaller of its last (a boundary node belongs to both) and the
-    snapshot's.  The node sums of all rows are one type-2 nonuniform FFT on
-    any ``omega_grid`` (uniform, descending, irregular or a few points),
-    and each row's Filon sum adds straight into its snapshot.  Stage 1 is
-    one stacked inverse FFT on M >= 2 N_tau points: O(R M log M) for R
-    rows.  Stage 2 is one pass over ``omega_grid`` in blocks of 2048
-    frequencies; per frequency it takes w = 13 kernel weights, 13 grid
-    values per row (by einsum: a batched matmul's bits change with the row
-    count, and a snapshot's must not depend on the others), and one complex
-    exponential for every whole-step phase (kernel, row end nodes, Filon
-    steps: powers of exp(i omega h)), plus one per leg distance.  Rows
-    beyond ``_GRID_CAP`` stacked values run in further, independent
-    groups, each with its own pass.  Against the direct sum on the
-    criterion-8 runs (4161 nodes, five snapshots) the amplitudes agree to
-    1.8e-13 of the peak on every 40th point of the 80 001-point grid, and
-    to 5.3e-13 on a random 20 001-point subset (``default_rng(3)``).
-
-    Returns (phi_R, phi_L) with shape (len(omega_grid),), or
-    (len(t), len(omega_grid)) for a sequence of times.
-
-    Raises:
-        ConfigError: for an empty, non-1-D or non-finite ``omega_grid``, or
-            times outside the run (non-finite ones included).
-    """
-    scalar = np.isscalar(t) or np.asarray(t).shape == ()
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    tau = traj.t
-    h = tau[1] - tau[0]
-    if not np.all((times >= -GRID_END_SLACK * h) & (times <= traj.horizon)):
-        raise ConfigError(f"times must lie in the run, [0, {traj.horizon!r}]")
-    stops = [traj.nearest_index(tv) for tv in times]
-
-    omega = np.asarray(omega_grid, dtype=float)
-    if omega.ndim != 1 or omega.size == 0 or not np.all(np.isfinite(omega)):
-        raise ConfigError("omega_grid must be a non-empty 1-D array of "
-                          "finite frequencies")
-    cfg, sched = traj.config, traj.schedule
-    g0 = math.sqrt(cfg.gamma / (4.0 * math.pi))
-    # one exp(-i omega |x|/v_g) per leg distance from the centre; a leg at
-    # negative x takes its conjugate
-    dist = sorted({abs(x) for atom in (0, 1) for x in cfg.leg_positions(atom)})
-    legs = [[(dist.index(abs(x)), x < 0) for x in cfg.leg_positions(atom)]
-            for atom in (0, 1)]
-
-    # channel rows in the frame rotating with the drive: the absolute phase
-    # Omega(tau) is the window phase over [0, tau]
-    rot = traj.c * np.exp(-1j * sched.window_phase(tau, tau))
-
-    # one row per snapshot k and segment j it reaches: segment j's nodes up
-    # to the next segment's first (shared) or the snapshot's, if sooner
-    n_nodes = tau.size
-    seg_first = [0] + [min(n_nodes - 1, math.ceil(s / h - GRID_END_SLACK))
-                       for s in sched.starts[1:]]
-    rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
-            for j, (a, b) in enumerate(zip(seg_first, [*seg_first[1:], stop]))
-            if a < min(b, stop)]
-    per_group = max(1, _GRID_CAP // max(1, len(traj.c)) // max(
-        _grid_size(n_nodes), _NUFFT_WIDTH * _OMEGA_BLOCK))
-
-    out = np.zeros((2, len(times), omega.size), dtype=complex)  # R, L
-    for g in range(0, len(rows), per_group):
-        group = rows[g:g + per_group]
-        sums_at = _nufft_sums(rot, [(a, b) for _, _, a, b in group])
-        segs = {j: a for _, j, a, _ in group}
-        nodes = {n for _, _, a, b in group for n in (a, b)}
-        powers = {1, n_nodes // 2, *nodes} - {0}
-        for lo in range(0, omega.size, _OMEGA_BLOCK):
-            blk = slice(lo, lo + _OMEGA_BLOCK)
-            om = omega[blk]
-            x = np.remainder(om * h, 2.0 * np.pi)
-            # z = exp(i omega h) gives the kernel phase z^c, a node's exp(i
-            # omega tau_n) = z^n and segment j's Filon exp(i theta) = z
-            # exp(-i omega_j h); z^m is the product of the squarings z^(2^k)
-            # of m's set bits in increasing k, bits that depend on z and m only
-            z, square = {}, np.exp(1j * x)
-            for k in range(max(powers).bit_length()):
-                square = square * square if k else square
-                for m in (m for m in powers if m >> k & 1):
-                    z[m] = z[m] * square if m in z else square
-            sums = sums_at(x, z[n_nodes // 2])
-            # c at a node times exp(i omega tau), exactly c at tau = 0
-            ends = {n: rot[:, n, None] * z[n] if n else rot[:, :1]
-                    for n in nodes}
-            # per segment: the Filon sum over nodes a..b of a row is
-            # (w0 + w1s)*S - w0*end_b - w1s*end_a, w1s = w1 exp(-i theta)
-            weights = {}
-            for j, a in segs.items():
-                e = z[1] * np.exp(-1j * sched.omegas[j] * h)
-                w0, w1 = _filon_terms((om - sched.omegas[j]) * h, e)
-                w0, w1 = h * w0, h * w1 * e.conj()
-                weights[j] = w0 + w1, w0, w1 * ends[a]
-            # leg sums L_a + p*L_b times -i g0; left-moving: the conjugates
-            ph = np.exp(-1j * np.outer(dist, om) / cfg.v_g)
-            leg_a, leg_b = [sum(ph[d].conj() if neg else ph[d]
-                                for d, neg in sides) for sides in legs]
-            factors = [-1j * g0 * np.stack((f, f.conj()))
-                       for f in (leg_a + p * leg_b for p in traj.channels)]
-            for (k, j, a, b), acc in zip(group, sums):
-                whole, w0, start = weights[j]
-                part = whole * acc - w0 * ends[b] - start
-                for factor, y in zip(factors, part):
-                    out[:, k, blk] += factor * y
-    return (out[0, 0], out[1, 0]) if scalar else (out[0], out[1])
-
-
-def excitation_balance(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t) -> float:
-    """Total excitation |c_a|^2 + |c_b|^2 + sum_dirs Int |phi|^2 domega at t.
-
-    Equals 1 exactly in the model; the deficit measures quadrature error
-    (finite window, node resolution) and is the standard conservation check.
-    ``t`` must lie in the run, as for :func:`field_amplitudes`.
-    """
-    phi_r, phi_l = field_amplitudes(traj, omega_grid, t)
-    field = np.trapezoid(np.abs(phi_r) ** 2 + np.abs(phi_l) ** 2, omega_grid)
-    i = traj.nearest_index(float(t))
-    return float(traj.pop_a[i] + traj.pop_b[i] + field)
 
 
 def to_csv(traj: AmplitudeTrajectory, path) -> None:

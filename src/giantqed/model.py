@@ -244,6 +244,12 @@ class DriveSchedule:
         return total
 
 
+#: Fraction of a step by which a run may end short of its t_max: the last
+#: node is the first one past t_max - GRID_END_SLACK*h.  Queries up to that
+#: far beyond the last node are legal and clamp to it.
+GRID_END_SLACK = 1e-9
+
+
 class AmplitudeRecord:
     """Contract of both amplitude records, ``dde.AmplitudeTrajectory`` and
     ``analytic.ExpPolySolution``: ``config``, initial ``state``, drive

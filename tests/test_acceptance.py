@@ -14,9 +14,9 @@ import pytest
 from giantqed.analytic import (exact_solution, laplace_denominator,
                                markovian_effective_rate)
 from giantqed.bic import bic_state, overlap_with_initial
-from giantqed.dde import (DriveSchedule, excitation_balance, frequency_grid,
-                          integrate, integrate_with_drive)
-from giantqed.field import detector_signal, fdd, released_energy
+from giantqed.dde import DriveSchedule, integrate, integrate_with_drive
+from giantqed.field import (detector_signal, excitation_balance, fdd,
+                            frequency_grid, released_energy)
 from giantqed.model import InitialState, SystemConfig
 from giantqed.spectral import (connected_pole, markovian_rates,
                                scan_decay_rates, scattering)

@@ -81,6 +81,20 @@ def test_simulate_dicke_limit_rate(tmp_path, capsys):
     assert rate == pytest.approx(8.0, abs=1e-6)
 
 
+def test_simulate_fit_rate_at_large_gamma(tmp_path, capsys):
+    """The rate is fitted in the time gamma*t, so at gamma = 1e300, where
+    t^2 underflows, the exact series' record still gives the gamma = 1
+    rate times 1e300."""
+    rates = []
+    for gamma in ("1", "1e300"):
+        assert main(["simulate", "--gamma", gamma, "--engine", "analytic",
+                     "--out", str(tmp_path / gamma)]) == EXIT_OK
+        rates.append(float(_line_value(capsys.readouterr().out,
+                                       "fit_rate = ")))
+    assert rates[0] == pytest.approx(2.839370072782127, rel=1e-12)
+    assert rates[1] == pytest.approx(2.8393700727821277e300, rel=1e-12)
+
+
 def test_simulate_missing_config_file(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.ini")])
     assert rc == EXIT_USAGE
@@ -439,6 +453,15 @@ INVALID_VALUES = (
     # legs 1e15 apart: positions near the outer legs round to 0.25, far
     # coarser than the interior's x step v_g*h = 0.02
     (["fdd", "--eta", "1e15", "--phi", "2pi"], {}, "--eta"),
+    # the map's x grid leaves the float range: 2*span overflows, or
+    # (span + 1.5*spacing)/v_g does
+    (["fdd", "--x-span", "1e308", "--t-max", "1", "--nx", "5", "--nt", "3"],
+     {}, "--x-span"),
+    (["fdd", "--x-span", "1e307", "--v-g", "0.01"], {}, "--x-span"),
+    # the step 2e-3/gamma puts its RK4 slope weight h^2/12 outside the
+    # normal floats: it overflows, or it underflows
+    (["simulate", "--gamma", "1e-300"], {}, "gamma"),
+    (["simulate", "--gamma", "1e300"], {}, "gamma"),
 )
 
 
@@ -501,6 +524,19 @@ def test_runs_past_the_node_budget_exit_2(tmp_path, capsys, command):
         assert "--steps-per-delay" in err
 
 
+def test_fdd_x_span_near_the_float_limit_runs(tmp_path, capsys):
+    """--x-span 5e307 keeps 2*span = 1e308 finite: the map spans it, and
+    the interior figure is the default span's."""
+    assert main(["fdd", "--x-span", "5e307", "--t-max", "1", "--nx", "5",
+                 "--nt", "3", "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert float(_line_value(out, "interior_trapping = ")) == \
+        pytest.approx(0.05050283371304989, rel=1e-12)
+    _, rows = _data_rows(tmp_path / "fdd.csv")
+    assert [row[0] for row in rows[:5]] == [-5e307, -2.5e307, 0.0, 2.5e307,
+                                            5e307]
+
+
 def test_fdd_map_past_the_cell_budget_exits_2(tmp_path, capsys):
     """A 1e6 x 1e6 map is 8e12 cells; the check runs before any grid,
     trajectory or output directory exists."""
@@ -512,11 +548,10 @@ def test_fdd_map_past_the_cell_budget_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-#: Runs whose arithmetic leaves the float range: an invalid inf * 0 in the
-#: integrator, an overflowing matmul, and v_g^2 = 0 under fdd's intensity.
+#: Runs whose arithmetic leaves the float range: the phase 3*phi of the
+#: coupling table's last lag overflows.
 FLOATING_POINT_FAILURES = (
-    ["simulate", "--gamma", "1e-300"],
-    ["simulate", "--gamma", "1e300"],
+    ["simulate", "--omega0", "1e308", "--dx", "1"],
 )
 
 

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from giantqed import dde
+from giantqed import dde, field
 from giantqed.analytic import exact_solution
 from giantqed.dde import (GRID_END_SLACK, AmplitudeTrajectory, DriveSchedule,
-                          _filon_terms, excitation_balance, field_amplitudes,
-                          frequency_grid, integrate, integrate_with_drive,
-                          to_csv)
+                          integrate, integrate_with_drive, to_csv)
+from giantqed.field import (_filon_terms, excitation_balance, field_amplitudes,
+                            frequency_grid)
 from giantqed.model import (ConfigError, InitialState, SystemConfig,
                             delay_table)
 
@@ -451,6 +451,28 @@ def test_step_floor_validation():
     assert len(traj.t) == 21
 
 
+def test_step_outside_the_normal_float_range_is_refused():
+    """At gamma = 1e160 (eta = 0.15, K = 100) the step is 1.5e-163 and its
+    RK4 slope weight h^2/12 underflows: refused, naming gamma.  At gamma =
+    1e150 the run still matches the exact series as closely as at gamma = 1
+    (2.0e-13 in |c_a|^2 at both)."""
+    state = InitialState.antisymmetric()
+
+    def config(gamma):
+        return SystemConfig.from_phase("braided", eta=0.15, phi=0.5 * math.pi,
+                                       gamma=gamma)
+
+    def gap(gamma):
+        traj = integrate(config(gamma), state, t_max=8.0 / gamma)
+        exact = exact_solution(config(gamma), state, float(traj.t[-1]))
+        return float(np.max(np.abs(np.abs(exact.atomic(traj.t, 0)) ** 2
+                                   - traj.pop_a)))
+
+    with pytest.raises(ConfigError, match="gamma"):
+        integrate(config(1e160), state, t_max=8e-160)
+    assert gap(1e150) <= 1.01 * gap(1.0) < 1e-12
+
+
 def test_zero_delay_closed_form():
     """delay = 0 collapses to coupled exponentials: the symmetric channel
     decays at the full constructive rate, the antisymmetric one is dark."""
@@ -766,7 +788,7 @@ def _grids(cfg, traj):
     """A uniform grid of two omega blocks and a part, and an unsorted
     irregular one wrapping several times around 2 pi/h."""
     h = traj.t[1] - traj.t[0]
-    n = 2 * dde._OMEGA_BLOCK + 357
+    n = 2 * field._OMEGA_BLOCK + 357
     uniform = frequency_grid(cfg, half_width=900.0, n_points=n)
     irregular = np.random.default_rng(11).uniform(-8.0 * math.pi / h,
                                                   8.0 * math.pi / h, 3001)
@@ -779,7 +801,7 @@ def test_segment_ranges_match_dense_sum(three_segment_run, kind):
     t = 0, in one stacked transform and one blocked omega pass."""
     cfg, traj, times = three_segment_run
     omega = _grids(cfg, traj)[kind]
-    assert omega.size % dde._OMEGA_BLOCK
+    assert omega.size % field._OMEGA_BLOCK
     assert _max_rel_diff(field_amplitudes(traj, omega, times),
                          _dense_oracle(traj, omega, times)) < 1e-9
 
@@ -791,7 +813,7 @@ def test_grouped_ranges_match_dense_sum(three_segment_run, kind,
     each with its own omega pass adding into the snapshots it reaches."""
     cfg, traj, times = three_segment_run
     omega = _grids(cfg, traj)[kind]
-    monkeypatch.setattr(dde, "_GRID_CAP", 1)
+    monkeypatch.setattr(field, "_GRID_CAP", 1)
     assert _max_rel_diff(field_amplitudes(traj, omega, times),
                          _dense_oracle(traj, omega, times)) < 1e-9
 

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from giantqed.analytic import exact_solution
-from giantqed.dde import (DriveSchedule, field_amplitudes, integrate,
-                          integrate_with_drive)
+from giantqed.dde import DriveSchedule, integrate, integrate_with_drive
 from giantqed.field import (DetectorRecord, FieldGrid, detector_signal, fdd,
-                            released_energy)
+                            field_amplitudes, released_energy)
 from giantqed.model import ConfigError, InitialState, SystemConfig
 
 

@@ -138,6 +138,28 @@ def test_analytic_does_not_import_dde():
     assert out.strip() == "False"
 
 
+def test_field_does_not_import_dde():
+    """The emitted field takes its record contract from model: importing
+    it leaves the integrator unloaded."""
+    code = "import sys, giantqed.field; print('giantqed.dde' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(giantqed.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_the_mode_sum_lives_in_field():
+    """dde holds the integrator only: its two mode-sum names are field's
+    own objects, and the rest of the mode sum is not defined there."""
+    from giantqed import dde, field
+    assert dde.field_amplitudes is field.field_amplitudes
+    assert dde.frequency_grid is field.frequency_grid
+    for name in ("_nufft_sums", "_filon_terms", "excitation_balance"):
+        assert not hasattr(dde, name), name
+    assert dde.GRID_END_SLACK is model.GRID_END_SLACK
+
+
 # ---------------------------------------------------------------------------
 # DelayTable: frozen two-leg tables
 # ---------------------------------------------------------------------------
