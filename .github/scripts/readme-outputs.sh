@@ -97,6 +97,10 @@ run simulate-gamma-1e160 simulate --gamma 1e160 --engine both
 # the exact series alone at gamma = 1e300: the rate fit runs in gamma*t,
 # so t^2 cannot underflow; exit 0
 run simulate-analytic-gamma-1e300 simulate --gamma 1e300 --engine analytic
+# the coupling table's last-lag phase 3*omega0*delay overflows: exit 2
+# naming omega0 and delay, nothing written; 5e307 keeps it finite, exit 0
+run simulate-omega0-1e308 simulate --omega0 1e308 --dx 1
+run simulate-omega0-5e307 simulate --omega0 5e307 --dx 1
 # an --out under an existing file: exit 2 before anything is computed, and
 # the file keeps its one line
 echo keep > bic-out-blocker

@@ -4,7 +4,9 @@ emission patterns and detector signals.
 ``field_amplitudes`` builds the right- and left-moving photon amplitudes
 phi_R, phi_L(omega, t) of an integrator run by a Filon quadrature of the
 mode integral, with coupling g0 = sqrt(gamma/(4 pi)) and leg factors
-exp(-+i omega x/v_g); ``excitation_balance`` adds their norm to the atoms'.
+exp(-+i omega x/v_g); its pass over the frequencies runs in blocks on
+every CPU the process may use, with the same bits on any number of them.
+``excitation_balance`` adds their norm to the atoms'.
 The same amplitudes can be collapsed analytically: transforming back to
 position space turns every mode integral into a delta function, so the
 field at (x, t) is a finite sum of retarded atomic amplitudes, one per
@@ -31,8 +33,11 @@ its time integral back to an excitation count.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -326,14 +331,20 @@ def _filon_terms(theta, e):
 _NUFFT_WIDTH = 13
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 
-#: Frequencies per block of the mode sum's omega pass: a block's spread
-#: indices, kernel weights and interpolated rows stay in cache.
-_OMEGA_BLOCK = 2048
+#: Frequencies per block of the mode sum's omega pass, one worker's unit
+#: of work: the powers of z, Filon weights, leg factors and accumulation
+#: run on a whole block.
+_OMEGA_BLOCK = 4096
+
+#: Frequencies per sub-block of a block's window gather and einsum: its
+#: spread indices, kernel weights and gathered windows stay in cache.
+_WINDOW_BLOCK = 1024
 
 #: Most values one group of node rows may hold, in the stacked NUFFT grid
-#: (rows x oversampled length) and in a block's gathered kernel windows
-#: (rows x width x block); rows past it go in further groups, each with
-#: its own omega pass.  A group holds at least one (snapshot, segment) row.
+#: (rows x oversampled length) and in the workers' gathered kernel windows
+#: (rows x width x sub-block, one sub-block per worker); rows past it go
+#: in further groups, each with its own omega pass.  A group holds at
+#: least one (snapshot, segment) row.
 _GRID_CAP = 1 << 20
 
 
@@ -368,7 +379,8 @@ def _nufft_sums(rows: np.ndarray, ranges):
     in its own rows of a stacked grid of M >= 2n points; one inverse FFT
     spreads them all.  The returned ``sums_at(x, centre)``, x in [0, 2 pi)
     and centre = exp(i c x), interpolates w kernel-weighted grid values per
-    x into shape (len(ranges), len(rows), len(x)).
+    x, a sub-block of ``_WINDOW_BLOCK`` at a time, into shape
+    (len(ranges), len(rows), len(x)).
     """
     fft = np.fft
     w = _NUFFT_WIDTH
@@ -398,16 +410,67 @@ def _nufft_sums(rows: np.ndarray, ranges):
     offs = np.arange(w)
 
     def sums_at(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
-        # x in grid units; its window and weights
-        grid_x = x * (size / (2.0 * np.pi))
-        first = np.ceil(grid_x - 0.5 * w)
-        wts = _kernel(((grid_x - first)[:, None] - offs) * (2.0 / w))
-        near = windows[first.astype(np.int64) + w // 2]
-        out = np.einsum("bw,bwr->br", wts, near).view(complex)
-        out = np.multiply(out.T, centre, order="C")
+        out = np.empty((len(ranges) * n_rows, x.size), dtype=complex)
+        for lo in range(0, x.size, _WINDOW_BLOCK):
+            # a sub-block of x in grid units; its windows and weights
+            sub = slice(lo, lo + _WINDOW_BLOCK)
+            grid_x = x[sub] * (size / (2.0 * np.pi))
+            first = np.ceil(grid_x - 0.5 * w)
+            wts = _kernel(((grid_x - first)[:, None] - offs) * (2.0 / w))
+            near = windows[first.astype(np.int64) + w // 2]
+            sums = np.einsum("bw,bwr->br", wts, near).view(complex)
+            np.multiply(sums.T, centre[sub], out=out[:, sub])
         return out.reshape(len(ranges), n_rows, x.size)
 
     return sums_at
+
+
+def _workers(blocks: int) -> int:
+    """Workers of an omega pass over ``blocks`` blocks: the CPUs this
+    process may run on, at most one per block."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _run_blocks(work, starts: range, workers: int) -> None:
+    """``work(start)`` for every start, start i on worker i mod ``workers``:
+    the calling thread and ``workers - 1`` threads, each in a copy of the
+    caller's context (so under its numpy errstate).  numpy releases the GIL
+    in the ufunc, fancy-index and einsum loops a block is made of.  One
+    worker runs inline; otherwise every thread is joined before the first
+    exception, which stops the other workers at their next block, is
+    re-raised."""
+    if workers == 1:
+        for start in starts:
+            work(start)
+        return
+    errors = []
+
+    def run(i: int) -> None:
+        try:
+            for start in starts[i::workers]:
+                if errors:
+                    return
+                work(start)
+        except BaseException as exc:   # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, i))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
@@ -439,14 +502,22 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     any ``omega_grid`` (uniform, descending, irregular or a few points),
     and each row's Filon sum adds straight into its snapshot.  Stage 1 is
     one stacked inverse FFT on M >= 2 N_tau points: O(R M log M) for R
-    rows.  Stage 2 is one pass over ``omega_grid`` in blocks of 2048
+    rows.  Stage 2 is one pass over ``omega_grid`` in blocks of 4096
     frequencies; per frequency it takes w = 13 kernel weights, 13 grid
-    values per row (by einsum: a batched matmul's bits change with the row
-    count, and a snapshot's must not depend on the others), and one complex
-    exponential for every whole-step phase (kernel, row end nodes, Filon
-    steps: powers of exp(i omega h)), plus one per leg distance.  Rows
-    beyond ``_GRID_CAP`` stacked values run in further, independent
-    groups, each with its own pass.  Against the direct sum on the
+    values per row (gathered and summed in sub-blocks of 1024, by einsum: a
+    batched matmul's bits change with the row count, and a snapshot's must
+    not depend on the others), and one complex exponential for every
+    whole-step phase (kernel, row end nodes, Filon steps: powers of exp(i
+    omega h)), plus one per leg distance.  The blocks run on W = min(usable
+    CPUs, blocks) workers, block i on worker i mod W: the calling thread
+    and W - 1 threads (none for W = 1), each in a copy of the caller's
+    context, so under its numpy errstate.  A block writes only its own
+    columns of the result, so the bits do not depend on W.  Each worker
+    holds one sub-block of gathered windows (rows x 13 x 1024 values) and
+    its block's element-wise temporaries (a few rows x 4096 values).  Rows
+    beyond ``_GRID_CAP`` stacked values (the grid, and W workers'
+    sub-blocks of windows) run in further, independent groups, one after
+    the other, each with its own pass.  Against the direct sum on the
     criterion-8 runs (4161 nodes, five snapshots) the amplitudes agree to
     1.8e-13 of the peak on every 40th point of the 80 001-point grid, and
     to 5.3e-13 on a random 20 001-point subset (``default_rng(3)``).
@@ -490,8 +561,10 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
             for j, (a, b) in enumerate(zip(seg_first, [*seg_first[1:], stop]))
             if a < min(b, stop)]
+    starts = range(0, omega.size, _OMEGA_BLOCK)
+    workers = _workers(len(starts))
     per_group = max(1, _GRID_CAP // max(1, len(traj.c)) // max(
-        _grid_size(n_nodes), _NUFFT_WIDTH * _OMEGA_BLOCK))
+        _grid_size(n_nodes), _NUFFT_WIDTH * _WINDOW_BLOCK * workers))
 
     out = np.zeros((2, len(times), omega.size), dtype=complex)  # R, L
     for g in range(0, len(rows), per_group):
@@ -500,7 +573,8 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
         segs = {j: a for _, j, a, _ in group}
         nodes = {n for _, _, a, b in group for n in (a, b)}
         powers = {1, n_nodes // 2, *nodes} - {0}
-        for lo in range(0, omega.size, _OMEGA_BLOCK):
+
+        def omega_block(lo: int) -> None:
             blk = slice(lo, lo + _OMEGA_BLOCK)
             om = omega[blk]
             x = np.remainder(om * h, 2.0 * np.pi)
@@ -531,22 +605,32 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
                                 for d, neg in sides) for sides in legs]
             factors = [-1j * g0 * np.stack((f, f.conj()))
                        for f in (leg_a + p * leg_b for p in traj.channels)]
+            # only this block's columns of out: no other worker touches them
             for (k, j, a, b), acc in zip(group, sums):
                 whole, w0, start = weights[j]
                 part = whole * acc - w0 * ends[b] - start
                 for factor, y in zip(factors, part):
                     out[:, k, blk] += factor * y
+
+        _run_blocks(omega_block, starts, workers)
     return (out[0, 0], out[1, 0]) if scalar else (out[0], out[1])
 
 
-def excitation_balance(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t) -> float:
+def excitation_balance(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     """Total excitation |c_a|^2 + |c_b|^2 + sum_dirs Int |phi|^2 domega at t.
 
     Equals 1 exactly in the model; the deficit measures quadrature error
     (finite window, node resolution) and is the standard conservation check.
-    ``t`` must lie in the run, as for :func:`field_amplitudes`.
+    ``t`` must lie in the run, as for :func:`field_amplitudes`; a sequence
+    of times shares its one sweep and gives one balance per time, the
+    single calls' bits.
     """
-    phi_r, phi_l = field_amplitudes(traj, omega_grid, t)
-    field = np.trapezoid(np.abs(phi_r) ** 2 + np.abs(phi_l) ** 2, omega_grid)
-    i = traj.nearest_index(float(t))
-    return float(traj.pop_a[i] + traj.pop_b[i] + field)
+    scalar = np.isscalar(t) or np.asarray(t).shape == ()
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    phi_r, phi_l = field_amplitudes(traj, omega_grid, times)
+    balance = np.empty(times.size)
+    for k, (right, left) in enumerate(zip(phi_r, phi_l)):
+        i = traj.nearest_index(times[k])
+        balance[k] = traj.pop_a[i] + traj.pop_b[i] + np.trapezoid(
+            np.abs(right) ** 2 + np.abs(left) ** 2, omega_grid)
+    return float(balance[0]) if scalar else balance

@@ -44,6 +44,10 @@ class SystemConfig:
         omega0: atomic transition frequency.
         n_legs: number of coupling legs per atom (N >= 1).
         v_g: group velocity in the waveguide.
+
+    Non-finite values, and an omega0 and delay whose phase
+    (2N - 1)*omega0*delay at the coupling table's last lag overflows,
+    raise ConfigError.
     """
 
     topology: str
@@ -69,6 +73,12 @@ class SystemConfig:
             raise ConfigError("v_g must be positive")
         if self.delay > 0 and not 0 < self.spacing < math.inf:
             raise ConfigError("the leg spacing v_g*delay is out of the float range")
+        # the coupling table's phases n*phi run to the last lag, 2N - 1
+        if not math.isfinite(float(self.omega0) * float(self.delay)
+                             * (2 * self.n_legs - 1)):
+            raise ConfigError(f"omega0 = {self.omega0!r} and delay = "
+                              f"{self.delay!r} put the last lag's phase "
+                              "(2N - 1)*omega0*delay out of the float range")
 
     # -- derived quantities -------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -623,6 +625,23 @@ def test_field_amplitudes_refuse_times_outside_the_run():
     assert math.isfinite(excitation_balance(traj, grid, traj.horizon))
 
 
+def test_excitation_balance_of_a_sequence_is_the_single_calls():
+    """A sequence of times, in any order and with repeats, gives one
+    balance per time from one sweep, each the single call's bits."""
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=math.pi)
+    traj = integrate(cfg, InitialState.antisymmetric(), t_max=4.0,
+                     steps_per_delay=160)
+    grid = frequency_grid(cfg, half_width=300.0, n_points=8001)
+    times = [2.7, 0.0, 4.0, 1.3, 2.7]
+    swept = excitation_balance(traj, grid, times)
+    assert isinstance(swept, np.ndarray) and swept.shape == (len(times),)
+    one = [excitation_balance(traj, grid, t) for t in times]
+    assert all(isinstance(b, float) for b in one)
+    assert swept.tolist() == one
+    assert excitation_balance(traj, grid, np.array(times)).tolist() == one
+    assert excitation_balance(traj, grid, []).shape == (0,)
+
+
 def _exact_filon(theta, terms=60):
     """(w0, w1) from their Taylor series sum_k (i theta)^k/(k+2)! and sum_k
     (i theta)^k/(k!(k+2)) in exact rationals, for the float theta as given,
@@ -816,6 +835,141 @@ def test_grouped_ranges_match_dense_sum(three_segment_run, kind,
     monkeypatch.setattr(field, "_GRID_CAP", 1)
     assert _max_rel_diff(field_amplitudes(traj, omega, times),
                          _dense_oracle(traj, omega, times)) < 1e-9
+
+
+@pytest.fixture
+def forced_workers(monkeypatch):
+    """``force(n)`` runs every omega pass on min(n, blocks) workers, through
+    the one helper that counts them; ``force.threads`` lists the threads
+    the passes start."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+
+    def force(n):
+        monkeypatch.setattr(field, "_workers", lambda blocks: min(n, blocks))
+        started.clear()
+
+    force.threads = started
+    return force
+
+
+def _three_block_grids(cfg, traj):
+    """The uniform grid of ``_grids`` and an unsorted irregular one of the
+    same size, both of three omega blocks, the last a part."""
+    uniform = _grids(cfg, traj)["uniform"]
+    h = traj.t[1] - traj.t[0]
+    irregular = np.random.default_rng(13).uniform(-8.0 * math.pi / h,
+                                                  8.0 * math.pi / h,
+                                                  uniform.size)
+    return {"uniform": uniform, "irregular": irregular}
+
+
+@pytest.mark.parametrize("cap", [None, 1], ids=["one-group", "grid-cap-1"])
+@pytest.mark.parametrize("kind", ["uniform", "irregular"])
+def test_omega_pass_bits_do_not_depend_on_the_worker_count(
+        three_segment_run, forced_workers, monkeypatch, kind, cap):
+    """A driven two-channel run on 1, 2 and 3 workers, in one row group or
+    (grid cap 1) one per row: the same bits, since each block writes only
+    its own columns.  One worker starts no thread; W workers start W - 1
+    per group, all of them gone when the call returns."""
+    cfg, traj, times = three_segment_run
+    omega = _three_block_grids(cfg, traj)[kind]
+    assert -(-omega.size // field._OMEGA_BLOCK) == 3
+    if cap is not None:
+        monkeypatch.setattr(field, "_GRID_CAP", cap)
+    threads = threading.active_count()
+    got = {}
+    for n in (1, 2, 3):
+        forced_workers(n)
+        got[n] = field_amplitudes(traj, omega, times)
+        started = len(forced_workers.threads)
+        assert started % max(1, n - 1) == 0 and (started > 0) == (n > 1)
+        assert threading.active_count() == threads
+    for n in (2, 3):
+        for one, many in zip(got[1], got[n]):
+            assert np.array_equal(one, many)
+
+
+def test_omega_pass_on_more_workers_than_cores(three_segment_run,
+                                              forced_workers):
+    """Nine workers over nine blocks with a thread switch every
+    microsecond: the one-worker bits, which a lost or crossed column
+    update would break, and no thread left when the call returns.  The
+    grid cap counts nine workers' windows, so the rows run in more groups
+    than on one worker, eight threads each."""
+    cfg, traj, times = three_segment_run
+    omega = frequency_grid(cfg, half_width=900.0,
+                           n_points=8 * field._OMEGA_BLOCK + 1)
+    forced_workers(1)
+    want = field_amplitudes(traj, omega, times)
+    forced_workers(9)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = field_amplitudes(traj, omega, times)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(forced_workers.threads) % 8 == 0
+    assert len(forced_workers.threads) > 8
+    assert threading.active_count() == threads
+    for one, many in zip(want, got):
+        assert np.array_equal(one, many)
+
+
+@pytest.mark.parametrize("where", ["caller", "thread"])
+def test_omega_pass_exception_reaches_the_caller(three_segment_run,
+                                                 forced_workers, monkeypatch,
+                                                 where):
+    """An exception in one block, on the calling thread or on a worker
+    thread, is raised by the call after every worker is joined."""
+    cfg, traj, times = three_segment_run
+    omega = _three_block_grids(cfg, traj)["uniform"]
+    forced_workers(3)
+
+    class BlockFailed(Exception):
+        pass
+
+    def failing(theta, e):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (where == "caller"):
+            raise BlockFailed
+        return _filon_terms(theta, e)
+
+    monkeypatch.setattr(field, "_filon_terms", failing)
+    threads = threading.active_count()
+    with pytest.raises(BlockFailed):
+        field_amplitudes(traj, omega, times)
+    assert len(forced_workers.threads) == 2
+    assert threading.active_count() == threads
+
+
+def test_omega_pass_workers_keep_the_callers_errstate(three_segment_run,
+                                                      forced_workers,
+                                                      monkeypatch):
+    """A worker thread runs under the caller's np.errstate: an overflow in
+    its block raises FloatingPointError there, as it would inline."""
+    cfg, traj, times = three_segment_run
+    omega = _three_block_grids(cfg, traj)["uniform"]
+    forced_workers(2)
+    in_threads = []
+
+    def overflowing(theta, e):
+        if threading.current_thread() is not threading.main_thread():
+            in_threads.append(np.geterr()["over"])
+            np.float64(1e308) * np.float64(10.0)
+        return _filon_terms(theta, e)
+
+    monkeypatch.setattr(field, "_filon_terms", overflowing)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        field_amplitudes(traj, omega, times)
+    assert in_threads and set(in_threads) == {"raise"}
 
 
 @pytest.mark.parametrize("kind", ["uniform", "irregular"])

@@ -67,6 +67,23 @@ def test_from_phase_names_its_non_finite_input(field, value):
                                 gamma=args["gamma"])
 
 
+def test_config_refuses_a_last_lag_phase_past_the_float_range():
+    """The coupling table forms n*phi up to the last lag 2N - 1: omega0 and
+    delay whose (2N - 1)*omega0*delay overflows are refused by name, at
+    numpy scalars and under a raising errstate too; one that stays finite
+    builds its table."""
+    for kwargs in ({"omega0": 1e308}, {"omega0": np.float64(1e308)},
+                   {"omega0": 5e307, "n_legs": 3},
+                   {"omega0": 1e200, "delay": 1e200}):
+        with np.errstate(over="raise"), \
+                pytest.raises(ConfigError, match="omega0.*delay"):
+            SystemConfig(topology="separate", **kwargs)
+    with pytest.raises(ConfigError, match="omega0"):
+        SystemConfig.from_phase("braided", eta=1.0, phi=1e308)
+    cfg = SystemConfig(topology="separate", omega0=5e307)
+    assert np.all(np.isfinite(delay_table(cfg).phases(cfg.phi)))
+
+
 def test_validators_raise_config_errors():
     """Every rejected system, state or schedule is the caller's input."""
     for make in (lambda: SystemConfig(topology="ring"),
