@@ -625,12 +625,11 @@ def excitation_balance(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     of times shares its one sweep and gives one balance per time, the
     single calls' bits.
     """
-    scalar = np.isscalar(t) or np.asarray(t).shape == ()
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    phi_r, phi_l = field_amplitudes(traj, omega_grid, times)
-    balance = np.empty(times.size)
-    for k, (right, left) in enumerate(zip(phi_r, phi_l)):
-        i = traj.nearest_index(times[k])
-        balance[k] = traj.pop_a[i] + traj.pop_b[i] + np.trapezoid(
-            np.abs(right) ** 2 + np.abs(left) ** 2, omega_grid)
-    return float(balance[0]) if scalar else balance
+    phi_r, phi_l = field_amplitudes(traj, omega_grid, t)
+    balance = []
+    for tv, right, left in zip(np.atleast_1d(t), np.atleast_2d(phi_r),
+                               np.atleast_2d(phi_l)):
+        i = traj.nearest_index(float(tv))
+        balance.append(traj.pop_a[i] + traj.pop_b[i] + np.trapezoid(
+            np.abs(right) ** 2 + np.abs(left) ** 2, omega_grid))
+    return float(balance[0]) if phi_r.ndim == 1 else np.array(balance)
