@@ -5,7 +5,8 @@ emission patterns and detector signals.
 phi_R, phi_L(omega, t) of an integrator run by a Filon quadrature of the
 mode integral, with coupling g0 = sqrt(gamma/(4 pi)) and leg factors
 exp(-+i omega x/v_g); its pass over the frequencies runs in blocks on
-every CPU the process may use, with the same bits on any number of them.
+the CPUs the process may use (as many as its memory cap leaves room
+for), with the same bits on any number of them.
 ``excitation_balance`` adds their norm to the atoms'.
 The same amplitudes can be collapsed analytically: transforming back to
 position space turns every mode integral into a delta function, so the
@@ -341,10 +342,12 @@ _OMEGA_BLOCK = 4096
 _WINDOW_BLOCK = 1024
 
 #: Most values one group of node rows may hold, in the stacked NUFFT grid
-#: (rows x oversampled length) and in the workers' gathered kernel windows
-#: (rows x width x sub-block, one sub-block per worker); rows past it go
-#: in further groups, each with its own omega pass.  A group holds at
-#: least one (snapshot, segment) row.
+#: (rows x oversampled length) and in one worker's gathered kernel windows
+#: (rows x width x sub-block); rows past it go in further groups, each
+#: with its own omega pass.  A group holds at least one (snapshot,
+#: segment) row.  The omega pass then runs on no more workers than the
+#: largest group's windows fit in it, one sub-block per worker (but on
+#: one at least), so the groups do not depend on the worker count.
 _GRID_CAP = 1 << 20
 
 
@@ -425,14 +428,15 @@ def _nufft_sums(rows: np.ndarray, ranges):
     return sums_at
 
 
-def _workers(blocks: int) -> int:
-    """Workers of an omega pass over ``blocks`` blocks: the CPUs this
-    process may run on, at most one per block."""
+def _workers(blocks: int, fits: int) -> int:
+    """Workers of an omega pass over ``blocks`` blocks whose windows fit
+    the grid cap ``fits`` times: the CPUs this process may run on, at most
+    one per block and at most ``fits`` (but at least one)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, blocks)
+    return max(1, min(cpus, blocks, fits))
 
 
 def _run_blocks(work, starts: range, workers: int) -> None:
@@ -440,13 +444,9 @@ def _run_blocks(work, starts: range, workers: int) -> None:
     the calling thread and ``workers - 1`` threads, each in a copy of the
     caller's context (so under its numpy errstate).  numpy releases the GIL
     in the ufunc, fancy-index and einsum loops a block is made of.  One
-    worker runs inline; otherwise every thread is joined before the first
+    worker starts no thread.  Every thread is joined before the first
     exception, which stops the other workers at their next block, is
     re-raised."""
-    if workers == 1:
-        for start in starts:
-            work(start)
-        return
     errors = []
 
     def run(i: int) -> None:
@@ -508,19 +508,21 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     batched matmul's bits change with the row count, and a snapshot's must
     not depend on the others), and one complex exponential for every
     whole-step phase (kernel, row end nodes, Filon steps: powers of exp(i
-    omega h)), plus one per leg distance.  The blocks run on W = min(usable
-    CPUs, blocks) workers, block i on worker i mod W: the calling thread
-    and W - 1 threads (none for W = 1), each in a copy of the caller's
-    context, so under its numpy errstate.  A block writes only its own
-    columns of the result, so the bits do not depend on W.  Each worker
-    holds one sub-block of gathered windows (rows x 13 x 1024 values) and
-    its block's element-wise temporaries (a few rows x 4096 values).  Rows
-    beyond ``_GRID_CAP`` stacked values (the grid, and W workers'
-    sub-blocks of windows) run in further, independent groups, one after
-    the other, each with its own pass.  Against the direct sum on the
-    criterion-8 runs (4161 nodes, five snapshots) the amplitudes agree to
-    1.8e-13 of the peak on every 40th point of the 80 001-point grid, and
-    to 5.3e-13 on a random 20 001-point subset (``default_rng(3)``).
+    omega h)), plus one per leg distance.  Rows beyond ``_GRID_CAP``
+    stacked values (the grid, or one sub-block of windows) run in further,
+    independent groups, one after the other, each with its own pass.  The
+    blocks run on W workers, block i on worker i mod W: W is the usable
+    CPUs, at most one per block and at most as many as the largest group's
+    sub-blocks of windows fit in ``_GRID_CAP`` (at least one).  They are
+    the calling thread and W - 1 threads (none for W = 1), each in a copy
+    of the caller's context, so under its numpy errstate.  A block writes
+    only its own columns of the result, so the bits do not depend on W.
+    Each worker holds one sub-block of gathered windows (rows x 13 x 1024
+    values) and its block's element-wise temporaries (a few rows x 4096
+    values).  Against the direct sum on the criterion-8 runs (4161 nodes,
+    five snapshots) the amplitudes agree to 1.8e-13 of the peak on every
+    40th point of the 80 001-point grid, and to 5.3e-13 on a random
+    20 001-point subset (``default_rng(3)``).
 
     Returns (phi_R, phi_L) with shape (len(omega_grid),), or
     (len(t), len(omega_grid)) for a sequence of times.
@@ -561,10 +563,15 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
             for j, (a, b) in enumerate(zip(seg_first, [*seg_first[1:], stop]))
             if a < min(b, stop)]
+    # the cap bounds a group's rows by its grid and one worker's windows,
+    # then the workers by the largest group's windows, so the groups do not
+    # depend on the worker count
     starts = range(0, omega.size, _OMEGA_BLOCK)
-    workers = _workers(len(starts))
+    window = max(1, len(traj.c)) * _NUFFT_WIDTH * _WINDOW_BLOCK   # per row
     per_group = max(1, _GRID_CAP // max(1, len(traj.c)) // max(
-        _grid_size(n_nodes), _NUFFT_WIDTH * _WINDOW_BLOCK * workers))
+        _grid_size(n_nodes), _NUFFT_WIDTH * _WINDOW_BLOCK))
+    workers = _workers(len(starts), _GRID_CAP // (
+        window * max(1, min(per_group, len(rows)))))
 
     out = np.zeros((2, len(times), omega.size), dtype=complex)  # R, L
     for g in range(0, len(rows), per_group):

@@ -109,11 +109,17 @@ class SystemConfig:
         """Build a config from (eta, phi) by back-solving delay and omega0.
 
         ``delay = eta/gamma`` and ``omega0 = phi/delay``; handy when a target
-        phase (e.g. exactly 2*pi) matters more than the raw frequency.
+        phase (e.g. exactly 2*pi) matters more than the raw frequency.  A
+        phi whose last lag's phase (2N - 1)*phi overflows raises ConfigError
+        naming phi.
         """
         for name, value in (("eta", eta), ("phi", phi), ("gamma", gamma)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
+        # the coupling table's phases n*phi run to the last lag, 2N - 1
+        if not math.isfinite(float(phi) * (2 * n_legs - 1)):
+            raise ConfigError(f"phi = {phi!r} puts the last lag's phase "
+                              "(2N - 1)*phi out of the float range")
         if eta <= 0 or gamma <= 0 or eta / gamma == 0:
             raise ConfigError("from_phase requires eta > 0, gamma > 0 and "
                               "eta/gamma > 0 (use delay=0 directly for eta = 0)")

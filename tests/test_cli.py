@@ -467,6 +467,8 @@ INVALID_VALUES = (
     (["bic", "--omega0", "1e308", "--dx", "1"], {}, "omega0"),
     (["fdd", "--omega0", "1e308", "--dx", "1"], {}, "omega0"),
     (["detect", "--omega0", "1e308", "--dx", "1"], {}, "omega0"),
+    # the same phase from (eta, phi): (2N - 1)*phi overflows
+    (["simulate", "--eta", "1", "--phi", "1e308"], {}, "phi"),
 )
 
 
@@ -575,6 +577,18 @@ def test_floating_point_failures_exit_3(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli.RunManifest, "write", overflow)
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == (f"numerical failure: {argv[0]}: "
+                                       "overflow encountered in multiply\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_real_overflow_exits_3(tmp_path, capsys):
+    """A real overflow under the run's errstate, not a patched one: omega0 =
+    5e307 passes the config's phase check, but fdd's retarded drive phase
+    omega0 times a window of up to t_max = 8 delays overflows.  Exit 3,
+    one stderr line, nothing written."""
+    assert main(["fdd", "--omega0", "5e307", "--dx", "1",
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: fdd: "
                                        "overflow encountered in multiply\n")
     assert list(tmp_path.iterdir()) == []
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import os
 import sys
 import threading
 from bisect import bisect_right
@@ -840,8 +841,8 @@ def test_grouped_ranges_match_dense_sum(three_segment_run, kind,
 @pytest.fixture
 def forced_workers(monkeypatch):
     """``force(n)`` runs every omega pass on min(n, blocks) workers, through
-    the one helper that counts them; ``force.threads`` lists the threads
-    the passes start."""
+    the one helper that counts them, whatever the grid cap fits;
+    ``force.threads`` lists the threads the passes start."""
     started = []
 
     class Thread(threading.Thread):
@@ -852,7 +853,8 @@ def forced_workers(monkeypatch):
     monkeypatch.setattr(threading, "Thread", Thread)
 
     def force(n):
-        monkeypatch.setattr(field, "_workers", lambda blocks: min(n, blocks))
+        monkeypatch.setattr(field, "_workers",
+                            lambda blocks, fits: min(n, blocks))
         started.clear()
 
     force.threads = started
@@ -901,8 +903,8 @@ def test_omega_pass_on_more_workers_than_cores(three_segment_run,
     """Nine workers over nine blocks with a thread switch every
     microsecond: the one-worker bits, which a lost or crossed column
     update would break, and no thread left when the call returns.  The
-    grid cap counts nine workers' windows, so the rows run in more groups
-    than on one worker, eight threads each."""
+    row groups do not depend on the worker count: one group, as on one
+    worker, so eight threads."""
     cfg, traj, times = three_segment_run
     omega = frequency_grid(cfg, half_width=900.0,
                            n_points=8 * field._OMEGA_BLOCK + 1)
@@ -916,11 +918,36 @@ def test_omega_pass_on_more_workers_than_cores(three_segment_run,
         got = field_amplitudes(traj, omega, times)
     finally:
         sys.setswitchinterval(interval)
-    assert len(forced_workers.threads) % 8 == 0
-    assert len(forced_workers.threads) > 8
+    assert len(forced_workers.threads) == 8
     assert threading.active_count() == threads
     for one, many in zip(want, got):
         assert np.array_equal(one, many)
+
+
+@pytest.mark.parametrize("cap, want", [(None, 2), (1, 1)],
+                         ids=["one-group", "grid-cap-1"])
+def test_omega_pass_workers_fit_the_grid_cap(three_segment_run,
+                                             forced_workers, monkeypatch,
+                                             cap, want):
+    """On 64 usable CPUs and nine blocks the workers are as many as the
+    largest row group's windows fit in the grid cap, one sub-block each:
+    the run's 14 rows of two channels hold 14 x 2 x 13 x 1024 values, so
+    two sets fit in 2^20, and at cap 1 (one row a group) none does, which
+    still leaves one worker.  The groups are those of one worker."""
+    cfg, traj, times = three_segment_run
+    omega = frequency_grid(cfg, half_width=900.0,
+                           n_points=8 * field._OMEGA_BLOCK + 1)
+    if cap is not None:
+        monkeypatch.setattr(field, "_GRID_CAP", cap)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    workers, count = [], field._workers
+    monkeypatch.setattr(field, "_workers", lambda blocks, fits: workers.append(
+        count(blocks, fits)) or workers[-1])
+    field_amplitudes(traj, omega, times)
+    groups = 1 if cap is None else 14
+    assert workers == [want]
+    assert len(forced_workers.threads) == groups * (want - 1)
 
 
 @pytest.mark.parametrize("where", ["caller", "thread"])

@@ -71,15 +71,18 @@ def test_config_refuses_a_last_lag_phase_past_the_float_range():
     """The coupling table forms n*phi up to the last lag 2N - 1: omega0 and
     delay whose (2N - 1)*omega0*delay overflows are refused by name, at
     numpy scalars and under a raising errstate too; one that stays finite
-    builds its table."""
+    builds its table.  ``from_phase`` names phi, the value its caller
+    passed."""
     for kwargs in ({"omega0": 1e308}, {"omega0": np.float64(1e308)},
                    {"omega0": 5e307, "n_legs": 3},
                    {"omega0": 1e200, "delay": 1e200}):
         with np.errstate(over="raise"), \
                 pytest.raises(ConfigError, match="omega0.*delay"):
             SystemConfig(topology="separate", **kwargs)
-    with pytest.raises(ConfigError, match="omega0"):
-        SystemConfig.from_phase("braided", eta=1.0, phi=1e308)
+    for phi in (1e308, np.float64(1e308)):
+        with np.errstate(over="raise"), \
+                pytest.raises(ConfigError, match=r"phi = .*\(2N - 1\)\*phi"):
+            SystemConfig.from_phase("braided", eta=1.0, phi=phi)
     cfg = SystemConfig(topology="separate", omega0=5e307)
     assert np.all(np.isfinite(delay_table(cfg).phases(cfg.phi)))
 
