@@ -101,6 +101,9 @@ run simulate-analytic-gamma-1e300 simulate --gamma 1e300 --engine analytic
 # naming omega0 and delay, nothing written; 5e307 keeps it finite, exit 0
 run simulate-omega0-1e308 simulate --omega0 1e308 --dx 1
 run simulate-omega0-5e307 simulate --omega0 5e307 --dx 1
+# fdd's retarded drive phase omega0*t_max = 5e307*8 overflows: exit 2
+# naming --omega0 and --t-max, nothing written
+run fdd-omega0-5e307 fdd --omega0 5e307 --dx 1
 # an --out under an existing file: exit 2 before anything is computed, and
 # the file keeps its one line
 echo keep > bic-out-blocker

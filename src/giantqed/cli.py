@@ -363,6 +363,12 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
         raise ConfigError("fdd needs eta > 0 (finite leg spacing)")
     state = build_state(params)
     t_max = args.t_max / config.gamma
+    # the map's retarded drive phases reach omega0*t_max
+    if math.isinf(config.omega0 * t_max):
+        flag = "--omega0" if "omega0" in params else "--phi"
+        raise ConfigError(f"{flag} and --t-max put fdd's drive phase "
+                          f"omega0*t_max = {config.omega0!r}*{t_max!r} out "
+                          "of the float range")
     # an integrator run at its step floor (K >= 50*eta) feeds the map; the
     # exact series agrees with it to the integrator's own error at any time
     eta = config.gamma * config.delay

@@ -4,9 +4,12 @@ emission patterns and detector signals.
 ``field_amplitudes`` builds the right- and left-moving photon amplitudes
 phi_R, phi_L(omega, t) of an integrator run by a Filon quadrature of the
 mode integral, with coupling g0 = sqrt(gamma/(4 pi)) and leg factors
-exp(-+i omega x/v_g); its pass over the frequencies runs in blocks on
-the CPUs the process may use (as many as its memory cap leaves room
-for), with the same bits on any number of them.
+exp(-+i omega x/v_g).  Per frequency it takes one complex exponential,
+exp(i omega h), whose powers give every phase, the leg factors included
+(two exponentials for an odd number of steps per delay).  Its pass over
+the frequencies runs on the W CPUs the process may use (as many as its
+memory cap leaves room for), in W times a whole number of equal blocks
+of at most 8192 frequencies, with the same bits on any number of them.
 ``excitation_balance`` adds their norm to the atoms'.
 The same amplitudes can be collapsed analytically: transforming back to
 position space turns every mode integral into a delta function, so the
@@ -163,7 +166,9 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     - w).  The returned intensity is exactly zero outside the light cone
     ``|x| <= max(leg) + v_g * t`` and on the ``t <= 0`` slices.  A v_g for
     which v_g^2 or the largest possible cell gamma*pi*(4N)^2/v_g^2 (4N
-    terms, |c| <= 1) leaves the float range raises ConfigError.
+    terms, |c| <= 1) leaves the float range raises ConfigError, as does a
+    drive whose largest |omega| times the latest time, the bound on its
+    retarded phases, leaves it.
     """
     if parity not in (1, -1):
         raise ConfigError("parity must be +1 or -1")
@@ -174,6 +179,12 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     if not np.all(np.isfinite(x)):
         raise ConfigError("x_grid must be finite")
     _source(amplitude_source, config, parity, t)
+    omega = max(abs(float(w)) for w in amplitude_source.schedule.omegas)
+    if math.isinf(omega * float(t.max())):
+        raise ConfigError(f"the drive frequency {omega!r} (omega0 for a "
+                          f"constant drive) and the latest time "
+                          f"{float(t.max())!r} put the retarded drive phase "
+                          "omega0*t out of the float range")
     v2 = config.v_g * config.v_g
     if not 0 < v2 < math.inf or math.isinf(
             config.gamma * math.pi * (4 * config.n_legs) ** 2 / v2):
@@ -332,10 +343,11 @@ def _filon_terms(theta, e):
 _NUFFT_WIDTH = 13
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 
-#: Frequencies per block of the mode sum's omega pass, one worker's unit
-#: of work: the powers of z, Filon weights, leg factors and accumulation
-#: run on a whole block.
-_OMEGA_BLOCK = 4096
+#: Most frequencies per block of the mode sum's omega pass, one worker's
+#: unit of work: the powers of z, Filon weights, leg factors and
+#: accumulation run on a whole block.  W workers split the grid into W
+#: times a whole number of equal blocks.
+_OMEGA_BLOCK = 8192
 
 #: Frequencies per sub-block of a block's window gather and einsum: its
 #: spread indices, kernel weights and gathered windows stay in cache.
@@ -439,8 +451,8 @@ def _workers(blocks: int, fits: int) -> int:
     return max(1, min(cpus, blocks, fits))
 
 
-def _run_blocks(work, starts: range, workers: int) -> None:
-    """``work(start)`` for every start, start i on worker i mod ``workers``:
+def _run_blocks(work, blocks: list[slice], workers: int) -> None:
+    """``work(block)`` for every block, block i on worker i mod ``workers``:
     the calling thread and ``workers - 1`` threads, each in a copy of the
     caller's context (so under its numpy errstate).  numpy releases the GIL
     in the ufunc, fancy-index and einsum loops a block is made of.  One
@@ -451,10 +463,10 @@ def _run_blocks(work, starts: range, workers: int) -> None:
 
     def run(i: int) -> None:
         try:
-            for start in starts[i::workers]:
+            for block in blocks[i::workers]:
                 if errors:
                     return
-                work(start)
+                work(block)
         except BaseException as exc:   # re-raised in the calling thread
             errors.append(exc)
 
@@ -502,26 +514,36 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     any ``omega_grid`` (uniform, descending, irregular or a few points),
     and each row's Filon sum adds straight into its snapshot.  Stage 1 is
     one stacked inverse FFT on M >= 2 N_tau points: O(R M log M) for R
-    rows.  Stage 2 is one pass over ``omega_grid`` in blocks of 4096
-    frequencies; per frequency it takes w = 13 kernel weights, 13 grid
-    values per row (gathered and summed in sub-blocks of 1024, by einsum: a
-    batched matmul's bits change with the row count, and a snapshot's must
-    not depend on the others), and one complex exponential for every
-    whole-step phase (kernel, row end nodes, Filon steps: powers of exp(i
-    omega h)), plus one per leg distance.  Rows beyond ``_GRID_CAP``
-    stacked values (the grid, or one sub-block of windows) run in further,
-    independent groups, one after the other, each with its own pass.  The
-    blocks run on W workers, block i on worker i mod W: W is the usable
-    CPUs, at most one per block and at most as many as the largest group's
-    sub-blocks of windows fit in ``_GRID_CAP`` (at least one).  They are
-    the calling thread and W - 1 threads (none for W = 1), each in a copy
-    of the caller's context, so under its numpy errstate.  A block writes
-    only its own columns of the result, so the bits do not depend on W.
-    Each worker holds one sub-block of gathered windows (rows x 13 x 1024
-    values) and its block's element-wise temporaries (a few rows x 4096
-    values).  Against the direct sum on the criterion-8 runs (4161 nodes,
-    five snapshots) the amplitudes agree to 1.8e-13 of the peak on every
-    40th point of the 80 001-point grid, and to 5.3e-13 on a random
+    rows.  Stage 2 is one pass over ``omega_grid``; per frequency it takes
+    w = 13 kernel weights, 13 grid values per row (gathered and summed in
+    sub-blocks of 1024, by einsum: a batched matmul's bits change with the
+    row count, and a snapshot's must not depend on the others), and one
+    complex exponential, z = exp(i omega h), whose powers from one chain of
+    squarings give every phase: the kernel's, the row end nodes', the
+    Filon steps' and the legs'.  A leg in slot s sits q = |2s - (2N - 1)|
+    half-delays from the centre, q K/2 steps for K a delay: z^(q K // 2),
+    times exp(i omega h/2) for odd K (a second exponential, from its own
+    reduction of omega h/2).  A leg farther out in steps than the run's
+    last node (a run inside its first delays at a large K) takes its own
+    exp(-i omega |x|/v_g) instead, as z^e would carry about e ulp.  Rows
+    beyond ``_GRID_CAP`` stacked values (the grid, or one sub-block of
+    windows) run in further, independent groups, one after the other, each
+    with its own pass.  The pass runs on W workers: W is the usable CPUs,
+    at most one per ``_OMEGA_BLOCK`` = 8192 frequencies and at most as many
+    as the largest group's sub-blocks of windows fit in ``_GRID_CAP`` (at
+    least one).  The grid splits into W times a whole number of contiguous
+    blocks of at most 8192 frequencies, within one of each other in size,
+    block i on worker i mod W, so every worker gets the same share.  The
+    workers are the calling thread and W - 1 threads (none for W = 1),
+    each in a copy of the caller's context, so under its numpy errstate.
+    A frequency's arithmetic is element-wise and a block writes only its
+    own columns of the result, so the bits depend neither on W nor on the
+    block sizes.  Each worker holds one sub-block of gathered windows (rows
+    x 13 x 1024 values) and its block's element-wise temporaries: one array
+    of up to 8192 values per power of z, and a few rows x 8192.  Against
+    the direct sum on the criterion-8 runs (4161 nodes, five snapshots) the
+    amplitudes agree to 1.8e-13 of the peak on every 40th point of the
+    80 001-point grid, and to 5.4e-13 on a random
     20 001-point subset (``default_rng(3)``).
 
     Returns (phi_R, phi_L) with shape (len(omega_grid),), or
@@ -545,19 +567,32 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
                           "finite frequencies")
     cfg, sched = traj.config, traj.schedule
     g0 = math.sqrt(cfg.gamma / (4.0 * math.pi))
-    # one exp(-i omega |x|/v_g) per leg distance from the centre; a leg at
-    # negative x takes its conjugate
-    dist = sorted({abs(x) for atom in (0, 1) for x in cfg.leg_positions(atom)})
-    legs = [[(dist.index(abs(x)), x < 0) for x in cfg.leg_positions(atom)]
-            for atom in (0, 1)]
 
     # channel rows in the frame rotating with the drive: the absolute phase
     # Omega(tau) is the window phase over [0, tau]
     rot = traj.c * np.exp(-1j * sched.window_phase(tau, tau))
 
+    # leg l's exp(-i omega x_l/v_g), (e, r, x_l < 0): z^e exp(i omega r),
+    # conjugated for x_l > 0.  Its slot s puts it q = |2s - (2N - 1)| (odd)
+    # half-delays from the centre: e = q K // 2 whole steps of the K a delay
+    # and r = h/2 for odd K, else 0 (at delay 0 every leg sits at 0).  z^e
+    # rounds to about e ulp, so a leg whose e passes the last node takes
+    # e = 0 and r = |x_l|/v_g: no less accurate than the node phases
+    n_nodes = tau.size
+    steps = traj.steps_per_delay if cfg.delay > 0 else 0
+
+    def leg(slot: int, x: float) -> tuple[int, float, bool]:
+        e = abs(2 * slot + 1 - 2 * cfg.n_legs) * steps // 2
+        if e < n_nodes:
+            return e, 0.5 * h * (steps % 2), x < 0
+        return 0, abs(x) / cfg.v_g, x < 0
+
+    legs = [[leg(s, x) for s, x in zip(cfg.leg_slots(atom),
+                                       cfg.leg_positions(atom))]
+            for atom in (0, 1)]
+
     # one row per snapshot k and segment j it reaches: segment j's nodes up
     # to the next segment's first (shared) or the snapshot's, if sooner
-    n_nodes = tau.size
     seg_first = [0] + [min(n_nodes - 1, math.ceil(s / h - GRID_END_SLACK))
                        for s in sched.starts[1:]]
     rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
@@ -566,12 +601,16 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     # the cap bounds a group's rows by its grid and one worker's windows,
     # then the workers by the largest group's windows, so the groups do not
     # depend on the worker count
-    starts = range(0, omega.size, _OMEGA_BLOCK)
     window = max(1, len(traj.c)) * _NUFFT_WIDTH * _WINDOW_BLOCK   # per row
     per_group = max(1, _GRID_CAP // max(1, len(traj.c)) // max(
         _grid_size(n_nodes), _NUFFT_WIDTH * _WINDOW_BLOCK))
-    workers = _workers(len(starts), _GRID_CAP // (
+    workers = _workers(-(-omega.size // _OMEGA_BLOCK), _GRID_CAP // (
         window * max(1, min(per_group, len(rows)))))
+    # W times a whole number of blocks of at most _OMEGA_BLOCK frequencies,
+    # their sizes within one of each other: every worker gets the same share
+    count = workers * -(-omega.size // (workers * _OMEGA_BLOCK))
+    bounds = [i * omega.size // count for i in range(count + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     out = np.zeros((2, len(times), omega.size), dtype=complex)  # R, L
     for g in range(0, len(rows), per_group):
@@ -579,17 +618,18 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
         sums_at = _nufft_sums(rot, [(a, b) for _, _, a, b in group])
         segs = {j: a for _, j, a, _ in group}
         nodes = {n for _, _, a, b in group for n in (a, b)}
-        powers = {1, n_nodes // 2, *nodes} - {0}
+        powers = {1, n_nodes // 2, *nodes, *(e for s in legs for e, _, _ in s)}
+        powers -= {0}
 
-        def omega_block(lo: int) -> None:
-            blk = slice(lo, lo + _OMEGA_BLOCK)
+        def omega_block(blk: slice) -> None:
             om = omega[blk]
             x = np.remainder(om * h, 2.0 * np.pi)
             # z = exp(i omega h) gives the kernel phase z^c, a node's exp(i
-            # omega tau_n) = z^n and segment j's Filon exp(i theta) = z
-            # exp(-i omega_j h); z^m is the product of the squarings z^(2^k)
-            # of m's set bits in increasing k, bits that depend on z and m only
-            z, square = {}, np.exp(1j * x)
+            # omega tau_n) = z^n, segment j's Filon exp(i theta) = z exp(-i
+            # omega_j h) and the leg phases; z^m is the product of the
+            # squarings z^(2^k) of m's set bits in increasing k, bits that
+            # depend on z and m only (z^0, of the legs at delay 0, is 1)
+            z, square = {0: np.ones(om.size)}, np.exp(1j * x)
             for k in range(max(powers).bit_length()):
                 square = square * square if k else square
                 for m in (m for m in powers if m >> k & 1):
@@ -606,10 +646,18 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
                 w0, w1 = _filon_terms((om - sched.omegas[j]) * h, e)
                 w0, w1 = h * w0, h * w1 * e.conj()
                 weights[j] = w0 + w1, w0, w1 * ends[a]
-            # leg sums L_a + p*L_b times -i g0; left-moving: the conjugates
-            ph = np.exp(-1j * np.outer(dist, om) / cfg.v_g)
-            leg_a, leg_b = [sum(ph[d].conj() if neg else ph[d]
-                                for d, neg in sides) for sides in legs]
+            # leg sums L_a + p*L_b times -i g0; left-moving: the conjugates.
+            # exp(i omega r) takes its own reduction: for r = h/2, x/2 is
+            # off by pi after an odd number of wraps
+            rest = {r: np.exp(1j * np.remainder(r * om, 2.0 * np.pi))
+                    for sides in legs for _, r, _ in sides if r}
+
+            def phase(e: int, r: float, neg: bool) -> np.ndarray:
+                f = z[e] * rest[r] if r else z[e]
+                return f if neg else f.conj()
+
+            leg_a, leg_b = [sum(phase(e, r, neg) for e, r, neg in sides)
+                            for sides in legs]
             factors = [-1j * g0 * np.stack((f, f.conj()))
                        for f in (leg_a + p * leg_b for p in traj.channels)]
             # only this block's columns of out: no other worker touches them
@@ -619,7 +667,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
                 for factor, y in zip(factors, part):
                     out[:, k, blk] += factor * y
 
-        _run_blocks(omega_block, starts, workers)
+        _run_blocks(omega_block, blocks, workers)
     return (out[0, 0], out[1, 0]) if scalar else (out[0], out[1])
 
 

@@ -469,6 +469,11 @@ INVALID_VALUES = (
     (["detect", "--omega0", "1e308", "--dx", "1"], {}, "omega0"),
     # the same phase from (eta, phi): (2N - 1)*phi overflows
     (["simulate", "--eta", "1", "--phi", "1e308"], {}, "phi"),
+    # fdd's retarded drive phase omega0*t_max overflows, from omega0 =
+    # 5e307 over 8 delays or from omega0 = phi/delay = 1e307 over t = 20
+    (["fdd", "--omega0", "5e307", "--dx", "1"], {}, "--omega0"),
+    (["fdd", "--phi", "1e306", "--eta", "0.1", "--t-max", "20"], {},
+     "--phi"),
 )
 
 
@@ -582,13 +587,15 @@ def test_floating_point_failures_exit_3(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_real_overflow_exits_3(tmp_path, capsys):
-    """A real overflow under the run's errstate, not a patched one: omega0 =
-    5e307 passes the config's phase check, but fdd's retarded drive phase
-    omega0 times a window of up to t_max = 8 delays overflows.  Exit 3,
-    one stderr line, nothing written."""
-    assert main(["fdd", "--omega0", "5e307", "--dx", "1",
+    """A real overflow under the run's errstate, not a patched one: the
+    phase 1e308 after the switch is finite, but the coupling table's phase
+    n*phi_after at lags n up to 2N - 1 = 3 overflows in the integrator.
+    Exit 3, one stderr line, nothing written."""
+    assert main(["detect", "--eta", "1", "--phi", "2pi", "--t-max", "4",
+                 "--switch-at", "2", "--phi-after", "1e308",
+                 "--n-points", "21", "--steps-per-delay", "50",
                  "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
-    assert capsys.readouterr().err == ("numerical failure: fdd: "
+    assert capsys.readouterr().err == ("numerical failure: detect: "
                                        "overflow encountered in multiply\n")
     assert list(tmp_path.iterdir()) == []
 

@@ -786,6 +786,70 @@ def test_snapshot_at_zero_and_three_legs_match_dense_sum():
     assert _max_rel_diff(got, _dense_oracle(traj, grid, times)) < 1e-9
 
 
+@pytest.mark.parametrize("topology", ["separate", "braided"])
+@pytest.mark.parametrize("n_legs", [1, 2, 3])
+@pytest.mark.parametrize("K", [33, 50], ids=["odd-K", "even-K"])
+def test_leg_factors_match_dense_sum(topology, n_legs, K):
+    """The leg factors as powers of exp(i omega h), times one half-step
+    factor exp(i omega h/2) for odd K, against the direct sum's one
+    exp(-+i omega x/v_g) per leg, on a two-channel run of three delays and
+    random frequencies wrapping up to ~30 times around 2 pi/h (an odd
+    number of wraps flips the sign of exp(i x/2) for x = omega h mod 2 pi)."""
+    cfg = SystemConfig.from_phase(topology, eta=0.2, phi=0.3, n_legs=n_legs)
+    traj = integrate(cfg, InitialState(0.8, 0.3 - 0.4j),
+                     t_max=3 * cfg.delay, steps_per_delay=K)
+    h = traj.t[1] - traj.t[0]
+    omega = np.random.default_rng(17).uniform(-60.0 * math.pi / h,
+                                              60.0 * math.pi / h, 501)
+    assert np.max(np.abs(omega * h)) > 25 * 2 * math.pi
+    times = [0.5 * cfg.delay, 3 * cfg.delay]
+    assert _max_rel_diff(field_amplitudes(traj, omega, times),
+                         _dense_oracle(traj, omega, times)) < 1e-9
+
+
+def _delay_zero_run():
+    cfg = SystemConfig(topology="braided", gamma=1.0, delay=0.0, omega0=3.0,
+                       n_legs=2)
+    return integrate(cfg, InitialState(0.8, 0.3 - 0.4j), t_max=1.0,
+                     steps_per_delay=33)
+
+
+def _short_run():
+    cfg = SystemConfig.from_phase("braided", eta=0.2, phi=0.3, n_legs=3)
+    return integrate(cfg, InitialState(0.8, 0.3 - 0.4j), t_max=cfg.delay,
+                     steps_per_delay=33)
+
+
+def _first_delay_run():
+    cfg = SystemConfig.from_phase("separate", eta=1e300, phi=0.0)
+    return integrate(cfg, InitialState.symmetric(), t_max=1.0,
+                     steps_per_delay=5 * 10 ** 301)
+
+
+@pytest.mark.parametrize("run", [_delay_zero_run, _short_run,
+                                 _first_delay_run],
+                         ids=["delay-0", "legs-past-the-run", "K-5e301"])
+def test_legs_at_zero_and_past_the_run_match_dense_sum(run):
+    """At delay 0 every leg factor is 1.  A leg more whole steps from the
+    centre than the run has nodes takes its own exponential: the two outer
+    leg pairs of a three-leg run one delay long, and every leg of a run at
+    K = 5e301 inside its first delay, where a power of exp(i omega h) that
+    high would round to nothing (NaN)."""
+    traj = run()
+    cfg = traj.config
+    h = traj.t[1] - traj.t[0]
+    if cfg.delay > 0 and cfg.delay < 1.0:
+        omega = np.random.default_rng(19).uniform(-60.0 * math.pi / h,
+                                                  60.0 * math.pi / h, 501)
+    elif cfg.delay > 0:
+        omega = frequency_grid(cfg, n_points=501)
+    else:
+        omega = np.linspace(-60.0 * math.pi / h, 60.0 * math.pi / h, 501)
+    times = [0.5 * traj.t[-1], traj.t[-1]]
+    assert _max_rel_diff(field_amplitudes(traj, omega, times),
+                         _dense_oracle(traj, omega, times)) < 1e-9
+
+
 @pytest.fixture(scope="module")
 def three_segment_run():
     """Two switches, one on node 60 and one inside the step after node
@@ -805,8 +869,11 @@ def three_segment_run():
 
 
 def _grids(cfg, traj):
-    """A uniform grid of two omega blocks and a part, and an unsorted
-    irregular one wrapping several times around 2 pi/h."""
+    """A uniform grid of over two full omega blocks' worth of frequencies,
+    a prime number of them, so its equal blocks (three on one worker, W
+    times a whole number on W) fall short of ``_OMEGA_BLOCK`` and differ by
+    one frequency, and an unsorted irregular one of one block wrapping
+    several times around 2 pi/h."""
     h = traj.t[1] - traj.t[0]
     n = 2 * field._OMEGA_BLOCK + 357
     uniform = frequency_grid(cfg, half_width=900.0, n_points=n)
@@ -863,7 +930,8 @@ def forced_workers(monkeypatch):
 
 def _three_block_grids(cfg, traj):
     """The uniform grid of ``_grids`` and an unsorted irregular one of the
-    same size, both of three omega blocks, the last a part."""
+    same size: three blocks' worth, split into three equal blocks on one or
+    three workers and four on two."""
     uniform = _grids(cfg, traj)["uniform"]
     h = traj.t[1] - traj.t[0]
     irregular = np.random.default_rng(13).uniform(-8.0 * math.pi / h,
@@ -924,16 +992,19 @@ def test_omega_pass_on_more_workers_than_cores(three_segment_run,
         assert np.array_equal(one, many)
 
 
-@pytest.mark.parametrize("cap, want", [(None, 2), (1, 1)],
+@pytest.mark.parametrize("cap, want, blocks", [(None, 2, 10), (1, 1, 9)],
                          ids=["one-group", "grid-cap-1"])
 def test_omega_pass_workers_fit_the_grid_cap(three_segment_run,
                                              forced_workers, monkeypatch,
-                                             cap, want):
-    """On 64 usable CPUs and nine blocks the workers are as many as the
-    largest row group's windows fit in the grid cap, one sub-block each:
-    the run's 14 rows of two channels hold 14 x 2 x 13 x 1024 values, so
-    two sets fit in 2^20, and at cap 1 (one row a group) none does, which
-    still leaves one worker.  The groups are those of one worker."""
+                                             cap, want, blocks):
+    """On 64 usable CPUs and nine blocks' worth of frequencies the workers
+    are as many as the largest row group's windows fit in the grid cap, one
+    sub-block each: the run's 14 rows of two channels hold 14 x 2 x 13 x
+    1024 values, so two sets fit in 2^20, and at cap 1 (one row a group)
+    none does, which still leaves one worker.  The groups are those of one
+    worker.  Each group's pass splits the grid into W times a whole number
+    of contiguous blocks of at most ``_OMEGA_BLOCK`` frequencies, within
+    one of each other: ten on two workers, nine on one."""
     cfg, traj, times = three_segment_run
     omega = frequency_grid(cfg, half_width=900.0,
                            n_points=8 * field._OMEGA_BLOCK + 1)
@@ -944,10 +1015,22 @@ def test_omega_pass_workers_fit_the_grid_cap(three_segment_run,
     workers, count = [], field._workers
     monkeypatch.setattr(field, "_workers", lambda blocks, fits: workers.append(
         count(blocks, fits)) or workers[-1])
+    passes, run_blocks = [], field._run_blocks
+    monkeypatch.setattr(field, "_run_blocks", lambda work, parts, n: (
+        passes.append((parts, n)), run_blocks(work, parts, n)))
     field_amplitudes(traj, omega, times)
     groups = 1 if cap is None else 14
     assert workers == [want]
     assert len(forced_workers.threads) == groups * (want - 1)
+    assert len(passes) == groups
+    for parts, n in passes:
+        sizes = [part.stop - part.start for part in parts]
+        assert n == want and len(parts) == blocks
+        assert [part.start for part in parts[1:]] == [
+            part.stop for part in parts[:-1]]
+        assert parts[0].start == 0 and parts[-1].stop == omega.size
+        assert max(sizes) <= field._OMEGA_BLOCK
+        assert max(sizes) - min(sizes) == 1
 
 
 @pytest.mark.parametrize("where", ["caller", "thread"])

@@ -187,6 +187,22 @@ def test_fdd_input_validation():
         fdd(lopsided, cfg, -1, x, t)            # not a parity eigenstate
 
 
+def test_fdd_refuses_a_drive_phase_past_the_float_range():
+    """omega0 = 5e307 keeps the coupling table's phases finite, but its
+    retarded drive phase omega0*t leaves the float range past t = 3.6: a
+    map up to t = 3 runs, one up to t = 4 raises ConfigError naming
+    omega0, under an errstate that would otherwise raise on the overflow."""
+    cfg = SystemConfig(topology="separate", gamma=1.0, delay=1.0,
+                       omega0=5e307)
+    state = InitialState.antisymmetric()
+    traj = integrate(cfg, state, t_max=4.0, steps_per_delay=50)
+    x = np.linspace(-3.0, 3.0, 5)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert np.isfinite(fdd(traj, cfg, -1, x, [0.0, 3.0]).intensity).all()
+        with pytest.raises(ConfigError, match="omega0"):
+            fdd(traj, cfg, -1, x, [0.0, 4.0])
+
+
 @pytest.mark.parametrize("kind, state", [
     ("trajectory", InitialState.antisymmetric()),
     ("series", InitialState.antisymmetric()),
