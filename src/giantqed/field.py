@@ -628,7 +628,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
             # omega tau_n) = z^n, segment j's Filon exp(i theta) = z exp(-i
             # omega_j h) and the leg phases; z^m is the product of the
             # squarings z^(2^k) of m's set bits in increasing k, bits that
-            # depend on z and m only (z^0, of the legs at delay 0, is 1)
+            # depend on z and m only (z^0 = 1, for legs at delay 0 or K = 1)
             z, square = {0: np.ones(om.size)}, np.exp(1j * x)
             for k in range(max(powers).bit_length()):
                 square = square * square if k else square
