@@ -441,9 +441,10 @@ def _nufft_sums(rows: np.ndarray, ranges):
 
 
 def _workers(blocks: int, fits: int) -> int:
-    """Workers of an omega pass over ``blocks`` blocks whose windows fit
-    the grid cap ``fits`` times: the CPUs this process may run on, at most
-    one per block and at most ``fits`` (but at least one)."""
+    """Workers of an omega pass over ``blocks`` full blocks' worth of
+    frequencies (ceil(n/_OMEGA_BLOCK)) whose windows fit the grid cap
+    ``fits`` times: the CPUs this process may run on, at most one per
+    block and at most ``fits`` (but at least one)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity mask on this platform

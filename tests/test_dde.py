@@ -786,6 +786,17 @@ def test_snapshot_at_zero_and_three_legs_match_dense_sum():
     assert _max_rel_diff(got, _dense_oracle(traj, grid, times)) < 1e-9
 
 
+def _wrapping_grid(traj, seed):
+    """501 random frequencies with |omega h| up to 60 pi: they wrap up to
+    ~30 times around 2 pi/h, so an odd number of wraps, which flips the
+    sign of exp(i x/2) for x = omega h mod 2 pi, comes up often."""
+    h = traj.t[1] - traj.t[0]
+    omega = np.random.default_rng(seed).uniform(-60.0 * math.pi / h,
+                                                60.0 * math.pi / h, 501)
+    assert np.max(np.abs(omega * h)) > 25 * 2 * math.pi
+    return omega
+
+
 @pytest.mark.parametrize("topology", ["separate", "braided"])
 @pytest.mark.parametrize("n_legs", [1, 2, 3])
 @pytest.mark.parametrize("K", [33, 50], ids=["odd-K", "even-K"])
@@ -793,15 +804,11 @@ def test_leg_factors_match_dense_sum(topology, n_legs, K):
     """The leg factors as powers of exp(i omega h), times one half-step
     factor exp(i omega h/2) for odd K, against the direct sum's one
     exp(-+i omega x/v_g) per leg, on a two-channel run of three delays and
-    random frequencies wrapping up to ~30 times around 2 pi/h (an odd
-    number of wraps flips the sign of exp(i x/2) for x = omega h mod 2 pi)."""
+    frequencies wrapping many times around 2 pi/h."""
     cfg = SystemConfig.from_phase(topology, eta=0.2, phi=0.3, n_legs=n_legs)
     traj = integrate(cfg, InitialState(0.8, 0.3 - 0.4j),
                      t_max=3 * cfg.delay, steps_per_delay=K)
-    h = traj.t[1] - traj.t[0]
-    omega = np.random.default_rng(17).uniform(-60.0 * math.pi / h,
-                                              60.0 * math.pi / h, 501)
-    assert np.max(np.abs(omega * h)) > 25 * 2 * math.pi
+    omega = _wrapping_grid(traj, 17)
     times = [0.5 * cfg.delay, 3 * cfg.delay]
     assert _max_rel_diff(field_amplitudes(traj, omega, times),
                          _dense_oracle(traj, omega, times)) < 1e-9
@@ -810,20 +817,23 @@ def test_leg_factors_match_dense_sum(topology, n_legs, K):
 def _delay_zero_run():
     cfg = SystemConfig(topology="braided", gamma=1.0, delay=0.0, omega0=3.0,
                        n_legs=2)
-    return integrate(cfg, InitialState(0.8, 0.3 - 0.4j), t_max=1.0,
+    traj = integrate(cfg, InitialState(0.8, 0.3 - 0.4j), t_max=1.0,
                      steps_per_delay=33)
+    return traj, _wrapping_grid(traj, 19)
 
 
 def _short_run():
     cfg = SystemConfig.from_phase("braided", eta=0.2, phi=0.3, n_legs=3)
-    return integrate(cfg, InitialState(0.8, 0.3 - 0.4j), t_max=cfg.delay,
+    traj = integrate(cfg, InitialState(0.8, 0.3 - 0.4j), t_max=cfg.delay,
                      steps_per_delay=33)
+    return traj, _wrapping_grid(traj, 19)
 
 
 def _first_delay_run():
     cfg = SystemConfig.from_phase("separate", eta=1e300, phi=0.0)
-    return integrate(cfg, InitialState.symmetric(), t_max=1.0,
+    traj = integrate(cfg, InitialState.symmetric(), t_max=1.0,
                      steps_per_delay=5 * 10 ** 301)
+    return traj, frequency_grid(cfg, n_points=501)
 
 
 @pytest.mark.parametrize("run", [_delay_zero_run, _short_run,
@@ -832,19 +842,10 @@ def _first_delay_run():
 def test_legs_at_zero_and_past_the_run_match_dense_sum(run):
     """At delay 0 every leg factor is 1.  A leg more whole steps from the
     centre than the run has nodes takes its own exponential: the two outer
-    leg pairs of a three-leg run one delay long, and every leg of a run at
-    K = 5e301 inside its first delay, where a power of exp(i omega h) that
-    high would round to nothing (NaN)."""
-    traj = run()
-    cfg = traj.config
-    h = traj.t[1] - traj.t[0]
-    if cfg.delay > 0 and cfg.delay < 1.0:
-        omega = np.random.default_rng(19).uniform(-60.0 * math.pi / h,
-                                                  60.0 * math.pi / h, 501)
-    elif cfg.delay > 0:
-        omega = frequency_grid(cfg, n_points=501)
-    else:
-        omega = np.linspace(-60.0 * math.pi / h, 60.0 * math.pi / h, 501)
+    leg pairs of a three-leg run one delay long (odd K), and every leg of a
+    run at K = 5e301 inside its first delay, where a power of exp(i omega
+    h) that high would round to nothing (NaN)."""
+    traj, omega = run()
     times = [0.5 * traj.t[-1], traj.t[-1]]
     assert _max_rel_diff(field_amplitudes(traj, omega, times),
                          _dense_oracle(traj, omega, times)) < 1e-9
