@@ -66,6 +66,10 @@ run simulate-analytic simulate --topology braided --eta 0.15 --phi 0.5pi \
     --state antisymmetric --engine analytic --t-max 8
 # away from gamma = v_g = 1: the scan's delay and the detector's lags take v_g
 run decay-rates-vg decay-rates --topology braided --v-g 2
+# a phase after the switch whose last lag's (2N - 1)*phi_after overflows:
+# exit 2 naming --phi-after, nothing written
+run detect-phi-after-1e308 detect --eta 1 --phi 2pi --t-max 4 --switch-at 2 \
+    --phi-after 1e308 --n-points 21
 run detect-gamma detect --topology separate --eta 0.2 --phi 2pi \
     --state antisymmetric --t-max 40 --switch-at 20 --phi-after 2.5pi \
     --gamma 0.7 --v-g 1.9

@@ -479,8 +479,13 @@ def cmd_detect(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, li
         t_s = args.switch_at / config.gamma
         if not 0.0 < t_s < t_max:
             raise ConfigError("--switch-at must fall inside (0, t_max)")
-        omega_after = _parse_number("phi_after", args.phi_after) / config.delay
-        schedule = DriveSchedule.switch_at(t_s, config.omega0, omega_after)
+        phi_after = _parse_number("phi_after", args.phi_after)
+        # the coupling table's phases n*phi_after run to the last lag, 2N - 1
+        if not math.isfinite(phi_after * (2 * config.n_legs - 1)):
+            raise ConfigError(f"--phi-after {phi_after!r} puts the last lag's "
+                              "phase (2N - 1)*phi_after out of the float range")
+        schedule = DriveSchedule.switch_at(t_s, config.omega0,
+                                           phi_after / config.delay)
 
     traj = integrate_with_drive(config, state, t_max, schedule,
                                 steps_per_delay=args.steps_per_delay)

@@ -170,17 +170,27 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     window reaches the switch.
 
     Raises:
-        ConfigError: for a non-positive or non-finite ``t_max``, a step
-            above the 0.02/gamma floor, a run of more grid nodes than the
-            10^7-node budget (checked before anything is allocated), or a
-            step h outside about [5e-154, 5e154], whose h^2/12 is no
-            normal float (at eta = 0.2 and K = 100, a gamma outside about
-            [4e-158, 4e150]).
+        ConfigError: for a non-positive or non-finite ``t_max``, a drive
+            frequency omega whose last lag's phase (2N - 1)*omega*delay
+            leaves the float range, a step above the 0.02/gamma floor, a
+            run of more grid nodes than the 10^7-node budget (checked
+            before anything is allocated), or a step h outside about
+            [5e-154, 5e154], whose h^2/12 is no normal float (at eta = 0.2
+            and K = 100, a gamma outside about [4e-158, 4e150]).
     """
     if not 0 < t_max < math.inf:
         raise ConfigError(f"t_max must be positive and finite, got {t_max!r}")
     if steps_per_delay < 1:
         raise ConfigError("steps_per_delay must be at least 1")
+    # the coupling table's phases n*omega*delay run to the last lag, 2N - 1,
+    # for every drive frequency, as SystemConfig checks for omega0
+    for omega in schedule.omegas:
+        if not math.isfinite(float(omega) * float(config.delay)
+                             * (2 * config.n_legs - 1)):
+            raise ConfigError(f"the drive frequency omega = {omega!r} and "
+                              f"delay = {config.delay!r} put the last lag's "
+                              "phase (2N - 1)*omega*delay out of the float "
+                              "range")
     # accuracy floor on the step against the decay timescale, not the
     # delay: tiny delays may use K = 1, large ones need K >= 50*eta
     if config.delay > 0 and \

@@ -7,9 +7,9 @@ mode integral, with coupling g0 = sqrt(gamma/(4 pi)) and leg factors
 exp(-+i omega x/v_g).  Per frequency it takes one complex exponential,
 exp(i omega h), whose powers give every phase, the leg factors included
 (two exponentials for an odd number of steps per delay).  Its pass over
-the frequencies runs on the W CPUs the process may use (as many as its
-memory cap leaves room for), in W times a whole number of equal blocks
-of at most 8192 frequencies, with the same bits on any number of them.
+the frequencies runs on the W CPUs the process may use, in W times a
+whole number of equal blocks of at most 8192 frequencies, with the same
+bits on any number of them.
 ``excitation_balance`` adds their norm to the atoms'.
 The same amplitudes can be collapsed analytically: transforming back to
 position space turns every mode integral into a delta function, so the
@@ -179,12 +179,7 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     if not np.all(np.isfinite(x)):
         raise ConfigError("x_grid must be finite")
     _source(amplitude_source, config, parity, t)
-    omega = max(abs(float(w)) for w in amplitude_source.schedule.omegas)
-    if math.isinf(omega * float(t.max())):
-        raise ConfigError(f"the drive frequency {omega!r} (omega0 for a "
-                          f"constant drive) and the latest time "
-                          f"{float(t.max())!r} put the retarded drive phase "
-                          "omega0*t out of the float range")
+    amplitude_source.schedule.check_phase(t.max())
     v2 = config.v_g * config.v_g
     if not 0 < v2 < math.inf or math.isinf(
             config.gamma * math.pi * (4 * config.n_legs) ** 2 / v2):
@@ -357,9 +352,9 @@ _WINDOW_BLOCK = 1024
 #: (rows x oversampled length) and in one worker's gathered kernel windows
 #: (rows x width x sub-block); rows past it go in further groups, each
 #: with its own omega pass.  A group holds at least one (snapshot,
-#: segment) row.  The omega pass then runs on no more workers than the
-#: largest group's windows fit in it, one sub-block per worker (but on
-#: one at least), so the groups do not depend on the worker count.
+#: segment) row.  It sizes the groups only: each worker holds its own
+#: windows, so their memory grows with the worker count, as that of
+#: every other per-worker array does.
 _GRID_CAP = 1 << 20
 
 
@@ -440,16 +435,15 @@ def _nufft_sums(rows: np.ndarray, ranges):
     return sums_at
 
 
-def _workers(blocks: int, fits: int) -> int:
+def _workers(blocks: int) -> int:
     """Workers of an omega pass over ``blocks`` full blocks' worth of
-    frequencies (ceil(n/_OMEGA_BLOCK)) whose windows fit the grid cap
-    ``fits`` times: the CPUs this process may run on, at most one per
-    block and at most ``fits`` (but at least one)."""
+    frequencies (ceil(n/_OMEGA_BLOCK)): the CPUs this process may run on,
+    at most one per block (but at least one)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks, fits))
+    return max(1, min(cpus, blocks))
 
 
 def _run_blocks(work, blocks: list[slice], workers: int) -> None:
@@ -529,30 +523,39 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     exp(-i omega |x|/v_g) instead, as z^e would carry about e ulp.  Rows
     beyond ``_GRID_CAP`` stacked values (the grid, or one sub-block of
     windows) run in further, independent groups, one after the other, each
-    with its own pass.  The pass runs on W workers: W is the usable CPUs,
-    at most one per ``_OMEGA_BLOCK`` = 8192 frequencies and at most as many
-    as the largest group's sub-blocks of windows fit in ``_GRID_CAP`` (at
-    least one).  The grid splits into W times a whole number of contiguous
-    blocks of at most 8192 frequencies, within one of each other in size,
-    block i on worker i mod W, so every worker gets the same share.  The
-    workers are the calling thread and W - 1 threads (none for W = 1),
-    each in a copy of the caller's context, so under its numpy errstate.
-    A frequency's arithmetic is element-wise and a block writes only its
-    own columns of the result, so the bits depend neither on W nor on the
-    block sizes.  Each worker holds one sub-block of gathered windows (rows
-    x 13 x 1024 values) and its block's element-wise temporaries: one array
-    of up to 8192 values per power of z, and a few rows x 8192.  Against
-    the direct sum on the criterion-8 runs (4161 nodes, five snapshots) the
-    amplitudes agree to 1.8e-13 of the peak on every 40th point of the
-    80 001-point grid, and to 5.4e-13 on a random
+    with its own pass; the cap sizes the groups and nothing else.  The
+    pass runs on W workers: W is the usable CPUs, at most one per
+    ``_OMEGA_BLOCK`` = 8192 frequencies (at least one).  The grid splits
+    into W times a whole number of contiguous blocks of at most 8192
+    frequencies, within one of each other in size, block i on worker i
+    mod W, so every worker gets the same share.  The workers are the
+    calling thread and W - 1 threads (none for W = 1), each in a copy of
+    the caller's context, so under its numpy errstate.  A frequency's
+    arithmetic is element-wise and a block writes only its own columns of
+    the result, so the bits depend neither on W nor on the block sizes.
+    Against the direct sum on the criterion-8 runs (4161 nodes, five
+    snapshots) the amplitudes agree to 1.8e-13 of the peak on every 40th
+    point of the 80 001-point grid, and to 5.4e-13 on a random
     20 001-point subset (``default_rng(3)``).
+
+    Memory: the result is 2 x snapshots x frequencies complex values, and
+    a group's stacked grid at most ``_GRID_CAP``.  Each worker holds its
+    own sub-block of gathered windows (the group's rows x 13 x 1024
+    values, also within the cap) and its own block's element-wise
+    temporaries: one array of up to 8192 values per power of z, and a few
+    rows x 8192.  These grow with W.  A 40-snapshot ``excitation_balance``
+    sweep of the criterion-8 run on the 80 001-point grid peaks at 202 MB
+    resident on two workers (170 MB on one), 102 MB of it the result.
 
     Returns (phi_R, phi_L) with shape (len(omega_grid),), or
     (len(t), len(omega_grid)) for a sequence of times.
 
     Raises:
-        ConfigError: for an empty, non-1-D or non-finite ``omega_grid``, or
-            times outside the run (non-finite ones included).
+        ConfigError: for an empty, non-1-D or non-finite ``omega_grid``,
+            times outside the run (non-finite ones included), or a drive
+            whose largest |omega| times the run's last node, the bound on
+            its rotating frame's phases, leaves the float range (naming
+            omega0, as ``fdd`` does).
     """
     scalar = np.isscalar(t) or np.asarray(t).shape == ()
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -570,7 +573,8 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     g0 = math.sqrt(cfg.gamma / (4.0 * math.pi))
 
     # channel rows in the frame rotating with the drive: the absolute phase
-    # Omega(tau) is the window phase over [0, tau]
+    # Omega(tau) is the window phase over [0, tau], to the last node
+    sched.check_phase(tau[-1])
     rot = traj.c * np.exp(-1j * sched.window_phase(tau, tau))
 
     # leg l's exp(-i omega x_l/v_g), (e, r, x_l < 0): z^e exp(i omega r),
@@ -599,14 +603,10 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     rows = [(k, j, a, min(b, stop)) for k, stop in enumerate(stops)
             for j, (a, b) in enumerate(zip(seg_first, [*seg_first[1:], stop]))
             if a < min(b, stop)]
-    # the cap bounds a group's rows by its grid and one worker's windows,
-    # then the workers by the largest group's windows, so the groups do not
-    # depend on the worker count
-    window = max(1, len(traj.c)) * _NUFFT_WIDTH * _WINDOW_BLOCK   # per row
+    # the cap bounds a group's rows by its grid and one worker's windows
     per_group = max(1, _GRID_CAP // max(1, len(traj.c)) // max(
         _grid_size(n_nodes), _NUFFT_WIDTH * _WINDOW_BLOCK))
-    workers = _workers(-(-omega.size // _OMEGA_BLOCK), _GRID_CAP // (
-        window * max(1, min(per_group, len(rows)))))
+    workers = _workers(-(-omega.size // _OMEGA_BLOCK))
     # W times a whole number of blocks of at most _OMEGA_BLOCK frequencies,
     # their sizes within one of each other: every worker gets the same share
     count = workers * -(-omega.size // (workers * _OMEGA_BLOCK))

@@ -259,6 +259,16 @@ class DriveSchedule:
             total += omega * np.maximum(far - near, 0.0)
         return total
 
+    def check_phase(self, t: float) -> None:
+        """ConfigError naming omega0 unless the largest |omega| times ``t``,
+        the bound on every window phase up to time ``t``, is finite."""
+        omega = max(abs(float(w)) for w in self.omegas)
+        if math.isinf(omega * float(t)):
+            raise ConfigError(f"the drive frequency {omega!r} (omega0 for a "
+                              f"constant drive) and the latest time "
+                              f"{float(t)!r} put the drive phase omega0*t "
+                              "out of the float range")
+
 
 #: Fraction of a step by which a run may end short of its t_max: the last
 #: node is the first one past t_max - GRID_END_SLACK*h.  Queries up to that

@@ -399,6 +399,10 @@ INVALID_VALUES = (
     (["decay-rates", "--v-g", "1e300", "--omega0", "1e300"], {}, "--v-g"),
     (["detect", "--eta", "0.2", "--phi", "2pi", "--t-max", "4",
       "--switch-at", "2", "--phi-after", "nan"], {}, "--phi-after"),
+    # the phase after the switch is finite, but the coupling table's last
+    # lag's (2N - 1)*phi_after overflows, as (2N - 1)*phi would for --phi
+    (["detect", "--eta", "1", "--phi", "2pi", "--t-max", "4",
+      "--switch-at", "2", "--phi-after", "1e308"], {}, "--phi-after"),
     (["simulate", "--eta", "nan"], {}, "--eta"),
     (["simulate", "--eta", "-0.2"], {}, "eta"),
     (["simulate", "--gamma", "0"], {}, "gamma"),
@@ -586,13 +590,21 @@ def test_floating_point_failures_exit_3(tmp_path, capsys, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_real_overflow_exits_3(tmp_path, capsys):
-    """A real overflow under the run's errstate, not a patched one: the
-    phase 1e308 after the switch is finite, but the coupling table's phase
-    n*phi_after at lags n up to 2N - 1 = 3 overflows in the integrator.
-    Exit 3, one stderr line, nothing written."""
+def test_real_overflow_exits_3(tmp_path, capsys, monkeypatch):
+    """A real numpy overflow under main's errstate, not a raised
+    FloatingPointError: no CLI input is known to overflow (each one found
+    is refused first, exit 2), so the integrator's step is patched to run
+    the real integrator and then a product past the float range.  Exit 3,
+    one stderr line, nothing written."""
+    integrate = cli.integrate_with_drive
+
+    def overflowing(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        return traj.c * np.float64(1e308) * 10.0
+
+    monkeypatch.setattr(cli, "integrate_with_drive", overflowing)
     assert main(["detect", "--eta", "1", "--phi", "2pi", "--t-max", "4",
-                 "--switch-at", "2", "--phi-after", "1e308",
+                 "--switch-at", "2", "--phi-after", "2.5pi",
                  "--n-points", "21", "--steps-per-delay", "50",
                  "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == ("numerical failure: detect: "

@@ -476,6 +476,24 @@ def test_step_outside_the_normal_float_range_is_refused():
     assert gap(1e150) <= 1.01 * gap(1.0) < 1e-12
 
 
+def test_drive_frequency_past_the_last_lag_phase_is_refused():
+    """Every drive frequency takes SystemConfig's last-lag rule: a switch
+    to |omega| = 1e308 at delay 1 puts (2N - 1)*omega*delay past the float
+    range, refused by name, under a raising errstate too, where the run
+    would give NaN; at 5e307 the phase stays finite and the run too."""
+    cfg = SystemConfig.from_phase("separate", eta=1.0, phi=2 * math.pi)
+    state = InitialState.antisymmetric()
+    for omega in (1e308, -1e308):
+        sched = DriveSchedule.switch_at(2.0, cfg.omega0, omega)
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(ConfigError, match=r"omega = .*\(2N - 1\)"):
+            integrate_with_drive(cfg, state, 4.0, sched, steps_per_delay=50)
+    sched = DriveSchedule.switch_at(2.0, cfg.omega0, 5e307)
+    with np.errstate(over="raise", invalid="raise"):
+        traj = integrate_with_drive(cfg, state, 4.0, sched, steps_per_delay=50)
+    assert np.all(np.isfinite(traj.c))
+
+
 def test_zero_delay_closed_form():
     """delay = 0 collapses to coupled exponentials: the symmetric channel
     decays at the full constructive rate, the antisymmetric one is dark."""
@@ -909,8 +927,8 @@ def test_grouped_ranges_match_dense_sum(three_segment_run, kind,
 @pytest.fixture
 def forced_workers(monkeypatch):
     """``force(n)`` runs every omega pass on min(n, blocks) workers, through
-    the one helper that counts them, whatever the grid cap fits;
-    ``force.threads`` lists the threads the passes start."""
+    the one helper that counts them; ``force.threads`` lists the threads
+    the passes start."""
     started = []
 
     class Thread(threading.Thread):
@@ -921,8 +939,7 @@ def forced_workers(monkeypatch):
     monkeypatch.setattr(threading, "Thread", Thread)
 
     def force(n):
-        monkeypatch.setattr(field, "_workers",
-                            lambda blocks, fits: min(n, blocks))
+        monkeypatch.setattr(field, "_workers", lambda blocks: min(n, blocks))
         started.clear()
 
     force.threads = started
@@ -993,19 +1010,15 @@ def test_omega_pass_on_more_workers_than_cores(three_segment_run,
         assert np.array_equal(one, many)
 
 
-@pytest.mark.parametrize("cap, want, blocks", [(None, 2, 10), (1, 1, 9)],
-                         ids=["one-group", "grid-cap-1"])
-def test_omega_pass_workers_fit_the_grid_cap(three_segment_run,
-                                             forced_workers, monkeypatch,
-                                             cap, want, blocks):
+@pytest.mark.parametrize("cap", [None, 1], ids=["one-group", "grid-cap-1"])
+def test_omega_pass_workers_do_not_depend_on_the_grid_cap(
+        three_segment_run, forced_workers, monkeypatch, cap):
     """On 64 usable CPUs and nine blocks' worth of frequencies the workers
-    are as many as the largest row group's windows fit in the grid cap, one
-    sub-block each: the run's 14 rows of two channels hold 14 x 2 x 13 x
-    1024 values, so two sets fit in 2^20, and at cap 1 (one row a group)
-    none does, which still leaves one worker.  The groups are those of one
-    worker.  Each group's pass splits the grid into W times a whole number
-    of contiguous blocks of at most ``_OMEGA_BLOCK`` frequencies, within
-    one of each other: ten on two workers, nine on one."""
+    are nine, one per block, in one row group or (grid cap 1) in one per
+    row: the cap sizes the groups only, so 8 threads a group.  Each
+    group's pass splits the grid into W times a whole number of contiguous
+    blocks of at most ``_OMEGA_BLOCK`` frequencies, within one of each
+    other: nine."""
     cfg, traj, times = three_segment_run
     omega = frequency_grid(cfg, half_width=900.0,
                            n_points=8 * field._OMEGA_BLOCK + 1)
@@ -1014,24 +1027,47 @@ def test_omega_pass_workers_fit_the_grid_cap(three_segment_run,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     workers, count = [], field._workers
-    monkeypatch.setattr(field, "_workers", lambda blocks, fits: workers.append(
-        count(blocks, fits)) or workers[-1])
+    monkeypatch.setattr(field, "_workers", lambda blocks: workers.append(
+        count(blocks)) or workers[-1])
     passes, run_blocks = [], field._run_blocks
     monkeypatch.setattr(field, "_run_blocks", lambda work, parts, n: (
         passes.append((parts, n)), run_blocks(work, parts, n)))
     field_amplitudes(traj, omega, times)
     groups = 1 if cap is None else 14
-    assert workers == [want]
-    assert len(forced_workers.threads) == groups * (want - 1)
+    assert workers == [9]
+    assert len(forced_workers.threads) == groups * 8
     assert len(passes) == groups
     for parts, n in passes:
         sizes = [part.stop - part.start for part in parts]
-        assert n == want and len(parts) == blocks
+        assert n == 9 and len(parts) == 9
         assert [part.start for part in parts[1:]] == [
             part.stop for part in parts[:-1]]
         assert parts[0].start == 0 and parts[-1].stop == omega.size
         assert max(sizes) <= field._OMEGA_BLOCK
         assert max(sizes) - min(sizes) == 1
+
+
+def test_omega_pass_of_a_long_sweep_runs_on_every_usable_cpu(monkeypatch):
+    """Forty snapshots of the criterion-8 run on 20 001 frequencies, three
+    blocks' worth, are one row group of 40 one-channel rows; on 2 usable
+    CPUs the pass takes both, one thread besides the caller, whatever
+    windows the grid cap would fit, and gives the one-CPU bits."""
+    cfg = SystemConfig.from_phase("separate", eta=0.2, phi=0.9 * math.pi)
+    traj = integrate(cfg, InitialState.symmetric(), t_max=5.2,
+                     steps_per_delay=160)
+    grid = frequency_grid(cfg, half_width=6000.0, n_points=20001)
+    times = np.linspace(0.125, 5.0, 40)
+    workers, count = [], field._workers
+    monkeypatch.setattr(field, "_workers", lambda blocks: workers.append(
+        count(blocks)) or workers[-1])
+    got = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=cpus: set(range(n)), raising=False)
+        got[cpus] = field_amplitudes(traj, grid, times)
+    assert workers == [1, 2]
+    for one, two in zip(got[1], got[2]):
+        assert np.array_equal(one, two)
 
 
 @pytest.mark.parametrize("where", ["caller", "thread"])

@@ -203,6 +203,25 @@ def test_fdd_refuses_a_drive_phase_past_the_float_range():
             fdd(traj, cfg, -1, x, [0.0, 4.0])
 
 
+def test_field_amplitudes_refuse_a_drive_phase_past_the_float_range():
+    """The record ``fdd`` refuses at t = 4: the mode sum's rotating frame
+    takes the drive phase omega0*tau at every node up to the run's last,
+    2e308, so any snapshot raises ConfigError naming omega0.  Unchecked,
+    the t = 4 snapshot was all NaN, and under a raising errstate every
+    snapshot raised FloatingPointError."""
+    cfg = SystemConfig(topology="separate", gamma=1.0, delay=1.0,
+                       omega0=5e307)
+    traj = integrate(cfg, InitialState.antisymmetric(), t_max=4.0,
+                     steps_per_delay=50)
+    grid = np.linspace(-40.0, 40.0, 41)
+    for snapshots in (4.0, [1.0, 4.0]):
+        with pytest.raises(ConfigError, match="omega0"):
+            field_amplitudes(traj, grid, snapshots)
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                pytest.raises(ConfigError, match="omega0"):
+            field_amplitudes(traj, grid, snapshots)
+
+
 @pytest.mark.parametrize("kind, state", [
     ("trajectory", InitialState.antisymmetric()),
     ("series", InitialState.antisymmetric()),
