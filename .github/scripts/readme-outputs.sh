@@ -70,6 +70,10 @@ run decay-rates-vg decay-rates --topology braided --v-g 2
 # exit 2 naming --phi-after, nothing written
 run detect-phi-after-1e308 detect --eta 1 --phi 2pi --t-max 4 --switch-at 2 \
     --phi-after 1e308 --n-points 21
+# at a small eta the frequency phi_after/delay itself overflows though
+# (2N - 1)*phi_after does not: exit 2 naming --phi-after, nothing written
+run detect-phi-after-1e306 detect --eta 1e-3 --phi 2pi --t-max 4 \
+    --switch-at 2 --phi-after 1e306 --n-points 21
 run detect-gamma detect --topology separate --eta 0.2 --phi 2pi \
     --state antisymmetric --t-max 40 --switch-at 20 --phi-after 2.5pi \
     --gamma 0.7 --v-g 1.9
@@ -105,8 +109,11 @@ run simulate-analytic-gamma-1e300 simulate --gamma 1e300 --engine analytic
 # naming omega0 and delay, nothing written; 5e307 keeps it finite, exit 0
 run simulate-omega0-1e308 simulate --omega0 1e308 --dx 1
 run simulate-omega0-5e307 simulate --omega0 5e307 --dx 1
+# the same rule from (eta, phi): omega0 = phi/delay overflows at eta =
+# 1e-10 though (2N - 1)*phi does not: exit 2 naming phi, nothing written
+run simulate-phi-1e300 simulate --eta 1e-10 --phi 1e300
 # fdd's retarded drive phase omega0*t_max = 5e307*8 overflows: exit 2
-# naming --omega0 and --t-max, nothing written
+# naming --omega0 and the latest time, nothing written
 run fdd-omega0-5e307 fdd --omega0 5e307 --dx 1
 # an --out under an existing file: exit 2 before anything is computed, and
 # the file keeps its one line

@@ -46,7 +46,7 @@ from .dde import (_check_node_budget, _write_trajectory, integrate,
                   integrate_with_drive, to_csv as traj_to_csv)
 from .field import _pyplot, detector_signal, fdd as compute_fdd, released_energy
 from .model import (GRID_END_SLACK, ConfigError, DriveSchedule, InitialState,
-                    SystemConfig)
+                    SystemConfig, check_lag_phase)
 from .spectral import NonConvergence, scan_decay_rates
 
 ENV_PREFIX = "GIANTQED_"
@@ -364,11 +364,8 @@ def cmd_fdd(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, list]
     state = build_state(params)
     t_max = args.t_max / config.gamma
     # the map's retarded drive phases reach omega0*t_max
-    if math.isinf(config.omega0 * t_max):
-        flag = "--omega0" if "omega0" in params else "--phi"
-        raise ConfigError(f"{flag} and --t-max put fdd's drive phase "
-                          f"omega0*t_max = {config.omega0!r}*{t_max!r} out "
-                          "of the float range")
+    DriveSchedule.constant(config.omega0).check_phase(
+        t_max, "--omega0" if "omega0" in params else "--phi")
     # an integrator run at its step floor (K >= 50*eta) feeds the map; the
     # exact series agrees with it to the integrator's own error at any time
     eta = config.gamma * config.delay
@@ -480,10 +477,8 @@ def cmd_detect(args: argparse.Namespace, params: dict) -> tuple[SystemConfig, li
         if not 0.0 < t_s < t_max:
             raise ConfigError("--switch-at must fall inside (0, t_max)")
         phi_after = _parse_number("phi_after", args.phi_after)
-        # the coupling table's phases n*phi_after run to the last lag, 2N - 1
-        if not math.isfinite(phi_after * (2 * config.n_legs - 1)):
-            raise ConfigError(f"--phi-after {phi_after!r} puts the last lag's "
-                              "phase (2N - 1)*phi_after out of the float range")
+        check_lag_phase("--phi-after", phi_after, config.delay,
+                        config.n_legs, phase=True)
         schedule = DriveSchedule.switch_at(t_s, config.omega0,
                                            phi_after / config.delay)
 

@@ -59,7 +59,8 @@ import numpy as np
 # the mode sum lives in field; the benchmark still calls it through dde
 from .field import field_amplitudes, frequency_grid  # noqa: F401
 from .model import (GRID_END_SLACK, AmplitudeRecord, ConfigError, DriveSchedule,
-                    InitialState, SystemConfig, delay_table, write_csv)
+                    InitialState, SystemConfig, check_lag_phase, delay_table,
+                    write_csv)
 
 #: Most grid nodes one run may store, checked before anything is allocated:
 #: 10^7 nodes hold the three (channel, nodes) complex arrays, 480 MB a channel.
@@ -171,9 +172,8 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
 
     Raises:
         ConfigError: for a non-positive or non-finite ``t_max``, a drive
-            frequency omega whose last lag's phase (2N - 1)*omega*delay
-            leaves the float range, a step above the 0.02/gamma floor, a
-            run of more grid nodes than the 10^7-node budget (checked
+            frequency omega that breaks ``model.check_lag_phase``, a step
+            above the 0.02/gamma floor, a run of more grid nodes than the 10^7-node budget (checked
             before anything is allocated), or a step h outside about
             [5e-154, 5e154], whose h^2/12 is no normal float (at eta = 0.2
             and K = 100, a gamma outside about [4e-158, 4e150]).
@@ -182,15 +182,9 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
         raise ConfigError(f"t_max must be positive and finite, got {t_max!r}")
     if steps_per_delay < 1:
         raise ConfigError("steps_per_delay must be at least 1")
-    # the coupling table's phases n*omega*delay run to the last lag, 2N - 1,
-    # for every drive frequency, as SystemConfig checks for omega0
     for omega in schedule.omegas:
-        if not math.isfinite(float(omega) * float(config.delay)
-                             * (2 * config.n_legs - 1)):
-            raise ConfigError(f"the drive frequency omega = {omega!r} and "
-                              f"delay = {config.delay!r} put the last lag's "
-                              "phase (2N - 1)*omega*delay out of the float "
-                              "range")
+        check_lag_phase("the drive frequency omega", omega, config.delay,
+                        config.n_legs)
     # accuracy floor on the step against the decay timescale, not the
     # delay: tiny delays may use K = 1, large ones need K >= 50*eta
     if config.delay > 0 and \

@@ -167,8 +167,8 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     ``|x| <= max(leg) + v_g * t`` and on the ``t <= 0`` slices.  A v_g for
     which v_g^2 or the largest possible cell gamma*pi*(4N)^2/v_g^2 (4N
     terms, |c| <= 1) leaves the float range raises ConfigError, as does a
-    drive whose largest |omega| times the latest time, the bound on its
-    retarded phases, leaves it.
+    drive that breaks ``DriveSchedule.check_phase`` at the latest time
+    (naming omega0).
     """
     if parity not in (1, -1):
         raise ConfigError("parity must be +1 or -1")
@@ -179,7 +179,7 @@ def fdd(amplitude_source, config: SystemConfig, parity: int,
     if not np.all(np.isfinite(x)):
         raise ConfigError("x_grid must be finite")
     _source(amplitude_source, config, parity, t)
-    amplitude_source.schedule.check_phase(t.max())
+    amplitude_source.schedule.check_phase(t.max(), "omega0")
     v2 = config.v_g * config.v_g
     if not 0 < v2 < math.inf or math.isinf(
             config.gamma * math.pi * (4 * config.n_legs) ** 2 / v2):
@@ -553,9 +553,8 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
     Raises:
         ConfigError: for an empty, non-1-D or non-finite ``omega_grid``,
             times outside the run (non-finite ones included), or a drive
-            whose largest |omega| times the run's last node, the bound on
-            its rotating frame's phases, leaves the float range (naming
-            omega0, as ``fdd`` does).
+            that breaks ``DriveSchedule.check_phase`` at the run's last
+            node, which its rotating frame reaches (naming omega0).
     """
     scalar = np.isscalar(t) or np.asarray(t).shape == ()
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -574,7 +573,7 @@ def field_amplitudes(traj: AmplitudeTrajectory, omega_grid: np.ndarray, t):
 
     # channel rows in the frame rotating with the drive: the absolute phase
     # Omega(tau) is the window phase over [0, tau], to the last node
-    sched.check_phase(tau[-1])
+    sched.check_phase(tau[-1], "omega0")
     rot = traj.c * np.exp(-1j * sched.window_phase(tau, tau))
 
     # leg l's exp(-i omega x_l/v_g), (e, r, x_l < 0): z^e exp(i omega r),

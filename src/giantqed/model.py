@@ -33,6 +33,23 @@ class ConfigError(ValueError):
     """An invalid system, initial state or drive schedule: the caller's input."""
 
 
+def check_lag_phase(name: str, value, delay: float, n_legs: int, *,
+                    phase: bool = False) -> None:
+    """The lag rule, for every frequency the coupling table takes: omega and
+    its phase (2N - 1)*omega*delay at the table's last lag must be finite.
+
+    ``value`` is the caller's input: omega itself, or with ``phase`` the
+    phase per delay, omega = value/delay (delay > 0).  ConfigError names
+    ``name`` and shows ``value``.  Python floats, so a raising errstate
+    cannot turn the refusal into FloatingPointError.
+    """
+    omega = float(value) / float(delay) if phase else float(value)
+    if not math.isfinite(omega * float(delay) * (2 * n_legs - 1)):
+        raise ConfigError(f"{name} = {value!r} at delay = {delay!r} puts the "
+                          "frequency omega or the last lag's phase "
+                          "(2N - 1)*omega*delay out of the float range")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of the two-atom/waveguide system.
@@ -45,8 +62,7 @@ class SystemConfig:
         n_legs: number of coupling legs per atom (N >= 1).
         v_g: group velocity in the waveguide.
 
-    Non-finite values, and an omega0 and delay whose phase
-    (2N - 1)*omega0*delay at the coupling table's last lag overflows,
+    Non-finite values, and an omega0 that breaks :func:`check_lag_phase`,
     raise ConfigError.
     """
 
@@ -73,12 +89,7 @@ class SystemConfig:
             raise ConfigError("v_g must be positive")
         if self.delay > 0 and not 0 < self.spacing < math.inf:
             raise ConfigError("the leg spacing v_g*delay is out of the float range")
-        # the coupling table's phases n*phi run to the last lag, 2N - 1
-        if not math.isfinite(float(self.omega0) * float(self.delay)
-                             * (2 * self.n_legs - 1)):
-            raise ConfigError(f"omega0 = {self.omega0!r} and delay = "
-                              f"{self.delay!r} put the last lag's phase "
-                              "(2N - 1)*omega0*delay out of the float range")
+        check_lag_phase("omega0", self.omega0, self.delay, self.n_legs)
 
     # -- derived quantities -------------------------------------------------
 
@@ -110,20 +121,17 @@ class SystemConfig:
 
         ``delay = eta/gamma`` and ``omega0 = phi/delay``; handy when a target
         phase (e.g. exactly 2*pi) matters more than the raw frequency.  A
-        phi whose last lag's phase (2N - 1)*phi overflows raises ConfigError
+        phi/delay that breaks :func:`check_lag_phase` raises ConfigError
         naming phi.
         """
         for name, value in (("eta", eta), ("phi", phi), ("gamma", gamma)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
-        # the coupling table's phases n*phi run to the last lag, 2N - 1
-        if not math.isfinite(float(phi) * (2 * n_legs - 1)):
-            raise ConfigError(f"phi = {phi!r} puts the last lag's phase "
-                              "(2N - 1)*phi out of the float range")
         if eta <= 0 or gamma <= 0 or eta / gamma == 0:
             raise ConfigError("from_phase requires eta > 0, gamma > 0 and "
                               "eta/gamma > 0 (use delay=0 directly for eta = 0)")
         delay = eta / gamma
+        check_lag_phase("phi", phi, delay, n_legs, phase=True)
         return cls(topology=topology, gamma=gamma, delay=delay,
                    omega0=phi / delay, n_legs=n_legs, v_g=v_g)
 
@@ -259,15 +267,15 @@ class DriveSchedule:
             total += omega * np.maximum(far - near, 0.0)
         return total
 
-    def check_phase(self, t: float) -> None:
-        """ConfigError naming omega0 unless the largest |omega| times ``t``,
-        the bound on every window phase up to time ``t``, is finite."""
+    def check_phase(self, t: float, name: str) -> None:
+        """The window rule: ConfigError naming ``name``, the caller's name
+        for the drive, unless the largest |omega| times ``t``, the bound on
+        every window phase up to time ``t``, is finite."""
         omega = max(abs(float(w)) for w in self.omegas)
         if math.isinf(omega * float(t)):
-            raise ConfigError(f"the drive frequency {omega!r} (omega0 for a "
-                              f"constant drive) and the latest time "
-                              f"{float(t)!r} put the drive phase omega0*t "
-                              "out of the float range")
+            raise ConfigError(f"{name} (largest |omega| = {omega!r}) and the "
+                              f"latest time t = {float(t)!r} put the drive "
+                              "phase omega*t out of the float range")
 
 
 #: Fraction of a step by which a run may end short of its t_max: the last

@@ -471,8 +471,13 @@ INVALID_VALUES = (
     (["bic", "--omega0", "1e308", "--dx", "1"], {}, "omega0"),
     (["fdd", "--omega0", "1e308", "--dx", "1"], {}, "omega0"),
     (["detect", "--omega0", "1e308", "--dx", "1"], {}, "omega0"),
-    # the same phase from (eta, phi): (2N - 1)*phi overflows
+    # the same rule from (eta, phi): (2N - 1)*phi overflows, or at a small
+    # eta omega0 = phi/delay does, and so for --phi-after
     (["simulate", "--eta", "1", "--phi", "1e308"], {}, "phi"),
+    (["simulate", "--eta", "1e-10", "--phi", "1e300"], {}, "phi ="),
+    (["detect", "--eta", "1e-3", "--phi", "2pi", "--t-max", "4",
+      "--switch-at", "2", "--phi-after", "1e306", "--n-points", "21"], {},
+     "--phi-after"),
     # fdd's retarded drive phase omega0*t_max overflows, from omega0 =
     # 5e307 over 8 delays or from omega0 = phi/delay = 1e307 over t = 20
     (["fdd", "--omega0", "5e307", "--dx", "1"], {}, "--omega0"),

@@ -72,17 +72,19 @@ def test_config_refuses_a_last_lag_phase_past_the_float_range():
     delay whose (2N - 1)*omega0*delay overflows are refused by name, at
     numpy scalars and under a raising errstate too; one that stays finite
     builds its table.  ``from_phase`` names phi, the value its caller
-    passed."""
+    passed, also where (2N - 1)*phi is finite but omega0 = phi/delay
+    overflows."""
     for kwargs in ({"omega0": 1e308}, {"omega0": np.float64(1e308)},
                    {"omega0": 5e307, "n_legs": 3},
                    {"omega0": 1e200, "delay": 1e200}):
         with np.errstate(over="raise"), \
                 pytest.raises(ConfigError, match="omega0.*delay"):
             SystemConfig(topology="separate", **kwargs)
-    for phi in (1e308, np.float64(1e308)):
-        with np.errstate(over="raise"), \
-                pytest.raises(ConfigError, match=r"phi = .*\(2N - 1\)\*phi"):
-            SystemConfig.from_phase("braided", eta=1.0, phi=phi)
+    for eta, phi in ((1.0, 1e308), (1.0, np.float64(1e308)),
+                     (1e-10, 1e300), (1e-10, np.float64(1e300))):
+        with np.errstate(over="raise"), pytest.raises(
+                ConfigError, match=r"phi = .*\(2N - 1\)\*omega\*delay"):
+            SystemConfig.from_phase("braided", eta=eta, phi=phi)
     cfg = SystemConfig(topology="separate", omega0=5e307)
     assert np.all(np.isfinite(delay_table(cfg).phases(cfg.phi)))
 
