@@ -173,10 +173,11 @@ def integrate_with_drive(config: SystemConfig, state: InitialState,
     Raises:
         ConfigError: for a non-positive or non-finite ``t_max``, a drive
             frequency omega that breaks ``model.check_lag_phase``, a step
-            above the 0.02/gamma floor, a run of more grid nodes than the 10^7-node budget (checked
-            before anything is allocated), or a step h outside about
-            [5e-154, 5e154], whose h^2/12 is no normal float (at eta = 0.2
-            and K = 100, a gamma outside about [4e-158, 4e150]).
+            above the 0.02/gamma floor, a run of more grid nodes than the
+            10^7-node budget (checked before anything is allocated), or a
+            step h outside about [5e-154, 5e154], whose h^2/12 is no normal
+            float (at eta = 0.2 and K = 100, a gamma outside about
+            [4e-158, 4e150]).
     """
     if not 0 < t_max < math.inf:
         raise ConfigError(f"t_max must be positive and finite, got {t_max!r}")
